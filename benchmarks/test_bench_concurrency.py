@@ -9,7 +9,8 @@ sleep — the shape of any trial whose heavy work releases the GIL: numpy
 kernels, I/O, or a remote executor).
 
 Emits ``benchmarks/BENCH_concurrency.json`` (consumed by the table in
-README.md) and asserts the PR's acceptance criteria:
+README.md; the committed file is only rewritten by an explicit
+``REPRO_PERF_LONG=1`` run) and asserts the PR's acceptance criteria:
 
 * pooled execution with 4 workers beats serial wall-clock on the 8-trial grid;
 * the ranking is identical at ``workers=1`` and ``workers=4`` (determinism).
@@ -18,6 +19,7 @@ README.md) and asserts the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -33,6 +35,8 @@ NUM_TRIALS = 8
 WORKER_COUNTS = (1, 2, 4, 8)
 
 BENCH_PATH = Path(__file__).resolve().parent / "BENCH_concurrency.json"
+
+_PERF_LONG = os.environ.get("REPRO_PERF_LONG", "") not in ("", "0")
 
 
 def _train_fn(trial, epochs):
@@ -91,14 +95,15 @@ def test_pooled_execution_beats_serial():
     assert rankings[1] == serial_ranking
     assert rankings[4] == rankings[1]
 
-    BENCH_PATH.write_text(
-        json.dumps(
-            {"experiment": "E10", "num_trials": NUM_TRIALS,
-             "trial_seconds": TRIAL_SECONDS, "rows": records},
-            indent=2,
+    if _PERF_LONG or not BENCH_PATH.exists():
+        BENCH_PATH.write_text(
+            json.dumps(
+                {"experiment": "E10", "num_trials": NUM_TRIALS,
+                 "trial_seconds": TRIAL_SECONDS, "rows": records},
+                indent=2,
+            )
+            + "\n"
         )
-        + "\n"
-    )
     print_report(
         "E10 · concurrent trial execution: makespan on an 8-trial grid",
         ["runtime", "makespan (s)", "speedup"],

@@ -121,30 +121,31 @@ def test_process_pool_breaks_the_thread_ceiling():
         )
     process_vs_thread = results["thread"]["seconds"] / results["process"]["seconds"]
 
-    BENCH_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "E15",
-                "cores": cores,
-                "num_trials": NUM_TRIALS,
-                "workers": WORKERS,
-                "spin_iterations": SPIN_ITERATIONS,
-                "heavy_profile": _HEAVY,
-                "process_vs_thread_speedup": round(process_vs_thread, 2),
-                "rows": records,
-                "note": (
-                    "Pure-Python (GIL-holding) trials: the thread pool "
-                    "collapses to serial, only processes parallelise.  The "
-                    ">=1.5x process-vs-thread floor is asserted on >=2 cores "
-                    "under the heavy profile; on 1 core spawn overhead is a "
-                    "pure cost and is reported as measured.  Regenerate with "
-                    "REPRO_PERF_LONG=1."
-                ),
-            },
-            indent=2,
+    if _PERF_LONG or not BENCH_PATH.exists():
+        BENCH_PATH.write_text(
+            json.dumps(
+                {
+                    "experiment": "E15",
+                    "cores": cores,
+                    "num_trials": NUM_TRIALS,
+                    "workers": WORKERS,
+                    "spin_iterations": SPIN_ITERATIONS,
+                    "heavy_profile": _HEAVY,
+                    "process_vs_thread_speedup": round(process_vs_thread, 2),
+                    "rows": records,
+                    "note": (
+                        "Pure-Python (GIL-holding) trials: the thread pool "
+                        "collapses to serial, only processes parallelise.  The "
+                        ">=1.5x process-vs-thread floor is asserted on >=2 cores "
+                        "under the heavy profile; on 1 core spawn overhead is a "
+                        "pure cost and is reported as measured.  Regenerate with "
+                        "REPRO_PERF_LONG=1."
+                    ),
+                },
+                indent=2,
+            )
+            + "\n"
         )
-        + "\n"
-    )
     print_report(
         f"E15 · GIL-bound grid ({NUM_TRIALS} trials, {WORKERS} workers, "
         f"{cores} core(s))",

@@ -281,11 +281,14 @@ def test_fleet_throughput_vs_sequential():
 
     # The headline contract: one shared pool serving all models at once
     # beats one-model-at-a-time serving >= 3x on the same traffic, even
-    # though the budget forces eviction churn along the way.
-    assert fleet["speedup_vs_sequential"] >= MIN_FLEET_SPEEDUP, (
-        f"fleet serving is only {fleet['speedup_vs_sequential']:.2f}x the "
-        f"sequential baseline (need >= {MIN_FLEET_SPEEDUP}x)"
-    )
+    # though the budget forces eviction churn along the way.  A wall-clock
+    # ratio, so only the perf job holds it; tier-1 keeps the structural
+    # checks above.
+    if _PERF_CHECK:
+        assert fleet["speedup_vs_sequential"] >= MIN_FLEET_SPEEDUP, (
+            f"fleet serving is only {fleet['speedup_vs_sequential']:.2f}x the "
+            f"sequential baseline (need >= {MIN_FLEET_SPEEDUP}x)"
+        )
 
     if _PERF_LONG or not BENCH_PATH.exists():
         payload = {

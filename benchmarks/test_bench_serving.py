@@ -188,11 +188,14 @@ def test_serving_throughput_and_latency():
 
     # The headline contract: dynamic batching buys >= 3x throughput at
     # bit-identical correctness (asserted by the exactness test above).
-    assert results["batched"]["speedup_vs_unbatched"] >= MIN_BATCHED_SPEEDUP, (
-        f"batched serving is only "
-        f"{results['batched']['speedup_vs_unbatched']:.2f}x the unbatched "
-        f"baseline (need >= {MIN_BATCHED_SPEEDUP}x)"
-    )
+    # A wall-clock ratio, so only the perf job holds it; tier-1 keeps the
+    # structural checks around it.
+    if _PERF_CHECK:
+        assert results["batched"]["speedup_vs_unbatched"] >= MIN_BATCHED_SPEEDUP, (
+            f"batched serving is only "
+            f"{results['batched']['speedup_vs_unbatched']:.2f}x the unbatched "
+            f"baseline (need >= {MIN_BATCHED_SPEEDUP}x)"
+        )
     # Batching must actually be happening, not just winning by accident.
     assert results["batched"]["mean_batch_rows"] > 2.0
 

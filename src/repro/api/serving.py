@@ -108,6 +108,7 @@ def serve(
     # Imported lazily: repro.api.runtime imports this facade's package peers.
     from repro.api.runtime.proc import ModelSpec, ProcessReplica
 
+    factory: Optional[Callable[[], ShardableModel]] = None
     if replica_mode == "process":
         if not isinstance(model, ModelSpec):
             raise ConfigurationError(
@@ -121,30 +122,11 @@ def serve(
                 "mmaps shared through the page cache; drop memory_budget or "
                 "use replica_mode='thread'"
             )
-        children = [
-            ProcessReplica(model, name=f"{name}/replica{index}", telemetry=telemetry)
-            for index in range(replicas)
-        ]
-        server = ModelServer(
-            children,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            max_queue=max_queue,
-            timeout_ms=timeout_ms,
-            compute_batch_size=compute_batch_size,
-            name=name,
-            telemetry=telemetry,
-        )
-        return server.start() if start else server
-
-    factory: Optional[Callable[[], ShardableModel]]
-    if isinstance(model, ModelSpec):
+    elif isinstance(model, ModelSpec):
         factory = model.build
     elif callable(model) and not isinstance(model, ShardableModel):
         factory = model
-    else:
-        factory = None
-    if memory_budget is not None and replicas > 1 and factory is None:
+    elif memory_budget is not None and replicas > 1:
         raise ConfigurationError(
             "spilled serving with multiple replicas needs a model factory: "
             "each replica's spill manager evicts/restores its own parameter "
@@ -154,8 +136,11 @@ def serve(
 
     built = []
     for index in range(replicas):
-        instance = factory() if factory is not None else model
         replica_name = f"{name}/replica{index}"
+        if replica_mode == "process":
+            built.append(ProcessReplica(model, name=replica_name, telemetry=telemetry))
+            continue
+        instance = factory() if factory is not None else model
         if memory_budget is not None:
             built.append(
                 Replica.spilled(
@@ -280,33 +265,27 @@ def serve_fleet(
         name=name,
         telemetry=telemetry,
     )
-    if replica_mode == "process":
-        from repro.api.runtime.proc import ModelSpec
+    # Imported lazily: repro.api.runtime imports this facade's package peers.
+    from repro.api.runtime.proc import ModelSpec
 
-        for model_name in chosen:
+    for model_name in chosen:
+        if replica_mode == "process":
             # Pin the latest version *now*: the fleet serves one immutable
             # archive per model for its whole life, even if training keeps
             # publishing newer versions behind it.
-            spec = ModelSpec(
+            member = ModelSpec(
                 builder=functools.partial(builder, model_name),
                 registry_root=str(registry.root),
                 registry_name=model_name,
                 version=registry.latest_version(model_name),
             )
-            router.add_model(
-                model_name,
-                spec,
-                weight=weights.get(model_name, 1.0),
-                compute_batch_size=compute_batch_size,
-            )
-    else:
-        for model_name in chosen:
-            model = builder(model_name)
-            registry.load(model_name, model)
-            router.add_model(
-                model_name,
-                model,
-                weight=weights.get(model_name, 1.0),
-                compute_batch_size=compute_batch_size,
-            )
+        else:
+            member = builder(model_name)
+            registry.load(model_name, member)
+        router.add_model(
+            model_name,
+            member,
+            weight=weights.get(model_name, 1.0),
+            compute_batch_size=compute_batch_size,
+        )
     return router.start() if start else router

@@ -7,21 +7,25 @@ serving traffic against it (see ``docs/serving.md``):
 * :class:`ModelRegistry` — versioned published checkpoints (the
   training→serving hand-off, in the same ``.npz`` serialization as
   checkpoints and disk-spilled shards);
-* :class:`DynamicBatcher` — bounded-queue admission control plus
-  micro-batch coalescing under ``max_batch_size`` / ``max_wait_ms``;
+* :class:`DynamicBatcher` — the one scheduler behind both front-ends:
+  bounded per-queue admission control, deadline expiry, micro-batch
+  coalescing under ``max_batch_size`` / a fill window, and the
+  weighted-fair pick between queues;
 * :class:`Replica` — one servable model copy, fully resident or *spilled*
   (a sharded executor leasing shards through its own
   :class:`~repro.memory.SpillManager`, so over-memory models serve from a
   single device budget);
-* :class:`ModelServer` — a replica pool on the runtime's
+* :class:`ModelServer` — the scheduler's one-queue case (fill window
+  ``max_wait_ms``): a replica pool on the runtime's
   :class:`~repro.api.runtime.pool.WorkerPool`, with per-request deadlines
   and p50/p95/p99 latency + throughput metrics;
 * :class:`LoadGenerator` — closed-loop and open-loop (fixed arrival rate)
   clients for load tests and the E13/E14 benchmarks;
-* :class:`FleetRouter` — the multi-model tier: every published model served
-  through **one** replica pool and **one** memory budget, with continuous
-  batching, weighted-fair scheduling, and Hydra-style whole-model
-  eviction/restore of cold models (see ``docs/router.md``).
+* :class:`FleetRouter` — the same serve path with one queue per model
+  (fill window 0, i.e. continuous batching): every published model served
+  through **one** replica pool and **one** memory budget, with
+  weighted-fair scheduling and Hydra-style whole-model eviction/restore of
+  cold models (see ``docs/router.md``).
 
 Exactness is the core contract, inherited from the training side: replicas
 run every forward at one fixed compute geometry, so batched responses are
@@ -36,11 +40,16 @@ winner (rebuilt via the caller's builder, weights from the registry) to a
 running server — or, with ``router=``, into a shared fleet.
 """
 
-from repro.serving.batcher import DynamicBatcher, InferenceRequest, PendingResponse
+from repro.serving.batcher import (
+    DynamicBatcher,
+    InferenceRequest,
+    ModelEntry,
+    PendingResponse,
+)
 from repro.serving.loadgen import LoadGenerator, LoadReport, warm_up
 from repro.serving.registry import ModelRegistry, ModelVersion
 from repro.serving.replica import Replica
-from repro.serving.router import FleetRouter, ModelEntry, RouterHandle
+from repro.serving.router import FleetRouter, RouterHandle
 from repro.serving.server import ModelServer
 from repro.serving.stats import LatencyStats, ServerStats, latency_summary
 

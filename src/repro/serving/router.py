@@ -2,8 +2,9 @@
 
 A :class:`FleetRouter` is the multi-model counterpart of
 :class:`~repro.serving.server.ModelServer` — the paper's framing (many
-models sharing one memory budget) carried to the inference side.  One
-router owns, for *every* published model it serves:
+models sharing one memory budget) carried to the inference side.  Both are
+the same :class:`~repro.serving.server.ServingCore`; one router owns, for
+*every* published model it serves:
 
 * **one replica pool** — ``replicas`` worker threads on the runtime's
   :class:`~repro.api.runtime.pool.WorkerPool`, each repeatedly asking the
@@ -14,34 +15,21 @@ router owns, for *every* published model it serves:
   fragments): hot models stay device-resident, cold models are evicted to
   the host cache under pressure and restored on demand, so the fleet's
   total parameter bytes may exceed the budget;
-* **one scheduler** — continuous batching over per-model waiting queues.
-
-**Continuous batching.**  Unlike the single-model
-:class:`~repro.serving.batcher.DynamicBatcher`, which may hold a partial
-batch for up to ``max_wait_ms``, the fleet scheduler never sleeps on
-purpose: the moment a worker is free and any queue is non-empty, it forms
-a micro-batch from whatever requests are ready *now* (whole requests, FIFO
-per model, up to the model's ``max_batch_size`` rows) and dispatches it.
-Under fleet-level load there is always other work to run, so idling a
-worker to fatten one model's batch only adds latency.
-
-**Weighted-fair selection.**  Queues are picked by stride scheduling:
-every model carries a ``pass`` value advanced by ``rows / weight`` each
-time it is served, and the non-empty queue with the smallest pass goes
-next.  A model with twice the weight gets twice the rows over time, and no
-backlogged model can be starved — its pass stops advancing while others'
-grow.  A model whose queue was empty re-enters at the scheduler's current
-virtual time, so an idle model cannot bank credit and then monopolise the
-pool.
+* **one scheduler** — the :class:`~repro.serving.batcher.DynamicBatcher` a
+  server uses, with one queue per model (per-model admission control),
+  a fill window of zero (**continuous batching**: unlike a server, which
+  may hold a partial batch for up to ``max_wait_ms``, the fleet never
+  sleeps on purpose) and the stride-scheduled weighted-fair pick between
+  the queues.
 
 **Cold models.**  Serving an evicted model means restoring its bytes
-first, so the scheduler prefers hot work while a restore is in flight: if
-the fair pick is evicted and a resident model also has work, the resident
-one runs, the cold model's restore is kicked off in the background
-(prefetch), and a skip counter guarantees the cold model is served
-unconditionally after at most ``max_cold_skips`` deferrals — bounded
-unfairness, never starvation.  Arrival at an evicted model's queue also
-triggers a prefetch, so restores overlap other models' compute.
+first, so the scheduler prefers hot work while a restore is in flight (see
+:mod:`repro.serving.batcher`): the router answers its "is this queue
+cold?" from the shared manager's residency, kicks off the deferred model's
+restore in the background (prefetch), and the scheduler's skip counter
+serves the cold model unconditionally after at most ``max_cold_skips``
+deferrals.  Arrival at an evicted model's queue also triggers a prefetch,
+so restores overlap other models' compute.
 
 **Exactness.**  Every model executes at its own fixed compute geometry
 (micro-batches padded via :func:`~repro.serving.replica.pad_rows`), and
@@ -59,20 +47,9 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.autograd.tensor import no_grad
-from repro.data.dataloader import Batch
-from repro.exceptions import (
-    ConfigurationError,
-    RequestTimeoutError,
-    ServerOverloadedError,
-    ServingError,
-)
+from repro.exceptions import ConfigurationError, ServingError
 from repro.memory import (
     DeviceArena,
     HostShardCache,
@@ -80,12 +57,10 @@ from repro.memory import (
     ResidencyState,
     SpillManager,
 )
-from repro.models.base import ShardableModel
-from repro.serving.batcher import InferenceRequest, PendingResponse
-from repro.serving.replica import concat_rows, pad_rows, request_rows, slice_rows
-from repro.serving.server import RequestArrays
+from repro.serving.batcher import DynamicBatcher, ModelEntry, PendingResponse
+from repro.serving.replica import Replica
+from repro.serving.server import RequestArrays, ServingCore
 from repro.serving.stats import ServerStats
-from repro.telemetry import NULL_TELEMETRY
 from repro.utils.logging import log_context
 
 logger = logging.getLogger(__name__)
@@ -94,37 +69,6 @@ logger = logging.getLogger(__name__)
 _FLEET_ARENA = "fleet0"
 #: arena capacity standing in for "no budget" (effectively unbounded)
 _UNBOUNDED = 1 << 62
-
-
-@dataclass
-class ModelEntry:
-    """One model under fleet management (internal to the router).
-
-    Holds the model's queue, batching geometry, fair-share state, and its
-    whole-model key in the shared spill manager.
-    """
-
-    name: str
-    model: Optional[ShardableModel]
-    weight: float
-    max_batch_size: int
-    compute_batch_size: int
-    max_queue: int
-    nbytes: int
-    queue: List[InferenceRequest] = field(default_factory=list)
-    #: stride-scheduling pass value — served rows / weight, monotone
-    pass_value: float = 0.0
-    #: consecutive times the scheduler deferred this model while evicted
-    cold_skips: int = 0
-    #: process-backed entries: the ProcessReplica client executing forwards
-    #: in a child process (``model`` is None; never budget-registered — the
-    #: weights are page-cache-shared mmaps, not arena bytes)
-    client: Any = None
-
-    @property
-    def key(self) -> Tuple[str, int]:
-        """The model's whole-model shard key in the shared spill manager."""
-        return (self.name, 0)
 
 
 class RouterHandle:
@@ -161,7 +105,7 @@ class RouterHandle:
         return f"RouterHandle({self.model!r} on {self.router.name!r})"
 
 
-class FleetRouter:
+class FleetRouter(ServingCore):
     """Serves every registered model through one pool and one budget.
 
     Example::
@@ -185,6 +129,8 @@ class FleetRouter:
         ServingError: from the request path when the router is not running.
         ServerOverloadedError: when the target model's queue is full.
     """
+
+    _kind = "router"
 
     def __init__(
         self,
@@ -215,43 +161,32 @@ class FleetRouter:
             raise ConfigurationError(
                 f"memory_budget must be positive, got {memory_budget}"
             )
-        if timeout_ms is not None and timeout_ms <= 0:
-            raise ConfigurationError(f"timeout_ms must be positive, got {timeout_ms}")
         if max_cold_skips < 0:
             raise ConfigurationError(
                 f"max_cold_skips must be >= 0, got {max_cold_skips}"
             )
-        self.name = name
+        super().__init__(
+            name, replicas, timeout_ms, feature_field, telemetry,
+            DynamicBatcher(max_cold_skips=max_cold_skips, is_cold=self._is_cold),
+        )
         self.replicas = int(replicas)
         self.max_batch_size = int(max_batch_size)
         self.max_queue = int(max_queue)
-        self.timeout_ms = timeout_ms
-        self.feature_field = feature_field
         self.max_cold_skips = int(max_cold_skips)
         self.watchdog_interval_s = watchdog_interval_s
         self._budget = None if memory_budget is None else int(memory_budget)
-        self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._manager = SpillManager(
             [DeviceArena(_FLEET_ARENA, self._budget or _UNBOUNDED)],
             cache=HostShardCache(spill_dir=spill_dir),
             policy=eviction_policy,
             prefetcher=Prefetcher() if prefetch else None,
             scrub_evicted=scrub_evicted,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
         )
         self.stats = ServerStats()
-        self._entries: Dict[str, ModelEntry] = {}
-        self._cond = threading.Condition()
-        self._virtual_time = 0.0
-        self._batches_dispatched = 0
         self._stalls = 0
-        self._pool = None
-        self._loops: List[Any] = []
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
-        self._running = False
-        self._stopped = False
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Fleet membership
@@ -286,33 +221,22 @@ class FleetRouter:
             raise ServingError(
                 f"router {self.name!r} was stopped; build a new router"
             )
-        if weight <= 0:
-            raise ConfigurationError(f"weight must be positive, got {weight}")
-        batch = int(max_batch_size) if max_batch_size is not None else self.max_batch_size
-        compute = int(compute_batch_size) if compute_batch_size is not None else batch
-        queue_limit = int(max_queue) if max_queue is not None else self.max_queue
-        if batch <= 0 or queue_limit <= 0:
+        if self._batcher.entry(name) is not None:
             raise ConfigurationError(
-                f"max_batch_size ({batch}) and max_queue ({queue_limit}) must be positive"
-            )
-        if compute < batch:
-            raise ConfigurationError(
-                f"compute_batch_size ({compute}) must be >= max_batch_size ({batch})"
+                f"model {name!r} is already registered with router {self.name!r}"
             )
         # Imported lazily: repro.api initialisation imports the serving
         # facade, which imports this package (same cycle start() breaks).
         from repro.api.runtime.proc import ModelSpec, ProcessReplica
 
-        client = None
         if isinstance(model, ModelSpec):
             # Child spawns lazily; it inherits the router's telemetry flag so
             # its forward spans flow back through the reply channel.
-            client = ProcessReplica(model, name=name, telemetry=self._telemetry)
-            model = None
-            nbytes = 0
+            replica = ProcessReplica(model, name=name, telemetry=self.telemetry)
+            nbytes, key = 0, None
         else:
-            model.eval()
-            nbytes = sum(p.data.nbytes for p in model.parameters())
+            replica = Replica.resident(model, name=name)
+            nbytes, key = sum(p.data.nbytes for p in model.parameters()), (name, 0)
             if self._budget is not None and nbytes > self._budget:
                 raise ConfigurationError(
                     f"model {name!r} needs {nbytes} bytes but the fleet budget is "
@@ -320,40 +244,33 @@ class FleetRouter:
                 )
         entry = ModelEntry(
             name=name,
-            model=model,
+            max_batch_size=(
+                int(max_batch_size) if max_batch_size is not None else self.max_batch_size
+            ),
+            max_queue=int(max_queue) if max_queue is not None else self.max_queue,
             weight=float(weight),
-            max_batch_size=batch,
-            compute_batch_size=compute,
-            max_queue=queue_limit,
+            compute_batch_size=compute_batch_size,
+            replicas=(replica,),
+            key=key,
             nbytes=nbytes,
-            client=client,
         )
-        with self._cond:
-            if name in self._entries:
-                if client is not None:
-                    client.close()
-                raise ConfigurationError(
-                    f"model {name!r} is already registered with router {self.name!r}"
-                )
-            self._entries[name] = entry
-            # A newly added model starts at the scheduler's virtual time so
-            # it cannot claim the pool retroactively for epochs it sat out.
-            entry.pass_value = self._virtual_time
-        if client is None:
+        if key is not None:
             self._manager.register(
-                entry.key,
+                key,
                 _FLEET_ARENA,
                 nbytes,
-                lambda model=model: [p.data for p in model.parameters()],
+                lambda: [p.data for p in model.parameters()],
             )
-        self.stats.for_model(name)  # a zeroed row in reports from day one
+        # The model's own collector (a zeroed row in reports from day one)
+        # and the fleet's: every outcome lands in both.
+        entry.stats = (self.stats.for_model(name), self.stats.fleet)
+        self._batcher.add_entry(entry)
         return entry
 
     @property
     def models(self) -> List[str]:
         """Registered model names, sorted."""
-        with self._cond:
-            return sorted(self._entries)
+        return [entry.name for entry in self._batcher.entries()]
 
     def handle(self, model: str) -> RouterHandle:
         """A server-shaped view of one model (for load generators, clients)."""
@@ -371,21 +288,7 @@ class FleetRouter:
         """Start the worker pool (and watchdog); models may be added later."""
         if self._running:
             return self
-        if self._stopped:
-            raise ServingError(
-                f"router {self.name!r} was stopped; build a new router"
-            )
-        # Imported lazily: repro.api initialisation imports the serving
-        # facade, which imports this package (same cycle ModelServer breaks).
-        from repro.api.runtime.pool import ThreadWorkerPool
-
-        if self._telemetry.enabled:
-            self._telemetry.register_collector(f"router.{self.name}", self.metrics)
-        self._pool = ThreadWorkerPool(self.replicas)
-        self._running = True
-        self._loops = [
-            self._pool.submit(self._serve_loop) for _ in range(self.replicas)
-        ]
+        super().start()
         if self.watchdog_interval_s is not None and self.watchdog_interval_s > 0:
             self._watchdog_stop.clear()
             self._watchdog = threading.Thread(
@@ -397,56 +300,14 @@ class FleetRouter:
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the router; with ``drain`` (default) queued requests finish.
-
-        Stopping releases the shared spill state: every model's canonical
-        bytes are restored into its live parameter arrays (an evicted
-        model's truth lives in the host cache until then), so the model
-        objects remain usable after the router lets go.
-        """
-        if not self._running:
-            return
-        with self._cond:
-            self._closed = True
-            if not drain:
-                cancelled = [
-                    request for entry in self._entries.values() for request in entry.queue
-                ]
-                for entry in self._entries.values():
-                    entry.queue = []
-            else:
-                cancelled = []
-            self._cond.notify_all()
-        for request in cancelled:
-            request.response.set_exception(ServingError("router stopped"))
+        """Stop the router; with ``drain`` (default) queued requests finish."""
         try:
-            for future in self._loops:
-                future.result()
+            super().stop(drain)
         finally:
-            self._running = False
-            self._stopped = True
-            self._loops = []
             self._watchdog_stop.set()
             if self._watchdog is not None:
                 self._watchdog.join(timeout=5.0)
                 self._watchdog = None
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-            for name, entry in list(self._entries.items()):
-                if entry.client is not None:
-                    entry.client.close()
-                else:
-                    self._manager.forget_model(name)
-            self._manager.close()
-
-    def __enter__(self) -> "FleetRouter":
-        """Start the router on scope entry."""
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        """Stop the router (draining queued requests) on scope exit."""
-        self.stop()
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -465,57 +326,17 @@ class FleetRouter:
         restore in the background so the bytes travel while other models
         compute.
         """
-        if not self._running:
-            raise ServingError(f"router {self.name!r} is not running; call start()")
         entry = self._entry(model)
-        if isinstance(arrays, np.ndarray):
-            arrays = {self.feature_field: arrays}
-        arrays = {name: np.asarray(values) for name, values in arrays.items()}
-        rows = request_rows(arrays)
-        if rows <= 0:
-            raise ConfigurationError("a request must carry at least one row")
-        if rows > entry.max_batch_size:
-            raise ConfigurationError(
-                f"request carries {rows} rows but model {model!r} batches at most "
-                f"{entry.max_batch_size}; split it client-side"
-            )
-        now = time.monotonic()
-        limit = timeout_ms if timeout_ms is not None else self.timeout_ms
-        request = InferenceRequest(
-            arrays=arrays,
-            rows=rows,
-            submitted=now,
-            deadline=None if limit is None else now + float(limit) / 1e3,
-        )
-        if self._telemetry.enabled:
-            self._telemetry.event(
-                "request.submit", cat="serving",
-                router=self.name, model=model, rows=rows,
-            )
-        with self._cond:
-            if self._closed:
-                raise ServingError("router is stopped; no new requests accepted")
-            if len(entry.queue) >= entry.max_queue:
-                self.stats.count(model, rejected=1)
-                raise ServerOverloadedError(
-                    f"model {model!r} queue is full ({entry.max_queue} pending); "
-                    "retry later"
-                )
-            if not entry.queue:
-                # Re-entering the ready set: catch up to the virtual time so
-                # an idle spell does not convert into a burst entitlement.
-                entry.pass_value = max(entry.pass_value, self._virtual_time)
-            entry.queue.append(request)
-            self._cond.notify_all()
-        # Outside the router lock: the manager has its own locking, and a
+        response = self._submit(entry, arrays, timeout_ms)
+        # Outside the scheduler lock: the manager has its own locking, and a
         # restore started now overlaps whatever the workers are computing.
         # Process-backed entries have no residency to manage.
         if (
-            entry.client is None
+            entry.key is not None
             and self._manager.residency(entry.key) is ResidencyState.EVICTED
         ):
             self._manager.prefetch(entry.key)
-        return request.response
+        return response
 
     def request(
         self,
@@ -524,11 +345,7 @@ class FleetRouter:
         timeout_ms: Optional[float] = None,
     ) -> Any:
         """Synchronous convenience: :meth:`submit` then wait for the rows."""
-        limit = timeout_ms if timeout_ms is not None else self.timeout_ms
-        # Slack past the server-side deadline so the scheduler's own expiry
-        # (the authoritative one) fires first.
-        wait = None if limit is None else float(limit) / 1e3 + 1.0
-        return self.submit(model, arrays, timeout_ms=timeout_ms).result(timeout=wait)
+        return self._await(self.submit(model, arrays, timeout_ms=timeout_ms), timeout_ms)
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -536,8 +353,7 @@ class FleetRouter:
     @property
     def queue_depths(self) -> Dict[str, int]:
         """Requests currently waiting, per model."""
-        with self._cond:
-            return {name: len(entry.queue) for name, entry in sorted(self._entries.items())}
+        return {entry.name: len(entry.requests) for entry in self._batcher.entries()}
 
     def metrics(self, window_seconds: Optional[float] = None) -> Dict[str, Any]:
         """Fleet and per-model latency/throughput plus residency counters.
@@ -559,225 +375,30 @@ class FleetRouter:
             "bytes_evicted": spill["bytes_evicted"],
             "bytes_fetched": spill["bytes_fetched"],
         }
-        with self._cond:
-            report["scheduler"] = {
-                "queue_depths": {
-                    name: len(entry.queue)
-                    for name, entry in sorted(self._entries.items())
-                },
-                "batches_dispatched": self._batches_dispatched,
-                "stalls": self._stalls,
-            }
+        report["scheduler"] = {
+            "queue_depths": self.queue_depths,
+            "batches_dispatched": self._batcher.batches_dispatched,
+            "stalls": self._stalls,
+        }
         return report
 
     # ------------------------------------------------------------------ #
-    # Scheduler internals
-    # ------------------------------------------------------------------ #
     def _entry(self, model: str) -> ModelEntry:
-        with self._cond:
-            if model not in self._entries:
-                raise ConfigurationError(
-                    f"router {self.name!r} has no model {model!r}; "
-                    f"registered: {sorted(self._entries) or 'none'}"
-                )
-            return self._entries[model]
-
-    def _expire_locked(self) -> None:
-        now = time.monotonic()
-        for entry in self._entries.values():
-            overdue = [request for request in entry.queue if request.expired(now)]
-            if not overdue:
-                continue
-            entry.queue = [
-                request for request in entry.queue if not request.expired(now)
-            ]
-            for request in overdue:
-                request.response.set_exception(
-                    RequestTimeoutError(
-                        "request expired after "
-                        f"{now - request.submitted:.3f}s in the queue"
-                    )
-                )
-            self.stats.count(entry.name, timed_out=len(overdue))
-
-    def _poll_interval_locked(self) -> float:
-        """Wait granularity: wake early enough to expire the nearest deadline."""
-        now = time.monotonic()
-        deadlines = [
-            request.deadline - now
-            for entry in self._entries.values()
-            for request in entry.queue
-            if request.deadline is not None
-        ]
-        nearest = min(deadlines) if deadlines else 0.05
-        return max(min(nearest, 0.05), 1e-4)
-
-    def _take_locked(self, entry: ModelEntry) -> Tuple[List[InferenceRequest], int]:
-        taken: List[InferenceRequest] = []
-        rows = 0
-        while entry.queue and rows + entry.queue[0].rows <= entry.max_batch_size:
-            request = entry.queue.pop(0)
-            taken.append(request)
-            rows += request.rows
-        self._cond.notify_all()
-        return taken, rows
-
-    def _next_assignment(
-        self,
-    ) -> Optional[Tuple[ModelEntry, List[InferenceRequest], int, Dict[str, int]]]:
-        """Block until a micro-batch is ready; ``None`` once closed and drained.
-
-        Continuous batching: as soon as any queue is non-empty the batch is
-        formed from what is there — no fill window.  Selection is stride
-        (weighted-fair) with the bounded hot-model preference described in
-        the module docstring.
-        """
-        with self._cond:
-            while True:
-                self._expire_locked()
-                ready = [entry for entry in self._entries.values() if entry.queue]
-                if not ready:
-                    if self._closed:
-                        return None
-                    self._cond.wait(timeout=self._poll_interval_locked())
-                    continue
-                chosen = min(ready, key=lambda e: (e.pass_value, e.name))
-                if (
-                    chosen.client is None
-                    and chosen.cold_skips < self.max_cold_skips
-                    and self._manager.residency(chosen.key)
-                    is not ResidencyState.RESIDENT
-                ):
-                    # Cold (evicted or mid-restore): a worker that took this
-                    # batch would block in acquire — possibly on an eviction
-                    # that needs the *other* workers to unpin first.
-                    hot = [
-                        entry
-                        for entry in ready
-                        if entry is not chosen
-                        and (
-                            entry.client is not None
-                            or self._manager.residency(entry.key)
-                            is ResidencyState.RESIDENT
-                        )
-                    ]
-                    if hot:
-                        # Defer the cold pick (bounded), start its restore,
-                        # and run resident work meanwhile.
-                        chosen.cold_skips += 1
-                        self._manager.prefetch(chosen.key)
-                        chosen = min(hot, key=lambda e: (e.pass_value, e.name))
-                chosen.cold_skips = 0
-                self._virtual_time = chosen.pass_value
-                batch, rows = self._take_locked(chosen)
-                chosen.pass_value += rows / chosen.weight
-                self._batches_dispatched += 1
-                depths = {
-                    name: len(entry.queue) for name, entry in self._entries.items()
-                }
-                return chosen, batch, rows, depths
-
-    def _serve_loop(self) -> None:
-        """One worker's life: pick a (model, batch), lease, infer, complete."""
-        tel = self._telemetry
-        while True:
-            assignment = self._next_assignment()
-            if assignment is None:
-                return
-            entry, batch, rows, depths = assignment
-            with log_context(router=self.name, model=entry.name):
-                if tel.enabled:
-                    with tel.span(
-                        "serve.batch", cat="serving",
-                        router=self.name, model=entry.name,
-                        rows=rows, requests=len(batch),
-                    ):
-                        self._serve_batch(entry, batch, rows, depths, tel)
-                else:
-                    self._serve_batch(entry, batch, rows, depths, tel)
-
-    def _serve_batch(self, entry, batch, rows, depths, tel) -> None:
-        """Run one assigned micro-batch and complete its responses."""
-        started = time.monotonic()
-        try:
-            arrays = concat_rows([request.arrays for request in batch])
-            if entry.client is not None:
-                # Process-backed entry: the child pads to the compute
-                # geometry, forwards, and slices — same exactness
-                # contract, different process.
-                if tel.enabled:
-                    with tel.span("serve.forward", cat="serving", model=entry.name):
-                        output = entry.client.infer(
-                            arrays, pad_to=entry.compute_batch_size
-                        )
-                else:
-                    output = entry.client.infer(
-                        arrays, pad_to=entry.compute_batch_size
-                    )
-            else:
-                padded = pad_rows(arrays, rows, entry.compute_batch_size)
-                # The lease pins the whole model resident (restoring it
-                # from the host cache if it was evicted) for exactly
-                # this forward.
-                with self._manager.lease(entry.key):
-                    if tel.enabled:
-                        with tel.span(
-                            "serve.forward", cat="serving", model=entry.name
-                        ):
-                            with no_grad():
-                                output = entry.model.forward(
-                                    Batch(
-                                        arrays={
-                                            k: np.asarray(v)
-                                            for k, v in padded.items()
-                                        }
-                                    )
-                                )
-                    else:
-                        with no_grad():
-                            output = entry.model.forward(
-                                Batch(
-                                    arrays={
-                                        k: np.asarray(v) for k, v in padded.items()
-                                    }
-                                )
-                            )
-                output = slice_rows(output, 0, rows)
-        except BaseException as error:  # noqa: BLE001 - mirrored to clients
-            # Typed serving errors (ReplicaCrashedError from a killed
-            # child, ...) pass through so clients can react specifically.
-            if isinstance(error, ServingError):
-                mirrored = error
-            else:
-                mirrored = ServingError(
-                    f"model {entry.name!r} failed on a micro-batch: "
-                    f"{type(error).__name__}: {error}"
-                )
-            for request in batch:
-                request.response.set_exception(mirrored)
-            self.stats.count(entry.name, failed=len(batch))
-            return
-        finished = time.monotonic()
-        offset = 0
-        for request in batch:
-            request.response.set_result(
-                slice_rows(output, offset, offset + request.rows)
+        entry = self._batcher.entry(model)
+        if entry is None:
+            raise ConfigurationError(
+                f"router {self.name!r} has no model {model!r}; "
+                f"registered: {self.models or 'none'}"
             )
-            offset += request.rows
-            self.stats.record(entry.name, finished - request.submitted)
-        self.stats.record_batch(entry.name, rows, queue_depth=sum(depths.values()))
-        logger.debug(
-            "router=%s batch model=%s rows=%d/%d requests=%d infer_ms=%.2f queues=%s",
-            self.name,
-            entry.name,
-            rows,
-            entry.compute_batch_size,
-            len(batch),
-            (finished - started) * 1e3,
-            depths,
+        return entry
+
+    def _is_cold(self, entry: ModelEntry) -> bool:
+        """The scheduler's question: would serving ``entry`` wait on a restore?"""
+        return (
+            entry.key is not None
+            and self._manager.residency(entry.key) is not ResidencyState.RESIDENT
         )
 
-    # ------------------------------------------------------------------ #
     def _watchdog_loop(self) -> None:
         """Log per-interval progress; flag stalls (queued work, no batches)."""
         with log_context(router=self.name):
@@ -792,10 +413,9 @@ class FleetRouter:
             progressed = completed - last_completed
             last_completed = completed
             if queued and progressed == 0:
-                with self._cond:
-                    self._stalls += 1
-                if self._telemetry.enabled:
-                    self._telemetry.event(
+                self._stalls += 1  # this thread is the only writer
+                if self.telemetry.enabled:
+                    self.telemetry.event(
                         "router.stall", cat="serving",
                         router=self.name, queued=queued,
                     )

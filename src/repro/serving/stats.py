@@ -176,17 +176,18 @@ class LatencyStats:
 class ServerStats:
     """Two-level accounting: per-model distributions plus the fleet total.
 
-    Every recording call names the model it belongs to; the sample lands in
-    that model's :class:`LatencyStats` *and* the fleet-wide one, so
-    ``snapshot()`` reports p50/p95/p99 at both granularities from one pass
-    over the traffic.  Model collectors are created on first touch — the
-    router registers models dynamically, and a model that never saw traffic
-    still deserves a (zeroed) row in the report.
+    A fleet member's queue is counted on ``(for_model(name), fleet)``, so
+    every sample lands in that model's :class:`LatencyStats` *and* the
+    fleet-wide one, and ``snapshot()`` reports p50/p95/p99 at both
+    granularities from one pass over the traffic.  Model collectors are
+    created on first touch — the router registers models dynamically, and a
+    model that never saw traffic still deserves a (zeroed) row in the report.
 
     Example::
 
         stats = ServerStats()
-        stats.record("mlp-a", 0.004)
+        for collector in (stats.for_model("mlp-a"), stats.fleet):
+            collector.record(0.004)
         snap = stats.snapshot()
         assert snap["fleet"]["completed"] == 1
         assert snap["models"]["mlp-a"]["completed"] == 1
@@ -208,33 +209,6 @@ class ServerStats:
         """Models with a collector, sorted."""
         with self._lock:
             return sorted(self._models)
-
-    # ------------------------------------------------------------------ #
-    def record(self, model: str, latency_seconds: float) -> None:
-        """Record one completed request against its model and the fleet."""
-        self.for_model(model).record(latency_seconds)
-        self.fleet.record(latency_seconds)
-
-    def count(
-        self, model: str, *, rejected: int = 0, timed_out: int = 0, failed: int = 0
-    ) -> None:
-        """Bump failure counters on the model and the fleet together."""
-        self.for_model(model).count(
-            rejected=rejected, timed_out=timed_out, failed=failed
-        )
-        self.fleet.count(rejected=rejected, timed_out=timed_out, failed=failed)
-
-    def record_batch(
-        self, model: str, rows: int, queue_depth: Optional[int] = None
-    ) -> None:
-        """Record one dispatched micro-batch (scheduler metrics included).
-
-        ``queue_depth`` is the *fleet-wide* number of requests still queued
-        at dispatch; it is recorded on the fleet collector only, since a
-        per-model depth at fleet-batch granularity would double count.
-        """
-        self.for_model(model).record_batch(rows)
-        self.fleet.record_batch(rows, queue_depth=queue_depth)
 
     # ------------------------------------------------------------------ #
     def snapshot(self, window_seconds: Optional[float] = None) -> Dict[str, Dict]:

@@ -295,7 +295,9 @@ class TestAdmission:
         x = np.zeros((1, 16), dtype=np.float32)
         with router:
             # Fill busy's queue past capacity: 1 in flight + 2 queued.
-            pending = [router.submit("busy", {"features": x}) for _ in range(3)]
+            pending = [router.submit("busy", {"features": x})]
+            time.sleep(0.05)  # let the worker pick it up and block in sleep
+            pending += [router.submit("busy", {"features": x}) for _ in range(2)]
             with pytest.raises(ServerOverloadedError, match="busy"):
                 for _ in range(4):
                     pending.append(router.submit("busy", {"features": x}))
@@ -396,6 +398,53 @@ class TestRouterLifecycle:
                 response.result(timeout=10)
             report = router.metrics()
         assert report["scheduler"]["stalls"] >= 1
+
+
+# --------------------------------------------------------------------------- #
+# stop(drain=False): one lifecycle, one accounting, for both front-ends
+# --------------------------------------------------------------------------- #
+def _slow_server():
+    server = ModelServer(
+        [Replica.resident(_SleepyModel(0.2))],
+        max_batch_size=1,
+        max_wait_ms=0.0,
+        max_queue=16,
+    )
+    return server, server.submit, server.metrics
+
+
+def _slow_router():
+    router = FleetRouter(
+        replicas=1, max_batch_size=1, max_queue=16, watchdog_interval_s=None
+    )
+    router.add_model("slow", _SleepyModel(0.2))
+    handle = router.handle("slow")
+    return router, handle.submit, handle.metrics
+
+
+class TestStopWithoutDrain:
+    @pytest.mark.parametrize("build", [_slow_server, _slow_router])
+    def test_queued_requests_fail_once_and_inflight_completes(self, build):
+        target, submit, metrics = build()
+        x = np.zeros((1, 16), dtype=np.float32)
+        target.start()
+        inflight = submit(x)
+        time.sleep(0.05)  # the worker picks it up and blocks in the forward
+        queued = [submit(x) for _ in range(5)]
+        target.stop(drain=False)
+        # The batch already running completes...
+        assert inflight.result(timeout=5.0).shape == (1, 4)
+        # ...every queued request resolves with the typed error...
+        for response in queued:
+            assert response.done()
+            with pytest.raises(ServingError, match="stopped"):
+                response.result(timeout=0.1)
+        # ...and each is counted exactly once.
+        report = metrics()
+        assert report["failed"] == len(queued)
+        assert report["completed"] == 1
+        if isinstance(target, FleetRouter):
+            assert target.metrics()["fleet"]["failed"] == len(queued)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,11 +15,13 @@ The contracts under test, in order of importance:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.autograd import is_grad_enabled
 from repro.data.dataloader import Batch
 from repro.exceptions import (
     CheckpointError,
@@ -33,6 +35,7 @@ from repro.serving import (
     DynamicBatcher,
     InferenceRequest,
     LoadGenerator,
+    ModelEntry,
     ModelRegistry,
     ModelServer,
     Replica,
@@ -373,6 +376,23 @@ def _build_multi_output():
 # Batcher semantics
 # --------------------------------------------------------------------------- #
 class TestDynamicBatcher:
+    """The one scheduler, driven through a single queue (a server's view)."""
+
+    @staticmethod
+    def _batcher(max_batch_size, max_wait_ms, max_queue):
+        queue = ModelEntry(
+            "q", max_batch_size=max_batch_size, max_queue=max_queue,
+            max_wait=max_wait_ms / 1e3,
+        )
+        batcher = DynamicBatcher()
+        batcher.add_entry(queue)
+        return batcher, queue
+
+    @staticmethod
+    def _next(batcher):
+        work = batcher.next_batch()
+        return None if work is None else work.requests
+
     @staticmethod
     def _request(rows=1, deadline=None):
         return InferenceRequest(
@@ -383,42 +403,42 @@ class TestDynamicBatcher:
         )
 
     def test_coalesces_whole_requests_in_fifo_order(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=5.0, max_queue=16)
+        batcher, queue = self._batcher(max_batch_size=8, max_wait_ms=5.0, max_queue=16)
         submitted = [self._request(rows=3) for _ in range(3)]
         for request in submitted:
-            batcher.submit(request)
-        batch = batcher.next_batch()
+            batcher.submit(queue, request)
+        batch = self._next(batcher)
         # 3+3 fits, the third 3-row request would overflow 8: not split.
         assert batch == submitted[:2]
-        assert batcher.next_batch() == submitted[2:]
+        assert self._next(batcher) == submitted[2:]
 
     def test_flushes_partial_batch_after_max_wait(self):
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=10.0, max_queue=16)
+        batcher, queue = self._batcher(max_batch_size=8, max_wait_ms=10.0, max_queue=16)
         lone = self._request()
-        batcher.submit(lone)
+        batcher.submit(queue, lone)
         started = time.monotonic()
-        assert batcher.next_batch() == [lone]
+        assert self._next(batcher) == [lone]
         assert time.monotonic() - started < 5.0  # waited ~10ms, not forever
 
     def test_queue_full_rejects(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=2)
-        batcher.submit(self._request())
-        batcher.submit(self._request())
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=1.0, max_queue=2)
+        batcher.submit(queue, self._request())
+        batcher.submit(queue, self._request())
         with pytest.raises(ServerOverloadedError):
-            batcher.submit(self._request())
+            batcher.submit(queue, self._request())
 
     def test_oversized_request_rejected_up_front(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
         with pytest.raises(ConfigurationError):
-            batcher.submit(self._request(rows=5))
+            batcher.submit(queue, self._request(rows=5))
 
     def test_expired_requests_fail_without_inference(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
         expired = self._request(deadline=time.monotonic() - 0.01)
         live = self._request()
-        batcher.submit(expired)
-        batcher.submit(live)
-        assert batcher.next_batch() == [live]
+        batcher.submit(queue, expired)
+        batcher.submit(queue, live)
+        assert self._next(batcher) == [live]
         with pytest.raises(RequestTimeoutError):
             expired.response.result(timeout=0.1)
 
@@ -426,56 +446,59 @@ class TestDynamicBatcher:
         # A request that already waited (e.g. for a busy replica) longer
         # than max_wait_ms must be taken immediately, not re-delayed by a
         # fresh collection window.
-        batcher = DynamicBatcher(max_batch_size=8, max_wait_ms=200.0, max_queue=4)
+        batcher, queue = self._batcher(max_batch_size=8, max_wait_ms=200.0, max_queue=4)
         stale = self._request()
         stale.submitted -= 1.0  # arrived one second ago
-        batcher.submit(stale)
+        batcher.submit(queue, stale)
         started = time.monotonic()
-        assert batcher.next_batch() == [stale]
+        assert self._next(batcher) == [stale]
         assert time.monotonic() - started < 0.1  # no second 200 ms wait
 
     def test_saturated_batch_dispatches_without_waiting(self):
         # A full batch cannot grow, so a huge fill window must not delay it.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
         saturating = [self._request(rows=2), self._request(rows=2)]
         for request in saturating:
-            batcher.submit(request)
+            batcher.submit(queue, request)
         started = time.monotonic()
-        assert batcher.next_batch() == saturating
+        assert self._next(batcher) == saturating
         assert time.monotonic() - started < 1.0  # not the 5-second window
 
     def test_unfittable_next_request_saturates_the_batch(self):
         # 3 rows collected, the next 3-row request would overflow 4: waiting
         # longer cannot add it (requests are never split), so dispatch now.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=5000.0, max_queue=16)
         first = self._request(rows=3)
         blocked = self._request(rows=3)
-        batcher.submit(first)
-        batcher.submit(blocked)
+        batcher.submit(queue, first)
+        batcher.submit(queue, blocked)
         started = time.monotonic()
-        assert batcher.next_batch() == [first]
+        assert self._next(batcher) == [first]
         assert time.monotonic() - started < 1.0
-        assert batcher.next_batch() == [blocked]
+        # A closed queue dispatches immediately: the lone request left behind
+        # would otherwise wait out the whole 5 s window.
+        batcher.close()
+        assert self._next(batcher) == [blocked]
 
     def test_unsaturated_batch_still_waits_the_window(self):
         # Saturation dispatch must not erode the fill window for batches
         # that could still grow: a lone 1-row request waits ~max_wait_ms.
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=50.0, max_queue=16)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=50.0, max_queue=16)
         lone = self._request(rows=1)
-        batcher.submit(lone)
+        batcher.submit(queue, lone)
         started = time.monotonic()
-        assert batcher.next_batch() == [lone]
+        assert self._next(batcher) == [lone]
         assert time.monotonic() - started >= 0.045
 
     def test_close_drains_then_signals_none(self):
-        batcher = DynamicBatcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
+        batcher, queue = self._batcher(max_batch_size=4, max_wait_ms=1.0, max_queue=4)
         queued = self._request()
-        batcher.submit(queued)
+        batcher.submit(queue, queued)
         batcher.close()
         with pytest.raises(ServingError):
-            batcher.submit(self._request())
-        assert batcher.next_batch() == [queued]
-        assert batcher.next_batch() is None
+            batcher.submit(queue, self._request())
+        assert self._next(batcher) == [queued]
+        assert self._next(batcher) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -574,6 +597,44 @@ class TestServerFaults:
                         "label": np.zeros((3,), np.int64),
                     }
                 )
+
+
+class _GatedModel(FeedForwardNetwork):
+    """A model whose forward announces itself, then waits to be released."""
+
+    def __init__(self):
+        super().__init__(CONFIG, seed=5)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def forward(self, batch: Batch):
+        self.entered.set()
+        assert self.release.wait(timeout=5.0)
+        return super().forward(batch)
+
+
+class TestConcurrentForwards:
+    def test_overlapping_forwards_leave_grad_recording_on(self):
+        # Two forwards overlap and leave in the order they entered — the
+        # interleaving that leaves a naive process-wide no_grad() stuck off
+        # and breaks any training that runs after serving.
+        first, second = _GatedModel(), _GatedModel()
+        x = {"features": np.zeros((1, 16), np.float32)}
+        threads = [
+            threading.Thread(target=Replica.resident(model).infer, args=(x,))
+            for model in (first, second)
+        ]
+        threads[0].start()
+        assert first.entered.wait(timeout=5.0)
+        threads[1].start()
+        assert second.entered.wait(timeout=5.0)
+        assert not is_grad_enabled()
+        first.release.set()
+        threads[0].join(timeout=5.0)
+        assert not is_grad_enabled()  # the second forward is still running
+        second.release.set()
+        threads[1].join(timeout=5.0)
+        assert is_grad_enabled()
 
 
 # --------------------------------------------------------------------------- #
