@@ -1,6 +1,6 @@
 """The concurrent runtime under the experiment API (see ``docs/runtime.md``).
 
-Three pieces, layered bottom-up:
+The pieces, layered bottom-up:
 
 * :mod:`~repro.api.runtime.pool` — :class:`WorkerPool` implementations
   (serial / thread / process) behind one ``submit`` protocol;
@@ -15,7 +15,9 @@ Three pieces, layered bottom-up:
 * :mod:`~repro.api.runtime.proc` — the process-serving substrate:
   :class:`ModelSpec` (handle-free, picklable model recipes) and
   :class:`ProcessReplica` (serving replicas running in child processes
-  over shared-memory transport, weights mmapped from the registry).
+  over shared-memory transport, weights mmapped from the registry);
+* :mod:`~repro.api.runtime.child` — the one supervised child process both
+  the process pool's slots and the process replicas are built on.
 
 Determinism guarantee: outcomes are always collected in trial order, never
 completion order, so an experiment's :class:`SelectionResult` ranking is

@@ -1,0 +1,230 @@
+"""One supervised child process: the lifecycle every process owner shares.
+
+A :class:`~repro.api.runtime.pool.ProcessWorkerPool` slot (payload: a task)
+and a :class:`~repro.api.runtime.proc.ProcessReplica` (payload: a
+micro-batch) both own persistent ``spawn``-ed children; the lifecycle is
+spelled here once.  Parent side, :class:`SupervisedChild`: lazy spawn with
+a private duplex pipe and an optional ready handshake → ``request`` → one
+wait that wakes on a reply *or* the child's death → a typed crash error
+naming the phase that failed → lazy respawn → the one polite →
+``terminate`` → ``kill`` stop.  Child side, :func:`_child_main`: build the
+owner's handler once, then recv → handle → reply until told to stop.
+
+Imports nothing from ``repro`` beyond the exception types, so ``pool.py``
+stays importable from lower layers.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import threading
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Optional, Type
+
+from repro.exceptions import ReproError
+
+
+def _reply(conn, tag: str, payload: Any) -> bool:
+    """Send one ``(tag, payload)`` reply; ``False`` means the pipe is gone.
+
+    A payload that cannot pickle is downgraded to a portable ``"err"``
+    reply, so the parent is never left waiting and the child lives on.
+    """
+    try:
+        data = ForkingPickler.dumps((tag, payload))
+    except Exception as error:  # noqa: BLE001 - unpicklable payload
+        text = f"reply could not cross the process boundary: {type(error).__name__}: {error}"
+        data = ForkingPickler.dumps(("err", ReproError(text)))
+    try:
+        conn.send_bytes(data)
+        return True
+    except OSError:
+        return False
+
+
+def _child_main(conn, setup: Callable[..., Callable], args: tuple, handshake: bool) -> None:
+    """A supervised child's whole life: set up once, then serve requests.
+
+    ``setup(*args)`` returns the handler (``message -> value``).  Replies
+    are ``("ok", value)`` or ``("err", exception)``; a failing ``setup``
+    sends ``("failed", text)`` and exits, and with ``handshake`` a
+    successful one announces ``("ok", None)``.  ``None``/EOF means stop.
+    """
+    try:
+        handler = setup(*args)
+    except BaseException as error:  # noqa: BLE001 - reported to the parent
+        _reply(conn, "failed", f"{type(error).__name__}: {error}")
+        conn.close()
+        return
+    if handshake:
+        _reply(conn, "ok", None)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        try:
+            tag, payload = "ok", handler(message)
+        except BaseException as error:  # noqa: BLE001 - mirrored to the parent
+            tag, payload = "err", error
+        if not _reply(conn, tag, payload):
+            break
+    conn.close()
+
+
+class SupervisedChild:
+    """The parent side of one persistent ``spawn``-ed child process.
+
+    ``setup``/``args`` run in the child (they must pickle) and produce its
+    request handler; ``error`` and ``label`` are the crash error's type and
+    subject (``"worker process in slot 'repro-pool-worker-0'"``).  With
+    ``ready_timeout`` the parent waits that long for ``setup`` to finish
+    before the first request; without it the first request goes straight
+    into the pipe while the child boots.
+
+    The child is spawned on first use and replaced, on the next request,
+    after a death; whatever the parent gives up on it stops and reaps
+    first.  A lock serialises lifecycle changes and sends but not the wait
+    for a reply, so :meth:`close` can end a request in flight (its caller
+    gets the crash error).  One request at a time is the owner's contract.
+
+    Raises:
+        error: from :meth:`start`/:meth:`request`, when the child died,
+            failed its ``setup``, or missed the ready deadline.
+        RuntimeError: from :meth:`start`/:meth:`request` after :meth:`close`.
+    """
+
+    def __init__(
+        self,
+        setup: Callable[..., Callable],
+        args: tuple = (),
+        *,
+        name: str,
+        label: str,
+        error: Type[Exception],
+        ready_timeout: Optional[float] = None,
+    ):
+        self._setup = setup
+        self._args = tuple(args)
+        self.name = name
+        self._label = label
+        self._error = error
+        self._ready_timeout = ready_timeout
+        self._lock = threading.RLock()
+        self._process = None
+        self._conn = None
+        self._spawns = 0
+        self.closed = False
+
+    @property
+    def restarts(self) -> int:
+        """How many times a dead child has been replaced."""
+        return max(self._spawns - 1, 0)
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The live child's pid (``None`` before first use / after death)."""
+        process = self._process
+        return process.pid if process is not None and process.is_alive() else None
+
+    def start(self) -> None:
+        """Make sure a live child exists (idempotent)."""
+        with self._lock:
+            self._ensure()
+
+    def request(self, message: Any) -> Any:
+        """Send one message; return the handler's value or raise its exception."""
+        with self._lock:
+            conn, process = self._ensure()
+            try:
+                conn.send(message)
+            except OSError as error:
+                raise self._give_up(process, f"died while idle ({error})")
+        return self._await(conn, process, "died with a request in flight")
+
+    def close(self, timeout: float = 2.0) -> None:
+        """Stop the child for good (idempotent); later requests are refused."""
+        with self._lock:
+            self.closed = True
+            self._reap(timeout)
+
+    # ------------------------------------------------------------------ #
+    def _ensure(self):
+        if self.closed:
+            raise RuntimeError(f"{self.name} is closed")
+        if self._process is not None and self._process.is_alive():
+            return self._conn, self._process
+        self._reap(0.0)  # a child found dead while idle is reaped as it is replaced
+        # ``fork`` would duplicate live threads' locks (spill managers, serve
+        # loops) into the child mid-flight; ``spawn`` starts from a clean
+        # interpreter, so children are deterministic about what they inherit.
+        context = multiprocessing.get_context("spawn")
+        conn, child_conn = context.Pipe(duplex=True)
+        process = context.Process(
+            target=_child_main,
+            args=(child_conn, self._setup, self._args, self._ready_timeout is not None),
+            name=self.name,
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        self._conn, self._process = conn, process
+        self._spawns += 1
+        if self._ready_timeout is not None:
+            self._await(conn, process, "died during start-up", self._ready_timeout)
+        return conn, process
+
+    def _await(self, conn, process, died: str, timeout: Optional[float] = None) -> Any:
+        """The one liveness wait: wakes on a reply or on the child's death."""
+        reply = None
+        try:
+            # Sentinel first: fds are polled in order, so once the child is
+            # seen dead the pipe's state is final and a reply written just
+            # before death is still delivered.
+            ready = wait([process.sentinel, conn], timeout)
+            if conn in ready:
+                reply = conn.recv()
+            elif not ready:
+                died = f"did not finish start-up within {timeout:g}s"
+        except (EOFError, OSError):
+            pass  # the pipe closed under the wait: the child is gone
+        if reply is None:
+            raise self._give_up(process, died)
+        tag, payload = reply
+        if tag == "failed":
+            raise self._give_up(process, f"failed during start-up: {payload}")
+        if tag == "err":
+            raise payload
+        return payload
+
+    def _give_up(self, process, what: str) -> Exception:
+        """Stop and reap ``process``, then build the owner's crash error."""
+        with self._lock:
+            if self._process is process:
+                self._reap(0.0)
+        return self._error(
+            f"{self._label} (pid {process.pid}) {what} "
+            f"(exitcode={process.exitcode}); the next request starts a fresh child"
+        )
+
+    def _reap(self, timeout: float) -> None:
+        """Stop the current child, if any: ask, ``terminate``, ``kill``; close its pipe."""
+        process, self._process = self._process, None
+        conn, self._conn = self._conn, None
+        if process is None:
+            return
+        try:
+            conn.send(None)
+        except OSError:
+            pass
+        process.join(timeout)
+        if process.is_alive():
+            process.terminate()
+            process.join(1.0)
+        if process.is_alive():  # pragma: no cover - SIGKILL backstop
+            process.kill()
+            process.join(1.0)
+        conn.close()

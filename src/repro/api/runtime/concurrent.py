@@ -12,7 +12,10 @@ each cohort call fans out across a :class:`~repro.api.runtime.pool.WorkerPool`:
 * ``train_many`` dispatches one future per trial through an
   :class:`~repro.api.runtime.runner.AsyncTrialRunner`, with per-trial retry,
   backoff, and straggler timeout from a
-  :class:`~repro.api.runtime.runner.RetryPolicy`;
+  :class:`~repro.api.runtime.runner.RetryPolicy`.  A trial has one body
+  (:func:`_run_trial`) and one report shape (:class:`_TrialReport`) on every
+  pool; a process pool only wraps the body in a picklable task and adds the
+  snapshot and the child's telemetry events to the report;
 * a trial that still fails is marked on its handle (``handle.failure``) and
   surfaces as a :class:`~repro.selection.experiment.FailedTrial` — the rest
   of the cohort and the experiment continue;
@@ -33,8 +36,8 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.api.runtime.pool import WorkerPool, make_pool
@@ -47,24 +50,58 @@ from repro.utils.serialization import probe_picklable
 
 
 @dataclass(frozen=True)
-class _ChildTrialReport:
-    """What one process-pool trial task ships back over the pipe.
+class _TrialReport:
+    """What one trial's train call hands back, from any pool.
 
-    Live state never crosses: ``snapshot`` is whatever the inner backend's
-    ``save_snapshot`` returned (a checkpoint path for real-training
-    backends), and the parent re-attaches it with ``load_snapshot``.
-    ``events`` are the child's drained telemetry events (empty when
-    telemetry is off) — they ride the existing result channel, so a child
+    Live state never crosses a process boundary: from a pool child,
+    ``snapshot`` is whatever the inner backend's ``save_snapshot`` returned
+    (a checkpoint path for real-training backends), re-attached in the
+    parent with ``load_snapshot``, and ``events`` are the child's drained
+    telemetry events — they ride the existing result channel, so a child
     killed mid-trial ships nothing and the parent trace is never torn.
+    In-process both stay empty: the live state is already in the parent.
     """
 
     metrics: Dict[str, float]
     elapsed: float
-    snapshot: Any
     annotations: Dict[str, Any] = field(default_factory=dict)
+    snapshot: Any = None
     events: Tuple = ()
 
 
+def _run_trial(
+    backend: ExecutionBackend,
+    outer: TrialHandle,
+    epochs: int,
+    telemetry,
+    inner_handle: Callable[[TrialHandle], TrialHandle],
+    snapshot_dir: Optional[str] = None,
+) -> _TrialReport:
+    """One trial's train call — the one body every pool runs.
+
+    ``inner_handle(outer)`` yields the live inner handle: reused (or lazily
+    prepared) in-process, rebuilt from the last snapshot in a pool child,
+    which also passes the ``snapshot_dir`` to save the trained state in.
+    The clock covers this trial's ``train`` only.
+    """
+    # A nesting span, so the backend's epoch/step spans get this trial as
+    # their parent in the (merged) trace.
+    with log_context(trial_id=outer.trial_id), telemetry.span(
+        "trial", cat="experiment", trial_id=outer.trial_id
+    ):
+        handle = inner_handle(outer)
+        started = time.monotonic()
+        metrics = backend.train(handle, epochs)
+        elapsed = time.monotonic() - started
+        handle.epochs_trained += epochs
+        handle.last_metrics = dict(metrics)
+        snapshot = None
+        if snapshot_dir is not None:
+            snapshot = backend.save_snapshot(handle, snapshot_dir)
+    return _TrialReport(dict(metrics), elapsed, dict(handle.annotations), snapshot)
+
+
+@dataclass(frozen=True)
 class _ChildTrialTask:
     """A picklable per-trial task: one whole train call, run in a child.
 
@@ -76,42 +113,22 @@ class _ChildTrialTask:
     (``finalize_snapshot``).
     """
 
-    def __init__(
-        self,
-        inner: ExecutionBackend,
-        epochs: int,
-        snapshot_dir: str,
-        telemetry_enabled: bool = False,
-    ):
-        self.inner = inner
-        self.epochs = epochs
-        self.snapshot_dir = snapshot_dir
-        # A bool crosses the pickle boundary; a live recorder (locks) cannot.
-        # The child builds its own buffer and drains it into the report.
-        self.telemetry_enabled = bool(telemetry_enabled)
+    inner: ExecutionBackend
+    epochs: int
+    snapshot_dir: str
+    # A bool crosses the pickle boundary; a live recorder (locks) cannot.
+    # The child builds its own buffer and drains it into the report.
+    telemetry_enabled: bool = False
 
-    def __call__(self, outer: TrialHandle) -> _ChildTrialReport:
+    def __call__(self, outer: TrialHandle) -> _TrialReport:
         backend = self.inner
         tel = Telemetry() if self.telemetry_enabled else NULL_TELEMETRY
+        backend.set_telemetry(tel)
         try:
-            setter = getattr(backend, "set_telemetry", None)
-            if tel.enabled and callable(setter):
-                setter(tel)
-            with log_context(trial_id=outer.trial_id):
-                if tel.enabled:
-                    # A nesting span, so the backend's epoch/step spans get
-                    # this trial as their parent in the merged trace.
-                    with tel.span("trial", cat="experiment", trial_id=outer.trial_id):
-                        handle, metrics, elapsed, snapshot = self._run(backend, outer)
-                else:
-                    handle, metrics, elapsed, snapshot = self._run(backend, outer)
-            return _ChildTrialReport(
-                metrics=dict(metrics),
-                elapsed=elapsed,
-                snapshot=snapshot,
-                annotations=dict(handle.annotations),
-                events=tuple(tel.drain()) if tel.enabled else (),
+            report = _run_trial(
+                backend, outer, self.epochs, tel, self._resume, self.snapshot_dir
             )
+            return replace(report, events=tuple(tel.drain()))
         finally:
             # This unpickled backend copy dies with the task, but the child
             # process persists — release any threads it started (prefetch
@@ -123,19 +140,13 @@ class _ChildTrialTask:
                 except Exception:  # noqa: BLE001 - cleanup must not mask
                     pass
 
-    def _run(self, backend: ExecutionBackend, outer: TrialHandle):
-        """Prepare → (resume) → train → snapshot; the task's actual work."""
-        handle = backend.prepare(outer.trial)
+    def _resume(self, outer: TrialHandle) -> TrialHandle:
+        """A fresh inner handle, caught up to the outer handle's snapshot."""
+        handle = self.inner.prepare(outer.trial)
         handle.epochs_trained = outer.epochs_trained
         if outer.state is not None:
-            backend.load_snapshot(handle, outer.state)
-        started = time.monotonic()
-        metrics = backend.train(handle, self.epochs)
-        elapsed = time.monotonic() - started
-        handle.epochs_trained += self.epochs
-        handle.last_metrics = dict(metrics)
-        snapshot = backend.save_snapshot(handle, self.snapshot_dir)
-        return handle, metrics, elapsed, snapshot
+            self.inner.load_snapshot(handle, outer.state)
+        return handle
 
 
 class ConcurrentBackend(ExecutionBackend):
@@ -232,15 +243,13 @@ class ConcurrentBackend(ExecutionBackend):
         """
         super().set_telemetry(telemetry)
         if not self._process_mode:
-            setter = getattr(self.inner, "set_telemetry", None)
-            if callable(setter):
-                setter(self.telemetry)
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(
-                "runtime.pool",
-                lambda: {"kind": {"thread": 0, "process": 1}.get(self.pool.kind, -1),
-                         "workers": self.pool.size},
-            )
+            self.inner.set_telemetry(self.telemetry)
+        self.telemetry.register_collector(
+            "runtime.pool",
+            lambda: {"kind": {"thread": 0, "process": 1}.get(self.pool.kind, -1),
+                     "workers": self.pool.size,
+                     "restarts": self.pool.restarts},
+        )
 
     # ------------------------------------------------------------------ #
     # Protocol
@@ -277,43 +286,31 @@ class ConcurrentBackend(ExecutionBackend):
         live = [handle for handle in handles if handle.failure is None]
         tel = self.telemetry
         if self._process_mode:
-            task = _ChildTrialTask(
-                self.inner, epochs, self._snapshot_dir,
-                telemetry_enabled=tel.enabled,
-            )
+            task = _ChildTrialTask(self.inner, epochs, self._snapshot_dir, tel.enabled)
         else:
-            task = lambda handle: self._train_one(handle, epochs)  # noqa: E731
+            task = lambda handle: _run_trial(  # noqa: E731
+                self.inner, handle, epochs, tel, self._inner_handle
+            )
         outcomes = self._runner.run_cohort(task, live)
         metrics: Dict[str, Dict[str, float]] = {}
         for handle in handles:
             outcome = outcomes.get(handle.trial_id)
-            if isinstance(outcome, TrialFault) or outcome is None:
-                if isinstance(outcome, TrialFault):
+            if not isinstance(outcome, _TrialReport):
+                if outcome is not None:  # a fresh TrialFault, not an old failure
                     handle.failure = outcome
                     self._teardown_inner(handle)
-                    if tel.enabled:
-                        tel.counter("runtime.trials.failed")
+                    tel.counter("runtime.trials.failed")
                 metrics[handle.trial_id] = {}
                 continue
-            if tel.enabled:
-                tel.counter("runtime.trials.completed")
-            if isinstance(outcome, _ChildTrialReport):
-                handle.wall_seconds += outcome.elapsed
-                for key, value in outcome.annotations.items():
-                    handle.annotations.setdefault(key, value)
-                handle.last_metrics = dict(outcome.metrics)
-                self.inner.load_snapshot(handle, outcome.snapshot)
-                if outcome.events:
-                    tel.ingest(outcome.events)
-                metrics[handle.trial_id] = dict(outcome.metrics)
-                continue
-            trial_metrics, elapsed = outcome
-            handle.wall_seconds += elapsed
-            inner_handle = handle.state
-            for key, value in inner_handle.annotations.items():
+            tel.counter("runtime.trials.completed")
+            handle.wall_seconds += outcome.elapsed
+            for key, value in outcome.annotations.items():
                 handle.annotations.setdefault(key, value)
-            handle.last_metrics = dict(trial_metrics)
-            metrics[handle.trial_id] = dict(trial_metrics)
+            handle.last_metrics = dict(outcome.metrics)
+            if self._process_mode:
+                self.inner.load_snapshot(handle, outcome.snapshot)
+            tel.ingest(outcome.events)
+            metrics[handle.trial_id] = dict(outcome.metrics)
         return metrics
 
     def teardown(self, handle: TrialHandle) -> None:
@@ -349,28 +346,6 @@ class ConcurrentBackend(ExecutionBackend):
             pass
 
     # ------------------------------------------------------------------ #
-    def _train_one(
-        self, handle: TrialHandle, epochs: int
-    ) -> Tuple[Dict[str, float], float]:
-        """In-worker task: lazily prepare, then train, timing this trial only."""
-        tel = self.telemetry
-        with log_context(trial_id=handle.trial_id):
-            if tel.enabled:
-                with tel.span("trial", cat="experiment", trial_id=handle.trial_id):
-                    return self._train_one_impl(handle, epochs)
-            return self._train_one_impl(handle, epochs)
-
-    def _train_one_impl(
-        self, handle: TrialHandle, epochs: int
-    ) -> Tuple[Dict[str, float], float]:
-        inner_handle = self._inner_handle(handle)
-        started = time.monotonic()
-        trial_metrics = self.inner.train(inner_handle, epochs)
-        elapsed = time.monotonic() - started
-        inner_handle.epochs_trained += epochs
-        inner_handle.last_metrics = dict(trial_metrics)
-        return dict(trial_metrics), elapsed
-
     def _inner_handle(self, handle: TrialHandle) -> TrialHandle:
         """Get or build the inner backend's handle for this outer handle.
 

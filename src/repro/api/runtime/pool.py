@@ -13,9 +13,12 @@ practical spectrum:
   large array ops, and simulated / I/O-bound trials overlap perfectly.
 * :class:`ProcessWorkerPool` — true multi-process execution for CPU-bound,
   *picklable* work (pure-python trial logic never escapes the GIL on
-  threads).  Each of the ``size`` slots owns one persistent ``spawn``-ed
-  child process; tasks travel over a private pipe, so a child that dies
-  mid-task (SIGKILL, OOM) fails **only that task** with
+  threads).  Each of the ``size`` slots owns one
+  :class:`~repro.api.runtime.child.SupervisedChild` — the spawn →
+  request/reply → crash → respawn → stop lifecycle it shares with
+  :class:`~repro.api.runtime.proc.ProcessReplica`; the pool's payload is a
+  task.  Tasks travel over a private pipe, so a child that dies mid-task
+  (SIGKILL, OOM) fails **only that task** with
   :class:`~repro.exceptions.WorkerCrashedError` and the slot respawns a
   fresh child for the next one — unlike
   :class:`~concurrent.futures.ProcessPoolExecutor`, whose
@@ -37,24 +40,26 @@ Example::
         futures = [pool.submit(job, index) for index in range(8)]
         results = [future.result() for future in futures]
 
-This module deliberately imports nothing from the rest of ``repro.api`` so
+This module deliberately imports nothing from the rest of ``repro.api``
+(beyond the equally self-contained :mod:`~repro.api.runtime.child`) so
 lower layers (e.g. the Cerebro hopper) can accept a pool without creating
 an import cycle.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional
+from queue import LifoQueue
+from typing import Any, Callable, Optional
 
+from repro.api.runtime.child import SupervisedChild
 from repro.exceptions import ConfigurationError, WorkerCrashedError
 
 
 def _run_with_retries(policy: Any, fn: Callable[..., Any], *args: Any) -> Any:
-    """The in-slot retry loop shared by serial and thread pools.
+    """The one retry loop: in the slot on serial/thread pools, and in the
+    parent slot thread, around the child, on the process pool.
 
     ``policy`` duck-types :class:`~repro.api.runtime.runner.RetryPolicy`
     (``max_retries`` and ``delay(retry_index)``); this module cannot import
@@ -97,6 +102,9 @@ class WorkerPool:
 
     #: short name used in reports and error messages
     kind: str = "pool"
+
+    #: child processes replaced after a crash (only process pools have any)
+    restarts: int = 0
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         """Schedule ``fn(*args, **kwargs)`` and return its future."""
@@ -195,109 +203,33 @@ class ThreadWorkerPool(_ExecutorPool):
         return ThreadPoolExecutor(max_workers=self.size, thread_name_prefix="repro-worker")
 
 
-def _pool_worker_main(conn) -> None:
-    """A pool child's whole life: recv ``(fn, args, kwargs)``, reply, repeat.
+def _pool_worker_main() -> Callable[[tuple], Any]:
+    """A pool child's ``setup``: nothing to build; the handler runs one task.
 
-    Runs in a ``spawn``-ed child process.  Replies are ``("ok", result)`` or
-    ``("err", exception)``; an unpicklable result or exception is downgraded
-    to a picklable ``("err", WorkerCrashedError-free RuntimeError)`` so the
-    pipe never wedges.  ``None`` (or EOF) is the shutdown sentinel.
+    Runs in a ``spawn``-ed child (see :mod:`~repro.api.runtime.child` for
+    the loop around it): each message is ``(fn, args, kwargs)``, the value
+    is ``fn``'s result, and whatever it raises is mirrored to the parent.
     """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
+
+    def run(message: tuple) -> Any:
         fn, args, kwargs = message
-        try:
-            reply = ("ok", fn(*args, **kwargs))
-        except BaseException as error:  # noqa: BLE001 - mirrored to the parent
-            reply = ("err", error)
-        try:
-            conn.send(reply)
-        except (EOFError, OSError, BrokenPipeError):
-            break
-        except Exception as error:  # noqa: BLE001 - unpicklable payload
-            conn.send(
-                (
-                    "err",
-                    RuntimeError(
-                        f"task outcome could not cross the process boundary: "
-                        f"{type(error).__name__}: {error}"
-                    ),
-                )
-            )
-    conn.close()
+        return fn(*args, **kwargs)
 
-
-class _ChildWorker:
-    """One persistent spawned child process plus its private pipe."""
-
-    def __init__(self, index: int):
-        context = multiprocessing.get_context("spawn")
-        self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_pool_worker_main,
-            args=(child_conn,),
-            name=f"repro-pool-worker-{index}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def run(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> Any:
-        """Ship one task to the child and wait for its reply."""
-        try:
-            self.conn.send((fn, args, kwargs))
-        except (BrokenPipeError, OSError) as error:
-            raise self._crashed(f"send failed: {error}")
-        while not self.conn.poll(0.05):
-            if not self.process.is_alive() and not self.conn.poll(0.05):
-                raise self._crashed("died mid-task")
-        try:
-            status, payload = self.conn.recv()
-        except (EOFError, OSError):
-            raise self._crashed("died mid-task")
-        if status == "err":
-            raise payload
-        return payload
-
-    def _crashed(self, what: str) -> WorkerCrashedError:
-        return WorkerCrashedError(
-            f"worker process {self.process.pid} (slot "
-            f"{self.process.name!r}) {what} "
-            f"(exitcode={self.process.exitcode})"
-        )
-
-    def stop(self, timeout: float = 2.0) -> None:
-        """Ask the child to exit; escalate to terminate/kill if it will not."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        if self.process.is_alive():  # pragma: no cover - SIGKILL backstop
-            self.process.kill()
-            self.process.join(timeout=1.0)
-        self.conn.close()
+    return run
 
 
 class ProcessWorkerPool(WorkerPool):
     """True multi-process execution for CPU-bound, picklable workloads.
 
-    ``size`` parent threads each own one persistent child process created
-    with the ``spawn`` start method (no inherited locks or threads — the
-    only start method that is deterministic about what a child sees).  A
-    task is shipped to a slot's child over a private duplex pipe; the slot
-    thread waits for the reply, so a child killed mid-task fails **only
-    that task** with :class:`~repro.exceptions.WorkerCrashedError` and the
-    slot lazily respawns a fresh child — pending tasks in other slots are
-    untouched.
+    ``size`` parent threads share ``size`` slots, each one
+    :class:`~repro.api.runtime.child.SupervisedChild` — a persistent child
+    process created with the ``spawn`` start method (no inherited locks or
+    threads — the only start method that is deterministic about what a
+    child sees), named ``repro-pool-worker-<slot>``.  A task is shipped to
+    an idle slot's child over a private duplex pipe; the thread waits for
+    the reply, so a child killed mid-task fails **only that task** with
+    :class:`~repro.exceptions.WorkerCrashedError` and the slot lazily
+    respawns a fresh child — pending tasks in other slots are untouched.
 
     Each task's callable, arguments, and result must pickle; use
     :func:`repro.utils.serialization.probe_picklable` to check ahead of
@@ -319,13 +251,28 @@ class ProcessWorkerPool(WorkerPool):
         if size <= 0:
             raise ConfigurationError(f"pool size must be positive, got {size}")
         self.size = int(size)
+        self._children = [
+            SupervisedChild(
+                _pool_worker_main,
+                name=f"repro-pool-worker-{slot}",
+                label=f"worker process in slot 'repro-pool-worker-{slot}'",
+                error=WorkerCrashedError,
+            )
+            for slot in range(self.size)
+        ]
+        # A task checks a child out for its duration.  Last in, first out:
+        # sequential tasks stay on one warm child instead of spawning them all.
+        self._idle: LifoQueue = LifoQueue()
+        for child in reversed(self._children):
+            self._idle.put(child)
         self._threads = ThreadPoolExecutor(
             max_workers=self.size, thread_name_prefix="repro-procslot"
         )
-        self._slot = threading.local()
-        self._children: List[_ChildWorker] = []
-        self._lock = threading.Lock()
-        self._closed = False
+
+    @property
+    def restarts(self) -> int:
+        """Children replaced after a death, summed over the slots."""
+        return sum(child.restarts for child in self._children)
 
     # ------------------------------------------------------------------ #
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
@@ -336,12 +283,14 @@ class ProcessWorkerPool(WorkerPool):
         """Retry parent-side: each attempt may land on a fresh child.
 
         The in-slot loop of the other pools would die with the child; here
-        the loop lives in the parent slot thread, so a
+        the same loop runs in the parent slot thread, so a
         :class:`~repro.exceptions.WorkerCrashedError` (child SIGKILLed
         mid-attempt) is retried like any other failure, on a respawned
         child, per the policy's backoff.
         """
-        return self._threads.submit(self._run_retrying, policy, fn, args)
+        return self._threads.submit(
+            _run_with_retries, policy, self._run_task, fn, args, {}
+        )
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop every child (politely, then by force) and release the slots.
@@ -350,54 +299,16 @@ class ProcessWorkerPool(WorkerPool):
         child cannot outlive the pool the way an abandoned thread can —
         so ``wait=False`` only skips waiting for queued parent-side tasks.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            children = list(self._children)
-            self._children = []
         self._threads.shutdown(wait=wait, cancel_futures=not wait)
-        for child in children:
-            child.stop()
-
-    # ------------------------------------------------------------------ #
-    def _run_retrying(self, policy: Any, fn: Callable[..., Any], args: tuple) -> Any:
-        last_error: Optional[BaseException] = None
-        for attempt in range(policy.max_retries + 1):
-            if attempt > 0:
-                time.sleep(policy.delay(attempt))
-            try:
-                return self._run_task(fn, args, {})
-            except Exception as error:  # noqa: BLE001 - policy decides
-                last_error = error
-        raise last_error  # type: ignore[misc]
+        for child in self._children:
+            child.close()
 
     def _run_task(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> Any:
-        child = self._ensure_child()
+        child = self._idle.get()  # never waits long: as many children as threads
         try:
-            return child.run(fn, args, kwargs)
-        except WorkerCrashedError:
-            # Drop the corpse; the slot's next task spawns a replacement.
-            self._slot.child = None
-            with self._lock:
-                if child in self._children:
-                    self._children.remove(child)
-            child.stop(timeout=0.1)
-            raise
-
-    def _ensure_child(self) -> _ChildWorker:
-        child: Optional[_ChildWorker] = getattr(self._slot, "child", None)
-        if child is not None and child.process.is_alive():
-            return child
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot run tasks on a shut-down ProcessWorkerPool")
-            index = len(self._children)
-        child = _ChildWorker(index)
-        self._slot.child = child
-        with self._lock:
-            self._children.append(child)
-        return child
+            return child.request((fn, args, kwargs))
+        finally:
+            self._idle.put(child)
 
 
 _POOL_KINDS = {

@@ -22,17 +22,19 @@ protocol — lives in :mod:`~repro.api.runtime.pool` and
   (grown on demand, reused across requests); only tiny metadata tuples
   travel over the control pipe.
 
-Fault containment mirrors the process pool: a child killed mid-request
-fails **only the in-flight micro-batch**, with the typed
-:class:`~repro.exceptions.ReplicaCrashedError`; the replica respawns its
-child lazily on the next request.  Because the parent owns both shared
-segments and unlinks them in ``close()``, a dead child can never leak
-shared memory.
+The child's lifecycle — spawn, ready handshake, request/reply, crash,
+respawn, stop — is the one :class:`~repro.api.runtime.child.SupervisedChild`
+the process pool's slots also use; a replica is that child plus the two
+segments, the grow exchange and a lock.  So fault containment is the
+pool's: a child killed mid-request fails **only the in-flight
+micro-batch**, with the typed :class:`~repro.exceptions.ReplicaCrashedError`,
+and the replica respawns its child lazily on the next request.  Because
+the parent owns both shared segments and unlinks them in ``close()``, a
+dead child can never leak shared memory.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -40,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.api.runtime.child import SupervisedChild
 from repro.exceptions import ConfigurationError, ReplicaCrashedError, ServingError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.utils.serialization import probe_picklable
@@ -48,17 +51,6 @@ from repro.utils.serialization import probe_picklable
 _ALIGN = 64
 #: initial size of each parent-owned segment (grown on demand, never shrunk)
 _INITIAL_SEGMENT = 1 << 16
-
-
-def spawn_context():
-    """The ``spawn`` multiprocessing context every runtime child uses.
-
-    ``fork`` would duplicate live threads' locks (spill managers, serve
-    loops) into the child mid-flight; ``spawn`` starts from a clean
-    interpreter, which is the only start method whose children are
-    deterministic about what they inherit.
-    """
-    return multiprocessing.get_context("spawn")
 
 
 # --------------------------------------------------------------------------- #
@@ -257,140 +249,89 @@ def _rebuild_output(structure: Any, leaves: List[np.ndarray]) -> Any:
 # --------------------------------------------------------------------------- #
 # The replica child
 # --------------------------------------------------------------------------- #
-def _safe_send(conn, message) -> bool:
-    """Send, downgrading unpicklable payloads to a portable error."""
-    try:
-        conn.send(message)
-        return True
-    except (BrokenPipeError, OSError, EOFError):
-        return False
-    except Exception as error:  # noqa: BLE001 - unpicklable payload
-        try:
-            conn.send(
-                (
-                    "err",
-                    ServingError(
-                        f"reply could not cross the process boundary: "
-                        f"{type(error).__name__}: {error}"
-                    ),
-                )
-            )
-            return True
-        except Exception:  # pragma: no cover - pipe gone mid-downgrade
-            return False
+class _ReplicaHandler:
+    """The child-side payload: forward one micro-batch per request.
 
+    Requests (parent → child) are ``("infer", request_meta, pad_to,
+    response_segment)`` per micro-batch and, after a grow request was
+    granted, ``("write", new_segment)``.  The value sent back is the
+    response metadata — or ``{"need": nbytes}`` when the response segment is
+    too small, in which case the computed output is held until the parent's
+    ``"write"``.
 
-def _replica_child_main(spec: ModelSpec, conn, telemetry_enabled: bool = False) -> None:
-    """A replica child's whole life: build once, then serve micro-batches.
-
-    Protocol (parent → child): ``("infer", request_meta, pad_to,
-    response_segment)`` per micro-batch, ``("write", new_segment)`` after
-    granting a grow request, ``("stop",)``/``None``/EOF to exit.  Child →
-    parent: ``("ready", None)`` after the build, then per batch one of
-    ``("ok", response_meta)``, ``("need", nbytes)`` (response segment too
-    small), or ``("err", exception)``.
-
-    With ``telemetry_enabled`` the child keeps its own recorder and drains
-    it into every ``"ok"`` reply's metadata (``meta["events"]``) — events
-    ride the existing result channel, so a child killed mid-request ships
-    nothing partial and the parent trace is never torn.
+    The child's own recorder is drained into every response's metadata
+    (``meta["events"]``, empty with telemetry off) — events ride the
+    existing result channel, so a child killed mid-request ships nothing
+    partial and the parent trace is never torn.
     """
-    tel = Telemetry() if telemetry_enabled else NULL_TELEMETRY
-    try:
-        if tel.enabled:
-            with tel.span("replica.build", cat="serving"):
-                model = spec.build()
-        else:
-            model = spec.build()
-    except BaseException as error:  # noqa: BLE001 - mirrored to the parent
-        _safe_send(conn, ("err", error))
-        conn.close()
-        return
-    _safe_send(conn, ("ready", None))
 
-    from repro.autograd.tensor import no_grad
-    from repro.data.dataloader import Batch
-    from repro.serving.replica import pad_rows, request_rows, slice_rows
+    def __init__(self, model, telemetry):
+        self.model = model
+        self.telemetry = telemetry
+        self.segments: Dict[str, shared_memory.SharedMemory] = {}
+        self.pending: Optional[tuple] = None  # an output awaiting a big-enough segment
 
-    segments: Dict[str, shared_memory.SharedMemory] = {}
-
-    def attach(name: str) -> shared_memory.SharedMemory:
-        segment = segments.get(name)
+    def _attach(self, name: str) -> shared_memory.SharedMemory:
+        segment = self.segments.get(name)
         if segment is None:
-            segment = segments[name] = _attach_segment(name)
+            segment = self.segments[name] = _attach_segment(name)
         return segment
 
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None or message[0] == "stop":
-            break
-        if message[0] != "infer":  # pragma: no cover - protocol hygiene
-            continue
-        _, meta, pad_to, response_name = message
-        try:
-            request = attach(meta["segment"])
-            leaves_in = _read_leaves(request, meta["fields"], copy=False)
-            arrays = {
-                key: values
-                for (key, _, _, _), values in zip(meta["fields"], leaves_in)
-            }
-            rows = request_rows(arrays)
-            padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
-            if tel.enabled:
-                with tel.span("replica.forward", cat="serving", rows=rows):
-                    with no_grad():
-                        output = model.forward(
-                            Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-                        )
-            else:
-                with no_grad():
-                    output = model.forward(
-                        Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-                    )
-            output = slice_rows(output, 0, rows)
-            leaves_out: List[Tuple[str, np.ndarray]] = []
-            structure = _flatten_output(output, leaves_out)
-            fields, total = _layout(leaves_out)
-        except BaseException as error:  # noqa: BLE001 - mirrored to the parent
-            _safe_send(conn, ("err", error))
-            continue
-        granted = True
-        while True:
-            response = attach(response_name)
-            if response.size < total:
-                if not _safe_send(conn, ("need", total)):
-                    granted = False
-                    break
-                try:
-                    grant = conn.recv()
-                except (EOFError, OSError):
-                    granted = False
-                    break
-                if not (isinstance(grant, tuple) and grant[0] == "write"):
-                    granted = False
-                    break
-                response_name = grant[1]
-                continue
-            _write_leaves(response, leaves_out, fields)
-            break
-        if granted:
-            reply_meta = {
-                "segment": response_name,
-                "structure": structure,
-                "fields": fields,
-            }
-            if tel.enabled:
-                reply_meta["events"] = tel.drain()
-            _safe_send(conn, ("ok", reply_meta))
-    for segment in segments.values():
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover - exit-path hygiene
-            pass
-    conn.close()
+    def __call__(self, message: tuple) -> Dict[str, Any]:
+        if message[0] == "infer":
+            _, meta, pad_to, response_name = message
+            self.pending = self._forward(meta, pad_to)
+        elif self.pending is None:
+            raise ServingError(
+                "no response is waiting for a segment: the child that computed "
+                "it was replaced mid-exchange"
+            )
+        else:
+            response_name = message[1]
+        leaves, structure, fields, total = self.pending
+        response = self._attach(response_name)
+        if response.size < total:
+            return {"need": total}
+        _write_leaves(response, leaves, fields)
+        self.pending = None
+        return {
+            "segment": response_name,
+            "structure": structure,
+            "fields": fields,
+            "events": self.telemetry.drain(),
+        }
+
+    def _forward(self, meta: Dict[str, Any], pad_to: Optional[int]) -> tuple:
+        """Pad, forward and slice exactly like an in-process replica."""
+        from repro.autograd.tensor import no_grad
+        from repro.data.dataloader import Batch
+        from repro.serving.replica import pad_rows, request_rows, slice_rows
+
+        leaves_in = _read_leaves(self._attach(meta["segment"]), meta["fields"], copy=False)
+        arrays = {key: values for (key, _, _, _), values in zip(meta["fields"], leaves_in)}
+        rows = request_rows(arrays)
+        padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
+        with self.telemetry.span("replica.forward", cat="serving", rows=rows), no_grad():
+            output = self.model.forward(
+                Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
+            )
+        leaves_out: List[Tuple[str, np.ndarray]] = []
+        structure = _flatten_output(slice_rows(output, 0, rows), leaves_out)
+        fields, total = _layout(leaves_out)
+        return leaves_out, structure, fields, total
+
+
+def _replica_child_main(spec: ModelSpec, telemetry_enabled: bool = False) -> _ReplicaHandler:
+    """A replica child's ``setup``: build the model once, return its handler.
+
+    Runs in a ``spawn``-ed child (see :mod:`~repro.api.runtime.child` for
+    the loop around it).  With ``telemetry_enabled`` the child keeps its
+    own recorder; only that flag crossed the process boundary.
+    """
+    tel = Telemetry() if telemetry_enabled else NULL_TELEMETRY
+    with tel.span("replica.build", cat="serving"):
+        model = spec.build()
+    return _ReplicaHandler(model, tel)
 
 
 # --------------------------------------------------------------------------- #
@@ -414,10 +355,10 @@ class ProcessReplica:
 
     Raises:
         ConfigurationError: at construction, for a spec that cannot pickle.
-        ReplicaCrashedError: from :meth:`infer`, when the child died with
-            this request in flight.
-        ServingError: from :meth:`infer`/:meth:`start`, when the child
-            failed to build its model.
+        ReplicaCrashedError: from :meth:`infer`/:meth:`start`, when the
+            child died with this request in flight, or failed (or timed
+            out) building its model — the message says which.
+        ServingError: from :meth:`infer`/:meth:`start` on a closed replica.
     """
 
     #: API parity with Replica: process replicas are never spill-managed —
@@ -439,13 +380,18 @@ class ProcessReplica:
         self.spec = spec
         self.name = name
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.restarts = -1  # first start is not a restart
+        # Only the flag crosses: a live recorder holds locks and cannot pickle.
+        self._child = SupervisedChild(
+            _replica_child_main,
+            (spec, self._telemetry.enabled),
+            name=f"repro-replica-{name}",
+            label=f"replica {name!r} child process",
+            error=ReplicaCrashedError,
+            ready_timeout=120.0,
+        )
         self._lock = threading.Lock()
-        self._proc = None
-        self._conn = None
         self._request = _OwnedSegment()
         self._response = _OwnedSegment()
-        self._closed = False
         if start:
             self.start()
 
@@ -458,15 +404,18 @@ class ProcessReplica:
     @property
     def pid(self) -> Optional[int]:
         """The live child's pid (``None`` before first use / after death)."""
-        process = self._proc
-        if process is not None and process.is_alive():
-            return process.pid
-        return None
+        return self._child.pid
+
+    @property
+    def restarts(self) -> int:
+        """How many times a dead child has been replaced."""
+        return self._child.restarts
 
     def start(self) -> "ProcessReplica":
         """Spawn the child and wait for its model build (idempotent)."""
         with self._lock:
-            self._ensure_child()
+            self._check_open()
+            self._child.start()
         return self
 
     def spill_stats(self) -> Dict[str, int]:
@@ -484,7 +433,7 @@ class ProcessReplica:
         caller.
         """
         with self._lock:
-            self._ensure_child()
+            self._check_open()
             leaves = [
                 (key, np.ascontiguousarray(values))
                 for key, values in sorted(arrays.items())
@@ -494,31 +443,24 @@ class ProcessReplica:
             _write_leaves(request, leaves, fields)
             response = self._response.ensure(_INITIAL_SEGMENT)
             meta = {"segment": request.name, "fields": fields}
-            try:
-                self._conn.send(("infer", meta, pad_to, response.name))
-                reply = self._recv()
-                if reply[0] == "need":
-                    response = self._response.ensure(reply[1])
-                    self._conn.send(("write", response.name))
-                    reply = self._recv()
-            except (BrokenPipeError, EOFError, OSError):
-                raise self._crashed()
-            if reply[0] == "err":
-                raise reply[1]
-            meta = reply[1]
-            events = meta.get("events")
-            if events:
-                self._telemetry.ingest(events)
-            leaves_out = _read_leaves(self._response.shm, meta["fields"], copy=True)
-            return _rebuild_output(meta["structure"], leaves_out)
+            reply = self._child.request(("infer", meta, pad_to, response.name))
+            if "need" in reply:
+                response = self._response.ensure(reply["need"])
+                reply = self._child.request(("write", response.name))
+            self._telemetry.ingest(reply["events"])
+            leaves_out = _read_leaves(response, reply["fields"], copy=True)
+            return _rebuild_output(reply["structure"], leaves_out)
 
     def close(self) -> None:
         """Stop the child and unlink both shared segments (idempotent)."""
         with self._lock:
-            self._closed = True
-            self._stop_child_locked()
+            self._child.close()
             self._request.destroy()
             self._response.destroy()
+
+    def _check_open(self) -> None:
+        if self._child.closed:
+            raise ServingError(f"replica {self.name!r} is closed")
 
     def __enter__(self) -> "ProcessReplica":
         return self.start()
@@ -534,72 +476,4 @@ class ProcessReplica:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.pid is not None else "cold"
-        return f"ProcessReplica({self.name!r}, {state}, restarts={max(self.restarts, 0)})"
-
-    # ------------------------------------------------------------------ #
-    def _ensure_child(self) -> None:
-        if self._closed:
-            raise ServingError(f"replica {self.name!r} is closed")
-        if self._proc is not None and self._proc.is_alive():
-            return
-        self._stop_child_locked()
-        context = spawn_context()
-        self._conn, child_conn = context.Pipe(duplex=True)
-        self._proc = context.Process(
-            target=_replica_child_main,
-            args=(self.spec, child_conn, self._telemetry.enabled),
-            name=f"repro-replica-{self.name}",
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-        self.restarts += 1
-        try:
-            reply = self._recv(timeout=120.0)
-        except (EOFError, OSError):
-            raise self._crashed()
-        if reply[0] == "err":
-            error = reply[1]
-            raise error if isinstance(error, ServingError) else ServingError(
-                f"replica {self.name!r} failed to build its model: "
-                f"{type(error).__name__}: {error}"
-            )
-
-    def _recv(self, timeout: Optional[float] = None):
-        """Receive one message, raising ``ReplicaCrashedError`` on child death."""
-        waited = 0.0
-        while not self._conn.poll(0.05):
-            waited += 0.05
-            if timeout is not None and waited >= timeout:
-                raise self._crashed()
-            if not self._proc.is_alive() and not self._conn.poll(0.05):
-                raise self._crashed()
-        return self._conn.recv()
-
-    def _crashed(self) -> ReplicaCrashedError:
-        process, self._proc = self._proc, None
-        exitcode = process.exitcode if process is not None else None
-        return ReplicaCrashedError(
-            f"replica {self.name!r} child process died with a request in "
-            f"flight (exitcode={exitcode}); the replica will respawn on the "
-            "next request"
-        )
-
-    def _stop_child_locked(self) -> None:
-        process, self._proc = self._proc, None
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        if process is not None:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - SIGKILL backstop
-                process.kill()
-                process.join(timeout=1.0)
-        if conn is not None:
-            conn.close()
+        return f"ProcessReplica({self.name!r}, {state}, restarts={self.restarts})"

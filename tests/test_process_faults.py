@@ -26,6 +26,8 @@ on a marker file, so the injection is deterministic, not timing-based.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
 import signal
 import threading
@@ -46,8 +48,15 @@ from repro.api import (
     ShardParallelBackend,
     serve,
 )
+from repro.api.runtime import pool as pool_module
+from repro.api.runtime.child import SupervisedChild, _reply
 from repro.data import DataLoader, make_classification
-from repro.exceptions import ReplicaCrashedError, ServingError, WorkerCrashedError
+from repro.exceptions import (
+    ReplicaCrashedError,
+    ReproError,
+    ServingError,
+    WorkerCrashedError,
+)
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
@@ -306,3 +315,246 @@ class TestProcessReplicaFaults:
             assert output.shape == (2, 3)
         finally:
             server.stop()
+
+
+# --------------------------------------------------------------------- #
+# The shared supervised child: one fault matrix over both of its owners
+# --------------------------------------------------------------------- #
+_START_MARKER_ENV = "REPRO_TEST_START_MARKER"
+
+
+def _fail_first_start():
+    """Stand-in pool ``setup``: raises in the first child, then the real one."""
+    marker = Path(os.environ[_START_MARKER_ENV])
+    if not marker.exists():
+        marker.touch()
+        raise RuntimeError("boom at start")
+    return pool_module._pool_worker_main()
+
+
+class _FailFirstBuild:
+    """Model builder that raises in the first child that calls it."""
+
+    def __init__(self, marker: Path):
+        self.marker = str(marker)
+
+    def __call__(self):
+        marker = Path(self.marker)
+        if not marker.exists():
+            marker.touch()
+            raise RuntimeError("boom at start")
+        return _build_plain()
+
+
+class _UnsendableError(Exception):
+    """An exception that cannot pickle (it carries a lock)."""
+
+    def __init__(self):
+        super().__init__("unsendable")
+        self.lock = threading.Lock()
+
+
+class _UnsendableSecondNetwork(FeedForwardNetwork):
+    """A network whose second forward raises an error that cannot pickle."""
+
+    forwards = 0
+
+    def forward(self, batch):
+        self.forwards += 1
+        if self.forwards == 2:
+            raise _UnsendableError()
+        return super().forward(batch)
+
+
+def _build_unsendable_second():
+    config = FeedForwardConfig(input_dim=8, hidden_dims=(16,), num_classes=3)
+    return _UnsendableSecondNetwork(config, seed=0)
+
+
+def _wait_dead(pid: int) -> None:
+    deadline = time.monotonic() + 30
+    while any(
+        child.pid == pid and child.is_alive()
+        for child in multiprocessing.active_children()
+    ):
+        assert time.monotonic() < deadline, f"child {pid} survived SIGKILL"
+        time.sleep(0.01)
+
+
+class _PoolOwner:
+    """A process pool slot as an owner of the shared child."""
+
+    crash = WorkerCrashedError
+
+    def __init__(self, fault, tmp_path, monkeypatch):
+        if fault == "start-raises":
+            monkeypatch.setenv(_START_MARKER_ENV, str(tmp_path / "started"))
+            monkeypatch.setattr(pool_module, "_pool_worker_main", _fail_first_start)
+        self.pool = ProcessWorkerPool(2)
+
+    def item(self) -> int:
+        """Run one healthy item; return the pid of the child that served it."""
+        return self.pool.submit(os.getpid).result(timeout=60)
+
+    def faulty_item(self, fault):
+        if fault == "kill-mid-request":
+            return self.pool.submit(_sigkill_self).result(timeout=60)
+        if fault == "unpicklable-reply":
+            return self.pool.submit(threading.Lock).result(timeout=60)
+        return self.item()
+
+    @property
+    def restarts(self) -> int:
+        return self.pool.restarts
+
+    def close(self) -> None:
+        self.pool.shutdown()
+
+
+class _ReplicaOwner:
+    """A process replica as an owner of the shared child."""
+
+    crash = ReplicaCrashedError
+    arrays = {"features": np.ones((2, 8), np.float32)}
+
+    def __init__(self, fault, tmp_path, monkeypatch):
+        builder = {
+            "kill-mid-request": _build_sleepy,
+            "start-raises": _FailFirstBuild(tmp_path / "started"),
+            "unpicklable-reply": _build_unsendable_second,
+        }.get(fault, _build_plain)
+        self.replica = ProcessReplica(ModelSpec(builder=builder), name="matrix")
+
+    def item(self) -> int:
+        assert self.replica.infer(self.arrays, pad_to=4).shape == (2, 3)
+        return self.replica.pid
+
+    def faulty_item(self, fault):
+        if fault != "kill-mid-request":
+            return self.item()
+        killer = threading.Timer(0.15, os.kill, args=(self.replica.pid, signal.SIGKILL))
+        killer.start()
+        try:
+            return self.item()
+        finally:
+            killer.cancel()
+
+    @property
+    def restarts(self) -> int:
+        return self.replica.restarts
+
+    def close(self) -> None:
+        self.replica.close()
+
+
+class TestSupervisedChildFaultMatrix:
+    """{pool slot, replica} × {kill mid-request, kill idle, start raises,
+    unpicklable reply}: only the item in flight fails — with the owner's
+    typed error naming the phase — the next item succeeds on a fresh child,
+    ``restarts`` moves by exactly one, and closing afterwards does not hang.
+    (A reply that cannot pickle is the child's answer, not its death: that
+    item fails with a portable error and the *same* child serves the next.)
+    The conftest leak guard checks no child or segment outlives each case.
+    """
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["kill-mid-request", "kill-idle", "start-raises", "unpicklable-reply"],
+    )
+    @pytest.mark.parametrize("owner_type", [_PoolOwner, _ReplicaOwner])
+    def test_fault_is_contained(self, owner_type, fault, tmp_path, monkeypatch):
+        owner = owner_type(fault, tmp_path, monkeypatch)
+        try:
+            first_pid = None if fault == "start-raises" else owner.item()
+            assert owner.restarts == 0
+            if fault == "kill-idle":
+                # Nothing is in flight, so nothing fails: the death is found
+                # (and the corpse reaped) when the next item arrives.
+                os.kill(first_pid, signal.SIGKILL)
+                _wait_dead(first_pid)
+            else:
+                error, text = {
+                    "kill-mid-request": (owner.crash, "request in flight"),
+                    "start-raises": (owner.crash, "start-up: RuntimeError: boom"),
+                    "unpicklable-reply": (ReproError, "process boundary"),
+                }[fault]
+                with pytest.raises(error, match=text):
+                    owner.faulty_item(fault)
+            next_pid = owner.item()
+            assert next_pid is not None
+            if fault == "unpicklable-reply":
+                assert next_pid == first_pid and owner.restarts == 0
+            else:
+                assert next_pid != first_pid and owner.restarts == 1
+        finally:
+            started = time.monotonic()
+            owner.close()
+            assert time.monotonic() - started < 30
+
+
+def _identity_after_sleep(seconds: float):
+    time.sleep(seconds)
+    return multiprocessing.current_process().name, os.getpid()
+
+
+def _sleepy_setup(seconds: float):
+    time.sleep(seconds)
+    return abs
+
+
+class _GonePipe:
+    def send_bytes(self, data):
+        raise BrokenPipeError("parent went away")
+
+
+class TestSupervisedChildLifecycle:
+    def _open_fds(self) -> int:
+        gc.collect()
+        multiprocessing.active_children()  # drops finished Process objects
+        return len(os.listdir("/proc/self/fd"))
+
+    def test_pool_children_are_named_by_slot_and_reaped_when_replaced(self):
+        # Regression: slots starting together both read ``len(children)`` and
+        # named their child ``-0``; a child found dead while idle stayed in
+        # the list with its pipe open, so names climbed past ``size``.
+        names = ["repro-pool-worker-0", "repro-pool-worker-1"]
+        with ProcessWorkerPool(2) as pool:
+            def both_slots():
+                futures = [pool.submit(_identity_after_sleep, 0.3) for _ in range(2)]
+                return dict(future.result(timeout=60) for future in futures)
+
+            before = both_slots()
+            assert sorted(before) == names
+            fds = self._open_fds()
+            os.kill(before[names[0]], signal.SIGKILL)
+            _wait_dead(before[names[0]])
+            after = both_slots()
+            assert sorted(after) == names  # the replacement took over the slot's name
+            assert after[names[1]] == before[names[1]]
+            assert after[names[0]] != before[names[0]]
+            assert pool.restarts == 1
+            if os.path.isdir("/proc/self/fd"):
+                assert self._open_fds() == fds  # the corpse's pipe did not linger
+
+    def test_start_timeout_stops_the_child_and_says_so(self):
+        # Regression: a handshake timeout reported "died with a request in
+        # flight" and forgot the still-building child without stopping it.
+        child = SupervisedChild(
+            _sleepy_setup, (30.0,), name="repro-test-slow-start",
+            label="slow starter", error=ReplicaCrashedError, ready_timeout=0.5,
+        )
+        try:
+            with pytest.raises(ReplicaCrashedError, match="start-up within 0.5s"):
+                child.start()
+            assert child.pid is None
+            assert not [
+                process for process in multiprocessing.active_children()
+                if process.name == "repro-test-slow-start" and process.is_alive()
+            ]
+        finally:
+            child.close()
+
+    def test_reply_downgrade_survives_a_vanished_parent(self):
+        # Regression: the pool child's downgrade was a second bare ``send``;
+        # with the pipe gone it killed the child with a traceback.
+        assert _reply(_GonePipe(), "ok", threading.Lock()) is False

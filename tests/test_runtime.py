@@ -53,6 +53,12 @@ def _build_trainable(trial):
     return model, optimizer, loader
 
 
+def _build_trainable_unless_zero_width(trial):
+    if int(trial.get("width", 16)) == 0:
+        raise ValueError("zero-width trial")
+    return _build_trainable(trial)
+
+
 def _build_hoppable(trial):
     model, optimizer, _ = _build_trainable(trial)
     return model, optimizer
@@ -481,6 +487,62 @@ class TestConcurrentBackend:
         assert sorted(registry.names()) == sorted(t.trial_id for t in pooled.trials)
         for trial in pooled.trials:
             assert registry.latest_version(trial.trial_id) == 1
+
+    def test_trial_has_one_shape_on_thread_and_process_pools(self):
+        # One trial body and one report shape in every pool: whatever a trial
+        # leaves behind — spans, counters, wall time, annotations, metrics,
+        # the failure record — is the same whether it ran on a pool thread
+        # or in a pool child.
+        from repro.telemetry import Telemetry, validate_registry_snapshot
+
+        def observe(pool):
+            tel = Telemetry()
+            result = Experiment(
+                space=SearchSpace({"width": [16, 32, 0]}),
+                searcher="grid",
+                objective="loss",
+                budget=Budget(epochs_per_trial=1),
+            ).run(
+                backend=ShardParallelBackend(
+                    builder=_build_trainable_unless_zero_width, num_devices=2
+                ),
+                workers=2,
+                pool=pool,
+                telemetry=tel,
+            )
+            events = tel.events()
+            spans = {event["id"]: event for event in events}
+            trial_spans = [e for e in events if e["name"] == "trial"]
+            epoch_spans = [e for e in events if e["name"] == "epoch"]
+            assert len(epoch_spans) == 2
+            # Every epoch nests under the trial span of its own trial.
+            assert all(spans[e["parent"]]["name"] == "trial" for e in epoch_spans)
+            snapshot = validate_registry_snapshot(tel.metrics_snapshot())
+            assert snapshot["collectors"]["runtime.pool"]["workers"] == 2
+            assert snapshot["collectors"]["runtime.pool"]["restarts"] == 0
+            finished = [t for t in result.trials if not isinstance(t, FailedTrial)]
+            assert all(t.wall_seconds > 0 for t in finished)
+            return {
+                # (A trial that raised in a child ships its error, not its
+                # buffered spans — events ride the report — so only finished
+                # trials' spans are comparable.)
+                "trial spans": sorted(
+                    (e["args"]["trial_id"], e["parent"]) for e in trial_spans
+                    if e["args"]["trial_id"] in {t.trial_id for t in finished}
+                ),
+                "completed": snapshot["counters"].get("runtime.trials.completed"),
+                "failed": snapshot["counters"].get("runtime.trials.failed"),
+                "annotated": [t.hyperparameters for t in result.trials],
+                "metrics": [t.metrics for t in result.trials],
+                "epochs": [t.epochs_trained for t in result.trials],
+                "errors": [t.error for t in result.failures],
+            }
+
+        on_threads = observe("thread")
+        assert on_threads == observe("process")
+        assert on_threads["completed"] == 2 and on_threads["failed"] == 1
+        assert len(on_threads["trial spans"]) == 2
+        assert all("num_shards" in h for h in on_threads["annotated"][:2])
 
     def test_resumable_searcher_across_process_cohorts(self):
         # Successive halving re-trains survivors in later rungs: each rung's
