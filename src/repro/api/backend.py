@@ -209,13 +209,9 @@ class CohortEngineBackend(ExecutionBackend):
         tel = self.telemetry
         trial_ids = [handle.trial_id for handle in handles]
         for offset in range(epochs):
-            if tel.enabled:
-                with tel.span(
-                    "epoch", cat="training",
-                    epoch=base_epoch + offset, trials=trial_ids,
-                ):
-                    metrics = driver.train_epoch(base_epoch + offset)
-            else:
+            with tel.span(
+                "epoch", cat="training", epoch=base_epoch + offset, trials=trial_ids
+            ):
                 metrics = driver.train_epoch(base_epoch + offset)
         return {handle.trial_id: dict(metrics[handle.trial_id]) for handle in handles}
 

@@ -2,7 +2,7 @@
 
 Each trial is profiled (via ``profile_fn``), sharded for the session's
 simulated cluster, and wrapped into a :class:`TrainingJob`.  A cohort of
-trials is scheduled *together* under one of the five
+trials is scheduled *together* under one of the six
 :class:`~repro.scheduler.base.Strategy` classes, exactly like
 :meth:`HydraSession.simulate` — so grid search over architectures yields the
 paper's multi-model workload, and the per-trial metrics read off the shared

@@ -36,6 +36,7 @@ from repro.selection.experiment import (
     TrialResult,
 )
 from repro.selection.search_space import SearchSpace
+from repro.telemetry import NULL_TELEMETRY
 
 
 @dataclass(frozen=True)
@@ -440,7 +441,9 @@ class Experiment:
                 retry=retry,
                 pool_kind=pool if pool is not None else "thread",
             )
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        if telemetry.enabled:
             # Attach to the *fully wrapped* engine so the runtime layer can
             # propagate (or, for process pools, re-create) the recorder.
             setter = getattr(engine, "set_telemetry", None)
@@ -459,10 +462,7 @@ class Experiment:
             # Even on a mid-search failure, live trial state must reach
             # backend.teardown and on_trial_end observers (runner.__exit__).
             with TrialRunner(engine, self.space, self.budget, tracker, hooks) as runner:
-                if telemetry is not None and telemetry.enabled:
-                    with telemetry.span("experiment", cat="experiment", experiment=self.name):
-                        searcher.run(runner)
-                else:
+                with telemetry.span("experiment", cat="experiment", experiment=self.name):
                     searcher.run(runner)
         finally:
             if owned_runtime is not None:

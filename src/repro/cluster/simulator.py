@@ -160,29 +160,18 @@ class ClusterSimulator:
                     "simulation deadlocked: no runnable tasks but "
                     f"{len(pending)} tasks still blocked (cycle in dependencies?)"
                 )
-            end_time, _, task = heapq.heappop(running)
-            now = end_time
-            completed += 1
-            device = self.cluster.device(task.device)
-            for key in task.memory_releases:
-                device.release(key)
-            device_busy[task.device] = False
-            for dependent_id in dependents[task.task_id]:
-                unmet[dependent_id] -= 1
-                if unmet[dependent_id] == 0:
-                    dependent = by_id[dependent_id]
-                    ready[dependent.device].append(dependent)
-            # Drain any completions that happen at exactly the same instant
-            # before making new scheduling decisions, so policies see the
-            # full ready set (keeps traces deterministic).
+            # Drain every completion that happens at this instant before
+            # making new scheduling decisions, so policies see the full
+            # ready set (keeps traces deterministic).
+            now = running[0][0]
             while running and running[0][0] == now:
-                end_time, _, finished = heapq.heappop(running)
+                _, _, task = heapq.heappop(running)
                 completed += 1
-                finished_device = self.cluster.device(finished.device)
-                for key in finished.memory_releases:
-                    finished_device.release(key)
-                device_busy[finished.device] = False
-                for dependent_id in dependents[finished.task_id]:
+                device = self.cluster.device(task.device)
+                for key in task.memory_releases:
+                    device.release(key)
+                device_busy[task.device] = False
+                for dependent_id in dependents[task.task_id]:
                     unmet[dependent_id] -= 1
                     if unmet[dependent_id] == 0:
                         dependent = by_id[dependent_id]

@@ -28,13 +28,15 @@ from repro.optim.optimizer import Optimizer
 from repro.profiling.cost_model import ModelProfile
 from repro.scheduler.base import ScheduleResult, Strategy, StrategyOutcome
 from repro.scheduler.hybrid import HybridShardDataParallelStrategy
-from repro.scheduler.model_parallel import ModelParallelStrategy
 from repro.scheduler.policies import get_policy
 from repro.scheduler.shard_parallel import ShardParallelStrategy
-from repro.scheduler.single_device import SingleDeviceStrategy
+from repro.scheduler.sequential import (
+    ModelParallelStrategy,
+    SingleDeviceStrategy,
+    TaskParallelStrategy,
+)
 from repro.scheduler.spill import SpilledShardParallelStrategy
 from repro.scheduler.task import TrainingJob
-from repro.scheduler.task_parallel import TaskParallelStrategy
 from repro.selection.experiment import SelectionResult, TrialConfig
 from repro.sharding.partitioner import make_plan
 from repro.sharding.plan import ShardingPlan

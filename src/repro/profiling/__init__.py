@@ -11,7 +11,6 @@ from repro.profiling.cost_model import (
     bytes_for_params,
     FLOAT32_BYTES,
 )
-from repro.profiling.profiler import profile_model, profile_config
 
 __all__ = [
     "BlockCost",
@@ -23,6 +22,4 @@ __all__ = [
     "transformer_layer_cost",
     "bytes_for_params",
     "FLOAT32_BYTES",
-    "profile_model",
-    "profile_config",
 ]

@@ -1,22 +1,32 @@
-"""Scheduling strategies: how multi-model training work is mapped onto devices.
+"""Scheduling: how multi-model training work is mapped onto devices.
 
-The strategies reproduce the three execution regimes the paper compares
-(Figure 2) plus the Cerebro-style hybrid it plans (§4.1):
+A schedule is a value.  Every strategy implements one method,
+``plan(jobs, cluster) -> SchedulePlan`` (:mod:`repro.scheduler.plan`): waves
+of jobs, each with its shard-task graph, placement, extra ordering edges and
+priorities, plus how memory is accounted and which shards live on the host.
+:meth:`repro.scheduler.base.Strategy.schedule` is the one executor: it lowers
+a plan to simulator tasks, runs the cluster simulator wave by wave and builds
+the :class:`~repro.scheduler.base.ScheduleResult`.  The within-batch task
+order and the staggered device rule come from :mod:`repro.sharding.order`,
+which the real engine (:mod:`repro.training.sharded_trainer`) reads too.
 
-* :class:`~repro.scheduler.single_device.SingleDeviceStrategy` — everything
-  on one GPU, sequentially (the reference point).
-* :class:`~repro.scheduler.task_parallel.TaskParallelStrategy` — one whole
-  model per GPU (Ray-Tune-style model selection).
-* :class:`~repro.scheduler.model_parallel.ModelParallelStrategy` — classic
-  model parallelism: one model at a time, sharded across all GPUs.
+The strategies are the three regimes the paper compares (Figure 2), the
+Cerebro-style hybrid it plans (§4.1) and host offload; each contributes only
+its rules:
+
+* :class:`~repro.scheduler.sequential.SingleDeviceStrategy` — every shard on
+  one GPU, all jobs in one queue (the reference point).
+* :class:`~repro.scheduler.sequential.TaskParallelStrategy` — job ``j`` on
+  GPU ``j mod D``, one queue per GPU (Ray-Tune-style model selection).
+* :class:`~repro.scheduler.sequential.ModelParallelStrategy` — shard ``i`` on
+  GPU ``i mod D``, all jobs in one queue (classic model parallelism).
 * :class:`~repro.scheduler.shard_parallel.ShardParallelStrategy` — **Hydra**:
-  every model sharded, shards of *different* models interleaved so no device
-  waits on a single model's sequential dependency chain.
+  staggered placement and no queues, so shards of *different* models
+  interleave and no device waits on one model's sequential dependency chain.
 * :class:`~repro.scheduler.hybrid.HybridShardDataParallelStrategy` — Hydra
-  shards combined with Cerebro-style data-partition hopping.
-* :class:`~repro.scheduler.spill.SpilledShardParallelStrategy` — shard
-  parallelism with host offload: over-memory workloads run in a single wave,
-  idle shards spilled to host DRAM and streamed in around each pass.
+  shards plus Cerebro-style hopping: a job is a chain of per-partition chunks.
+* :class:`~repro.scheduler.spill.SpilledShardParallelStrategy` — one wave no
+  matter the memory: idle shards live in host DRAM, streamed in around passes.
 """
 
 from repro.scheduler.task import TaskKind, ShardTask, TrainingJob, build_task_graph
@@ -35,10 +45,13 @@ from repro.scheduler.policies import (
     get_policy,
 )
 from repro.scheduler.ranking import compute_upward_ranks
+from repro.scheduler.plan import SchedulePlan
 from repro.scheduler.base import Strategy, ScheduleResult
-from repro.scheduler.single_device import SingleDeviceStrategy
-from repro.scheduler.task_parallel import TaskParallelStrategy
-from repro.scheduler.model_parallel import ModelParallelStrategy
+from repro.scheduler.sequential import (
+    SingleDeviceStrategy,
+    TaskParallelStrategy,
+    ModelParallelStrategy,
+)
 from repro.scheduler.shard_parallel import ShardParallelStrategy
 from repro.scheduler.hybrid import HybridShardDataParallelStrategy
 from repro.scheduler.spill import (
@@ -63,6 +76,7 @@ __all__ = [
     "random_policy",
     "get_policy",
     "compute_upward_ranks",
+    "SchedulePlan",
     "Strategy",
     "ScheduleResult",
     "SingleDeviceStrategy",

@@ -1,4 +1,4 @@
-"""Strategy interface and shared machinery for converting shard tasks to simulator tasks."""
+"""Strategy interface, the one plan executor, and the result types it reports."""
 
 from __future__ import annotations
 
@@ -6,10 +6,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.device import Device, GPU_PRESETS
 from repro.cluster.simulator import ClusterSimulator, SimTask
 from repro.cluster.trace import ExecutionTrace
-from repro.scheduler.placement import Placement
-from repro.scheduler.task import ShardTask, TaskKind, TrainingJob
+from repro.exceptions import SchedulingError
+from repro.scheduler.placement import Placement, charge_placement, release_placement
+from repro.scheduler.plan import SchedulePlan
+from repro.scheduler.task import TrainingJob
 
 
 @dataclass
@@ -68,18 +71,13 @@ class ScheduleResult:
         cluster, ``span_seconds`` the window it was in flight), how long its
         tasks occupied devices, and its own sample throughput.  This is what
         lets a selection backend attribute a multi-model simulation back to
-        individual trials.
+        individual trials.  Records are matched on their ``job`` tag — the
+        owning job, which under the hybrid strategy is not the ``model`` tag
+        (that names the chunk).
         """
         metrics: Dict[str, Dict[str, float]] = {}
         for job in self.jobs:
-            records = self.trace.records_for(model=job.model_id)
-            if not records:
-                metrics[job.model_id] = {
-                    "start_seconds": 0.0, "finish_seconds": 0.0,
-                    "span_seconds": 0.0, "busy_seconds": 0.0,
-                    "throughput_samples_per_second": 0.0,
-                }
-                continue
+            records = self.trace.records_for(job=job.model_id)
             start = min(record.start for record in records)
             finish = max(record.end for record in records)
             span = finish - start
@@ -130,7 +128,12 @@ class StrategyOutcome:
 
 
 class Strategy:
-    """Base class: a strategy maps jobs onto a cluster and simulates the run."""
+    """Base class: a strategy *plans*; :meth:`schedule` is the one executor.
+
+    Subclasses implement :meth:`plan` only.  Everything that touches the
+    simulator — lowering, memory charging, running, trace assembly — happens
+    once, in :meth:`schedule`.
+    """
 
     #: short name used in reports and benchmark tables
     name: str = "strategy"
@@ -138,101 +141,48 @@ class Strategy:
     def __init__(self, policy: Optional[Callable[[str, List[SimTask]], SimTask]] = None):
         self.policy = policy
 
-    def schedule(self, jobs: Sequence[TrainingJob], cluster: Cluster) -> ScheduleResult:  # pragma: no cover - interface
+    def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:  # pragma: no cover - interface
+        """Decide waves, task graphs, placement and memory accounting for ``jobs``.
+
+        Must not charge ``cluster``'s ledgers; raises
+        :class:`~repro.exceptions.SchedulingError` when the jobs cannot run
+        under this strategy.
+        """
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    # Shared helpers
-    # ------------------------------------------------------------------ #
-    def _simulate(self, cluster: Cluster, sim_tasks: Sequence[SimTask]) -> ExecutionTrace:
-        simulator = ClusterSimulator(cluster, policy=self.policy)
-        return simulator.run(sim_tasks)
-
-    @staticmethod
-    def to_sim_tasks(
-        tasks: Sequence[ShardTask],
-        placement: Placement,
-        extra_deps: Optional[Dict[str, List[str]]] = None,
-        track_activation_memory: bool = True,
-        priorities: Optional[Dict[str, float]] = None,
-    ) -> List[SimTask]:
-        """Pin each shard task to its placed device and attach transfer/memory effects.
-
-        ``extra_deps`` lets strategies add ordering edges beyond the intrinsic
-        training dependencies (e.g. classic model parallelism serialising
-        whole models, or wave barriers).
-        """
-        extra_deps = extra_deps or {}
-        sim_tasks: List[SimTask] = []
-        for task in tasks:
-            device = placement.device_for(task.model_id, task.shard_index)
-            transfers = []
-            if task.input_bytes > 0:
-                if task.kind == TaskKind.FORWARD and task.shard_index > 0:
-                    src = placement.device_for(task.model_id, task.shard_index - 1)
-                    transfers.append((src, task.input_bytes))
-                elif task.kind == TaskKind.BACKWARD:
-                    src = placement.device_for(task.model_id, task.shard_index + 1)
-                    transfers.append((src, task.input_bytes))
-            transfers.extend(task.extra_transfers)
-            allocations = []
-            releases = []
-            if track_activation_memory and task.activation_bytes > 0:
-                activation_key = (
-                    f"{task.model_id}/shard{task.shard_index}/activations"
-                    f"/e{task.epoch}/b{task.batch_index}"
-                )
-                if task.kind == TaskKind.FORWARD:
-                    allocations.append((activation_key, task.activation_bytes))
-                elif task.kind == TaskKind.BACKWARD:
-                    releases.append(activation_key)
-            deps = list(task.deps) + list(extra_deps.get(task.task_id, []))
-            tags = {
-                "model": task.model_id,
-                "shard": task.shard_index,
-                "kind": task.kind.value,
-                "epoch": task.epoch,
-                "batch": task.batch_index,
-            }
-            if priorities is not None:
-                tags["priority"] = priorities.get(task.task_id, 0.0)
-            sim_tasks.append(
-                SimTask(
-                    task_id=task.task_id,
-                    device=device,
-                    compute_flops=task.flops,
-                    input_transfers=transfers,
-                    memory_allocations=allocations,
-                    memory_releases=releases,
-                    deps=deps,
-                    tags=tags,
-                )
-            )
-        return sim_tasks
-
-    @staticmethod
-    def job_boundary_deps(
-        earlier_jobs: Sequence[TrainingJob],
-        later_jobs: Sequence[TrainingJob],
-        tasks_by_job: Dict[str, List[ShardTask]],
-    ) -> Dict[str, List[str]]:
-        """Barrier edges making every task of ``later_jobs`` wait for ``earlier_jobs``.
-
-        Only the *first* task of each later job gains dependencies (a later
-        job's remaining tasks already depend on its first task transitively),
-        and it waits for every *terminal* task of each earlier job — tasks no
-        other task of that job depends on (e.g. the per-shard optimizer
-        updates of the final batch).
-        """
-        extra: Dict[str, List[str]] = {}
-        barrier_tasks: List[str] = []
-        for job in earlier_jobs:
-            tasks = tasks_by_job[job.model_id]
-            depended_upon = {dep for task in tasks for dep in task.deps}
-            barrier_tasks.extend(
-                task.task_id for task in tasks if task.task_id not in depended_upon
-            )
-        for job in later_jobs:
-            first_task = tasks_by_job[job.model_id][0]
-            extra.setdefault(first_task.task_id, []).extend(barrier_tasks)
-        return extra
+    def schedule(self, jobs: Sequence[TrainingJob], cluster: Cluster) -> ScheduleResult:
+        """Plan ``jobs``, simulate the plan wave by wave, and report the trace."""
+        jobs = list(jobs)
+        if not jobs:
+            raise SchedulingError("no jobs to schedule")
+        plan = self.plan(jobs, cluster)
+        on_ledgers = plan.peak_memory_bytes is None
+        host, simulated = None, cluster
+        if plan.host_device is not None:
+            # Same devices plus a fresh host-memory endpoint: spill traffic
+            # gets its own lane on the timeline and overlaps device compute.
+            host = Device(GPU_PRESETS["cpu-host"], name=plan.host_device)
+            simulated = Cluster(list(cluster.devices) + [host], cluster.interconnect)
+        traces: List[ExecutionTrace] = []
+        for wave in plan.waves:
+            sim_tasks = plan.lower(wave, host)
+            if on_ledgers:
+                charge_placement(wave.jobs, cluster, wave.placement, skip=plan.spilled)
+            try:
+                traces.append(ClusterSimulator(simulated, policy=self.policy).run(sim_tasks))
+            finally:
+                if on_ledgers:
+                    release_placement(wave.jobs, cluster, wave.placement)
+        # Waves reuse the same device ledgers; concatenation keeps the
+        # per-device maximum of their peaks.
+        trace = traces[0] if len(traces) == 1 else ExecutionTrace.concatenate(traces)
+        if not on_ledgers:
+            trace.peak_memory_bytes = plan.peak_memory_bytes
+        return ScheduleResult(
+            strategy=self.name,
+            trace=trace,
+            jobs=jobs,
+            placements=[wave.placement for wave in plan.waves],
+            waves=len(plan.waves),
+            spilled_shards=sorted(plan.spilled),
+        )

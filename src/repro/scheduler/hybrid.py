@@ -17,12 +17,13 @@ parallelism:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.exceptions import SchedulingError
-from repro.scheduler.base import ScheduleResult, Strategy
+from repro.scheduler.base import Strategy
 from repro.scheduler.placement import Placement
+from repro.scheduler.plan import SchedulePlan, Wave
 from repro.scheduler.policies import backward_first_policy
 from repro.scheduler.task import ShardTask, TaskKind, TrainingJob, build_task_graph
 
@@ -37,11 +38,7 @@ class HybridShardDataParallelStrategy(Strategy):
         self.num_groups = num_groups
 
     # ------------------------------------------------------------------ #
-    def schedule(self, jobs: Sequence[TrainingJob], cluster: Cluster) -> ScheduleResult:
-        jobs = list(jobs)
-        if not jobs:
-            raise SchedulingError("no jobs to schedule")
-
+    def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:
         max_shards = max(job.num_shards for job in jobs)
         num_devices = len(cluster)
         if max_shards > num_devices:
@@ -69,6 +66,8 @@ class HybridShardDataParallelStrategy(Strategy):
         placement = Placement()
         all_tasks: List[ShardTask] = []
         extra_deps: Dict[str, List[str]] = {}
+        # Analytic estimate: a device hosts one shard of one model at a time.
+        group_demand = self._group_demand(jobs)
         peak_demand: Dict[str, int] = {name: 0 for name in device_names}
 
         for model_index, job in enumerate(jobs):
@@ -76,7 +75,6 @@ class HybridShardDataParallelStrategy(Strategy):
             previous_last_task: Dict[int, str] = {}
             previous_group: Optional[int] = None
             for epoch in range(job.num_epochs):
-                batch_offset = 0
                 for sub_epoch, chunk in enumerate(chunk_sizes):
                     if chunk == 0:
                         continue
@@ -91,13 +89,14 @@ class HybridShardDataParallelStrategy(Strategy):
                         samples_per_batch=job.samples_per_batch,
                     )
                     chunk_tasks = build_task_graph(chunk_job)
+                    for task in chunk_tasks:
+                        # Chunks carry their own model id (placement moves
+                        # with them); the work still belongs to ``job``.
+                        task.job_id = job.model_id
                     for shard in job.plan.shards:
                         device_name = group_devices[shard.index % len(group_devices)]
                         placement.assign(chunk_id, shard.index, device_name)
-                        peak_demand[device_name] = max(
-                            peak_demand[device_name],
-                            self._group_demand(jobs, group_size),
-                        )
+                        peak_demand[device_name] = group_demand
                     # Sequence this chunk after the model's previous chunk, and
                     # charge the parameter hop between groups.
                     if previous_last_task:
@@ -107,25 +106,19 @@ class HybridShardDataParallelStrategy(Strategy):
                                 if prior is not None:
                                     extra_deps.setdefault(task.task_id, []).append(prior)
                     if previous_group is not None and previous_group != group_index:
-                        self._charge_model_hop(
-                            chunk_tasks, job, placement, groups[previous_group], chunk_id
-                        )
+                        self._charge_model_hop(chunk_tasks, job, groups[previous_group])
                     last_by_shard: Dict[int, str] = {}
                     for task in chunk_tasks:
                         if task.kind == TaskKind.UPDATE:
                             last_by_shard[task.shard_index] = task.task_id
                     previous_last_task = last_by_shard
                     previous_group = group_index
-                    batch_offset += chunk
                     all_tasks.extend(chunk_tasks)
 
-        sim_tasks = self.to_sim_tasks(
-            all_tasks, placement, extra_deps=extra_deps, track_activation_memory=False
-        )
-        trace = self._simulate(cluster, sim_tasks)
-        trace.peak_memory_bytes = peak_demand
-        return ScheduleResult(
-            strategy=self.name, trace=trace, jobs=jobs, placements=[placement]
+        return SchedulePlan(
+            [Wave(jobs, all_tasks, placement, extra_deps=extra_deps)],
+            track_activation_memory=False,
+            peak_memory_bytes=peak_demand,
         )
 
     # ------------------------------------------------------------------ #
@@ -135,20 +128,15 @@ class HybridShardDataParallelStrategy(Strategy):
         return [base + (1 if i < remainder else 0) for i in range(num_groups)]
 
     @staticmethod
-    def _group_demand(jobs: Sequence[TrainingJob], group_size: int) -> int:
+    def _group_demand(jobs: Sequence[TrainingJob]) -> int:
         """Worst-case resident demand on one device of a group (analytic estimate)."""
-        per_model = max(
-            max(shard.working_bytes for shard in job.plan.shards) for job in jobs
-        )
-        return per_model
+        return max(shard.working_bytes for job in jobs for shard in job.plan.shards)
 
     @staticmethod
     def _charge_model_hop(
         chunk_tasks: List[ShardTask],
         job: TrainingJob,
-        placement: Placement,
         previous_group_devices: List[str],
-        chunk_id: str,
     ) -> None:
         """Attach the parameter-transfer cost of hopping a model between groups.
 

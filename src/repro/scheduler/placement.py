@@ -12,11 +12,12 @@ overflow in host memory instead of serialising it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.exceptions import SchedulingError
 from repro.scheduler.task import TrainingJob
+from repro.sharding.order import staggered_device
 from repro.sharding.shard import ModelShard
 
 ShardKey = Tuple[str, int]
@@ -51,6 +52,26 @@ def _resident_key(model_id: str, shard: ModelShard) -> str:
     return f"{model_id}/shard{shard.index}/resident"
 
 
+def charge_placement(
+    jobs: Sequence[TrainingJob],
+    cluster: Cluster,
+    placement: Placement,
+    skip: Collection[ShardKey] = (),
+) -> None:
+    """Charge every placed shard's resident bytes to its device's ledger.
+
+    ``skip`` names shards that are placed but not resident (spilled to host
+    memory).  :func:`release_placement` is the inverse.
+    """
+    for job in jobs:
+        for shard in job.plan.shards:
+            if (job.model_id, shard.index) not in skip:
+                device_name = placement.device_for(job.model_id, shard.index)
+                cluster.device(device_name).allocate(
+                    _resident_key(job.model_id, shard), shard.resident_bytes
+                )
+
+
 def round_robin_placement(
     jobs: Sequence[TrainingJob],
     cluster: Cluster,
@@ -59,21 +80,21 @@ def round_robin_placement(
 ) -> Placement:
     """Assign shard ``i`` of job ``j`` to device ``(i + offset_j) mod D``.
 
-    ``stagger=True`` offsets each job by its index so that the first shards
-    of different models land on different devices, spreading the early-pipeline
-    load — this is the placement the shard-parallel strategy uses by default.
+    ``stagger=True`` offsets each job by its index
+    (:func:`repro.sharding.order.staggered_device`, the rule the real
+    trainer places by too) so that the first shards of different models land
+    on different devices, spreading the early-pipeline load — this is the
+    placement the shard-parallel strategy uses by default.
     """
     devices = cluster.device_names()
     placement = Placement()
     for job_index, job in enumerate(jobs):
         offset = job_index if stagger else 0
         for shard in job.plan.shards:
-            device_name = devices[(shard.index + offset) % len(devices)]
-            placement.assign(job.model_id, shard.index, device_name)
-            if charge_memory:
-                cluster.device(device_name).allocate(
-                    _resident_key(job.model_id, shard), shard.resident_bytes
-                )
+            slot = staggered_device(shard.index, offset, len(devices))
+            placement.assign(job.model_id, shard.index, devices[slot])
+    if charge_memory:
+        charge_placement(jobs, cluster, placement)
     return placement
 
 
@@ -118,15 +139,13 @@ def memory_aware_placement(
             )
         placement.assign(model_id, shard.index, device_name)
         budget[device_name] -= shard.working_bytes
-        if charge_memory:
-            cluster.device(device_name).allocate(
-                _resident_key(model_id, shard), shard.resident_bytes
-            )
+    if charge_memory:
+        charge_placement(jobs, cluster, placement)
     return placement
 
 
 def release_placement(jobs: Sequence[TrainingJob], cluster: Cluster, placement: Placement) -> None:
-    """Free the resident allocations charged by a placement."""
+    """Free the resident allocations :func:`charge_placement` made."""
     for job in jobs:
         for shard in job.plan.shards:
             device_name = placement.device_for(job.model_id, shard.index)
@@ -198,16 +217,11 @@ def plan_waves(jobs: Sequence[TrainingJob], cluster: Cluster) -> List[List[Train
 
     for job in jobs:
         attempt = fits(job, free)
-        if attempt is not None:
-            current.append(job)
-            free = attempt
-            continue
-        if not current:
-            raise _unfit_job_error(job, cluster)
-        waves.append(current)
-        current = []
-        free = {d.name: d.spec.memory_bytes for d in cluster.devices}
-        attempt = fits(job, free)
+        if attempt is None and current:
+            # Close the wave and retry on the empty cluster.
+            waves.append(current)
+            current = []
+            attempt = fits(job, {d.name: d.spec.memory_bytes for d in cluster.devices})
         if attempt is None:
             raise _unfit_job_error(job, cluster)
         current.append(job)

@@ -22,15 +22,10 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.cluster.simulator import SimTask
+from repro.cluster.simulator import SimTask, fifo_policy
 from repro.exceptions import ConfigurationError
 
 _KIND_PRIORITY = {"update": 0, "backward": 1, "forward": 2}
-
-
-def fifo_policy(device: str, ready: List[SimTask]) -> SimTask:
-    """Pick the earliest-submitted ready task (ready lists are pre-sorted)."""
-    return ready[0]
 
 
 def backward_first_policy(device: str, ready: List[SimTask]) -> SimTask:

@@ -14,19 +14,17 @@ after another, and each wave internally runs shard-parallel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.trace import ExecutionTrace
-from repro.exceptions import SchedulingError
-from repro.scheduler.base import ScheduleResult, Strategy
+from repro.scheduler.base import Strategy
 from repro.scheduler.placement import (
     Placement,
     memory_aware_placement,
     plan_waves,
-    release_placement,
     round_robin_placement,
 )
+from repro.scheduler.plan import SchedulePlan, Wave
 from repro.scheduler.policies import critical_path_policy
 from repro.scheduler.ranking import compute_upward_ranks
 from repro.scheduler.task import TrainingJob, build_task_graph
@@ -41,65 +39,32 @@ class ShardParallelStrategy(Strategy):
         super().__init__(policy=policy if policy is not None else critical_path_policy)
         self.track_activation_memory = track_activation_memory
 
-    def schedule(self, jobs: Sequence[TrainingJob], cluster: Cluster) -> ScheduleResult:
-        jobs = list(jobs)
-        if not jobs:
-            raise SchedulingError("no jobs to schedule")
+    def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:
+        waves = [
+            self._wave(wave_jobs, self._place_wave(wave_jobs, cluster))
+            for wave_jobs in plan_waves(jobs, cluster)
+        ]
+        return SchedulePlan(waves, track_activation_memory=self.track_activation_memory)
 
-        waves = plan_waves(jobs, cluster)
-        traces: List[ExecutionTrace] = []
-        placements: List[Placement] = []
-        for wave_jobs in waves:
-            placement = self._place_wave(wave_jobs, cluster)
-            placements.append(placement)
-            tasks = [task for job in wave_jobs for task in build_task_graph(job)]
-            sim_tasks = self.to_sim_tasks(
-                tasks,
-                placement,
-                track_activation_memory=self.track_activation_memory,
-                priorities=compute_upward_ranks(tasks),
-            )
-            traces.append(self._simulate(cluster, sim_tasks))
-            release_placement(wave_jobs, cluster, placement)
+    @staticmethod
+    def _wave(jobs: List[TrainingJob], placement: Placement) -> Wave:
+        """The jobs' task graphs, free to interleave, ranked by critical path."""
+        tasks = [task for job in jobs for task in build_task_graph(job)]
+        return Wave(jobs, tasks, placement, priorities=compute_upward_ranks(tasks))
 
-        trace = traces[0] if len(traces) == 1 else ExecutionTrace.concatenate(traces)
-        if len(traces) > 1:
-            # Peak memory must survive concatenation even though each wave's
-            # simulation reused the same device ledgers.
-            peak = {name: 0 for name in cluster.device_names()}
-            for wave_trace in traces:
-                for name, value in wave_trace.peak_memory_bytes.items():
-                    peak[name] = max(peak[name], value)
-            trace.peak_memory_bytes = peak
-        return ScheduleResult(
-            strategy=self.name,
-            trace=trace,
-            jobs=jobs,
-            placements=placements,
-            waves=len(waves),
-        )
-
-    # ------------------------------------------------------------------ #
     @staticmethod
     def _place_wave(wave_jobs: Sequence[TrainingJob], cluster: Cluster) -> Placement:
-        """Place one wave's shards.
+        """Place one wave's shards (on the empty cluster every wave starts from).
 
-        A *staggered round-robin* placement (shard ``i`` of job ``j`` on
-        device ``(i + j) mod D``) interleaves early- and late-pipeline shards
-        of different models on every device, which is what lets one model's
-        backward fill another model's forward bubble.  It is used whenever it
-        fits the per-device working-memory budget; otherwise placement falls
-        back to greedy best-fit packing.
+        The *staggered round-robin* placement is used whenever it fits the
+        per-device working-memory budget; otherwise placement falls back to
+        greedy best-fit packing.
         """
+        staggered = round_robin_placement(wave_jobs, cluster, stagger=True, charge_memory=False)
         demand = {name: 0 for name in cluster.device_names()}
-        names = cluster.device_names()
-        for job_index, job in enumerate(wave_jobs):
+        for job in wave_jobs:
             for shard in job.plan.shards:
-                device_name = names[(shard.index + job_index) % len(names)]
-                demand[device_name] += shard.working_bytes
-        fits = all(
-            demand[device.name] <= device.free_bytes for device in cluster.devices
-        )
-        if fits:
-            return round_robin_placement(wave_jobs, cluster, stagger=True, charge_memory=True)
-        return memory_aware_placement(wave_jobs, cluster, charge_memory=True)
+                demand[staggered.device_for(job.model_id, shard.index)] += shard.working_bytes
+        if all(demand[device.name] <= device.free_bytes for device in cluster.devices):
+            return staggered
+        return memory_aware_placement(wave_jobs, cluster, charge_memory=False)

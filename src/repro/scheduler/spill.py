@@ -10,14 +10,15 @@ rejected when even a single shard's working set exceeds a device, so
 workloads that :func:`~repro.scheduler.placement.plan_waves` would
 serialize into waves (or reject outright) run at full task parallelism.
 
-:class:`SpilledShardParallelStrategy` is the execution half: the ordinary
-shard-parallel task graph plus, for every spilled shard and batch, explicit
-``spill-fetch`` / ``spill-writeback`` transfer tasks.  Those tasks run on a
-dedicated ``host`` endpoint added to the simulated cluster, so they appear
-on the trace timeline in their own lane and *overlap* device compute
-(utilization accounting includes the transfer time); the spilled shard's
-resident bytes are charged to the device ledger only for the duration of
-each pass, which is what lets the over-memory workload fit.
+:class:`SpilledShardParallelStrategy` turns that into a plan: the ordinary
+shard-parallel wave plus the spilled set and a host endpoint.  Lowering
+(:meth:`repro.scheduler.plan.SchedulePlan.lower`) then adds, for every
+spilled shard and batch, explicit ``spill-fetch`` / ``spill-writeback``
+transfer tasks on the ``host`` endpoint, so they appear on the trace
+timeline in their own lane and *overlap* device compute (utilization
+accounting includes the transfer time); the spilled shard's resident bytes
+are charged to the device ledger only for the duration of each pass, which
+is what lets the over-memory workload fit.
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.device import Device, GPU_PRESETS
-from repro.cluster.trace import ExecutionTrace
 from repro.exceptions import SchedulingError
-from repro.scheduler.base import ScheduleResult
-from repro.scheduler.placement import Placement, ShardKey
-from repro.scheduler.ranking import compute_upward_ranks
+from repro.scheduler.placement import (
+    Placement,
+    ShardKey,
+    charge_placement,
+    round_robin_placement,
+)
+from repro.scheduler.plan import HOST_DEVICE_NAME, SchedulePlan
 from repro.scheduler.shard_parallel import ShardParallelStrategy
-from repro.scheduler.task import TaskKind, TrainingJob, build_task_graph, task_id_for
+from repro.scheduler.task import TrainingJob
 from repro.sharding.shard import ModelShard
-
-#: name of the host-memory endpoint added to the simulated cluster
-HOST_DEVICE_NAME = "host"
 
 
 @dataclass
@@ -58,10 +58,6 @@ class SpillPlan:
         return len(self.spilled)
 
 
-def _resident_key(model_id: str, shard: ModelShard) -> str:
-    return f"{model_id}/shard{shard.index}/resident"
-
-
 def spill_aware_placement(
     jobs: Sequence[TrainingJob],
     cluster: Cluster,
@@ -70,8 +66,8 @@ def spill_aware_placement(
     """Place every shard, marking the overflow as spilled instead of failing.
 
     Compute placement comes first: the staggered round-robin that makes
-    shard parallelism interleave well (shard ``i`` of job ``j`` on device
-    ``(i + j) mod D`` — the same layout
+    shard parallelism interleave well
+    (:func:`~repro.scheduler.placement.round_robin_placement` — the layout
     :class:`~repro.scheduler.shard_parallel.ShardParallelStrategy` prefers).
     Then, per device, the *residency* decision: shards stay resident in
     descending resident-byte order for as long as the device can hold
@@ -91,14 +87,14 @@ def spill_aware_placement(
     cannot admit a device's assignment — its largest shard plus the
     assigned activations exceed the device.
     """
-    placement = Placement()
+    placement = round_robin_placement(jobs, cluster, stagger=True, charge_memory=False)
     spilled: Set[ShardKey] = set()
-    device_names = cluster.device_names()
-    assigned: Dict[str, List[Tuple[str, ModelShard]]] = {name: [] for name in device_names}
-    for job_index, job in enumerate(jobs):
+    assigned: Dict[str, List[Tuple[str, ModelShard]]] = {
+        name: [] for name in cluster.device_names()
+    }
+    for job in jobs:
         for shard in job.plan.shards:
-            device_name = device_names[(shard.index + job_index) % len(device_names)]
-            placement.assign(job.model_id, shard.index, device_name)
+            device_name = placement.device_for(job.model_id, shard.index)
             assigned[device_name].append((job.model_id, shard))
 
     for device_name, shard_list in assigned.items():
@@ -111,12 +107,10 @@ def spill_aware_placement(
             shard_list, key=lambda item: (-item[1].resident_bytes, item[0], item[1].index)
         )
         resident_sum = 0
-        residents: List[Tuple[str, ModelShard]] = []
         for position, (model_id, shard) in enumerate(ordered):
             remaining = ordered[position + 1:]
             slot = max((s.resident_bytes for _, s in remaining), default=0)
             if resident_sum + shard.resident_bytes + slot <= budget:
-                residents.append((model_id, shard))
                 resident_sum += shard.resident_bytes
             else:
                 spilled.update((mid, s.index) for mid, s in ordered[position:])
@@ -132,24 +126,9 @@ def spill_aware_placement(
                         f"host spilling"
                     )
                 break
-        if charge_memory:
-            for model_id, shard in residents:
-                device.allocate(_resident_key(model_id, shard), shard.resident_bytes)
+    if charge_memory:
+        charge_placement(jobs, cluster, placement, skip=spilled)
     return SpillPlan(placement=placement, spilled=spilled)
-
-
-def release_spill_plan(
-    jobs: Sequence[TrainingJob], cluster: Cluster, plan: SpillPlan
-) -> None:
-    """Free the resident charges made by :func:`spill_aware_placement`."""
-    for job in jobs:
-        for shard in job.plan.shards:
-            if plan.is_spilled(job.model_id, shard.index):
-                continue
-            device = cluster.device(plan.placement.device_for(job.model_id, shard.index))
-            key = _resident_key(job.model_id, shard)
-            if device.holds(key):
-                device.release(key)
 
 
 class SpilledShardParallelStrategy(ShardParallelStrategy):
@@ -164,127 +143,11 @@ class SpilledShardParallelStrategy(ShardParallelStrategy):
 
     name = "spilled-shard-parallel"
 
-    def schedule(self, jobs: Sequence[TrainingJob], cluster: Cluster) -> ScheduleResult:
-        """Place (spill-aware), build the task graph + transfers, simulate."""
-        jobs = list(jobs)
-        if not jobs:
-            raise SchedulingError("no jobs to schedule")
-        plan = spill_aware_placement(jobs, cluster, charge_memory=True)
-        tasks = [task for job in jobs for task in build_task_graph(job)]
-        sim_tasks = self.to_sim_tasks(
-            tasks,
-            plan.placement,
+    def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:
+        spill_plan = spill_aware_placement(jobs, cluster, charge_memory=False)
+        return SchedulePlan(
+            [self._wave(jobs, spill_plan.placement)],
             track_activation_memory=self.track_activation_memory,
-            priorities=compute_upward_ranks(tasks),
+            spilled=spill_plan.spilled,
+            host_device=spill_plan.host_device,
         )
-        augmented, host = self._with_host(cluster)
-        sim_tasks = self._add_spill_traffic(sim_tasks, jobs, plan, cluster, host)
-        trace = self._simulate(augmented, sim_tasks)
-        release_spill_plan(jobs, cluster, plan)
-        return ScheduleResult(
-            strategy=self.name,
-            trace=trace,
-            jobs=jobs,
-            placements=[plan.placement],
-            waves=1,
-            spilled_shards=sorted(plan.spilled),
-        )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _with_host(cluster: Cluster) -> Tuple[Cluster, Device]:
-        """The same devices plus a fresh host-memory endpoint for transfers."""
-        host = Device(GPU_PRESETS["cpu-host"], name=HOST_DEVICE_NAME)
-        return Cluster(list(cluster.devices) + [host], cluster.interconnect), host
-
-    def _add_spill_traffic(
-        self,
-        sim_tasks: List,
-        jobs: Sequence[TrainingJob],
-        plan: SpillPlan,
-        cluster: Cluster,
-        host: Device,
-    ) -> List:
-        """Weave fetch/writeback tasks and transient residency into the graph.
-
-        Per spilled shard and mini-batch: a ``spill-fetch`` before the
-        forward, another before the backward (the shard is dropped after its
-        forward), and a ``spill-writeback`` after the update.  Fetch and
-        writeback run on the host endpoint, so they overlap device compute;
-        the device ledger holds the shard's resident bytes only while one of
-        its own passes runs (allocated at task start, released at task end),
-        thanks to device exclusivity never stacking two passes.
-        """
-        from repro.cluster.simulator import SimTask
-
-        by_id: Dict[str, SimTask] = {task.task_id: task for task in sim_tasks}
-        extra: List[SimTask] = []
-        for job in jobs:
-            for shard in job.plan.shards:
-                if not plan.is_spilled(job.model_id, shard.index):
-                    continue
-                device_name = plan.placement.device_for(job.model_id, shard.index)
-                moved = shard.resident_bytes
-                # Host DRAM holds the spilled shard for the whole run.
-                host.allocate(f"spill/{job.model_id}/shard{shard.index}", moved)
-                previous_writeback = None
-                for epoch in range(job.num_epochs):
-                    for batch in range(job.batches_per_epoch):
-                        ids = {
-                            kind: task_id_for(job.model_id, epoch, batch, shard.index, kind)
-                            for kind in (TaskKind.FORWARD, TaskKind.BACKWARD, TaskKind.UPDATE)
-                        }
-                        tags = {
-                            "model": job.model_id,
-                            "shard": shard.index,
-                            "epoch": epoch,
-                            "batch": batch,
-                        }
-                        # Transfer tasks carry their bytes as input_transfers,
-                        # so the trace attributes their whole duration to
-                        # transfer_seconds (not compute).
-                        fetch_fwd = SimTask(
-                            task_id=f"{ids[TaskKind.FORWARD]}/spill-fetch",
-                            device=HOST_DEVICE_NAME,
-                            input_transfers=[(device_name, moved)],
-                            deps=[previous_writeback] if previous_writeback else [],
-                            tags={**tags, "kind": "spill-fetch"},
-                        )
-                        fetch_bwd = SimTask(
-                            task_id=f"{ids[TaskKind.BACKWARD]}/spill-fetch",
-                            device=HOST_DEVICE_NAME,
-                            input_transfers=[(device_name, moved)],
-                            deps=[ids[TaskKind.FORWARD]],
-                            tags={**tags, "kind": "spill-fetch"},
-                        )
-                        writeback = SimTask(
-                            task_id=f"{ids[TaskKind.UPDATE]}/spill-writeback",
-                            device=HOST_DEVICE_NAME,
-                            input_transfers=[(device_name, moved)],
-                            deps=[ids[TaskKind.UPDATE]],
-                            tags={**tags, "kind": "spill-writeback"},
-                        )
-                        extra.extend([fetch_fwd, fetch_bwd, writeback])
-                        # Transient residency, strictly task-scoped (charged
-                        # at each pass's start, freed at its end): device
-                        # exclusivity then guarantees at most one spilled
-                        # shard's bytes are ever charged per device — which is
-                        # exactly the single transient slot the placement
-                        # budgeted.
-                        for kind in (TaskKind.FORWARD, TaskKind.BACKWARD, TaskKind.UPDATE):
-                            pass_task = by_id[ids[kind]]
-                            resident = f"{ids[kind]}/spill-resident"
-                            pass_task.memory_allocations = list(
-                                pass_task.memory_allocations
-                            ) + [(resident, moved)]
-                            pass_task.memory_releases = list(
-                                pass_task.memory_releases
-                            ) + [resident]
-                        forward = by_id[ids[TaskKind.FORWARD]]
-                        backward = by_id[ids[TaskKind.BACKWARD]]
-                        update = by_id[ids[TaskKind.UPDATE]]
-                        forward.deps = list(forward.deps) + [fetch_fwd.task_id]
-                        backward.deps = list(backward.deps) + [fetch_bwd.task_id]
-                        update.deps = list(update.deps) + [fetch_bwd.task_id]
-                        previous_writeback = writeback.task_id
-        return sim_tasks + extra

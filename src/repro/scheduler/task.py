@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.exceptions import SchedulingError
+from repro.sharding.order import LOSS, batch_order
 from repro.sharding.plan import ShardingPlan
 
 #: optimizer-update FLOPs per parameter (Adam: ~6 multiply-adds per scalar)
@@ -61,6 +63,9 @@ class ShardTask:
     activation_bytes: int
     deps: List[str] = field(default_factory=list)
     extra_transfers: List[tuple] = field(default_factory=list)
+    #: the job this task's work is accounted to, when a strategy runs a job
+    #: as several sub-jobs under their own ``model_id`` (hybrid's chunks)
+    job_id: Optional[str] = None
 
     @property
     def shard_key(self) -> str:
@@ -104,87 +109,64 @@ def build_task_graph(
     job: TrainingJob,
     include_updates: bool = True,
 ) -> List[ShardTask]:
-    """Compile one job into its ordered list of :class:`ShardTask` items."""
-    plan = job.plan
-    shards = plan.shards
-    num_shards = len(shards)
+    """Compile one job into its ordered list of :class:`ShardTask` items.
+
+    Within a mini-batch the tasks follow
+    :func:`repro.sharding.order.batch_order` — the same order the real
+    engine executes — minus the loss, which the cost model folds into the
+    final shard's forward.
+    """
+    shards = job.plan.shards
+    last = len(shards) - 1
+    order = [
+        (TaskKind(kind), index)
+        for kind, index in batch_order(len(shards), updates=include_updates)
+        if kind != LOSS
+    ]
+    anchor = TaskKind.UPDATE if include_updates else TaskKind.BACKWARD
     tasks: List[ShardTask] = []
-
-    def previous_batch(epoch: int, batch: int) -> Optional[tuple]:
-        if batch > 0:
-            return (epoch, batch - 1)
-        if epoch > 0:
-            return (epoch - 1, job.batches_per_epoch - 1)
-        return None
-
+    prior: Optional[tuple] = None  # (epoch, batch) of the previous mini-batch
     for epoch in range(job.num_epochs):
         for batch in range(job.batches_per_epoch):
-            # Forward chain.
-            for shard_index, shard in enumerate(shards):
-                deps: List[str] = []
-                if shard_index > 0:
-                    deps.append(task_id_for(job.model_id, epoch, batch, shard_index - 1, TaskKind.FORWARD))
-                prior = previous_batch(epoch, batch)
-                if prior is not None:
-                    prior_epoch, prior_batch = prior
-                    anchor = TaskKind.UPDATE if include_updates else TaskKind.BACKWARD
-                    deps.append(task_id_for(job.model_id, prior_epoch, prior_batch, shard_index, anchor))
+            tid = partial(task_id_for, job.model_id, epoch, batch)  # tid(shard, kind)
+            for kind, index in order:
+                shard = shards[index]
+                if kind is TaskKind.FORWARD:
+                    deps = [tid(index - 1, kind)] if index > 0 else []
+                    if prior is not None:
+                        # Weights must be current: no pipelining across batches.
+                        deps.append(task_id_for(job.model_id, *prior, index, anchor))
+                    flops, input_bytes = shard.forward_flops, shard.input_bytes
+                    output_bytes, activation_bytes = shard.output_bytes, shard.activation_bytes
+                elif kind is TaskKind.BACKWARD:
+                    deps = [tid(index, TaskKind.FORWARD)]
+                    if index < last:
+                        deps.append(tid(index + 1, kind))
+                    flops = shard.backward_flops
+                    # The gradient flowing into this shard from downstream has
+                    # the size of this shard's output activation.
+                    input_bytes = shard.output_bytes if index < last else 0
+                    output_bytes, activation_bytes = shard.input_bytes, shard.activation_bytes
+                else:
+                    deps = [tid(index, TaskKind.BACKWARD)]
+                    flops = shard.param_count * UPDATE_FLOPS_PER_PARAM
+                    input_bytes = output_bytes = activation_bytes = 0
                 tasks.append(
                     ShardTask(
-                        task_id=task_id_for(job.model_id, epoch, batch, shard_index, TaskKind.FORWARD),
+                        task_id=tid(index, kind),
                         model_id=job.model_id,
-                        shard_index=shard_index,
-                        kind=TaskKind.FORWARD,
+                        shard_index=index,
+                        kind=kind,
                         epoch=epoch,
                         batch_index=batch,
-                        flops=shard.forward_flops,
-                        input_bytes=shard.input_bytes,
-                        output_bytes=shard.output_bytes,
-                        activation_bytes=shard.activation_bytes,
+                        flops=flops,
+                        input_bytes=input_bytes,
+                        output_bytes=output_bytes,
+                        activation_bytes=activation_bytes,
                         deps=deps,
                     )
                 )
-            # Backward chain (reverse order).
-            for shard_index in reversed(range(num_shards)):
-                shard = shards[shard_index]
-                deps = [task_id_for(job.model_id, epoch, batch, shard_index, TaskKind.FORWARD)]
-                if shard_index < num_shards - 1:
-                    deps.append(task_id_for(job.model_id, epoch, batch, shard_index + 1, TaskKind.BACKWARD))
-                tasks.append(
-                    ShardTask(
-                        task_id=task_id_for(job.model_id, epoch, batch, shard_index, TaskKind.BACKWARD),
-                        model_id=job.model_id,
-                        shard_index=shard_index,
-                        kind=TaskKind.BACKWARD,
-                        epoch=epoch,
-                        batch_index=batch,
-                        flops=shard.backward_flops,
-                        # The gradient flowing into this shard from downstream has the
-                        # size of this shard's output activation.
-                        input_bytes=shard.output_bytes if shard_index < num_shards - 1 else 0,
-                        output_bytes=shard.input_bytes,
-                        activation_bytes=shard.activation_bytes,
-                        deps=deps,
-                    )
-                )
-            # Per-shard optimizer updates.
-            if include_updates:
-                for shard_index, shard in enumerate(shards):
-                    tasks.append(
-                        ShardTask(
-                            task_id=task_id_for(job.model_id, epoch, batch, shard_index, TaskKind.UPDATE),
-                            model_id=job.model_id,
-                            shard_index=shard_index,
-                            kind=TaskKind.UPDATE,
-                            epoch=epoch,
-                            batch_index=batch,
-                            flops=shard.param_count * UPDATE_FLOPS_PER_PARAM,
-                            input_bytes=0,
-                            output_bytes=0,
-                            activation_bytes=0,
-                            deps=[task_id_for(job.model_id, epoch, batch, shard_index, TaskKind.BACKWARD)],
-                        )
-                    )
+            prior = (epoch, batch)
     return tasks
 
 

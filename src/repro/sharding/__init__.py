@@ -9,6 +9,7 @@ from repro.sharding.partitioner import (
     make_plan,
 )
 from repro.sharding.validation import validate_plan
+from repro.sharding.order import batch_order, staggered_device
 
 __all__ = [
     "ModelShard",
@@ -18,4 +19,6 @@ __all__ = [
     "partition_by_memory_limit",
     "make_plan",
     "validate_plan",
+    "batch_order",
+    "staggered_device",
 ]

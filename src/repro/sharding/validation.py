@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, TYPE_CHECKING
 
-from repro.cluster.device import DeviceSpec
 from repro.exceptions import PartitionError
 from repro.sharding.plan import ShardingPlan
+
+if TYPE_CHECKING:  # annotation only: importing repro.sharding must not load the simulator
+    from repro.cluster.device import DeviceSpec
 
 
 def validate_plan(plan: ShardingPlan, device_spec: DeviceSpec, strict: bool = True) -> List[str]:

@@ -26,8 +26,11 @@ only on its own gradient, state, and the shared step counter.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -36,12 +39,17 @@ from repro.data.dataloader import Batch, DataLoader
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.models.base import ShardableModel
 from repro.optim.optimizer import Optimizer
+from repro.sharding.order import FORWARD, LOSS, batch_order, staggered_device
 from repro.telemetry import NULL_TELEMETRY
 from repro.training.metrics import MetricTracker
 from repro.training.trainer import TrainingReport
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an api/training cycle
     from repro.memory.spill import SpillManager
+
+
+#: what a task of a fully-resident executor runs under: nothing to lease
+_RESIDENT = nullcontext()
 
 
 def _detach_state(state: Any) -> Any:
@@ -85,6 +93,9 @@ class ShardedModelExecutor:
         self.model = model
         self.boundaries = [tuple(b) for b in boundaries]
         self._validate_boundaries()
+        #: one mini-batch's ``(kind, shard)`` tasks in execution order — the
+        #: order the cost model's ``build_task_graph`` compiles too
+        self.order = batch_order(self.num_shards, updates=False)
         self._contexts: List[_ShardContext] = []
         self._loss: Optional[Tensor] = None
         self._memory: Optional["SpillManager"] = None
@@ -186,15 +197,33 @@ class ShardedModelExecutor:
         return (self._memory_model_id, shard_index)
 
     def _announce_schedule(self) -> None:
-        """Declare this batch's access order: forward chain, the loss's lease
-        of the final shard, then the backward chain — every acquire consumes
-        one announced slot, so the loss access must appear or the
+        """Declare this batch's access order — one slot per task of
+        :attr:`order`, the loss's lease of the final shard included: every
+        acquire consumes one announced slot, so without it the
         schedule-aware policy would see the final shard as hop-less right
         before its backward and evict exactly the shard needed next."""
-        forward = [self._shard_key(i) for i in range(self.num_shards)]
-        loss = [self._shard_key(self.num_shards - 1)]
-        backward = [self._shard_key(i) for i in reversed(range(self.num_shards))]
-        self._memory.announce(self._memory_model_id, forward + loss + backward)
+        self._memory.announce(
+            self._memory_model_id, [self._shard_key(shard) for _, shard in self.order]
+        )
+
+    def _leased(self, shard_index: int, then: Optional[int] = None) -> ContextManager[None]:
+        """Context holding one shard for the duration of a task.
+
+        Nothing to hold for a fully-resident executor.  With a bound spill
+        manager the shard is leased (restored from host if evicted), and the
+        fetch of shard ``then`` — the one the chain needs next, if it exists
+        — is kicked off first so it overlaps this task's compute.
+        """
+        if self._memory is None:
+            return _RESIDENT
+        return self._spilled_lease(shard_index, then)
+
+    @contextmanager
+    def _spilled_lease(self, shard_index: int, then: Optional[int]) -> Iterator[None]:
+        with self._memory.lease(self._shard_key(shard_index)):
+            if then is not None and 0 <= then < self.num_shards:
+                self._memory.prefetch(self._shard_key(then))
+            yield
 
     # ------------------------------------------------------------------ #
     # Fine-grained task API (mirrors the scheduler's FORWARD/BACKWARD/UPDATE)
@@ -218,99 +247,81 @@ class ShardedModelExecutor:
         self._contexts = []
         self._loss = None
 
+    def run_task(self, kind: str, shard_index: int, batch: Batch) -> Any:
+        """Execute one ``(kind, shard)`` entry of :attr:`order`."""
+        if kind == FORWARD:
+            return self.run_forward(shard_index, batch)
+        if kind == LOSS:
+            return self.compute_loss(batch)
+        return self.run_backward(shard_index)
+
     def run_forward(self, shard_index: int, batch: Batch) -> Any:
-        """Forward pass of one shard; stores the boundary input and output.
-
-        With a bound spill manager the shard is leased for the duration of
-        the pass (restored from host if evicted) and the *next* shard's
-        fetch is kicked off first so it overlaps this shard's compute.
-        """
-        if self._memory is None:
-            return self._forward_body(shard_index, batch)
-        with self._memory.lease(self._shard_key(shard_index)):
-            if shard_index + 1 < self.num_shards:
-                self._memory.prefetch(self._shard_key(shard_index + 1))
-            return self._forward_body(shard_index, batch)
-
-    def _forward_body(self, shard_index: int, batch: Batch) -> Any:
-        context = self._contexts[shard_index]
-        if shard_index == 0:
-            state: Any = None
-        else:
-            upstream = self._contexts[shard_index - 1].output
-            state = _detach_state(upstream)
-        context.boundary_input = state
-        start, stop = self.boundaries[shard_index]
-        for block_index in range(start, stop):
-            state = self.model.run_block(block_index, state, batch)
-        context.output = state
-        return state
+        """Forward pass of one shard; stores the boundary input and output."""
+        with self._leased(shard_index, then=shard_index + 1):
+            context = self._contexts[shard_index]
+            if shard_index == 0:
+                state: Any = None
+            else:
+                upstream = self._contexts[shard_index - 1].output
+                state = _detach_state(upstream)
+            context.boundary_input = state
+            start, stop = self.boundaries[shard_index]
+            for block_index in range(start, stop):
+                state = self.model.run_block(block_index, state, batch)
+            context.output = state
+            return state
 
     def compute_loss(self, batch: Batch) -> Tensor:
         """Loss on the final shard's output (graph still attached to that shard only)."""
-        if self._memory is None:
-            final_output = self._contexts[-1].output
-            self._loss = self.model.compute_loss(final_output, batch)
-            return self._loss
         # Leased in case the loss head reads parameters of the final shard.
-        with self._memory.lease(self._shard_key(self.num_shards - 1)):
-            final_output = self._contexts[-1].output
-            self._loss = self.model.compute_loss(final_output, batch)
+        with self._leased(self.num_shards - 1):
+            self._loss = self.model.compute_loss(self._contexts[-1].output, batch)
             return self._loss
 
     def run_backward(self, shard_index: int) -> None:
         """Backward pass of one shard, consuming the downstream boundary gradient.
 
-        With a bound spill manager the shard is leased for the pass, the
-        *previous* shard's fetch is started first (it is the next one the
-        backward chain needs), and the shard's optimizer update runs inline
-        before the lease ends — the only window in which its parameters,
-        gradients, and optimizer state are all guaranteed resident.
+        Under a spill manager the shard's optimizer update runs inline before
+        the lease ends — the only window in which its parameters, gradients,
+        and optimizer state are all guaranteed resident.
         """
-        if self._memory is None:
-            self._backward_body(shard_index)
-            return
-        if self._memory_optimizer is None:
+        if self._memory is not None and self._memory_optimizer is None:
             raise SchedulingError(
                 "this executor was bound for inference only (bind_memory "
                 "without an optimizer); spilled backward passes need the "
                 "optimizer registered so per-shard updates can run inline"
             )
-        with self._memory.lease(self._shard_key(shard_index)):
-            if shard_index > 0:
-                self._memory.prefetch(self._shard_key(shard_index - 1))
-            self._backward_body(shard_index)
-            if self._advance_pending:
-                self._memory_optimizer.advance_step()
-                self._advance_pending = False
-            self._memory_optimizer.step_params(self.shard_parameters(shard_index))
-
-    def _backward_body(self, shard_index: int) -> None:
-        context = self._contexts[shard_index]
-        if shard_index == self.num_shards - 1:
-            if self._loss is None:
-                raise SchedulingError("compute_loss must run before the last shard's backward")
-            self._loss.backward()
-        else:
-            downstream_input = self._contexts[shard_index + 1].boundary_input
-            boundary_grads = [
-                tensor.grad for tensor in _state_tensors(downstream_input)
-            ]
-            output_tensors = _state_tensors(context.output)
-            if len(boundary_grads) != len(output_tensors):
-                raise SchedulingError(
-                    "boundary gradient structure does not match shard output structure"
-                )
-            pending = [
-                (tensor, grad)
-                for tensor, grad in zip(output_tensors, boundary_grads)
-                if grad is not None
-            ]
-            for position, (tensor, grad) in enumerate(pending):
-                # Multi-tensor boundary states may share a subgraph: only the
-                # last backward may free contexts, or the earlier passes would
-                # silently detach the shared portion for the later ones.
-                tensor.backward(grad, retain_graph=position < len(pending) - 1)
+        with self._leased(shard_index, then=shard_index - 1):
+            context = self._contexts[shard_index]
+            if shard_index == self.num_shards - 1:
+                if self._loss is None:
+                    raise SchedulingError("compute_loss must run before the last shard's backward")
+                self._loss.backward()
+            else:
+                downstream_input = self._contexts[shard_index + 1].boundary_input
+                boundary_grads = [
+                    tensor.grad for tensor in _state_tensors(downstream_input)
+                ]
+                output_tensors = _state_tensors(context.output)
+                if len(boundary_grads) != len(output_tensors):
+                    raise SchedulingError(
+                        "boundary gradient structure does not match shard output structure"
+                    )
+                pending = [
+                    (tensor, grad)
+                    for tensor, grad in zip(output_tensors, boundary_grads)
+                    if grad is not None
+                ]
+                for position, (tensor, grad) in enumerate(pending):
+                    # Multi-tensor boundary states may share a subgraph: only the
+                    # last backward may free contexts, or the earlier passes would
+                    # silently detach the shared portion for the later ones.
+                    tensor.backward(grad, retain_graph=position < len(pending) - 1)
+            if self.updates_inline:
+                if self._advance_pending:
+                    self._memory_optimizer.advance_step()
+                    self._advance_pending = False
+                self._memory_optimizer.step_params(self.shard_parameters(shard_index))
 
     def shard_parameters(self, shard_index: int) -> List:
         """Parameters owned by the blocks of one shard."""
@@ -340,24 +351,18 @@ class ShardedModelExecutor:
                 "train_step received a different optimizer than bind_memory; "
                 "spilled updates must go through the registered optimizer"
             )
-        tel = self.telemetry
-        if tel.enabled:
-            with tel.span("step", cat="training", model=self.model.model_name):
-                return self._train_step_impl(batch, optimizer)
-        return self._train_step_impl(batch, optimizer)
+        with self.telemetry.span("step", cat="training", model=self.model.model_name):
+            return self._train_step_impl(batch, optimizer)
 
     def _train_step_impl(self, batch: Batch, optimizer: Optimizer) -> float:
         """The uninstrumented step body (E16 benchmarks this directly)."""
         self.begin_batch()
         self.model.zero_grad()
-        for shard_index in range(self.num_shards):
-            self.run_forward(shard_index, batch)
-        loss = self.compute_loss(batch)
-        for shard_index in reversed(range(self.num_shards)):
-            self.run_backward(shard_index)
+        for kind, shard_index in self.order:
+            self.run_task(kind, shard_index, batch)
         if not self.updates_inline:
             optimizer.step()
-        loss_value = loss.item()
+        loss_value = self._loss.item()
         self.end_batch()
         return loss_value
 
@@ -369,15 +374,15 @@ class ShardedModelExecutor:
         forward chain is announced, so schedule-aware eviction never plans
         for a backward pass that will not happen.
         """
+        forward = [shard for kind, shard in self.order if kind == FORWARD]
         self.begin_batch()
         if self._memory is not None:
             self._memory.announce(
-                self._memory_model_id,
-                [self._shard_key(i) for i in range(self.num_shards)],
+                self._memory_model_id, [self._shard_key(shard) for shard in forward]
             )
         with no_grad():
             output = None
-            for shard_index in range(self.num_shards):
+            for shard_index in forward:
                 output = self.run_forward(shard_index, batch)
         self.end_batch()
         return output
@@ -393,23 +398,23 @@ class _ModelSlot:
     loader: DataLoader
     report: TrainingReport
     tracker: MetricTracker = field(default_factory=MetricTracker)
-    shard_devices: List[int] = field(default_factory=list)
 
 
 class ShardParallelTrainer:
     """Hydra-style interleaved training of several sharded models.
 
     ``num_devices`` simulated devices execute shard tasks; shard ``i`` of
-    model ``j`` is pinned to device ``(i + j) % num_devices``.  The trainer
-    walks mini-batches of all models concurrently, issuing forward/backward
-    shard tasks in a round-robin over models — the numerical results are
-    independent of the interleaving because models share no state, which is
-    exactly why Hydra's fine-grained schedule is safe.
+    model ``j`` is pinned to device ``staggered_device(i, j, num_devices)``
+    (:mod:`repro.sharding.order`), the scheduler's staggered placement.  The
+    trainer walks mini-batches of all models concurrently, issuing each
+    model's :attr:`ShardedModelExecutor.order` one task per sweep in a
+    round-robin over models — the numerical results are independent of the
+    interleaving because models share no state, which is exactly why
+    Hydra's fine-grained schedule is safe.
 
     With ``memory_manager`` set, every registered model executes *spilled*:
-    shards are leased through the manager around each task (shard ``i`` of
-    model ``j`` charges the arena of its device, ``arena_names[(i + j) %
-    len(arena_names)]``), optimizer updates happen per shard inside the
+    shards are leased through the manager around each task (each shard
+    charges its device's arena), optimizer updates happen per shard inside the
     backward lease, and idle shards are evicted to the host cache under
     memory pressure — which is how models whose resident bytes exceed every
     device budget still train, bit-identically to fully-resident runs.
@@ -440,17 +445,14 @@ class ShardParallelTrainer:
         executor = ShardedModelExecutor(model, boundaries)
         executor.telemetry = self.telemetry
         model_id = model_id or model.model_name
-        slot_index = len(self._slots)
-        shard_devices = [
-            (shard + slot_index) % self.num_devices for shard in range(executor.num_shards)
-        ]
         if self.memory is not None:
             names = self.memory.arena_names
+            slot_index = len(self._slots)
             executor.bind_memory(
                 self.memory,
                 optimizer,
                 model_id=model_id,
-                device_of=lambda shard: names[shard_devices[shard] % len(names)],
+                device_of=lambda shard: names[self.device_of(slot_index, shard) % len(names)],
             )
         self._slots.append(
             _ModelSlot(
@@ -459,7 +461,6 @@ class ShardParallelTrainer:
                 optimizer=optimizer,
                 loader=loader,
                 report=TrainingReport(model_id=model_id),
-                shard_devices=shard_devices,
             )
         )
 
@@ -468,73 +469,20 @@ class ShardParallelTrainer:
         return len(self._slots)
 
     def device_of(self, model_index: int, shard_index: int) -> int:
-        return self._slots[model_index].shard_devices[shard_index]
+        """Device of one shard: the scheduler's staggered round-robin placement."""
+        return staggered_device(shard_index, model_index, self.num_devices)
 
     def train_epoch(self, epoch: int = 0) -> Dict[str, Dict[str, float]]:
         """Run one epoch for every registered model, interleaving shard tasks."""
         if not self._slots:
             raise SchedulingError("no models registered")
-        iterators = []
+        running = []
         for slot in self._slots:
             slot.loader.set_epoch(epoch)
-            iterators.append(iter(slot.loader))
-
-        # Per-model in-flight batch state machine.
-        batches: List[Optional[Batch]] = [None] * len(self._slots)
-        phases: List[str] = ["fetch"] * len(self._slots)
-        cursors: List[int] = [0] * len(self._slots)
-        finished = [False] * len(self._slots)
-        tel = self.telemetry
-        # Interleaved steps of different models overlap in time, so they use
-        # begin/end tokens (flat spans) instead of the nesting context manager.
-        tokens: List[Optional[Any]] = [None] * len(self._slots)
-
-        while not all(finished):
-            progressed = False
-            for index, slot in enumerate(self._slots):
-                if finished[index]:
-                    continue
-                progressed = True
-                if phases[index] == "fetch":
-                    try:
-                        batches[index] = next(iterators[index])
-                    except StopIteration:
-                        finished[index] = True
-                        continue
-                    if tel.enabled:
-                        tokens[index] = tel.begin(
-                            "step", cat="training", model=slot.model_id, epoch=epoch
-                        )
-                    slot.executor.begin_batch()
-                    slot.executor.model.zero_grad()
-                    phases[index] = "forward"
-                    cursors[index] = 0
-                elif phases[index] == "forward":
-                    slot.executor.run_forward(cursors[index], batches[index])
-                    cursors[index] += 1
-                    if cursors[index] == slot.executor.num_shards:
-                        loss = slot.executor.compute_loss(batches[index])
-                        slot.tracker.update(loss=loss.item())
-                        phases[index] = "backward"
-                        cursors[index] = slot.executor.num_shards - 1
-                elif phases[index] == "backward":
-                    slot.executor.run_backward(cursors[index])
-                    cursors[index] -= 1
-                    if cursors[index] < 0:
-                        # Spilled executors already updated each shard inside
-                        # its backward lease (the only window it is resident).
-                        if not slot.executor.updates_inline:
-                            slot.optimizer.step()
-                        # Free the finished batch's activation stashes before
-                        # the next fetch so peak memory spans one batch, not two.
-                        slot.executor.end_batch()
-                        if tokens[index] is not None:
-                            tel.end(tokens[index])
-                            tokens[index] = None
-                        batches[index] = None
-                        phases[index] = "fetch"
-            if not progressed:
-                break
+            running.append(self._sweep_slots(slot, iter(slot.loader), epoch))
+        # Round-robin over the models still in flight, one slot per sweep.
+        while running:
+            running = [model for model in running if next(model, False)]
 
         results: Dict[str, Dict[str, float]] = {}
         for slot in self._slots:
@@ -542,6 +490,39 @@ class ShardParallelTrainer:
             slot.report.epochs.append(epoch_metrics)
             results[slot.model_id] = epoch_metrics
         return results
+
+    def _sweep_slots(self, slot: _ModelSlot, batches: Iterator[Batch], epoch: int) -> Iterator[bool]:
+        """One model's epoch as a generator that pauses after each sweep slot.
+
+        Its suspended position is the model's cursor into the executor's
+        order.  A slot is either fetching a batch (with ``begin_batch`` and
+        ``zero_grad``) or one forward/backward task; the loss rides in the
+        final forward's slot, and the whole-model optimizer step and batch
+        teardown in the final backward's.
+        """
+        tel = self.telemetry
+        executor = slot.executor
+        for batch in batches:
+            # Interleaved steps of different models overlap in time, so they
+            # use begin/end tokens (flat spans), not the nesting context manager.
+            token = tel.begin("step", cat="training", model=slot.model_id, epoch=epoch)
+            executor.begin_batch()
+            executor.model.zero_grad()
+            for kind, shard_index in executor.order:
+                if kind == LOSS:
+                    slot.tracker.update(loss=executor.compute_loss(batch).item())
+                else:
+                    yield True
+                    executor.run_task(kind, shard_index, batch)
+            # Spilled executors already updated each shard inside its
+            # backward lease (the only window it is resident).
+            if not executor.updates_inline:
+                slot.optimizer.step()
+            # Free the finished batch's activation stashes before the next
+            # fetch so peak memory spans one batch, not two.
+            executor.end_batch()
+            tel.end(token)
+            yield True
 
     def fit(self, num_epochs: int = 1) -> Dict[str, TrainingReport]:
         """Train every registered model for ``num_epochs`` epochs."""

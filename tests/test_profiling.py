@@ -13,8 +13,6 @@ from repro.profiling import (
     embedding_cost,
     layer_norm_cost,
     linear_cost,
-    profile_config,
-    profile_model,
     transformer_layer_cost,
 )
 
@@ -136,24 +134,3 @@ class TestHeadlineNumbers:
         large = BertConfig.bert_large().profile(seq_len=384)
         assert base.total_params < large.total_params
         assert base.total_forward_flops() < large.total_forward_flops()
-
-
-class TestProfilerEntryPoints:
-    def test_profile_config_for_both_config_types(self):
-        assert len(profile_config(FeedForwardConfig.tiny())) == 3
-        assert len(profile_config(BertConfig.tiny(), seq_len=16)) == 4
-
-    def test_profile_config_rejects_unknown_objects(self):
-        with pytest.raises(TypeError):
-            profile_config(object())
-
-    def test_profile_model(self, tiny_mlp):
-        profile = profile_model(tiny_mlp)
-        assert profile.total_params == tiny_mlp.num_parameters()
-
-    def test_profile_model_with_seq_len(self, tiny_bert_config):
-        from repro.models import BertForSpanPrediction
-
-        model = BertForSpanPrediction(tiny_bert_config, seed=0)
-        profile = profile_model(model, seq_len=16)
-        assert profile.blocks[1].activation_bytes_per_sample < model.profile().blocks[1].activation_bytes_per_sample
