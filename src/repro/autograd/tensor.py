@@ -3,30 +3,41 @@
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import AutogradError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread graph-recording switch; every new thread starts enabled."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def is_grad_enabled() -> bool:
-    """Whether new operations are currently recorded onto the autograd graph."""
-    return _grad_enabled
+    """Whether this thread's new operations are recorded onto the autograd graph."""
+    return _grad_mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Context manager that disables graph recording (e.g. for evaluation)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording on the calling thread only (e.g. for evaluation).
+
+    Other threads keep recording: a trial evaluating under ``no_grad`` must
+    not switch the graph off for a peer that is mid-forward.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _ops():

@@ -20,7 +20,7 @@ serving traffic against it (see ``docs/serving.md``):
   :class:`~repro.api.runtime.pool.WorkerPool`, with per-request deadlines
   and p50/p95/p99 latency + throughput metrics;
 * :class:`LoadGenerator` — closed-loop and open-loop (fixed arrival rate)
-  clients for load tests and the E13/E14 benchmarks;
+  clients for load tests;
 * :class:`FleetRouter` — the same serve path with one queue per model
   (fill window 0, i.e. continuous batching): every published model served
   through **one** replica pool and **one** memory budget, with

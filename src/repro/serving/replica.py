@@ -26,9 +26,7 @@ precisely to fill those rows with real work.
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,35 +40,6 @@ from repro.training.sharded_trainer import ShardedModelExecutor
 
 #: arena name of a spilled replica's single serving device
 _SERVE_ARENA = "serve0"
-
-_grad_off_lock = threading.Lock()
-_grad_off_holders = 0
-_grad_off_scope: Any = None
-
-
-@contextlib.contextmanager
-def _shared_no_grad() -> Iterator[None]:
-    """``no_grad`` that concurrent forwards can hold at the same time.
-
-    The autograd switch is process-wide and ``no_grad`` restores what it saw
-    on entry, so two overlapping forwards that leave in the order they
-    entered would switch recording off for good (the second one restores the
-    first one's "off").  Replicas therefore share one scope: the first
-    forward in switches recording off, the last one out restores it.
-    """
-    global _grad_off_holders, _grad_off_scope
-    with _grad_off_lock:
-        if _grad_off_holders == 0:
-            _grad_off_scope = no_grad()
-            _grad_off_scope.__enter__()
-        _grad_off_holders += 1
-    try:
-        yield
-    finally:
-        with _grad_off_lock:
-            _grad_off_holders -= 1
-            if _grad_off_holders == 0:
-                _grad_off_scope.__exit__(None, None, None)
 
 
 def concat_rows(requests: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
@@ -263,7 +232,7 @@ class Replica:
         rows = request_rows(arrays)
         padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
         batch = Batch(arrays={name: np.asarray(v) for name, v in padded.items()})
-        with _shared_no_grad():
+        with no_grad():
             if self.executor is not None:
                 output = self.executor.forward_only(batch)
             else:

@@ -3,13 +3,9 @@
 One :class:`LatencyStats` instance accumulates per-request latencies (and
 the counters around them) behind a lock, so replica threads, the admission
 path, and metric readers never race.  Percentiles are computed on demand
-from the raw samples.  By default every sample is kept — serving runs here
-are thousands of requests, not millions, and exact p99 beats a sketch at
-that scale.  For long-lived servers, ``max_samples`` caps memory with
-reservoir sampling (Vitter's Algorithm R, deterministic seed): below the
-cap behaviour is bit-identical to the unbounded default; above it, each
-sample survives with probability ``max_samples / n`` so percentiles stay
-an unbiased estimate of the full history while the counters remain exact.
+from the raw samples, and every sample is kept — serving runs here are
+thousands of requests, not millions, and exact p99 beats a sketch at that
+scale.  (The bounded store is :class:`repro.telemetry.metrics.Histogram`.)
 
 :class:`ServerStats` is the fleet-level aggregation the
 :class:`~repro.serving.router.FleetRouter` reports through: one fleet-wide
@@ -19,15 +15,13 @@ lands in both its model's distribution and the fleet's.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-#: the latency percentiles every report carries, in order
-PERCENTILES = (50.0, 95.0, 99.0)
+from repro.telemetry.metrics import percentile_summary
 
 
 def latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
@@ -37,20 +31,13 @@ def latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
     latency distribution to report, and callers prefer a well-formed dict
     over an exception in that window).
     """
-    if not latencies_seconds:
-        return {
-            "latency_p50_ms": 0.0,
-            "latency_p95_ms": 0.0,
-            "latency_p99_ms": 0.0,
-            "latency_mean_ms": 0.0,
-        }
     values = np.asarray(latencies_seconds, dtype=np.float64) * 1e3
-    p50, p95, p99 = np.percentile(values, PERCENTILES)
+    percentiles = percentile_summary(values)
     return {
-        "latency_p50_ms": float(p50),
-        "latency_p95_ms": float(p95),
-        "latency_p99_ms": float(p99),
-        "latency_mean_ms": float(values.mean()),
+        "latency_p50_ms": percentiles["p50"],
+        "latency_p95_ms": percentiles["p95"],
+        "latency_p99_ms": percentiles["p99"],
+        "latency_mean_ms": float(values.mean()) if values.size else 0.0,
     }
 
 
@@ -62,10 +49,6 @@ class LatencyStats:
     that never produced a response.  ``snapshot`` freezes the counters and
     percentiles into a plain dict for reports and benchmarks.
 
-    ``max_samples=None`` (default) keeps every latency sample; a positive
-    cap switches to reservoir sampling so a long-lived server's footprint
-    stays bounded while ``completed``/``throughput_rps`` stay exact.
-
     Example::
 
         stats = LatencyStats()
@@ -73,16 +56,9 @@ class LatencyStats:
         assert stats.snapshot()["completed"] == 1
     """
 
-    def __init__(self, max_samples: Optional[int] = None) -> None:
-        if max_samples is not None and max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._latencies: List[float] = []
-        self._max_samples = max_samples
-        # Deterministic reservoir: snapshots are reproducible under the
-        # repo-wide exactness bar, and tests can assert on them.
-        self._rng = random.Random(0x5EED)
-        self._completed = 0
         self.rejected = 0
         self.timed_out = 0
         self.failed = 0
@@ -97,15 +73,7 @@ class LatencyStats:
     def record(self, latency_seconds: float) -> None:
         """Record one completed request's end-to-end latency."""
         with self._lock:
-            self._completed += 1
-            if self._max_samples is None or len(self._latencies) < self._max_samples:
-                self._latencies.append(float(latency_seconds))
-            else:
-                # Algorithm R: the n-th sample replaces a reservoir slot
-                # with probability max_samples / n.
-                slot = self._rng.randrange(self._completed)
-                if slot < self._max_samples:
-                    self._latencies[slot] = float(latency_seconds)
+            self._latencies.append(float(latency_seconds))
 
     def count(self, *, rejected: int = 0, timed_out: int = 0, failed: int = 0) -> None:
         """Bump the failure counters (requests that produced no response)."""
@@ -133,9 +101,9 @@ class LatencyStats:
 
     @property
     def completed(self) -> int:
-        """Number of requests that received a response (exact, not sampled)."""
+        """Number of requests that received a response."""
         with self._lock:
-            return self._completed
+            return len(self._latencies)
 
     # ------------------------------------------------------------------ #
     def snapshot(self, window_seconds: Optional[float] = None) -> Dict[str, float]:
@@ -146,7 +114,7 @@ class LatencyStats:
         """
         with self._lock:
             latencies = list(self._latencies)
-            completed = self._completed
+            completed = len(latencies)
             elapsed = (
                 float(window_seconds)
                 if window_seconds is not None

@@ -7,8 +7,9 @@ profiling, SLO autoscaling) consume (see ``docs/observability.md``):
   with monotonic timestamps and parent links, a bounded event buffer,
   Chrome/Perfetto + JSONL export, and one :class:`MetricsRegistry`;
 * :data:`NULL_TELEMETRY` — the shared no-op recorder every instrumented
-  component defaults to; one ``if tel.enabled:`` branch per site keeps the
-  disabled path inside the E16 overhead budget;
+  component defaults to; sites call it unguarded, and its no-op
+  ``span``/``begin``/``end`` keep the disabled path inside the E16
+  overhead budget;
 * cross-process collection — spawn children record into their own
   recorder, ``drain()`` into the existing result channels, and the parent
   ``ingest()``\\ s, so one trace shows every process;

@@ -27,8 +27,23 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-#: histogram percentiles, matching the serving-side latency reports
+#: the percentiles every distribution report carries (histograms here, the
+#: serving-side latency reports through :func:`percentile_summary`)
 _PERCENTILES = (50.0, 95.0, 99.0)
+
+
+def percentile_summary(samples) -> Dict[str, float]:
+    """``{"p50", "p95", "p99"}`` of a sample; all zeros when it is empty.
+
+    An empty sample has no distribution to report, and every caller prefers
+    a well-formed dict over an exception in that window.
+    """
+    values = np.asarray(samples, dtype=np.float64)
+    if not values.size:
+        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    p50, p95, p99 = np.percentile(values, _PERCENTILES)
+    return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
+
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -69,23 +84,15 @@ class Histogram:
             self._cursor = (self._cursor + 1) % self._max_samples
 
     def snapshot(self) -> Dict[str, float]:
-        if not self.count:
-            return {
-                "count": 0.0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        values = np.asarray(self._samples, dtype=np.float64)
-        p50, p95, p99 = np.percentile(values, _PERCENTILES)
-        return {
+        summary = {
             "count": float(self.count),
             "sum": float(self.total),
-            "min": float(self.min),
-            "max": float(self.max),
-            "mean": float(self.total / self.count),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
+            "min": 0.0 if self.min is None else float(self.min),
+            "max": 0.0 if self.max is None else float(self.max),
+            "mean": float(self.total / self.count) if self.count else 0.0,
         }
+        summary.update(percentile_summary(self._samples))
+        return summary
 
 
 class MetricsRegistry:

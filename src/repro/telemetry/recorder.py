@@ -22,10 +22,11 @@ Two recording shapes:
   captures the current stack top as the parent but does not push.
 
 The disabled path is :class:`NullTelemetry` — a picklable singleton whose
-``span`` returns one shared no-op context manager.  Instrumentation sites
-guard with a single ``if tel.enabled:`` branch, which the E16 benchmark
-(``benchmarks/test_bench_telemetry.py``) holds to <3% overhead on the
-training hotpath and the serving loop.
+``span`` returns one shared no-op context manager and whose ``begin``/
+``end`` do nothing.  Instrumentation sites are spelled once, unguarded
+(``with tel.span(...):`` or ``token = tel.begin(...)`` ... ``tel.end(token)``);
+the E16 benchmark (``benchmarks/test_bench_telemetry.py``) holds that to
+<3% overhead on the training hotpath.
 
 Export targets: :meth:`Telemetry.export_chrome_trace` writes the Chrome /
 Perfetto ``trace.json`` format (load it at ``ui.perfetto.dev`` or
@@ -350,8 +351,10 @@ class NullTelemetry:
 
     There is one shared instance, :data:`NULL_TELEMETRY`; it pickles back
     to itself, so backends carrying it cross process boundaries for free.
-    Instrumentation sites check :attr:`enabled` once and skip the recording
-    calls entirely — this class exists so *unguarded* calls are still safe.
+    Instrumentation sites call it unguarded; :attr:`enabled` is for the few
+    places that decide something besides recording a span (registering a
+    collector, telling a child process to trace, skipping an instant's
+    attribute dict on the submit path).
     """
 
     enabled = False

@@ -606,8 +606,10 @@ class _GatedModel(FeedForwardNetwork):
         super().__init__(CONFIG, seed=5)
         self.entered = threading.Event()
         self.release = threading.Event()
+        self.grad_seen_in_forward = None
 
     def forward(self, batch: Batch):
+        self.grad_seen_in_forward = is_grad_enabled()
         self.entered.set()
         assert self.release.wait(timeout=5.0)
         return super().forward(batch)
@@ -616,8 +618,10 @@ class _GatedModel(FeedForwardNetwork):
 class TestConcurrentForwards:
     def test_overlapping_forwards_leave_grad_recording_on(self):
         # Two forwards overlap and leave in the order they entered — the
-        # interleaving that leaves a naive process-wide no_grad() stuck off
-        # and breaks any training that runs after serving.
+        # interleaving that left a process-wide no_grad() stuck off and broke
+        # any training that ran after serving.  Grad mode is per-thread: each
+        # forward runs with recording off, and the thread that is not serving
+        # never sees it switch.
         first, second = _GatedModel(), _GatedModel()
         x = {"features": np.zeros((1, 16), np.float32)}
         threads = [
@@ -628,13 +632,16 @@ class TestConcurrentForwards:
         assert first.entered.wait(timeout=5.0)
         threads[1].start()
         assert second.entered.wait(timeout=5.0)
-        assert not is_grad_enabled()
+        assert is_grad_enabled()
         first.release.set()
         threads[0].join(timeout=5.0)
-        assert not is_grad_enabled()  # the second forward is still running
+        assert is_grad_enabled()  # the second forward is still running
         second.release.set()
         threads[1].join(timeout=5.0)
+        assert not threads[0].is_alive() and not threads[1].is_alive()
         assert is_grad_enabled()
+        assert first.grad_seen_in_forward is False
+        assert second.grad_seen_in_forward is False
 
 
 # --------------------------------------------------------------------------- #

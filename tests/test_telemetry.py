@@ -11,8 +11,8 @@ Covers the tentpole contracts of ``repro.telemetry``:
   process-replica fleet each produce one merged trace holding parent *and*
   child-process spans, and a SIGKILLed child drops its buffer without ever
   tearing the parent's timeline;
-* the observability satellites — idempotent ``set_verbosity``, contextual
-  log records, and the bounded ``LatencyStats`` reservoir.
+* the observability satellites — idempotent ``set_verbosity`` and
+  contextual log records.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.api import (
 )
 from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError, ServingError
-from repro.memory import DeviceArena, SpillManager
+from repro.memory import DeviceArena, Prefetcher, SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
@@ -305,20 +305,41 @@ class TestInstrumentation:
         tel = Telemetry()
         a = np.zeros(4, dtype=np.float32)
         b = np.ones(4, dtype=np.float32)
-        manager = SpillManager([DeviceArena("dev0", 16)], telemetry=tel)
+        manager = SpillManager(
+            [DeviceArena("dev0", 16)], prefetcher=Prefetcher(), telemetry=tel
+        )
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         manager.register(("m", 1), "dev0", 16, lambda: [b])
-        with manager.lease(("m", 0)):
-            pass
-        with manager.lease(("m", 1)):  # evicts shard 0
-            pass
-        with manager.lease(("m", 0)):  # demand-restores shard 0
-            pass
+        with tel.span("caller") as caller:
+            with manager.lease(("m", 0)):
+                pass
+            with manager.lease(("m", 1)):  # evicts shard 0
+                pass
+            assert manager.prefetch(("m", 0))  # evicts shard 1, restores 0 async
+            with manager.lease(("m", 0)):  # joins the prefetch
+                pass
         manager.close()
-        names = [event["name"] for event in tel.events()]
-        assert names.count("spill.lease") == 3
-        assert "spill.evict" in names
-        assert "spill.fetch" in names
+        # Every event, in commit order: name, cat, attrs, and its parent —
+        # the caller's span on the leasing thread, none on the prefetch
+        # worker; a lease is a flat begin/end token, so the fetch and evict
+        # it triggers are its siblings, not its children.
+        parents = {caller.span_id: "caller", None: None}
+        recorded = [
+            (e["name"], e["cat"], e["args"], parents[e["parent"]])
+            for e in tel.events()
+        ]
+        m0, m1 = str(("m", 0)), str(("m", 1))
+        assert recorded == [
+            ("spill.fetch", "memory", {"key": m0, "bytes": 16}, "caller"),
+            ("spill.lease", "memory", {"key": m0}, "caller"),
+            ("spill.evict", "memory", {"key": m0, "bytes": 16}, "caller"),
+            ("spill.fetch", "memory", {"key": m1, "bytes": 16}, "caller"),
+            ("spill.lease", "memory", {"key": m1}, "caller"),
+            ("spill.evict", "memory", {"key": m1, "bytes": 16}, "caller"),
+            ("spill.prefetch", "memory", {"key": m0, "bytes": 16}, None),
+            ("spill.lease", "memory", {"key": m0}, "caller"),
+            ("caller", "repro", {}, None),
+        ]
 
     def test_experiment_trace_covers_trial_epoch_step(self):
         tel = Telemetry()
@@ -524,41 +545,3 @@ class TestLogging:
             thread.start()
             thread.join()
         assert seen["context"] == {}
-
-
-# --------------------------------------------------------------------- #
-# Satellite: bounded LatencyStats
-# --------------------------------------------------------------------- #
-class TestBoundedLatencyStats:
-    def test_below_the_cap_percentiles_are_exact(self):
-        exact, bounded = LatencyStats(), LatencyStats(max_samples=1000)
-        for value in np.random.default_rng(5).uniform(0.001, 0.1, size=500):
-            exact.record(value)
-            bounded.record(value)
-        a, b = exact.snapshot(), bounded.snapshot()
-        for key in ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "completed"):
-            assert a[key] == b[key]
-
-    def test_above_the_cap_memory_is_bounded_and_counts_exact(self):
-        stats = LatencyStats(max_samples=64)
-        for value in np.random.default_rng(6).uniform(0.001, 0.1, size=5000):
-            stats.record(value)
-        assert len(stats._latencies) == 64
-        snap = stats.snapshot()
-        assert snap["completed"] == 5000.0  # exact, not sampled
-        validate_latency_snapshot(snap)
-        # The reservoir is a uniform sample: percentiles stay in range.
-        assert 0.001 <= snap["latency_p50_ms"] / 1e3 <= 0.1
-
-    def test_reservoir_is_deterministic(self):
-        def run():
-            stats = LatencyStats(max_samples=32)
-            for value in range(1000):
-                stats.record(value / 1000.0)
-            return list(stats._latencies)
-
-        assert run() == run()  # fixed-seed reservoir: reproducible samples
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyStats(max_samples=0)
