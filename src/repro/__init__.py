@@ -12,8 +12,14 @@ learning training, together with every substrate the paper depends on:
 * :mod:`repro.sharding`, :mod:`repro.scheduler` — the paper's contribution:
   model partitioning plus the shard-parallel (Hydra) scheduler and its
   task-parallel / model-parallel baselines.
-* :mod:`repro.selection`, :mod:`repro.training` — model-selection drivers
-  (grid/random/ASHA, Cerebro-style model hopper) and real training engines.
+* :mod:`repro.selection`, :mod:`repro.training` — search spaces, trial
+  bookkeeping, the Cerebro-style model hopper, and real training engines.
+* :mod:`repro.memory`, :mod:`repro.serving` — spilled execution with host
+  offload, and online inference (registry, batching, servers, fleet router).
+* :mod:`repro.runtime` — the leaf substrate: worker pools and the one
+  supervised child process.
+* :mod:`repro.api` — the front door and top of the package graph:
+  ``Experiment`` × searchers (grid/random/ASHA) × execution backends.
 
 See ``DESIGN.md`` for the full system inventory and experiment index.
 """

@@ -12,13 +12,13 @@ budget, searcher — and run it on any :class:`ExecutionBackend`:
   Cerebro-style model hopping over data partitions;
 * :class:`~repro.api.backends.FunctionBackend` /
   :class:`~repro.api.backends.ResumableFunctionBackend` — plain callables
-  (surrogate objectives, tests, legacy ``TrainFn`` shims).
+  (surrogate objectives, tests).
 
 Any searcher composes with any backend; callbacks observe every trial and
 can stop trials early.  The :mod:`~repro.api.runtime` subsystem adds
 concurrent, fault-tolerant trial execution to any backend:
 ``Experiment.run(backend=..., workers=N)`` fans each cohort out across a
-:class:`~repro.api.runtime.WorkerPool` (see ``docs/runtime.md``).
+:class:`~repro.runtime.pool.WorkerPool` (see ``docs/runtime.md``).
 
 Selection's output feeds straight into online inference: :func:`serve`
 deploys a model behind a dynamically batched replica pool
@@ -28,6 +28,12 @@ of a registry through one shared :class:`~repro.serving.FleetRouter`
 ``SelectionResult.deploy`` rebuilds an experiment's winner — weights from a
 :class:`~repro.serving.ModelRegistry` — and serves it, standalone or into a
 fleet (see ``docs/serving.md``).
+
+This package is the **top** of the package graph — nothing below it imports
+it (``tests/test_layering.py``).  The pools and :class:`RetryPolicy`
+(:mod:`repro.runtime`), :class:`ModelSpec` / :class:`ProcessReplica`
+(:mod:`repro.serving.process`) and :func:`serve` / :func:`serve_fleet`
+(:mod:`repro.serving.deploy`) are defined below and re-exported here.
 """
 
 from repro.api.backend import CohortEngineBackend, ExecutionBackend, TrialHandle
@@ -59,7 +65,6 @@ from repro.api.callbacks import (
     TrialTimer,
 )
 from repro.api.experiment import Budget, Experiment, TrialRunner
-from repro.api.serving import serve, serve_fleet
 from repro.api.searchers import (
     FixedSearcher,
     GridSearcher,
@@ -68,6 +73,7 @@ from repro.api.searchers import (
     SuccessiveHalvingSearcher,
     make_searcher,
 )
+from repro.serving.deploy import serve, serve_fleet
 
 __all__ = [
     "AsyncTrialRunner",

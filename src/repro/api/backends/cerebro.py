@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.backend import CohortEngineBackend, TrialHandle
-from repro.api.runtime.pool import ThreadWorkerPool, WorkerPool
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.models.base import ShardableModel
 from repro.optim.optimizer import Optimizer
+from repro.runtime.pool import ThreadWorkerPool, WorkerPool
 from repro.selection.cerebro import CerebroModelHopper
 from repro.selection.experiment import TrialConfig
 from repro.sharding.partitioner import partition_uniform

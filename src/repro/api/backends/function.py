@@ -1,9 +1,9 @@
 """Backends that adapt plain train functions to the backend protocol.
 
-These exist mainly so the legacy ``grid_search``/``random_search``/
-``successive_halving`` entry points (which take raw callables) run through
-the same :class:`~repro.api.experiment.TrialRunner` machinery as the engine
-backends — and they remain handy for tests and surrogate objectives.
+A raw callable runs through the same
+:class:`~repro.api.experiment.TrialRunner` machinery as the engine backends —
+the spelling for surrogate objectives and tests:
+``Experiment(space, GridSearcher(), backend=FunctionBackend(train_fn))``.
 """
 
 from __future__ import annotations

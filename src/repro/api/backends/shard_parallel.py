@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.api.backend import CohortEngineBackend, TrialHandle
 from repro.data.dataloader import DataLoader
 from repro.exceptions import ConfigurationError
-from repro.memory import DeviceArena, HostShardCache, Prefetcher, SpillManager
+from repro.memory import SpillManager
 from repro.models.base import ShardableModel
 from repro.optim.optimizer import Optimizer
 from repro.selection.experiment import TrialConfig
@@ -104,27 +104,21 @@ class ShardParallelBackend(CohortEngineBackend):
         self.num_devices = int(num_devices)
         self.num_shards = num_shards
         self.registry = registry
-        self._memory_options = {
-            "memory_budget": memory_budget,
-            "eviction_policy": eviction_policy,
+        self._memory_budget = memory_budget
+        #: the keyword arguments of ``SpillManager.from_budgets``, kept so a
+        #: re-budgeted copy and an unpickled one rebuild the same manager
+        self._spill_options = {
+            "policy": eviction_policy,
             "prefetch": prefetch,
             "spill_dir": spill_dir,
             "host_cache_limit_bytes": host_cache_limit_bytes,
         }
-        self.memory: Optional[SpillManager] = None
-        if memory_budget is not None:
-            self.memory = self._make_spill_manager(
-                memory_budget, eviction_policy, prefetch, spill_dir, host_cache_limit_bytes
-            )
+        self.memory = self._make_spill_manager()
 
-    def _make_spill_manager(
-        self,
-        memory_budget: MemoryBudget,
-        eviction_policy: str,
-        prefetch: bool,
-        spill_dir: Optional[str],
-        host_cache_limit_bytes: Optional[int],
-    ) -> SpillManager:
+    def _make_spill_manager(self) -> Optional[SpillManager]:
+        memory_budget = self._memory_budget
+        if memory_budget is None:
+            return None
         names = [f"dev{i}" for i in range(self.num_devices)]
         if isinstance(memory_budget, dict):
             unknown = set(memory_budget) - set(names)
@@ -142,15 +136,7 @@ class ShardParallelBackend(CohortEngineBackend):
                 )
         else:
             budgets = {name: int(memory_budget) for name in names}
-        cache = HostShardCache(
-            memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
-        )
-        return SpillManager(
-            [DeviceArena(name, budgets[name]) for name in names],
-            cache=cache,
-            policy=eviction_policy,
-            prefetcher=Prefetcher() if prefetch else None,
-        )
+        return SpillManager.from_budgets(budgets, **self._spill_options)
 
     def with_memory_budget(self, memory_budget: MemoryBudget) -> "ShardParallelBackend":
         """An equivalent backend whose trials run under ``memory_budget``.
@@ -161,11 +147,13 @@ class ShardParallelBackend(CohortEngineBackend):
         returned backend owns its spill manager — ``Experiment.run`` closes
         it when the run finishes.
         """
-        options = dict(self._memory_options, memory_budget=memory_budget)
+        options = dict(self._spill_options)
         return ShardParallelBackend(
             builder=self.builder,
             num_devices=self.num_devices,
             num_shards=self.num_shards,
+            memory_budget=memory_budget,
+            eviction_policy=options.pop("policy"),
             registry=self.registry,
             **options,
         )
@@ -190,8 +178,7 @@ class ShardParallelBackend(CohortEngineBackend):
     def __setstate__(self, state: Dict[str, Any]) -> None:
         """Rebuild the spill manager from the recorded memory options."""
         self.__dict__.update(state)
-        if self._memory_options["memory_budget"] is not None:
-            self.memory = self._make_spill_manager(**self._memory_options)
+        self.memory = self._make_spill_manager()
 
     def close(self) -> None:
         """Release the spill manager's prefetch worker (no-op without one).
@@ -210,16 +197,20 @@ class ShardParallelBackend(CohortEngineBackend):
             pass
 
     # ------------------------------------------------------------------ #
-    def prepare(self, trial: TrialConfig) -> TrialHandle:
-        handle = super().prepare(trial)
+    def _build_state(self, trial: TrialConfig) -> _TrialState:
+        """The trial's live objects, partitioned for this backend's devices."""
         model, optimizer, loader = self.builder(trial)
         shard_count = self.num_shards
         if shard_count is None:
             shard_count = min(model.num_blocks(), self.num_devices)
         boundaries = partition_uniform(model.profile(), shard_count)
-        handle.state = _TrialState(model, optimizer, loader, boundaries)
-        handle.annotations.setdefault("model", model.model_name)
-        handle.annotations.setdefault("num_shards", shard_count)
+        return _TrialState(model, optimizer, loader, boundaries)
+
+    def prepare(self, trial: TrialConfig) -> TrialHandle:
+        handle = super().prepare(trial)
+        state = handle.state = self._build_state(trial)
+        handle.annotations.setdefault("model", state.model.model_name)
+        handle.annotations.setdefault("num_shards", len(state.boundaries))
         return handle
 
     def make_driver(self, handles: Sequence[TrialHandle]) -> ShardParallelTrainer:
@@ -292,13 +283,8 @@ class ShardParallelBackend(CohortEngineBackend):
         if self.registry is None or handle.failure is not None:
             handle.state = None
             return
-        model, optimizer, loader = self.builder(handle.trial)
-        load_checkpoint(model, snapshot, optimizer=optimizer)
-        shard_count = self.num_shards
-        if shard_count is None:
-            shard_count = min(model.num_blocks(), self.num_devices)
-        boundaries = partition_uniform(model.profile(), shard_count)
-        handle.state = _TrialState(model, optimizer, loader, boundaries)
+        state = handle.state = self._build_state(handle.trial)
+        load_checkpoint(state.model, snapshot, optimizer=state.optimizer)
 
     def teardown(self, handle: TrialHandle) -> None:
         """Release the trial's live objects and its spill-manager bookkeeping.

@@ -156,10 +156,8 @@ class TrialRunner:
 
         Resumable backends are stepped one epoch at a time *only when
         callbacks are registered* (they are the only epoch observers);
-        otherwise the backend receives the whole budget in a single call —
-        which both avoids per-call setup overhead and preserves the legacy
-        ``TrainFn(config, num_epochs)`` chunk contract of the function
-        shims.
+        otherwise the backend receives the whole budget in a single call,
+        which avoids per-call setup overhead.
 
         If the backend raises (rather than reporting per-trial failures),
         every handle in the cohort is retired — ``teardown`` runs, releasing
@@ -183,45 +181,32 @@ class TrialRunner:
             active.append(handle)
 
         stopped: List[TrialHandle] = []
+        # Epoch observers get a resumable backend one epoch at a time, so they
+        # see every epoch and can stop single trials while the cohort goes on.
+        # Otherwise the whole budget is one chunk: a one-shot backend's
+        # contract, and no per-call setup cost when nobody is watching — a
+        # stop vote then cannot rewind training but still retires the trial.
         observers = bool(self.callbacks.callbacks)
+        chunk = 1 if (self.backend.resumable and observers) else epochs
         try:
-            if self.backend.resumable and observers:
-                # Step one epoch at a time so callbacks see every epoch and can
-                # stop individual trials while the rest of the cohort continues.
-                cohort = list(active)
-                for _ in range(epochs):
-                    if not cohort:
-                        break
-                    metrics_map = self.backend.train_many(cohort, 1)
-                    surviving: List[TrialHandle] = []
-                    for handle in cohort:
-                        if handle.failure is not None:
-                            continue
-                        metrics = metrics_map[handle.trial_id]
-                        handle.epochs_trained += 1
-                        handle.last_metrics = dict(metrics)
-                        if self.callbacks.on_epoch_end(
-                            handle.trial, handle.epochs_trained, handle.last_metrics
-                        ):
-                            stopped.append(handle)
-                        else:
-                            surviving.append(handle)
-                    cohort = surviving
-            else:
-                # Whole budget in one call: one-shot backends by contract, and
-                # resumable backends with nobody watching individual epochs.  A
-                # stop vote here cannot rewind training, but it still retires
-                # the trial so searchers never resume it.
-                metrics_map = self.backend.train_many(active, epochs)
-                for handle in active:
+            cohort = list(active)
+            for _ in range(epochs // chunk):
+                if not cohort:
+                    break
+                metrics_map = self.backend.train_many(cohort, chunk)
+                surviving: List[TrialHandle] = []
+                for handle in cohort:
                     if handle.failure is not None:
                         continue
-                    handle.epochs_trained += epochs
+                    handle.epochs_trained += chunk
                     handle.last_metrics = dict(metrics_map[handle.trial_id])
                     if self.callbacks.on_epoch_end(
                         handle.trial, handle.epochs_trained, handle.last_metrics
                     ):
                         stopped.append(handle)
+                    else:
+                        surviving.append(handle)
+                cohort = surviving
         except Exception:
             # Failure-path discipline: a backend/callback that raises must not
             # leak the cohort's prepared state (models, loaders, plans).
@@ -237,17 +222,14 @@ class TrialRunner:
         results: List[TrialResult] = []
         stopped_ids = {handle.trial_id for handle in stopped}
         failed = [handle for handle in active if handle.failure is not None]
-        failed_ids = {handle.trial_id for handle in failed}
         for handle in active:
-            if handle.trial_id in failed_ids:
+            if handle.failure is not None:
                 self._record_failure(handle)
                 continue
             result = self._record(handle)
             if handle.trial_id not in stopped_ids:
                 results.append(result)
-        for handle in stopped:
-            self._retire_handle(handle)
-        for handle in failed:
+        for handle in stopped + failed:
             self._retire_handle(handle)
         return results
 

@@ -4,7 +4,7 @@ This wrapper is how an :class:`~repro.api.experiment.Experiment` gains a
 worker pool without touching searchers or backends: it *is* an
 :class:`~repro.api.backend.ExecutionBackend`, so the
 :class:`~repro.api.experiment.TrialRunner` drives it like any other, but
-each cohort call fans out across a :class:`~repro.api.runtime.pool.WorkerPool`:
+each cohort call fans out across a :class:`~repro.runtime.pool.WorkerPool`:
 
 * ``prepare`` is **deferred**: the outer handle is created instantly and the
   inner backend's (potentially expensive) ``prepare`` runs inside the worker
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api.backend import ExecutionBackend, TrialHandle
-from repro.api.runtime.pool import WorkerPool, make_pool
-from repro.api.runtime.runner import AsyncTrialRunner, RetryPolicy, TrialFault
+from repro.api.runtime.runner import AsyncTrialRunner, TrialFault
 from repro.exceptions import ConfigurationError
+from repro.runtime.pool import RetryPolicy, WorkerPool, make_pool
 from repro.selection.experiment import TrialConfig
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.utils.logging import log_context

@@ -2,16 +2,17 @@
 
 The :class:`AsyncTrialRunner` takes a cohort of trial handles and a
 per-trial task, submits one future per trial to a
-:class:`~repro.api.runtime.pool.WorkerPool`, and collects the outcomes
+:class:`~repro.runtime.pool.WorkerPool`, and collects the outcomes
 **in handle order** — never in completion order — which is what makes
 concurrent experiments reproducible.
 
 Fault tolerance is per trial, not per cohort:
 
-* a trial that raises is retried up to :attr:`RetryPolicy.max_retries`
+* a trial that raises is retried up to
+  :attr:`~repro.runtime.pool.RetryPolicy.max_retries`
   times with exponential backoff — inside the worker slot on in-process
   pools, parent-side on the process pool (via
-  :meth:`~repro.api.runtime.pool.WorkerPool.submit_retrying`), so a retry
+  :meth:`~repro.runtime.pool.WorkerPool.submit_retrying`), so a retry
   survives even the death of the child process running the failed attempt;
 * a trial that exhausts its retries (or outlives the straggler deadline)
   becomes a :class:`TrialFault` carried in the result map — the rest of the
@@ -28,56 +29,7 @@ from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from repro.api.runtime.pool import WorkerPool
-from repro.exceptions import ConfigurationError
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the runtime treats a trial that raises or straggles.
-
-    ``max_retries`` is the number of *additional* attempts after the first
-    (so ``0`` means fail fast).  Attempt ``k`` (1-based retry index) sleeps
-    ``backoff_seconds * backoff_multiplier**(k-1)`` before re-running, inside
-    the worker slot.  ``timeout_seconds``, when set, is the straggler budget
-    for one cohort dispatch: outcomes not ready that many seconds after
-    dispatch are recorded as timed-out :class:`TrialFault`\\ s instead of
-    blocking the experiment.
-
-    Example::
-
-        policy = RetryPolicy(max_retries=2, backoff_seconds=0.1)
-        assert policy.delay(1) == 0.1 and policy.delay(2) == 0.2
-
-    Raises:
-        ConfigurationError: if any field is negative, or the multiplier is
-            below 1.
-    """
-
-    max_retries: int = 0
-    backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    timeout_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_seconds < 0:
-            raise ConfigurationError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigurationError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
-
-    def delay(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry (1-based)."""
-        return self.backoff_seconds * self.backoff_multiplier ** (retry_index - 1)
+from repro.runtime.pool import RetryPolicy, WorkerPool
 
 
 @dataclass(frozen=True)
@@ -134,7 +86,7 @@ class AsyncTrialRunner:
         The result dict is keyed in **handle order**, and each value is
         either the task's return value or a :class:`TrialFault`.  Retries
         (with backoff) happen inside the trial's own pool slot
-        (:meth:`~repro.api.runtime.pool.WorkerPool.submit_retrying`), so a
+        (:meth:`~repro.runtime.pool.WorkerPool.submit_retrying`), so a
         flaky trial does not serialise the cohort.  With a ``timeout_seconds`` policy, any
         outcome not ready by the cohort deadline is recorded as a timed-out
         fault and its future cancelled — a queued trial is cancelled cleanly,

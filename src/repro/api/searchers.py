@@ -7,10 +7,9 @@ cohort on whatever backend the experiment was given — so grid search can run
 against the cluster simulator and ASHA against the real shard-parallel
 trainer without either knowing the difference.
 
-The legacy functions :func:`repro.selection.grid_search`,
-:func:`repro.selection.random_search` and
-:func:`repro.selection.successive_halving` are thin shims over these classes
-(with a function backend adapting their ``TrainFn`` callables).
+To search over a plain callable objective, pair a searcher with
+:class:`~repro.api.backends.function.FunctionBackend` (or the resumable
+variant, for successive halving).
 """
 
 from __future__ import annotations

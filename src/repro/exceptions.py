@@ -70,7 +70,7 @@ class CheckpointError(ReproError):
 class WorkerCrashedError(ReproError):
     """Raised when a pool's child worker process died mid-task.
 
-    The process-backed :class:`~repro.api.runtime.pool.ProcessWorkerPool`
+    The process-backed :class:`~repro.runtime.pool.ProcessWorkerPool`
     raises this for the task that was in flight when its child exited
     (SIGKILL, OOM, interpreter crash); only that task fails — the slot
     respawns a fresh child for the next one, and the runner's usual

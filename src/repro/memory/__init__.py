@@ -6,8 +6,7 @@ depends on *spilling*: idle shards (parameters + optimizer state) live in
 host DRAM and move onto devices just in time.  This package is that
 subsystem:
 
-* :class:`DeviceArena` — a per-device byte ledger (optionally bridged to a
-  simulated :class:`~repro.cluster.device.Device`);
+* :class:`DeviceArena` — a per-device byte ledger;
 * :class:`HostShardCache` — the pinned host store for evicted shard
   payloads, with an optional disk tier in checkpoint format;
 * :class:`SpillManager` — the residency state machine (resident → evicted →

@@ -1,19 +1,16 @@
 """Per-device byte arenas: the memory ledgers spilled execution runs against.
 
 A :class:`DeviceArena` is the real-engine counterpart of the simulator's
-:class:`~repro.cluster.device.Device` ledger: a named byte budget with keyed
-allocations, peak tracking, and (optionally) a bridge that mirrors every
-charge into a ``cluster.Device`` so simulated and real accounting agree.
-The :class:`~repro.memory.spill.SpillManager` charges shard residency here;
-nothing in this module knows about shards or tensors.
+``cluster.Device`` ledger: a named byte budget with keyed allocations and
+peak tracking.  The :class:`~repro.memory.spill.SpillManager` charges shard
+residency here; nothing in this module knows about shards or tensors.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.cluster.device import Device
 from repro.exceptions import ConfigurationError, MemoryBudgetError
 
 
@@ -22,39 +19,19 @@ class DeviceArena:
 
     Allocations are keyed so the same logical object cannot be
     double-charged and releases name exactly what they free — the same
-    discipline as the simulator's :class:`~repro.cluster.device.Device`.
-    When ``device`` is given, every allocate/release is mirrored into that
-    device's ledger, bridging the real engine's residency accounting onto
-    the simulated cluster (peak memory reported by either side matches).
+    discipline as the simulator's device ledger.
     """
 
-    def __init__(self, name: str, capacity_bytes: int, device: Optional[Device] = None):
+    def __init__(self, name: str, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ConfigurationError(
                 f"arena {name!r}: capacity must be positive, got {capacity_bytes}"
             )
-        if device is not None and capacity_bytes > device.spec.memory_bytes:
-            raise ConfigurationError(
-                f"arena {name!r}: budget {capacity_bytes} exceeds the bridged "
-                f"device's {device.spec.memory_bytes}-byte capacity"
-            )
         self.name = name
         self.capacity_bytes = int(capacity_bytes)
-        self.device = device
         self.peak_bytes = 0
         self._allocations: Dict[str, int] = {}
         self._lock = threading.RLock()
-
-    @classmethod
-    def for_device(cls, device: Device, budget_bytes: Optional[int] = None) -> "DeviceArena":
-        """Build an arena bridged to a simulated device.
-
-        ``budget_bytes`` defaults to the device's full capacity; a smaller
-        budget models reserving part of the device for activations or other
-        frameworks.
-        """
-        budget = device.spec.memory_bytes if budget_bytes is None else budget_bytes
-        return cls(device.name, budget, device=device)
 
     # ------------------------------------------------------------------ #
     @property
@@ -90,8 +67,6 @@ class DeviceArena:
                     f"arena {self.name!r}: requested {num_bytes} bytes but only "
                     f"{self.free_bytes} of {self.capacity_bytes} are free"
                 )
-            if self.device is not None:
-                self.device.allocate(key, num_bytes)
             self._allocations[key] = int(num_bytes)
             used = sum(self._allocations.values())
             if used > self.peak_bytes:
@@ -102,8 +77,6 @@ class DeviceArena:
         with self._lock:
             if key not in self._allocations:
                 raise ConfigurationError(f"no allocation named {key!r} on arena {self.name}")
-            if self.device is not None and self.device.holds(key):
-                self.device.release(key)
             return self._allocations.pop(key)
 
     def fits(self, num_bytes: int) -> bool:
@@ -113,15 +86,8 @@ class DeviceArena:
     def reset(self) -> None:
         """Clear all allocations and peak tracking (between experiments)."""
         with self._lock:
-            if self.device is not None:
-                for key in list(self._allocations):
-                    if self.device.holds(key):
-                        self.device.release(key)
             self._allocations.clear()
             self.peak_bytes = 0
 
     def __repr__(self) -> str:
-        return (
-            f"DeviceArena({self.name}, {self.used_bytes}/{self.capacity_bytes} bytes"
-            f"{', bridged' if self.device is not None else ''})"
-        )
+        return f"DeviceArena({self.name}, {self.used_bytes}/{self.capacity_bytes} bytes)"

@@ -1,8 +1,8 @@
 """Asynchronous host→device shard transfers.
 
 A :class:`Prefetcher` runs restore jobs on a
-:class:`~repro.api.runtime.pool.WorkerPool` (a 1-thread
-:class:`~repro.api.runtime.pool.ThreadWorkerPool` by default) so the next
+:class:`~repro.runtime.pool.WorkerPool` (a 1-thread
+:class:`~repro.runtime.pool.ThreadWorkerPool` by default) so the next
 shard's transfer overlaps the current shard's compute — numpy's large array
 copies release the GIL, so the overlap is real wall-clock overlap, not just
 bookkeeping.  ``depth`` bounds the number of in-flight transfers; the
@@ -20,6 +20,7 @@ import threading
 from typing import Any, Callable, Optional
 
 from repro.exceptions import ConfigurationError
+from repro.runtime.pool import ThreadWorkerPool
 
 
 class Prefetcher:
@@ -44,17 +45,8 @@ class Prefetcher:
         if depth <= 0:
             raise ConfigurationError(f"prefetch depth must be positive, got {depth}")
         self.depth = int(depth)
-        if pool is None:
-            # Imported lazily: repro.api pulls in the training engines, which
-            # in turn may reach repro.memory — a module-level import here
-            # would close that cycle during package initialisation.
-            from repro.api.runtime.pool import ThreadWorkerPool
-
-            pool = ThreadWorkerPool(max(1, self.depth))
-            self._owned_pool: Optional[Any] = pool
-        else:
-            self._owned_pool = None
-        self._pool = pool
+        self._owned_pool = ThreadWorkerPool(self.depth) if pool is None else None
+        self._pool = pool if pool is not None else self._owned_pool
         self._inflight = 0
         self._lock = threading.Lock()
 
@@ -84,7 +76,9 @@ class Prefetcher:
         """Run ``job`` on the pool; call ``on_done(error_or_None)`` after.
 
         The caller must hold a successful :meth:`try_reserve`; the slot is
-        released before ``on_done`` fires.
+        released before ``on_done`` fires.  If the pool refuses the task (it
+        was shut down), the slot is released and the refusal re-raised —
+        ``on_done`` will never fire.
         """
 
         def task() -> None:
@@ -97,7 +91,11 @@ class Prefetcher:
                 self._inflight = max(0, self._inflight - 1)
             on_done(error)
 
-        self._pool.submit(task)
+        try:
+            self._pool.submit(task)
+        except RuntimeError:
+            self.cancel_reservation()
+            raise
 
     def close(self) -> None:
         """Shut down the owned pool (no-op for caller-supplied pools)."""

@@ -29,8 +29,8 @@ import threading
 import time
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -239,6 +239,36 @@ class SpillManager:
         self._records: Dict[ShardKey, ShardResidency] = {}
         self._cond = threading.Condition(threading.RLock())
         self._clock = 0
+
+    @classmethod
+    def from_budgets(
+        cls,
+        budgets: Dict[str, int],
+        *,
+        policy: Union[str, EvictionPolicy],
+        prefetch: bool,
+        spill_dir: Optional[str] = None,
+        host_cache_limit_bytes: Optional[int] = None,
+        scrub_evicted: bool = False,
+        telemetry=None,
+    ) -> "SpillManager":
+        """The standard recipe: a manager that owns everything it runs on.
+
+        One :class:`DeviceArena` per ``{name: bytes}`` entry, a fresh
+        :class:`HostShardCache` (``host_cache_limit_bytes``/``spill_dir`` add
+        the disk tier) and, with ``prefetch``, its own double-buffering
+        :class:`Prefetcher`, which :meth:`close` shuts down.
+        """
+        return cls(
+            [DeviceArena(name, nbytes) for name, nbytes in budgets.items()],
+            cache=HostShardCache(
+                memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
+            ),
+            policy=policy,
+            prefetcher=Prefetcher() if prefetch else None,
+            scrub_evicted=scrub_evicted,
+            telemetry=telemetry,
+        )
 
     def bind_telemetry(self, telemetry, name: str = "spill") -> None:
         """Attach a recorder after construction and publish residency metrics.
@@ -463,10 +493,10 @@ class SpillManager:
         """Start an async restore of an evicted shard; ``True`` if begun.
 
         Opportunistic: returns ``False`` (without waiting) when the shard is
-        already resident or in flight, no prefetcher is attached, the
-        double-buffer is full, or room cannot be made without touching
-        pinned shards.  The transfer overlaps the caller's compute; a later
-        :meth:`acquire` joins on it.
+        already resident or in flight, no prefetcher is attached (or it was
+        closed), the double-buffer is full, or room cannot be made without
+        touching pinned shards.  The transfer overlaps the caller's compute;
+        a later :meth:`acquire` joins on it.
         """
         if self.prefetcher is None:
             return False
@@ -494,25 +524,38 @@ class SpillManager:
             ):
                 self._copy_into_live_arrays(record, payload)
 
+        def unstage() -> None:
+            # Under the lock.  The payload was already taken from the cache;
+            # put it back so the canonical bytes survive, and free the arena.
+            if payload is not None:
+                self.cache.put(record.key, payload)
+            self.arenas[record.device].release(self._arena_key(record))
+            record.state = ResidencyState.EVICTED
+            self._cond.notify_all()
+
         def on_done(error: Optional[BaseException]) -> None:
             with self._cond:
                 if error is None:
                     record.state = ResidencyState.RESIDENT
                     self.stats.prefetches_completed += 1
                     self.stats.bytes_fetched += record.nbytes
+                    self._cond.notify_all()
                 else:
-                    # The payload was already taken from the cache; put it
-                    # back so the canonical bytes survive the failure, and
-                    # keep the error to re-raise at the next acquire — a
+                    # Keep the error to re-raise at the next acquire — a
                     # silent failure here would train on stale weights.
-                    if payload is not None:
-                        self.cache.put(record.key, payload)
-                    self.arenas[record.device].release(self._arena_key(record))
-                    record.state = ResidencyState.EVICTED
                     record.prefetch_error = error
-                self._cond.notify_all()
+                    unstage()
 
-        self.prefetcher.submit(job, on_done)
+        try:
+            self.prefetcher.submit(job, on_done)
+        except RuntimeError:
+            # The prefetcher was closed after the shard was staged: nothing
+            # ran, so there is no error to keep — the next acquire
+            # demand-fetches, exactly as with no prefetcher attached.
+            with self._cond:
+                self.stats.prefetches_issued -= 1
+                unstage()
+            return False
         return True
 
     # ------------------------------------------------------------------ #

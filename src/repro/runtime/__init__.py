@@ -1,0 +1,29 @@
+"""The thread/process substrate every layer builds on (see ``docs/runtime.md``).
+
+A leaf package — it imports nothing from ``repro`` but the exception types —
+holding the :class:`WorkerPool` implementations with their
+:class:`RetryPolicy` (:mod:`~repro.runtime.pool`) and the one
+:class:`SupervisedChild` process (:mod:`~repro.runtime.child`).
+:mod:`repro.memory`, :mod:`repro.serving` and :mod:`repro.api.runtime` build
+on it; :mod:`repro.api` re-exports the public names.
+"""
+
+from repro.runtime.child import SupervisedChild
+from repro.runtime.pool import (
+    ProcessWorkerPool,
+    RetryPolicy,
+    SerialWorkerPool,
+    ThreadWorkerPool,
+    WorkerPool,
+    make_pool,
+)
+
+__all__ = [
+    "ProcessWorkerPool",
+    "RetryPolicy",
+    "SerialWorkerPool",
+    "SupervisedChild",
+    "ThreadWorkerPool",
+    "WorkerPool",
+    "make_pool",
+]

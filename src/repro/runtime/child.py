@@ -1,7 +1,7 @@
 """One supervised child process: the lifecycle every process owner shares.
 
-A :class:`~repro.api.runtime.pool.ProcessWorkerPool` slot (payload: a task)
-and a :class:`~repro.api.runtime.proc.ProcessReplica` (payload: a
+A :class:`~repro.runtime.pool.ProcessWorkerPool` slot (payload: a task)
+and a :class:`~repro.serving.process.ProcessReplica` (payload: a
 micro-batch) both own persistent ``spawn``-ed children; the lifecycle is
 spelled here once.  Parent side, :class:`SupervisedChild`: lazy spawn with
 a private duplex pipe and an optional ready handshake → ``request`` → one
@@ -10,8 +10,8 @@ naming the phase that failed → lazy respawn → the one polite →
 ``terminate`` → ``kill`` stop.  Child side, :func:`_child_main`: build the
 owner's handler once, then recv → handle → reply until told to stop.
 
-Imports nothing from ``repro`` beyond the exception types, so ``pool.py``
-stays importable from lower layers.
+Imports nothing from ``repro`` beyond the exception types: ``repro.runtime``
+is a leaf package every other layer may build on.
 """
 
 from __future__ import annotations

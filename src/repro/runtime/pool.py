@@ -13,57 +13,97 @@ practical spectrum:
   large array ops, and simulated / I/O-bound trials overlap perfectly.
 * :class:`ProcessWorkerPool` — true multi-process execution for CPU-bound,
   *picklable* work (pure-python trial logic never escapes the GIL on
-  threads).  Each of the ``size`` slots owns one
-  :class:`~repro.api.runtime.child.SupervisedChild` — the spawn →
-  request/reply → crash → respawn → stop lifecycle it shares with
-  :class:`~repro.api.runtime.proc.ProcessReplica`; the pool's payload is a
-  task.  Tasks travel over a private pipe, so a child that dies mid-task
-  (SIGKILL, OOM) fails **only that task** with
-  :class:`~repro.exceptions.WorkerCrashedError` and the slot respawns a
-  fresh child for the next one — unlike
+  threads).  Each slot owns one
+  :class:`~repro.runtime.child.SupervisedChild` — the lifecycle it shares
+  with :class:`~repro.serving.process.ProcessReplica` — so a child that dies
+  mid-task fails **only that task**, unlike
   :class:`~concurrent.futures.ProcessPoolExecutor`, whose
   ``BrokenProcessPool`` condemns every pending future.
 
 Retry placement: :meth:`WorkerPool.submit_retrying` runs a task under a
-retry policy *inside the slot* (serial/thread pools) or *parent-side around
-the child* (process pool) — the latter is what lets a retry survive the
-death of the child that was running the previous attempt.
+:class:`RetryPolicy` *inside the slot* (serial/thread pools) or *parent-side
+around the child* (process pool) — the latter is what lets a retry survive
+the death of the child that was running the previous attempt.
 
 Pools are context managers; :func:`make_pool` is the one-stop factory the
 rest of the runtime uses.
 
 Example::
 
-    from repro.api.runtime import make_pool
+    from repro.runtime import make_pool
 
     with make_pool(4) as pool:
         futures = [pool.submit(job, index) for index in range(8)]
         results = [future.result() for future in futures]
 
-This module deliberately imports nothing from the rest of ``repro.api``
-(beyond the equally self-contained :mod:`~repro.api.runtime.child`) so
-lower layers (e.g. the Cerebro hopper) can accept a pool without creating
-an import cycle.
+``repro.runtime`` is a leaf package: it imports nothing from ``repro`` but
+the exception types, so every layer (memory, training, serving, the API)
+can build on a pool or a supervised child.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from queue import LifoQueue
 from typing import Any, Callable, Optional
 
-from repro.api.runtime.child import SupervisedChild
 from repro.exceptions import ConfigurationError, WorkerCrashedError
+from repro.runtime.child import SupervisedChild
 
 
-def _run_with_retries(policy: Any, fn: Callable[..., Any], *args: Any) -> Any:
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How the runtime treats a task (a trial) that raises or straggles.
+
+    ``max_retries`` is the number of *additional* attempts after the first
+    (so ``0`` means fail fast).  Attempt ``k`` (1-based retry index) sleeps
+    ``backoff_seconds * backoff_multiplier**(k-1)`` before re-running, inside
+    the worker slot.  ``timeout_seconds``, when set, is the straggler budget
+    for one cohort dispatch: outcomes not ready that many seconds after
+    dispatch are recorded as timed-out faults instead of blocking the
+    experiment (:class:`~repro.api.runtime.runner.AsyncTrialRunner`).
+
+    Example::
+
+        policy = RetryPolicy(max_retries=2, backoff_seconds=0.1)
+        assert policy.delay(1) == 0.1 and policy.delay(2) == 0.2
+
+    Raises:
+        ConfigurationError: if any field is negative, or the multiplier is
+            below 1.
+    """
+
+    max_retries: int = 0
+    backoff_seconds: float = 0.05
+    backoff_multiplier: float = 2.0
+    timeout_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_seconds < 0:
+            raise ConfigurationError(
+                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
+            )
+        if self.backoff_multiplier < 1.0:
+            raise ConfigurationError(
+                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
+            )
+        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
+            raise ConfigurationError(
+                f"timeout_seconds must be positive, got {self.timeout_seconds}"
+            )
+
+    def delay(self, retry_index: int) -> float:
+        """Backoff before the ``retry_index``-th retry (1-based)."""
+        return self.backoff_seconds * self.backoff_multiplier ** (retry_index - 1)
+
+
+def _run_with_retries(policy: RetryPolicy, fn: Callable[..., Any], *args: Any) -> Any:
     """The one retry loop: in the slot on serial/thread pools, and in the
     parent slot thread, around the child, on the process pool.
-
-    ``policy`` duck-types :class:`~repro.api.runtime.runner.RetryPolicy`
-    (``max_retries`` and ``delay(retry_index)``); this module cannot import
-    it without a cycle.
     """
     last_error: Optional[BaseException] = None
     for attempt in range(policy.max_retries + 1):
@@ -110,14 +150,15 @@ class WorkerPool:
         """Schedule ``fn(*args, **kwargs)`` and return its future."""
         raise NotImplementedError
 
-    def submit_retrying(self, policy: Any, fn: Callable[..., Any], *args: Any) -> Future:
+    def submit_retrying(
+        self, policy: RetryPolicy, fn: Callable[..., Any], *args: Any
+    ) -> Future:
         """Schedule ``fn(*args)`` under ``policy``'s retry/backoff loop.
 
-        ``policy`` is a :class:`~repro.api.runtime.runner.RetryPolicy` (or
-        anything exposing ``max_retries`` and ``delay``).  In-process pools
-        retry inside the worker slot; the process pool overrides this to
-        retry parent-side, so an attempt whose child process was killed is
-        re-run on a fresh child instead of being lost with it.
+        In-process pools retry inside the worker slot; the process pool
+        overrides this to retry parent-side, so an attempt whose child
+        process was killed is re-run on a fresh child instead of being lost
+        with it.
         """
         return self.submit(_run_with_retries, policy, fn, *args)
 
@@ -161,28 +202,7 @@ class SerialWorkerPool(WorkerPool):
         return future
 
 
-class _ExecutorPool(WorkerPool):
-    """Shared shape for pools backed by a ``concurrent.futures`` executor."""
-
-    def __init__(self, size: int):
-        if size <= 0:
-            raise ConfigurationError(f"pool size must be positive, got {size}")
-        self.size = int(size)
-        self._executor = self._make_executor()
-
-    def _make_executor(self):
-        raise NotImplementedError
-
-    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
-        """Schedule ``fn`` on the executor and return its future."""
-        return self._executor.submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Shut the executor down; pending tasks finish when ``wait`` is True."""
-        self._executor.shutdown(wait=wait)
-
-
-class ThreadWorkerPool(_ExecutorPool):
+class ThreadWorkerPool(WorkerPool):
     """A thread-backed pool — the default trial-execution substrate.
 
     Threads share the interpreter, so live models and loaders need no
@@ -199,14 +219,27 @@ class ThreadWorkerPool(_ExecutorPool):
 
     kind = "thread"
 
-    def _make_executor(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.size, thread_name_prefix="repro-worker")
+    def __init__(self, size: int):
+        if size <= 0:
+            raise ConfigurationError(f"pool size must be positive, got {size}")
+        self.size = int(size)
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.size, thread_name_prefix="repro-worker"
+        )
+
+    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
+        """Schedule ``fn`` on a worker thread and return its future."""
+        return self._executor.submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Shut the executor down; pending tasks finish when ``wait`` is True."""
+        self._executor.shutdown(wait=wait)
 
 
 def _pool_worker_main() -> Callable[[tuple], Any]:
     """A pool child's ``setup``: nothing to build; the handler runs one task.
 
-    Runs in a ``spawn``-ed child (see :mod:`~repro.api.runtime.child` for
+    Runs in a ``spawn``-ed child (see :mod:`~repro.runtime.child` for
     the loop around it): each message is ``(fn, args, kwargs)``, the value
     is ``fn``'s result, and whatever it raises is mirrored to the parent.
     """
@@ -222,7 +255,7 @@ class ProcessWorkerPool(WorkerPool):
     """True multi-process execution for CPU-bound, picklable workloads.
 
     ``size`` parent threads share ``size`` slots, each one
-    :class:`~repro.api.runtime.child.SupervisedChild` — a persistent child
+    :class:`~repro.runtime.child.SupervisedChild` — a persistent child
     process created with the ``spawn`` start method (no inherited locks or
     threads — the only start method that is deterministic about what a
     child sees), named ``repro-pool-worker-<slot>``.  A task is shipped to
@@ -279,7 +312,9 @@ class ProcessWorkerPool(WorkerPool):
         """Schedule ``fn`` on a slot's child process and return its future."""
         return self._threads.submit(self._run_task, fn, args, kwargs)
 
-    def submit_retrying(self, policy: Any, fn: Callable[..., Any], *args: Any) -> Future:
+    def submit_retrying(
+        self, policy: RetryPolicy, fn: Callable[..., Any], *args: Any
+    ) -> Future:
         """Retry parent-side: each attempt may land on a fresh child.
 
         The in-slot loop of the other pools would die with the child; here

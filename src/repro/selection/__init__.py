@@ -1,4 +1,8 @@
-"""Model selection: search spaces, search drivers, and Cerebro-style hopping."""
+"""Model selection: search spaces, trial bookkeeping, and Cerebro-style hopping.
+
+The search drivers (grid / random / successive halving) are the searchers of
+:mod:`repro.api`; run them with ``Experiment(space, searcher, backend=...)``.
+"""
 
 from repro.selection.search_space import Choice, Uniform, LogUniform, SearchSpace
 from repro.selection.experiment import (
@@ -8,9 +12,6 @@ from repro.selection.experiment import (
     TrialConfig,
     TrialResult,
 )
-from repro.selection.grid_search import grid_search
-from repro.selection.random_search import random_search
-from repro.selection.successive_halving import successive_halving
 from repro.selection.cerebro import CerebroModelHopper
 
 __all__ = [
@@ -23,8 +24,5 @@ __all__ = [
     "FailedTrial",
     "SelectionResult",
     "ExperimentTracker",
-    "grid_search",
-    "random_search",
-    "successive_halving",
     "CerebroModelHopper",
 ]

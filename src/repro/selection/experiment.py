@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import SearchSpaceError
+from repro.serving.deploy import serve
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,6 @@ class SelectionResult:
             CheckpointError: when the registry has no published version for
                 the trial.
         """
-        # Imported lazily: repro.api (and through it repro.serving) imports
-        # this module during package initialisation.
-        from repro.api.serving import serve
-
         chosen = trial if trial is not None else self.best()
         config = TrialConfig(
             trial_id=chosen.trial_id, hyperparameters=dict(chosen.hyperparameters)

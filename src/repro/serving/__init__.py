@@ -17,7 +17,7 @@ serving traffic against it (see ``docs/serving.md``):
   single device budget);
 * :class:`ModelServer` — the scheduler's one-queue case (fill window
   ``max_wait_ms``): a replica pool on the runtime's
-  :class:`~repro.api.runtime.pool.WorkerPool`, with per-request deadlines
+  :class:`~repro.runtime.pool.WorkerPool`, with per-request deadlines
   and p50/p95/p99 latency + throughput metrics;
 * :class:`LoadGenerator` — closed-loop and open-loop (fixed arrival rate)
   clients for load tests;
@@ -32,12 +32,15 @@ run every forward at one fixed compute geometry, so batched responses are
 ``array_equal`` to unbatched single-request forwards, and spilled replicas
 answer bit-identically to resident ones.
 
-The declarative entry points live one layer up:
-:func:`repro.api.serve` builds a server from a model,
+The declarative entry points are :mod:`repro.serving.deploy`'s, re-exported
+by the front door: :func:`repro.api.serve` builds a server from a model,
 :func:`repro.api.serve_fleet` builds a router over a registry's published
 models, and ``SelectionResult.deploy`` goes straight from an experiment's
 winner (rebuilt via the caller's builder, weights from the registry) to a
-running server — or, with ``router=``, into a shared fleet.
+running server — or, with ``router=``, into a shared fleet.  Process-backed
+replicas (:class:`~repro.serving.process.ModelSpec`,
+:class:`~repro.serving.process.ProcessReplica`) live in
+:mod:`repro.serving.process`.
 """
 
 from repro.serving.batcher import (

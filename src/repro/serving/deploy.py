@@ -1,6 +1,7 @@
-"""``repro.api.serve`` / ``serve_fleet`` — declarative online inference.
+"""``serve`` / ``serve_fleet`` — declarative online inference.
 
-One call turns a (trained) model into a running
+Import them as ``repro.api.serve`` / ``repro.api.serve_fleet``.  One call
+turns a (trained) model into a running
 :class:`~repro.serving.ModelServer`: replica construction, sharding and
 spill-manager plumbing for over-memory models, and batching configuration
 all happen here, mirroring how ``Experiment.run(memory_budget=...)`` hides
@@ -20,6 +21,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.models.base import ShardableModel
+from repro.serving.process import ModelSpec, ProcessReplica
 from repro.serving.registry import ModelRegistry
 from repro.serving.replica import Replica
 from repro.serving.router import FleetRouter
@@ -27,7 +29,7 @@ from repro.serving.server import ModelServer
 
 #: what ``serve`` accepts: a live model, a zero-argument factory that
 #: builds one fresh copy per replica, or a picklable
-#: :class:`~repro.api.runtime.proc.ModelSpec` (required for process replicas)
+#: :class:`~repro.serving.process.ModelSpec` (required for process replicas)
 ModelSource = Union[ShardableModel, Callable[[], ShardableModel]]
 
 
@@ -57,9 +59,9 @@ def serve(
     spilled serving with more than one replica).
 
     ``replica_mode="process"`` serves through
-    :class:`~repro.api.runtime.proc.ProcessReplica` children instead of
+    :class:`~repro.serving.process.ProcessReplica` children instead of
     threads — true parallel forwards past the GIL.  ``model`` must then be
-    a :class:`~repro.api.runtime.proc.ModelSpec`; each child builds the
+    a :class:`~repro.serving.process.ModelSpec`; each child builds the
     model itself and mmaps the spec's registry weights read-only, so N
     replicas share one physical copy of the parameter bytes through the
     page cache.  Responses are bit-identical to thread replicas at the same
@@ -105,9 +107,6 @@ def serve(
         raise ConfigurationError(
             f"replica_mode must be 'thread' or 'process', got {replica_mode!r}"
         )
-    # Imported lazily: repro.api.runtime imports this facade's package peers.
-    from repro.api.runtime.proc import ModelSpec, ProcessReplica
-
     factory: Optional[Callable[[], ShardableModel]] = None
     if replica_mode == "process":
         if not isinstance(model, ModelSpec):
@@ -265,9 +264,6 @@ def serve_fleet(
         name=name,
         telemetry=telemetry,
     )
-    # Imported lazily: repro.api.runtime imports this facade's package peers.
-    from repro.api.runtime.proc import ModelSpec
-
     for model_name in chosen:
         if replica_mode == "process":
             # Pin the latest version *now*: the fleet serves one immutable

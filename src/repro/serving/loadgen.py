@@ -38,6 +38,7 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.runtime.pool import ThreadWorkerPool
 from repro.serving.batcher import PendingResponse
 from repro.serving.router import FleetRouter, RouterHandle
 from repro.serving.server import ModelServer, RequestArrays
@@ -198,9 +199,6 @@ class LoadGenerator:
     # ------------------------------------------------------------------ #
     def run(self) -> LoadReport:
         """Run every client loop to completion and aggregate the outcomes."""
-        # Imported lazily for the same api-cycle reason as ModelServer.start.
-        from repro.api.runtime.pool import ThreadWorkerPool
-
         open_loop = self.arrival_rate_rps is not None
         loop = self._open_loop if open_loop else self._closed_loop
         started = time.monotonic()

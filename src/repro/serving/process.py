@@ -1,8 +1,8 @@
 """Process-based serving replicas: handle-free model specs + shared-memory IPC.
 
 This module is the serving half of the process runtime (the trial half —
-:class:`~repro.api.runtime.pool.ProcessWorkerPool` plus the snapshot
-protocol — lives in :mod:`~repro.api.runtime.pool` and
+:class:`~repro.runtime.pool.ProcessWorkerPool` plus the snapshot
+protocol — lives in :mod:`~repro.runtime.pool` and
 :mod:`~repro.api.runtime.concurrent`).  Three pieces:
 
 * :class:`ModelSpec` — a **handle-free** description of a servable model: a
@@ -23,7 +23,7 @@ protocol — lives in :mod:`~repro.api.runtime.pool` and
   travel over the control pipe.
 
 The child's lifecycle — spawn, ready handshake, request/reply, crash,
-respawn, stop — is the one :class:`~repro.api.runtime.child.SupervisedChild`
+respawn, stop — is the one :class:`~repro.runtime.child.SupervisedChild`
 the process pool's slots also use; a replica is that child plus the two
 segments, the grow exchange and a lock.  So fault containment is the
 pool's: a child killed mid-request fails **only the in-flight
@@ -42,9 +42,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.runtime.child import SupervisedChild
 from repro.exceptions import ConfigurationError, ReplicaCrashedError, ServingError
+from repro.models.registry import create_model
+from repro.runtime.child import SupervisedChild
+from repro.serving.registry import ModelRegistry
+from repro.serving.replica import Replica, request_rows
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.training.checkpoint import map_checkpoint_parameters
 from repro.utils.serialization import probe_picklable
 
 #: shared-memory layout: leaf arrays are aligned to cache-line multiples
@@ -109,18 +113,12 @@ class ModelSpec:
     def build(self):
         """Construct the model (and attach its weights) in *this* process."""
         if isinstance(self.builder, str):
-            from repro.models.registry import create_model
-
             model = create_model(self.builder, **dict(self.kwargs))
         else:
             model = self.builder(**dict(self.kwargs))
         if self.registry_root is not None:
-            from repro.serving.registry import ModelRegistry
-
             registry = ModelRegistry(self.registry_root)
             if self.mmap_weights:
-                from repro.training.checkpoint import map_checkpoint_parameters
-
                 map_checkpoint_parameters(
                     model, registry.archive_path(self.registry_name, self.version)
                 )
@@ -133,18 +131,6 @@ class ModelSpec:
 # --------------------------------------------------------------------------- #
 # Shared-memory array transport
 # --------------------------------------------------------------------------- #
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without adopting its lifecycle.
-
-    ``spawn`` children inherit the parent's resource-tracker process, so the
-    attach's duplicate registration is a set-level no-op there — the parent
-    remains the sole owner and unlinks in ``close()``.  (Deliberately *no*
-    ``resource_tracker.unregister`` here: with a shared tracker that would
-    remove the parent's own registration and break leak cleanup.)
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
 def _layout(leaves: List[Tuple[str, np.ndarray]]) -> Tuple[list, int]:
     """Assign aligned offsets to leaf arrays; return (fields, total_bytes)."""
     fields = []
@@ -215,16 +201,12 @@ class _OwnedSegment:
 
 
 def _flatten_output(payload: Any, leaves: List[Tuple[str, np.ndarray]]) -> Any:
-    """Flatten a model output (array/tensor/nested tuple-or-list) to leaves.
+    """Flatten ``Replica.infer`` output rows (array/nested tuple-or-list) to leaves.
 
     Returns a structure descriptor — ``"a"`` for a leaf, ``["t", [...]]`` /
     ``["l", [...]]`` for tuples/lists — that :func:`_rebuild_output`
     inverts on the parent side.
     """
-    from repro.autograd.tensor import Tensor
-
-    if isinstance(payload, Tensor):
-        payload = payload.data
     if isinstance(payload, np.ndarray):
         leaves.append((f"leaf{len(leaves)}", np.ascontiguousarray(payload)))
         return "a"
@@ -266,7 +248,7 @@ class _ReplicaHandler:
     """
 
     def __init__(self, model, telemetry):
-        self.model = model
+        self.replica = Replica.resident(model)
         self.telemetry = telemetry
         self.segments: Dict[str, shared_memory.SharedMemory] = {}
         self.pending: Optional[tuple] = None  # an output awaiting a big-enough segment
@@ -274,7 +256,12 @@ class _ReplicaHandler:
     def _attach(self, name: str) -> shared_memory.SharedMemory:
         segment = self.segments.get(name)
         if segment is None:
-            segment = self.segments[name] = _attach_segment(name)
+            # Attach without adopting the lifecycle: ``spawn`` children share
+            # the parent's resource tracker, so this duplicate registration is
+            # a set-level no-op and the parent stays the sole owner (it unlinks
+            # in ``close()``).  Deliberately *no* ``resource_tracker.unregister``:
+            # with a shared tracker that would drop the parent's registration.
+            segment = self.segments[name] = shared_memory.SharedMemory(name=name)
         return segment
 
     def __call__(self, message: tuple) -> Dict[str, Any]:
@@ -302,21 +289,15 @@ class _ReplicaHandler:
         }
 
     def _forward(self, meta: Dict[str, Any], pad_to: Optional[int]) -> tuple:
-        """Pad, forward and slice exactly like an in-process replica."""
-        from repro.autograd.tensor import no_grad
-        from repro.data.dataloader import Batch
-        from repro.serving.replica import pad_rows, request_rows, slice_rows
-
+        """Pad, forward and slice *as* an in-process replica: ``Replica.infer``."""
         leaves_in = _read_leaves(self._attach(meta["segment"]), meta["fields"], copy=False)
         arrays = {key: values for (key, _, _, _), values in zip(meta["fields"], leaves_in)}
-        rows = request_rows(arrays)
-        padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
-        with self.telemetry.span("replica.forward", cat="serving", rows=rows), no_grad():
-            output = self.model.forward(
-                Batch(arrays={k: np.asarray(v) for k, v in padded.items()})
-            )
+        with self.telemetry.span(
+            "replica.forward", cat="serving", rows=request_rows(arrays)
+        ):
+            output = self.replica.infer(arrays, pad_to)
         leaves_out: List[Tuple[str, np.ndarray]] = []
-        structure = _flatten_output(slice_rows(output, 0, rows), leaves_out)
+        structure = _flatten_output(output, leaves_out)
         fields, total = _layout(leaves_out)
         return leaves_out, structure, fields, total
 
@@ -324,7 +305,7 @@ class _ReplicaHandler:
 def _replica_child_main(spec: ModelSpec, telemetry_enabled: bool = False) -> _ReplicaHandler:
     """A replica child's ``setup``: build the model once, return its handler.
 
-    Runs in a ``spawn``-ed child (see :mod:`~repro.api.runtime.child` for
+    Runs in a ``spawn``-ed child (see :mod:`~repro.runtime.child` for
     the loop around it).  With ``telemetry_enabled`` the child keeps its
     own recorder; only that flag crossed the process boundary.
     """

@@ -33,7 +33,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataloader import Batch
 from repro.exceptions import ConfigurationError, ServingError
-from repro.memory import DeviceArena, HostShardCache, Prefetcher, SpillManager
+from repro.memory import SpillManager
 from repro.models.base import ShardableModel
 from repro.sharding.partitioner import partition_uniform
 from repro.training.sharded_trainer import ShardedModelExecutor
@@ -196,14 +196,12 @@ class Replica:
                 f"memory_budget {memory_budget} cannot hold the largest shard "
                 f"({largest} bytes); raise the budget or use more shards"
             )
-        cache = HostShardCache(
-            memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
-        )
-        manager = SpillManager(
-            [DeviceArena(_SERVE_ARENA, int(memory_budget))],
-            cache=cache,
+        manager = SpillManager.from_budgets(
+            {_SERVE_ARENA: int(memory_budget)},
             policy=eviction_policy,
-            prefetcher=Prefetcher() if prefetch else None,
+            prefetch=prefetch,
+            spill_dir=spill_dir,
+            host_cache_limit_bytes=host_cache_limit_bytes,
             scrub_evicted=scrub_evicted,
             telemetry=telemetry,
         )

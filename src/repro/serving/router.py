@@ -7,7 +7,7 @@ the same :class:`~repro.serving.server.ServingCore`; one router owns, for
 *every* published model it serves:
 
 * **one replica pool** — ``replicas`` worker threads on the runtime's
-  :class:`~repro.api.runtime.pool.WorkerPool`, each repeatedly asking the
+  :class:`~repro.runtime.pool.WorkerPool`, each repeatedly asking the
   scheduler for ``(model, micro-batch)`` work;
 * **one spill budget** — a single :class:`~repro.memory.SpillManager`
   arena that all models' parameters are charged against.  Each model is
@@ -50,14 +50,9 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError, ServingError
-from repro.memory import (
-    DeviceArena,
-    HostShardCache,
-    Prefetcher,
-    ResidencyState,
-    SpillManager,
-)
+from repro.memory import ResidencyState, SpillManager
 from repro.serving.batcher import DynamicBatcher, ModelEntry, PendingResponse
+from repro.serving.process import ModelSpec, ProcessReplica
 from repro.serving.replica import Replica
 from repro.serving.server import RequestArrays, ServingCore
 from repro.serving.stats import ServerStats
@@ -175,11 +170,11 @@ class FleetRouter(ServingCore):
         self.max_cold_skips = int(max_cold_skips)
         self.watchdog_interval_s = watchdog_interval_s
         self._budget = None if memory_budget is None else int(memory_budget)
-        self._manager = SpillManager(
-            [DeviceArena(_FLEET_ARENA, self._budget or _UNBOUNDED)],
-            cache=HostShardCache(spill_dir=spill_dir),
+        self._manager = SpillManager.from_budgets(
+            {_FLEET_ARENA: self._budget or _UNBOUNDED},
             policy=eviction_policy,
-            prefetcher=Prefetcher() if prefetch else None,
+            prefetch=prefetch,
+            spill_dir=spill_dir,
             scrub_evicted=scrub_evicted,
             telemetry=self.telemetry,
         )
@@ -209,8 +204,8 @@ class FleetRouter(ServingCore):
         geometry must match any dedicated server the model's responses are
         compared against — exactness is per-geometry.
 
-        ``model`` may also be a :class:`~repro.api.runtime.proc.ModelSpec`:
-        the entry is then served by a :class:`~repro.api.runtime.proc.
+        ``model`` may also be a :class:`~repro.serving.process.ModelSpec`:
+        the entry is then served by a :class:`~repro.serving.process.
         ProcessReplica` — forwards run in a dedicated child process that
         mmaps the spec's registry weights read-only.  Process entries are
         never charged to the fleet budget (their bytes live in the shared
@@ -225,10 +220,6 @@ class FleetRouter(ServingCore):
             raise ConfigurationError(
                 f"model {name!r} is already registered with router {self.name!r}"
             )
-        # Imported lazily: repro.api initialisation imports the serving
-        # facade, which imports this package (same cycle start() breaks).
-        from repro.api.runtime.proc import ModelSpec, ProcessReplica
-
         if isinstance(model, ModelSpec):
             # Child spawns lazily; it inherits the router's telemetry flag so
             # its forward spans flow back through the reply channel.

@@ -7,7 +7,7 @@ entries are declared — and both front-ends are that core:
   admission control (full queue → immediate
   :class:`~repro.exceptions.ServerOverloadedError`), per-request deadlines,
   micro-batch coalescing and the weighted-fair pick between entries;
-* worker threads on a :class:`~repro.api.runtime.pool.WorkerPool` — the
+* worker threads on a :class:`~repro.runtime.pool.WorkerPool` — the
   same execution substrate the concurrent trial runtime uses — each running
   the one serve loop: take an assignment, run it through a replica's
   ``infer(arrays, pad_to)``, complete the responses, record the stats;
@@ -16,7 +16,7 @@ entries are declared — and both front-ends are that core:
 A :class:`ModelServer` is the one-entry case: its batches wait out a fill
 window (``max_wait_ms``) and its replicas —
 :class:`~repro.serving.replica.Replica`, resident or spilled, or
-:class:`~repro.api.runtime.proc.ProcessReplica` — each get a worker of
+:class:`~repro.serving.process.ProcessReplica` — each get a worker of
 their own.  A :class:`~repro.serving.router.FleetRouter` is the many-entry
 case on a shared pool and a shared memory budget.
 
@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ServingError
+from repro.runtime.pool import ThreadWorkerPool
 from repro.serving.batcher import (
     Assignment,
     DynamicBatcher,
@@ -109,11 +110,6 @@ class ServingCore:
             raise ServingError(
                 f"{self._kind} {self.name!r} was stopped; build a new {self._kind}"
             )
-        # Imported lazily: repro.api initialisation imports the serve()
-        # facade, which imports this package — a module-level import here
-        # would close that cycle (same pattern as repro.memory.prefetch).
-        from repro.api.runtime.pool import ThreadWorkerPool
-
         if self.telemetry.enabled:
             self.telemetry.register_collector(
                 f"{self._kind}.{self.name}", self.metrics

@@ -44,7 +44,7 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.training.metrics import MetricTracker
 from repro.training.trainer import TrainingReport
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid an api/training cycle
+if TYPE_CHECKING:  # type-only: repro.memory imports this package (training.checkpoint)
     from repro.memory.spill import SpillManager
 
 

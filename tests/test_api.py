@@ -302,8 +302,7 @@ class TestCallbacks:
             budget=Budget(epochs_per_trial=5),
         ).run()
         # No epoch observers -> the whole budget arrives in a single call
-        # (preserves the legacy TrainFn chunk contract and avoids per-call
-        # setup overhead on the engine backends).
+        # (avoids per-call setup overhead on the engine backends).
         assert calls == [5]
 
     def test_sequential_backend_attributes_wall_time_per_trial(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import HydraConfig, HydraSession
+from repro.api import Budget, Experiment, FunctionBackend, GridSearcher
 from repro.cluster import Cluster
 from repro.data import DataLoader, SyntheticSpanDataset, make_classification
 from repro.models import BertConfig, BertForSpanPrediction, FeedForwardConfig, FeedForwardNetwork
@@ -19,7 +20,7 @@ from repro.scheduler import (
     TaskParallelStrategy,
     TrainingJob,
 )
-from repro.selection import SearchSpace, grid_search
+from repro.selection import SearchSpace
 from repro.sharding import make_plan, validate_plan
 from repro.cluster import GPU_PRESETS
 from repro.training import ShardParallelTrainer, Trainer
@@ -103,7 +104,10 @@ class TestRealTrainingPipeline:
             return {"loss": report.final_loss, "accuracy": metrics["accuracy"]}
 
         space = SearchSpace({"lr": [1e-2, 1e-3], "width": [16, 32]})
-        result = grid_search(space, train_fn, num_epochs=2, objective="accuracy", mode="max")
+        result = Experiment(
+            space, GridSearcher(), backend=FunctionBackend(train_fn),
+            objective="accuracy", mode="max", budget=Budget(epochs_per_trial=2),
+        ).run()
         assert len(result) == 4
         assert result.best().metric("accuracy") > 0.6
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import Budget, Experiment, FunctionBackend, ShardParallelBackend
 from repro.cluster import Cluster
-from repro.cluster.device import Device, DeviceSpec, GPU_PRESETS
+from repro.cluster.device import DeviceSpec
 from repro.data import DataLoader, make_classification
 from repro.exceptions import (
     CheckpointError,
@@ -105,22 +105,6 @@ class TestDeviceArena:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ConfigurationError):
             DeviceArena("dev0", 0)
-
-    def test_bridges_to_cluster_device(self):
-        device = Device(GPU_PRESETS["v100-16gb"], name="gpu0")
-        arena = DeviceArena.for_device(device, budget_bytes=1000)
-        arena.allocate("shard", 600)
-        assert device.holds("shard") and device.used_bytes == 600
-        arena.release("shard")
-        assert not device.holds("shard")
-        arena.allocate("again", 10)
-        arena.reset()
-        assert not device.holds("again") and arena.used_bytes == 0
-
-    def test_budget_cannot_exceed_bridged_device(self):
-        device = Device(DeviceSpec("t", memory_bytes=100, flops_per_second=1.0))
-        with pytest.raises(ConfigurationError):
-            DeviceArena.for_device(device, budget_bytes=101)
 
 
 # --------------------------------------------------------------------------- #
@@ -321,6 +305,30 @@ class TestSpillManager:
         manager = self._manager(capacity=64, prefetcher=Prefetcher(depth=1))
         manager.close()
         manager.close()  # idempotent
+
+    def test_prefetch_after_close_does_not_strand_the_shard(self):
+        a = np.arange(4, dtype=np.float32)
+        b = np.ones(4, dtype=np.float32)
+        prefetcher = Prefetcher(depth=1)
+        manager = self._manager(
+            capacity=16, prefetcher=prefetcher, scrub_evicted=True,
+            acquire_timeout_seconds=2.0,
+        )
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        manager.register(("m", 1), "dev0", 16, lambda: [b])
+        with manager.lease(("m", 0)):
+            pass
+        with manager.lease(("m", 1)):  # evicts shard 0 to the host cache
+            pass
+        manager.close()
+        # The closed worker refuses the job after the shard was staged
+        # (slot reserved, arena charged, payload taken): all of it is undone.
+        assert manager.prefetch(("m", 0)) is False
+        assert prefetcher.inflight == 0
+        assert manager.residency(("m", 0)) is ResidencyState.EVICTED
+        assert manager.stats.prefetches_issued == 0
+        with manager.lease(("m", 0)):  # demand-fetches the canonical bytes
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
 
     def test_forget_restores_evicted_values(self):
         a = np.arange(4, dtype=np.float32)

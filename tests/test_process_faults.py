@@ -48,8 +48,6 @@ from repro.api import (
     ShardParallelBackend,
     serve,
 )
-from repro.api.runtime import pool as pool_module
-from repro.api.runtime.child import SupervisedChild, _reply
 from repro.data import DataLoader, make_classification
 from repro.exceptions import (
     ReplicaCrashedError,
@@ -59,6 +57,8 @@ from repro.exceptions import (
 )
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
+from repro.runtime import pool as pool_module
+from repro.runtime.child import SupervisedChild, _reply
 from repro.selection import SearchSpace
 from repro.serving import ModelRegistry
 

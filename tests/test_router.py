@@ -155,7 +155,7 @@ class TestFleetExactness:
             watchdog_interval_s=None,
         )
         make_fleet(names, router)
-        from repro.api.runtime.pool import ThreadWorkerPool
+        from repro.runtime.pool import ThreadWorkerPool
 
         def client(name):
             for index, x in enumerate(requests_32):

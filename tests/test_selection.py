@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.api import (
+    Budget,
+    Experiment,
+    FunctionBackend,
+    GridSearcher,
+    RandomSearcher,
+    ResumableFunctionBackend,
+    SuccessiveHalvingSearcher,
+    make_searcher,
+)
 from repro.data import make_classification
 from repro.exceptions import SchedulingError, SearchSpaceError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
@@ -15,9 +25,6 @@ from repro.selection import (
     SearchSpace,
     TrialConfig,
     Uniform,
-    grid_search,
-    random_search,
-    successive_halving,
 )
 
 
@@ -131,36 +138,42 @@ def _toy_train_fn(trial: TrialConfig, num_epochs: int):
     return {"loss": float(loss)}
 
 
+def _search(space, searcher, epochs=1):
+    """One surrogate-objective experiment (the searchers live in ``repro.api``)."""
+    return Experiment(
+        space, searcher, backend=FunctionBackend(_toy_train_fn),
+        budget=Budget(epochs_per_trial=epochs),
+    ).run()
+
+
 class TestGridSearch:
     def test_explores_whole_grid_and_finds_optimum(self):
         space = SearchSpace({"lr": [1e-3, 1e-2, 1e-1], "depth": [1, 2]})
-        result = grid_search(space, _toy_train_fn, num_epochs=3)
+        result = _search(space, GridSearcher(), epochs=3)
         assert len(result) == 6
         assert result.best().hyperparameters["lr"] == pytest.approx(1e-2)
         assert result.best().hyperparameters["depth"] == 1
 
     def test_max_trials_cap(self):
         space = SearchSpace({"lr": [1e-3, 1e-2, 1e-1]})
-        result = grid_search(space, _toy_train_fn, max_trials=2)
-        assert len(result) == 2
+        assert len(_search(space, GridSearcher(max_trials=2))) == 2
 
 
 class TestRandomSearch:
     def test_samples_requested_number(self):
         space = SearchSpace({"lr": LogUniform(1e-4, 1e-1), "depth": [1, 2, 3]})
-        result = random_search(space, _toy_train_fn, num_trials=10, seed=0)
-        assert len(result) == 10
+        assert len(_search(space, RandomSearcher(num_trials=10, seed=0))) == 10
 
     def test_seed_reproducibility(self):
         space = SearchSpace({"lr": LogUniform(1e-4, 1e-1)})
-        a = random_search(space, _toy_train_fn, num_trials=5, seed=1)
-        b = random_search(space, _toy_train_fn, num_trials=5, seed=1)
+        a = _search(space, RandomSearcher(num_trials=5, seed=1))
+        b = _search(space, RandomSearcher(num_trials=5, seed=1))
         assert [t.hyperparameters for t in a.trials] == [t.hyperparameters for t in b.trials]
 
     def test_validation(self):
-        space = SearchSpace({"lr": [0.1]})
+        # By name, as ``Experiment(searcher="random")`` resolves it.
         with pytest.raises(ValueError):
-            random_search(space, _toy_train_fn, num_trials=0)
+            make_searcher("random", num_trials=0)
 
 
 class TestSuccessiveHalving:
@@ -170,28 +183,29 @@ class TestSuccessiveHalving:
         metrics = _toy_train_fn(trial, epochs_so_far)
         return metrics, epochs_so_far
 
+    def _halve(self, **searcher_options):
+        return Experiment(
+            SearchSpace({"lr": LogUniform(1e-4, 1e-1)}),
+            SuccessiveHalvingSearcher(reduction_factor=2, seed=0, **searcher_options),
+            backend=ResumableFunctionBackend(self._resumable_train_fn),
+        ).run()
+
     def test_culls_to_single_survivor(self):
-        space = SearchSpace({"lr": LogUniform(1e-4, 1e-1)})
-        result = successive_halving(space, self._resumable_train_fn, num_trials=8,
-                                    min_epochs=1, reduction_factor=2, seed=0)
+        result = self._halve(num_trials=8, min_epochs=1)
         # 8 + 4 + 2 + 1 evaluations across rungs.
         assert len(result) == 15
         epochs = [t.epochs_trained for t in result.trials]
         assert max(epochs) > min(epochs)
 
     def test_budget_grows_for_survivors(self):
-        space = SearchSpace({"lr": LogUniform(1e-4, 1e-1)})
-        result = successive_halving(space, self._resumable_train_fn, num_trials=4,
-                                    min_epochs=2, reduction_factor=2, seed=0)
-        best = result.best()
-        assert best.epochs_trained >= 2
+        result = self._halve(num_trials=4, min_epochs=2)
+        assert result.best().epochs_trained >= 2
 
     def test_validation(self):
-        space = SearchSpace({"lr": [0.1, 0.2]})
         with pytest.raises(SearchSpaceError):
-            successive_halving(space, self._resumable_train_fn, num_trials=1)
+            make_searcher("sha", num_trials=1)
         with pytest.raises(SearchSpaceError):
-            successive_halving(space, self._resumable_train_fn, num_trials=4, reduction_factor=1)
+            make_searcher("asha", num_trials=4, reduction_factor=1)
 
 
 class TestCerebroModelHopper:
