@@ -36,7 +36,6 @@ __all__ = [
 #: names re-exported lazily from the declarative experiment API; kept in
 #: sync with ``repro.api.__all__`` (asserted by tests/test_api.py)
 _API_EXPORTS = (
-    "AsyncTrialRunner",
     "Budget",
     "Callback",
     "CallbackList",
@@ -62,7 +61,6 @@ _API_EXPORTS = (
     "SimulationBackend",
     "SuccessiveHalvingSearcher",
     "ThreadWorkerPool",
-    "TrialFault",
     "TrialHandle",
     "TrialRunner",
     "TrialTimer",

@@ -38,7 +38,6 @@ it (``tests/test_layering.py``).  The pools and :class:`RetryPolicy`
 
 from repro.api.backend import CohortEngineBackend, ExecutionBackend, TrialHandle
 from repro.api.runtime import (
-    AsyncTrialRunner,
     ConcurrentBackend,
     ModelSpec,
     ProcessReplica,
@@ -46,7 +45,6 @@ from repro.api.runtime import (
     RetryPolicy,
     SerialWorkerPool,
     ThreadWorkerPool,
-    TrialFault,
     WorkerPool,
     make_pool,
 )
@@ -76,7 +74,6 @@ from repro.api.searchers import (
 from repro.serving.deploy import serve, serve_fleet
 
 __all__ = [
-    "AsyncTrialRunner",
     "Budget",
     "Callback",
     "CallbackList",
@@ -102,7 +99,6 @@ __all__ = [
     "SimulationBackend",
     "SuccessiveHalvingSearcher",
     "ThreadWorkerPool",
-    "TrialFault",
     "TrialHandle",
     "TrialRunner",
     "TrialTimer",

@@ -43,12 +43,14 @@ class TrialHandle:
     while preparing the trial (e.g. the shard count it chose); the runner
     merges them into the recorded :class:`TrialResult` hyperparameters.
     ``wall_seconds`` accumulates this trial's own training time when the
-    backend runs trials sequentially (co-scheduling backends leave it at
-    zero and the runner falls back to the cohort's elapsed window).
-    ``failure`` is set by fault-tolerant backends (the concurrent runtime)
-    to a :class:`~repro.api.runtime.runner.TrialFault` when the trial fails
-    terminally; the runner records it as a ``FailedTrial`` and retires it
-    instead of aborting the experiment.
+    backend can attribute it (sequential and pooled backends); for a trial
+    a ``train_many`` call leaves untimed (co-scheduling backends), the
+    runner credits the whole call.  ``failure`` is set by fault-tolerant
+    backends (the concurrent runtime) when the trial fails terminally, to
+    the :class:`~repro.selection.experiment.FailedTrial` fields the backend
+    knows — ``{"error": "RuntimeError: boom", "timed_out": False}``; the
+    runner records it as a ``FailedTrial`` and retires it instead of
+    aborting the experiment.
     """
 
     trial: TrialConfig

@@ -13,24 +13,25 @@ then replayed on the real numpy engine::
 
 The :class:`TrialRunner` is the glue between the two halves: it prepares
 trials on the backend, steps them epoch by epoch (when the backend is
-resumable), fires callbacks, records results/wall time into an
-:class:`ExperimentTracker`, and keeps handles alive so multi-rung searchers
-can resume trials.
+resumable), fires callbacks, records one result per trial (with its wall
+time) into the run's :class:`SelectionResult`, and keeps handles alive so
+multi-rung searchers can resume trials.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.api.callbacks import Callback, CallbackList
 from repro.api.runtime.concurrent import ConcurrentBackend
-from repro.api.runtime.runner import RetryPolicy
 from repro.api.searchers import Searcher, make_searcher
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SearchSpaceError
+from repro.runtime.pool import RetryPolicy
 from repro.selection.experiment import (
-    ExperimentTracker,
+    FailedTrial,
     SelectionResult,
     TrialConfig,
     TrialResult,
@@ -85,7 +86,8 @@ class TrialRunner:
 
     Example::
 
-        with TrialRunner(backend, space, budget, tracker, callbacks) as runner:
+        result = SelectionResult("grid_search", objective="loss", mode="min")
+        with TrialRunner(backend, space, budget, result, callbacks) as runner:
             searcher.run(runner)
 
     Raises:
@@ -99,13 +101,13 @@ class TrialRunner:
         backend: ExecutionBackend,
         space: Optional[SearchSpace],
         budget: Budget,
-        tracker: ExperimentTracker,
+        result: SelectionResult,
         callbacks: CallbackList,
     ):
         self.backend = backend
         self._space = space
         self.budget = budget
-        self.tracker = tracker
+        self.result = result
         self.callbacks = callbacks
         self._handles: Dict[str, TrialHandle] = {}
         self._retired: Set[str] = set()
@@ -134,12 +136,12 @@ class TrialRunner:
     @property
     def objective(self) -> str:
         """The metric name trials are ranked by (e.g. ``"loss"``)."""
-        return self.tracker.objective
+        return self.result.objective
 
     @property
     def mode(self) -> str:
         """``"min"`` or ``"max"`` — the direction of the objective."""
-        return self.tracker.mode
+        return self.result.mode
 
     # ------------------------------------------------------------------ #
     def run_trials(
@@ -177,7 +179,6 @@ class TrialRunner:
                 handle = self.backend.prepare(trial)
                 self._handles[trial.trial_id] = handle
                 self.callbacks.on_trial_start(trial)
-            self.tracker.start_trial(trial.trial_id)
             active.append(handle)
 
         stopped: List[TrialHandle] = []
@@ -193,9 +194,16 @@ class TrialRunner:
             for _ in range(epochs // chunk):
                 if not cohort:
                     break
+                timed = [handle.wall_seconds for handle in cohort]
+                started = time.monotonic()
                 metrics_map = self.backend.train_many(cohort, chunk)
+                window = time.monotonic() - started
                 surviving: List[TrialHandle] = []
-                for handle in cohort:
+                for handle, before in zip(cohort, timed):
+                    # A co-scheduling backend cannot split the call's time
+                    # between its trials: each one is credited the whole call.
+                    if handle.wall_seconds == before:
+                        handle.wall_seconds += window
                     if handle.failure is not None:
                         continue
                     handle.epochs_trained += chunk
@@ -223,11 +231,8 @@ class TrialRunner:
         stopped_ids = {handle.trial_id for handle in stopped}
         failed = [handle for handle in active if handle.failure is not None]
         for handle in active:
-            if handle.failure is not None:
-                self._record_failure(handle)
-                continue
             result = self._record(handle)
-            if handle.trial_id not in stopped_ids:
+            if handle.failure is None and handle.trial_id not in stopped_ids:
                 results.append(result)
         for handle in stopped + failed:
             self._retire_handle(handle)
@@ -254,34 +259,23 @@ class TrialRunner:
         hyperparameters = dict(handle.trial.hyperparameters)
         for key, value in handle.annotations.items():
             hyperparameters.setdefault(key, value)
-        # Sequential backends attribute wall time per trial on the handle;
-        # co-scheduling backends leave it at 0 and the tracker's cohort
-        # window (started in run_trials) is the honest elapsed time.
-        wall = handle.wall_seconds if handle.wall_seconds > 0 else None
+        fields = dict(
+            trial_id=handle.trial_id,
+            hyperparameters=hyperparameters,
+            metrics=dict(handle.last_metrics),
+            epochs_trained=handle.epochs_trained,
+            wall_seconds=handle.wall_seconds,
+        )
         handle.wall_seconds = 0.0
-        result = self.tracker.record(
-            handle.trial_id,
-            hyperparameters,
-            handle.last_metrics,
-            epochs_trained=handle.epochs_trained,
-            wall_seconds=wall,
-        )
-        self._last_result[handle.trial_id] = result
-        return result
-
-    def _record_failure(self, handle: TrialHandle) -> TrialResult:
-        hyperparameters = dict(handle.trial.hyperparameters)
-        for key, value in handle.annotations.items():
-            hyperparameters.setdefault(key, value)
-        fault = handle.failure
-        result = self.tracker.record_failure(
-            handle.trial_id,
-            hyperparameters,
-            error=getattr(fault, "error", str(fault)),
-            epochs_trained=handle.epochs_trained,
-            metrics=handle.last_metrics,
-            timed_out=getattr(fault, "timed_out", False),
-        )
+        if handle.failure is not None:
+            result = FailedTrial(**fields, **handle.failure)
+        elif self.objective not in handle.last_metrics:
+            raise SearchSpaceError(
+                f"metrics for trial {handle.trial_id!r} lack the objective {self.objective!r}"
+            )
+        else:
+            result = TrialResult(**fields)
+        self.result.trials.append(result)
         self._last_result[handle.trial_id] = result
         return result
 
@@ -302,8 +296,7 @@ class Experiment:
     left unset and supplied per :meth:`run` call instead — the idiom for
     simulating an experiment before executing it for real.  ``space`` may be
     ``None`` only for searchers that bring their own trials
-    (:class:`FixedSearcher`).  ``workers`` > 1 runs each cohort's trials
-    concurrently on a worker pool (see :meth:`run`).
+    (:class:`FixedSearcher`).
 
     Example::
 
@@ -323,7 +316,6 @@ class Experiment:
     budget: Budget = field(default_factory=Budget)
     callbacks: Sequence[Callback] = ()
     name: str = "experiment"
-    workers: Optional[int] = None
 
     def run(
         self,
@@ -342,8 +334,7 @@ class Experiment:
         Per-call overrides support replaying the same experiment on a
         different backend (e.g. simulator vs real engine) or objective.
 
-        ``workers`` (per-call, falling back to the experiment's ``workers``
-        field) wraps the backend in a
+        ``workers`` wraps the backend in a
         :class:`~repro.api.runtime.ConcurrentBackend` for the duration of the
         run: every cohort's trials prepare/train/teardown concurrently on a
         pool of that many slots, and trial failures become ``FailedTrial``
@@ -385,12 +376,22 @@ class Experiment:
                 ``ConcurrentBackend`` (configure that backend instead); or
                 if ``memory_budget`` is passed for a backend without spilled
                 execution.
+            SearchSpaceError: if ``mode`` is not ``"min"`` or ``"max"``,
+                or a trial's metrics lack the objective.
         """
         engine = backend if backend is not None else self.backend
         if engine is None:
             raise ConfigurationError(
                 f"experiment {self.name!r} has no backend; pass one to run()"
             )
+        searcher = (
+            make_searcher(self.searcher) if isinstance(self.searcher, str) else self.searcher
+        )
+        result = SelectionResult(
+            searcher.method,
+            objective=objective if objective is not None else self.objective,
+            mode=mode if mode is not None else self.mode,
+        )
         owned_budget_backend = None
         if memory_budget is not None:
             if isinstance(engine, ConcurrentBackend):
@@ -400,26 +401,24 @@ class Experiment:
                     "memory_budget to run()"
                 )
             engine = owned_budget_backend = engine.with_memory_budget(memory_budget)
-        worker_count = workers if workers is not None else self.workers
-        if worker_count is not None and worker_count < 1:
-            raise ConfigurationError(f"workers must be positive, got {worker_count}")
+        if workers is not None and workers < 1:
+            raise ConfigurationError(f"workers must be positive, got {workers}")
         owned_runtime: Optional[ConcurrentBackend] = None
         if isinstance(engine, ConcurrentBackend):
             # The backend brought its own runtime; runtime knobs from the
-            # call *or* the experiment would be silently dropped, so reject
-            # them loudly.
-            if worker_count is not None or retry is not None or pool is not None:
+            # call would be silently dropped, so reject them loudly.
+            if workers is not None or retry is not None or pool is not None:
                 raise ConfigurationError(
                     "backend is already a ConcurrentBackend; configure workers/"
                     "retry/pool on it at construction instead of passing them "
-                    "to run() or the Experiment"
+                    "to run()"
                 )
-        elif worker_count is not None or retry is not None or pool is not None:
+        elif workers is not None or retry is not None or pool is not None:
             # workers=1 still gets the fault-tolerant runtime — on the inline
             # serial pool — so retry semantics are identical at every count.
             engine = owned_runtime = ConcurrentBackend(
                 engine,
-                workers=worker_count if worker_count is not None else 1,
+                workers=workers if workers is not None else 1,
                 retry=retry,
                 pool_kind=pool if pool is not None else "thread",
             )
@@ -431,19 +430,12 @@ class Experiment:
             setter = getattr(engine, "set_telemetry", None)
             if callable(setter):
                 setter(telemetry)
-        searcher = (
-            make_searcher(self.searcher) if isinstance(self.searcher, str) else self.searcher
-        )
-        tracker = ExperimentTracker(
-            objective=objective if objective is not None else self.objective,
-            mode=mode if mode is not None else self.mode,
-        )
         hooks = CallbackList(self.callbacks if callbacks is None else callbacks)
         hooks.on_experiment_start(self)
         try:
             # Even on a mid-search failure, live trial state must reach
             # backend.teardown and on_trial_end observers (runner.__exit__).
-            with TrialRunner(engine, self.space, self.budget, tracker, hooks) as runner:
+            with TrialRunner(engine, self.space, self.budget, result, hooks) as runner:
                 with telemetry.span("experiment", cat="experiment", experiment=self.name):
                     searcher.run(runner)
         finally:
@@ -456,6 +448,5 @@ class Experiment:
                 closer = getattr(owned_budget_backend, "close", None)
                 if closer is not None:
                     closer()
-        result = tracker.as_result(searcher.method)
         hooks.on_experiment_end(result)
         return result

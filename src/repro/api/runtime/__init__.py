@@ -7,14 +7,14 @@ this package: the :class:`WorkerPool` implementations and
 of :mod:`repro.runtime.child`), and the process-serving pair
 :class:`ModelSpec` / :class:`ProcessReplica` (:mod:`repro.serving.process`).
 
-* :mod:`~repro.api.runtime.runner` — :class:`AsyncTrialRunner`, which
-  dispatches per-trial tasks as futures with retry, backoff, and straggler
-  timeouts, reporting terminal failures as :class:`TrialFault` values
-  instead of raising;
-* :mod:`~repro.api.runtime.concurrent` — :class:`ConcurrentBackend`, the
-  :class:`~repro.api.backend.ExecutionBackend` wrapper that gives *any*
-  backend pooled trial execution, reachable as
-  ``Experiment.run(backend=..., workers=N, pool="thread"|"process")``.
+:mod:`~repro.api.runtime.concurrent` holds :class:`ConcurrentBackend`, the
+:class:`~repro.api.backend.ExecutionBackend` wrapper that gives *any*
+backend pooled trial execution, reachable as
+``Experiment.run(backend=..., workers=N, pool="thread"|"process")``.  It is
+the only dispatcher: its ``train_many`` submits one future per trial with
+retry and backoff, applies each trial's straggler deadline, and marks
+terminal failures on the trial's handle (``handle.failure``) instead of
+raising.
 
 Determinism guarantee: outcomes are always collected in trial order, never
 completion order, so an experiment's :class:`SelectionResult` ranking is
@@ -23,7 +23,6 @@ serial, thread, and process pools.
 """
 
 from repro.api.runtime.concurrent import ConcurrentBackend
-from repro.api.runtime.runner import AsyncTrialRunner, TrialFault
 from repro.runtime.pool import (
     ProcessWorkerPool,
     RetryPolicy,
@@ -35,7 +34,6 @@ from repro.runtime.pool import (
 from repro.serving.process import ModelSpec, ProcessReplica
 
 __all__ = [
-    "AsyncTrialRunner",
     "ConcurrentBackend",
     "ModelSpec",
     "ProcessReplica",
@@ -43,7 +41,6 @@ __all__ = [
     "RetryPolicy",
     "SerialWorkerPool",
     "ThreadWorkerPool",
-    "TrialFault",
     "WorkerPool",
     "make_pool",
 ]

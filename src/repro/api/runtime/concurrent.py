@@ -6,16 +6,20 @@ worker pool without touching searchers or backends: it *is* an
 :class:`~repro.api.experiment.TrialRunner` drives it like any other, but
 each cohort call fans out across a :class:`~repro.runtime.pool.WorkerPool`:
 
-* ``prepare`` is **deferred**: the outer handle is created instantly and the
+* ``prepare`` is **deferred**: the handle is created instantly and the
   inner backend's (potentially expensive) ``prepare`` runs inside the worker
-  on first training contact — so a cohort's preparations overlap too;
-* ``train_many`` dispatches one future per trial through an
-  :class:`~repro.api.runtime.runner.AsyncTrialRunner`, with per-trial retry,
-  backoff, and straggler timeout from a
-  :class:`~repro.api.runtime.runner.RetryPolicy`.  A trial has one body
-  (:func:`_run_trial`) and one report shape (:class:`_TrialReport`) on every
-  pool; a process pool only wraps the body in a picklable task and adds the
-  snapshot and the child's telemetry events to the report;
+  on first training contact — so a cohort's preparations overlap too.
+  In-process, the prepared state and annotations are copied into that same
+  handle: the inner backend trains and tears down the very handle the
+  runner holds;
+* ``train_many`` is the one dispatcher: one future per trial, with
+  per-trial retry and backoff from a
+  :class:`~repro.runtime.pool.RetryPolicy`, and a straggler deadline that
+  runs from the trial's own dispatch (on the inline serial pool, from the
+  start of its inline run).  A trial has one body (:func:`_run_trial`) and
+  one report shape (:class:`_TrialReport`) on every pool; a process pool
+  only wraps the body in a picklable task and adds the snapshot and the
+  child's telemetry events to the report;
 * a trial that still fails is marked on its handle (``handle.failure``) and
   surfaces as a :class:`~repro.selection.experiment.FailedTrial` — the rest
   of the cohort and the experiment continue;
@@ -34,13 +38,12 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.api.backend import ExecutionBackend, TrialHandle
-from repro.api.runtime.runner import AsyncTrialRunner, TrialFault
 from repro.exceptions import ConfigurationError
 from repro.runtime.pool import RetryPolicy, WorkerPool, make_pool
 from repro.selection.experiment import TrialConfig
@@ -69,34 +72,45 @@ class _TrialReport:
     events: Tuple = ()
 
 
+class _Unprepared:
+    """``handle.state`` until the inner backend's deferred ``prepare`` runs.
+
+    A class, not an instance, so it keeps its identity across the pickle
+    boundary of a process pool.
+    """
+
+
 def _run_trial(
     backend: ExecutionBackend,
-    outer: TrialHandle,
+    handle: TrialHandle,
     epochs: int,
     telemetry,
-    inner_handle: Callable[[TrialHandle], TrialHandle],
+    live: Callable[[TrialHandle], TrialHandle],
     snapshot_dir: Optional[str] = None,
 ) -> _TrialReport:
     """One trial's train call — the one body every pool runs.
 
-    ``inner_handle(outer)`` yields the live inner handle: reused (or lazily
-    prepared) in-process, rebuilt from the last snapshot in a pool child,
-    which also passes the ``snapshot_dir`` to save the trained state in.
-    The clock covers this trial's ``train`` only.
+    ``live(handle)`` yields the handle to train: the runner's own handle
+    in-process (prepared on first contact), a handle rebuilt from the last
+    snapshot in a pool child, which also passes the ``snapshot_dir`` to save
+    the trained state in.  The clock covers this trial's ``train`` only.
     """
     # A nesting span, so the backend's epoch/step spans get this trial as
     # their parent in the (merged) trace.
-    with log_context(trial_id=outer.trial_id), telemetry.span(
-        "trial", cat="experiment", trial_id=outer.trial_id
+    with log_context(trial_id=handle.trial_id), telemetry.span(
+        "trial", cat="experiment", trial_id=handle.trial_id
     ):
-        handle = inner_handle(outer)
+        handle = live(handle)
         started = time.monotonic()
         metrics = backend.train(handle, epochs)
         elapsed = time.monotonic() - started
-        handle.epochs_trained += epochs
-        handle.last_metrics = dict(metrics)
         snapshot = None
         if snapshot_dir is not None:
+            # The child's handle is its own, so it counts its epochs here.
+            # The snapshot is named by the post-train count: a retried
+            # attempt reloads the previous rung's archive, which must
+            # therefore never be overwritten.
+            handle.epochs_trained += epochs
             snapshot = backend.save_snapshot(handle, snapshot_dir)
     return _TrialReport(dict(metrics), elapsed, dict(handle.annotations), snapshot)
 
@@ -120,13 +134,13 @@ class _ChildTrialTask:
     # The child builds its own buffer and drains it into the report.
     telemetry_enabled: bool = False
 
-    def __call__(self, outer: TrialHandle) -> _TrialReport:
+    def __call__(self, handle: TrialHandle) -> _TrialReport:
         backend = self.inner
         tel = Telemetry() if self.telemetry_enabled else NULL_TELEMETRY
         backend.set_telemetry(tel)
         try:
             report = _run_trial(
-                backend, outer, self.epochs, tel, self._resume, self.snapshot_dir
+                backend, handle, self.epochs, tel, self._resume, self.snapshot_dir
             )
             return replace(report, events=tuple(tel.drain()))
         finally:
@@ -140,12 +154,12 @@ class _ChildTrialTask:
                 except Exception:  # noqa: BLE001 - cleanup must not mask
                     pass
 
-    def _resume(self, outer: TrialHandle) -> TrialHandle:
-        """A fresh inner handle, caught up to the outer handle's snapshot."""
-        handle = self.inner.prepare(outer.trial)
-        handle.epochs_trained = outer.epochs_trained
-        if outer.state is not None:
-            self.inner.load_snapshot(handle, outer.state)
+    def _resume(self, parent: TrialHandle) -> TrialHandle:
+        """A fresh handle in this child, caught up to the parent's snapshot."""
+        handle = self.inner.prepare(parent.trial)
+        handle.epochs_trained = parent.epochs_trained
+        if parent.state is not _Unprepared:
+            self.inner.load_snapshot(handle, parent.state)
         return handle
 
 
@@ -231,8 +245,6 @@ class ConcurrentBackend(ExecutionBackend):
         if self._process_mode:
             self._snapshot_dir = tempfile.mkdtemp(prefix="repro-trial-snapshots-")
         self.retry = retry if retry is not None else RetryPolicy()
-        self._runner = AsyncTrialRunner(self.pool, self.retry)
-        self._lock = threading.Lock()
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a recorder; propagate inward only when trials stay in-process.
@@ -262,7 +274,7 @@ class ConcurrentBackend(ExecutionBackend):
         whole cohort's preparations overlap instead of queueing on the
         caller's thread.
         """
-        return TrialHandle(trial=trial)
+        return TrialHandle(trial=trial, state=_Unprepared)
 
     def train(self, handle: TrialHandle, epochs: int) -> Dict[str, float]:
         """Train one trial through the pool (a cohort of one)."""
@@ -275,49 +287,85 @@ class ConcurrentBackend(ExecutionBackend):
 
         Each trial's task is ``prepare`` (first time only) + ``train`` on the
         inner backend, retried per the policy.  A trial that exhausts its
-        retries or straggles past the cohort deadline gets ``handle.failure``
-        set to a :class:`TrialFault`, its inner state torn down, and an empty
-        metrics dict here — the :class:`TrialRunner` turns that into a
-        :class:`FailedTrial` record.  Retries re-run the whole task, so a
-        failing ``prepare`` is re-attempted from scratch (at-least-once
-        execution: a trial that mutated state before raising resumes from
-        that state).
+        retries, or whose outcome is not in by its deadline
+        (``timeout_seconds`` after its own dispatch), gets ``handle.failure``
+        set and an empty metrics dict here — the :class:`TrialRunner` turns
+        that into a :class:`FailedTrial` record and retires the trial.  A
+        straggler's future is cancelled: a queued trial never starts, a
+        running one is abandoned (threads cannot be killed) and its eventual
+        result discarded.  Retries re-run the whole task, so a failing
+        ``prepare`` is re-attempted from scratch (at-least-once execution: a
+        trial that mutated state before raising resumes from that state).
         """
-        live = [handle for handle in handles if handle.failure is None]
         tel = self.telemetry
         if self._process_mode:
             task = _ChildTrialTask(self.inner, epochs, self._snapshot_dir, tel.enabled)
         else:
             task = lambda handle: _run_trial(  # noqa: E731
-                self.inner, handle, epochs, tel, self._inner_handle
+                self.inner, handle, epochs, tel, self._prepared
             )
-        outcomes = self._runner.run_cohort(task, live)
-        metrics: Dict[str, Dict[str, float]] = {}
+        timeout = self.retry.timeout_seconds
+        dispatched = []
         for handle in handles:
-            outcome = outcomes.get(handle.trial_id)
-            if not isinstance(outcome, _TrialReport):
-                if outcome is not None:  # a fresh TrialFault, not an old failure
-                    handle.failure = outcome
-                    self._teardown_inner(handle)
-                    tel.counter("runtime.trials.failed")
-                metrics[handle.trial_id] = {}
+            if handle.failure is None:
+                started = time.monotonic()
+                future = self.pool.submit_retrying(self.retry, task, handle)
+                # The serial pool has already run the trial inline, so its
+                # outcome arrived just now.
+                late = future.done() and timeout is not None and (
+                    time.monotonic() - started > timeout
+                )
+                dispatched.append((handle, future, started, late))
+        metrics: Dict[str, Dict[str, float]] = {handle.trial_id: {} for handle in handles}
+        for handle, future, started, late in dispatched:
+            if not late:
+                wait = None if timeout is None else max(0.0, started + timeout - time.monotonic())
+                try:
+                    # ``exception`` raises only when the wait runs out; a trial
+                    # that itself raised TimeoutError comes back as its error.
+                    error = future.exception(timeout=wait)
+                except FutureTimeoutError:
+                    late = True
+            if late:
+                future.cancel()
+                handle.failure = {
+                    "error": f"straggler: no result within {timeout:.3f}s cohort deadline",
+                    "timed_out": True,
+                }
+            elif error is not None:
+                handle.failure = {"error": f"{type(error).__name__}: {error}", "timed_out": False}
+            if handle.failure is not None:
+                tel.counter("runtime.trials.failed")
                 continue
+            report: _TrialReport = future.result()
             tel.counter("runtime.trials.completed")
-            handle.wall_seconds += outcome.elapsed
-            for key, value in outcome.annotations.items():
+            handle.wall_seconds += report.elapsed
+            for key, value in report.annotations.items():
                 handle.annotations.setdefault(key, value)
-            handle.last_metrics = dict(outcome.metrics)
             if self._process_mode:
-                self.inner.load_snapshot(handle, outcome.snapshot)
-            tel.ingest(outcome.events)
-            metrics[handle.trial_id] = dict(outcome.metrics)
+                self.inner.load_snapshot(handle, report.snapshot)
+            tel.ingest(report.events)
+            metrics[handle.trial_id] = dict(report.metrics)
         return metrics
 
     def teardown(self, handle: TrialHandle) -> None:
-        """Release the trial's inner state (inline — never through the pool,
-        which abandoned stragglers may be saturating; ``_teardown_inner`` is
-        thread-safe, so running it on the caller's thread is always safe)."""
-        self._teardown_inner(handle)
+        """Retire the trial on the inner backend, inline and exactly once.
+
+        ``finalize_snapshot`` (rebuild a process-pool trial's trained state
+        for publish-like side effects; a no-op on live in-process state) then
+        ``teardown``, both on this very handle, in this process — never
+        through the pool, which abandoned stragglers may be saturating.  A
+        trial that never got past ``prepare`` has nothing to release.
+        Best-effort: never raises, so a failed trial's teardown cannot mask
+        the fault.
+        """
+        if handle.state is _Unprepared:
+            return
+        try:
+            self.inner.finalize_snapshot(handle)
+            self.inner.teardown(handle)
+        except Exception:  # noqa: BLE001 - teardown must not mask the fault
+            handle.state = None
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -346,46 +394,14 @@ class ConcurrentBackend(ExecutionBackend):
             pass
 
     # ------------------------------------------------------------------ #
-    def _inner_handle(self, handle: TrialHandle) -> TrialHandle:
-        """Get or build the inner backend's handle for this outer handle.
+    def _prepared(self, handle: TrialHandle) -> TrialHandle:
+        """The runner's own handle, prepared on the inner backend on first contact.
 
-        Only one worker task touches a given trial at a time (the runner
-        submits at most one future per handle per cohort), but the lock keeps
-        first-contact preparation safe if a straggler from an abandoned
-        dispatch is still running.
+        Only one task touches a given trial at a time (one future per
+        handle per dispatch; retries run inside that future).
         """
-        with self._lock:
-            inner_handle = handle.state
-        if inner_handle is None:
+        if handle.state is _Unprepared:
             prepared = self.inner.prepare(handle.trial)
-            with self._lock:
-                if handle.state is None:
-                    handle.state = prepared
-                inner_handle = handle.state
-        return inner_handle
-
-    def _teardown_inner(self, handle: TrialHandle) -> None:
-        """Best-effort inner teardown; never raises (used on failure paths).
-
-        In process mode the outer handle's state is a snapshot token, not an
-        inner handle: retirement runs ``finalize_snapshot`` (rebuild trained
-        state for publish-like side effects) then ``teardown`` on the outer
-        handle itself — exactly once, in the parent; worker children never
-        tear down.
-        """
-        if self._process_mode:
-            try:
-                self.inner.finalize_snapshot(handle)
-                self.inner.teardown(handle)
-            except Exception:  # noqa: BLE001 - teardown must not mask the fault
-                handle.state = None
-            return
-        with self._lock:
-            inner_handle = handle.state
-            handle.state = None
-        if inner_handle is None:
-            return
-        try:
-            self.inner.teardown(inner_handle)
-        except Exception:  # noqa: BLE001 - teardown must not mask the fault
-            pass
+            handle.annotations.update(prepared.annotations)
+            handle.state = prepared.state
+        return handle

@@ -73,8 +73,8 @@ class WorkerCrashedError(ReproError):
     The process-backed :class:`~repro.runtime.pool.ProcessWorkerPool`
     raises this for the task that was in flight when its child exited
     (SIGKILL, OOM, interpreter crash); only that task fails — the slot
-    respawns a fresh child for the next one, and the runner's usual
-    :class:`~repro.api.runtime.runner.RetryPolicy` applies.
+    respawns a fresh child for the next one, and the usual
+    :class:`~repro.runtime.pool.RetryPolicy` applies.
     """
 
 

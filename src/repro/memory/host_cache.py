@@ -65,7 +65,6 @@ class HostShardCache:
         self,
         memory_limit_bytes: Optional[int] = None,
         spill_dir: Optional[str | Path] = None,
-        compressed: bool = False,
     ):
         if memory_limit_bytes is not None and memory_limit_bytes <= 0:
             raise ConfigurationError(
@@ -77,7 +76,6 @@ class HostShardCache:
             )
         self.memory_limit_bytes = memory_limit_bytes
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self.compressed = compressed
         self._memory: "OrderedDict[ShardKey, List[np.ndarray]]" = OrderedDict()
         self._disk: Dict[ShardKey, Path] = {}
         self._lock = threading.RLock()
@@ -156,7 +154,6 @@ class HostShardCache:
             path = save_array_bundle(
                 self.spill_dir / _file_stem(key),
                 {f"arr{i:04d}": a for i, a in enumerate(arrays)},
-                compressed=self.compressed,
             )
             self._disk[key] = path
 

@@ -1,13 +1,11 @@
 """Asynchronous host→device shard transfers.
 
-A :class:`Prefetcher` runs restore jobs on a
-:class:`~repro.runtime.pool.WorkerPool` (a 1-thread
-:class:`~repro.runtime.pool.ThreadWorkerPool` by default) so the next
-shard's transfer overlaps the current shard's compute — numpy's large array
-copies release the GIL, so the overlap is real wall-clock overlap, not just
-bookkeeping.  ``depth`` bounds the number of in-flight transfers; the
-default of 1 is classic double buffering (one shard computing, one shard
-in flight).
+A :class:`Prefetcher` runs restore jobs on its own 1-thread
+:class:`~repro.runtime.pool.ThreadWorkerPool` so the next shard's transfer
+overlaps the current shard's compute — numpy's large array copies release
+the GIL, so the overlap is real wall-clock overlap, not just bookkeeping.
+One transfer is in flight at a time: classic double buffering (one shard
+computing, one shard in flight).
 
 The prefetcher knows nothing about shards or arenas: the
 :class:`~repro.memory.spill.SpillManager` reserves capacity and hands over a
@@ -17,36 +15,27 @@ zero-argument restore job plus a completion callback.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from repro.exceptions import ConfigurationError
 from repro.runtime.pool import ThreadWorkerPool
 
 
 class Prefetcher:
-    """Bounded-depth async transfer engine (double-buffered by default).
+    """Double-buffered async transfer engine: one transfer in flight.
 
-    ``pool`` may be any object with ``submit(fn) -> Future`` (the runtime's
-    ``WorkerPool`` protocol); when omitted, the prefetcher owns a 1-thread
-    ``ThreadWorkerPool`` and shuts it down on :meth:`close`.
+    The prefetcher owns a 1-thread ``ThreadWorkerPool`` and shuts it down on
+    :meth:`close`.
 
     Example::
 
-        prefetcher = Prefetcher(depth=1)
+        prefetcher = Prefetcher()
         if prefetcher.try_reserve():
             prefetcher.submit(restore_job, lambda error: None)
         prefetcher.close()
-
-    Raises:
-        ConfigurationError: if ``depth`` is not positive.
     """
 
-    def __init__(self, pool: Optional[Any] = None, depth: int = 1):
-        if depth <= 0:
-            raise ConfigurationError(f"prefetch depth must be positive, got {depth}")
-        self.depth = int(depth)
-        self._owned_pool = ThreadWorkerPool(self.depth) if pool is None else None
-        self._pool = pool if pool is not None else self._owned_pool
+    def __init__(self):
+        self._pool = ThreadWorkerPool(1)
         self._inflight = 0
         self._lock = threading.Lock()
 
@@ -60,7 +49,7 @@ class Prefetcher:
     def try_reserve(self) -> bool:
         """Claim an in-flight slot; ``False`` when the buffer is full."""
         with self._lock:
-            if self._inflight >= self.depth:
+            if self._inflight:
                 return False
             self._inflight += 1
             return True
@@ -98,9 +87,8 @@ class Prefetcher:
             raise
 
     def close(self) -> None:
-        """Shut down the owned pool (no-op for caller-supplied pools)."""
-        if self._owned_pool is not None:
-            self._owned_pool.shutdown(wait=True)
+        """Shut down the transfer thread, after any transfer in flight."""
+        self._pool.shutdown(wait=True)
 
     def __repr__(self) -> str:
-        return f"Prefetcher(depth={self.depth}, inflight={self.inflight})"
+        return f"Prefetcher(inflight={self.inflight})"

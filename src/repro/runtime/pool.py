@@ -60,10 +60,10 @@ class RetryPolicy:
     ``max_retries`` is the number of *additional* attempts after the first
     (so ``0`` means fail fast).  Attempt ``k`` (1-based retry index) sleeps
     ``backoff_seconds * backoff_multiplier**(k-1)`` before re-running, inside
-    the worker slot.  ``timeout_seconds``, when set, is the straggler budget
-    for one cohort dispatch: outcomes not ready that many seconds after
-    dispatch are recorded as timed-out faults instead of blocking the
-    experiment (:class:`~repro.api.runtime.runner.AsyncTrialRunner`).
+    the worker slot.  ``timeout_seconds``, when set, is each task's
+    straggler budget: an outcome not in that many seconds after its own
+    dispatch is recorded as a timed-out failure instead of blocking the
+    experiment (``ConcurrentBackend.train_many``).
 
     Example::
 

@@ -6,7 +6,6 @@ The search drivers (grid / random / successive halving) are the searchers of
 
 from repro.selection.search_space import Choice, Uniform, LogUniform, SearchSpace
 from repro.selection.experiment import (
-    ExperimentTracker,
     FailedTrial,
     SelectionResult,
     TrialConfig,
@@ -23,6 +22,5 @@ __all__ = [
     "TrialResult",
     "FailedTrial",
     "SelectionResult",
-    "ExperimentTracker",
     "CerebroModelHopper",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -54,12 +53,29 @@ class FailedTrial(TrialResult):
 
 @dataclass
 class SelectionResult:
-    """Results of a whole selection run."""
+    """Results of a whole selection run, filled in trial by trial as it runs.
+
+    ``Experiment.run`` builds one up front and its ``TrialRunner`` appends
+    every :class:`TrialResult` / :class:`FailedTrial` to :attr:`trials`.
+
+    Example::
+
+        result = SelectionResult("grid", objective="loss", mode="min")
+        result.trials.append(TrialResult("a", {"lr": 0.1}, {"loss": 0.5}, 1))
+        assert result.best().trial_id == "a"
+
+    Raises:
+        SearchSpaceError: if ``mode`` is not ``"min"`` or ``"max"``.
+    """
 
     method: str
     objective: str
     mode: str
     trials: List[TrialResult] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("min", "max"):
+            raise SearchSpaceError(f"mode must be 'min' or 'max', got {self.mode!r}")
 
     def succeeded(self) -> List[TrialResult]:
         """The trials that completed (everything except :class:`FailedTrial`)."""
@@ -143,83 +159,3 @@ class SelectionResult:
     def __len__(self) -> int:
         return len(self.trials)
 
-
-class ExperimentTracker:
-    """Collects trial results and exposes leaderboard-style queries."""
-
-    def __init__(self, objective: str = "loss", mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise SearchSpaceError(f"mode must be 'min' or 'max', got {mode!r}")
-        self.objective = objective
-        self.mode = mode
-        self.trials: List[TrialResult] = []
-        self._start_times: Dict[str, float] = {}
-
-    def start_trial(self, trial_id: str) -> None:
-        self._start_times[trial_id] = time.monotonic()
-
-    def record(
-        self,
-        trial_id: str,
-        hyperparameters: Dict[str, Any],
-        metrics: Dict[str, float],
-        epochs_trained: int,
-        wall_seconds: Optional[float] = None,
-    ) -> TrialResult:
-        """Record one trial result.
-
-        ``wall_seconds`` overrides the tracker's own clock when the caller
-        has a more precise per-trial attribution (e.g. a sequential backend
-        timing each trial's training calls individually).
-        """
-        if self.objective not in metrics:
-            raise SearchSpaceError(
-                f"metrics for trial {trial_id!r} lack the objective {self.objective!r}"
-            )
-        elapsed = 0.0
-        if trial_id in self._start_times:
-            elapsed = time.monotonic() - self._start_times.pop(trial_id)
-        if wall_seconds is not None:
-            elapsed = wall_seconds
-        result = TrialResult(
-            trial_id=trial_id,
-            hyperparameters=dict(hyperparameters),
-            metrics=dict(metrics),
-            epochs_trained=epochs_trained,
-            wall_seconds=elapsed,
-        )
-        self.trials.append(result)
-        return result
-
-    def record_failure(
-        self,
-        trial_id: str,
-        hyperparameters: Dict[str, Any],
-        error: str,
-        epochs_trained: int = 0,
-        metrics: Optional[Dict[str, float]] = None,
-        timed_out: bool = False,
-    ) -> "FailedTrial":
-        """Record a terminally-failed trial (kept in the run, never ranked)."""
-        elapsed = 0.0
-        if trial_id in self._start_times:
-            elapsed = time.monotonic() - self._start_times.pop(trial_id)
-        result = FailedTrial(
-            trial_id=trial_id,
-            hyperparameters=dict(hyperparameters),
-            metrics=dict(metrics or {}),
-            epochs_trained=epochs_trained,
-            wall_seconds=elapsed,
-            error=error,
-            timed_out=timed_out,
-        )
-        self.trials.append(result)
-        return result
-
-    def best(self) -> TrialResult:
-        return self.as_result("tracker").best()
-
-    def as_result(self, method: str) -> SelectionResult:
-        return SelectionResult(
-            method=method, objective=self.objective, mode=self.mode, trials=list(self.trials)
-        )

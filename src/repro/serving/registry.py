@@ -117,7 +117,6 @@ class ModelRegistry:
         model: Module,
         metadata: Optional[Dict[str, Any]] = None,
         version: Optional[int] = None,
-        compressed: bool = False,
     ) -> ModelVersion:
         """Publish ``model``'s parameters as a new version of ``name``.
 
@@ -143,7 +142,6 @@ class ModelRegistry:
                 model,
                 directory / (".staging-" + _ARCHIVE),
                 metadata=payload,
-                compressed=compressed,
             )
             os.replace(staged, directory / _ARCHIVE)
             return ModelVersion(

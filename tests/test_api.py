@@ -475,3 +475,41 @@ class TestSimulationBackendMetrics:
         # Shared-cluster utilization is identical because both trials were
         # simulated in the same schedule.
         assert metrics["t1"]["cluster_utilization"] == metrics["t2"]["cluster_utilization"]
+
+
+#: the exact public surface; CI runs ``TestPublicSurface`` as its own step
+PUBLIC_SURFACE = {
+    "repro.api": [
+        "Budget", "Callback", "CallbackList", "CerebroBackend", "CohortEngineBackend",
+        "ConcurrentBackend", "EarlyStopping", "ExecutionBackend", "Experiment",
+        "FixedSearcher", "FunctionBackend", "GridSearcher", "LoggingCallback",
+        "ModelSpec", "ProcessReplica", "ProcessWorkerPool", "RandomSearcher",
+        "ResumableFunctionBackend", "RetryPolicy", "Searcher", "SerialWorkerPool",
+        "ShardParallelBackend", "SimulationBackend", "SuccessiveHalvingSearcher",
+        "ThreadWorkerPool", "TrialHandle", "TrialRunner", "TrialTimer", "WorkerPool",
+        "make_pool", "make_searcher", "serve", "serve_fleet",
+    ],
+    "repro.api.runtime": [
+        "ConcurrentBackend", "ModelSpec", "ProcessReplica", "ProcessWorkerPool",
+        "RetryPolicy", "SerialWorkerPool", "ThreadWorkerPool", "WorkerPool", "make_pool",
+    ],
+    "repro.selection": [
+        "Choice", "Uniform", "LogUniform", "SearchSpace", "TrialConfig", "TrialResult",
+        "FailedTrial", "SelectionResult", "CerebroModelHopper",
+    ],
+}
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("module", sorted(PUBLIC_SURFACE))
+    def test_exports_are_pinned(self, module):
+        import importlib
+
+        exported = importlib.import_module(module).__all__
+        expected = PUBLIC_SURFACE[module]
+        added = sorted(set(exported) - set(expected))
+        dropped = sorted(set(expected) - set(exported))
+        assert not added and not dropped, (
+            f"{module}.__all__ changed: added {added}, dropped {dropped}"
+        )
+        assert sorted(exported) == sorted(expected)  # and no name twice

@@ -126,7 +126,7 @@ class TestRunModelSelection:
         assert len(result) == 2
         assert result.best().trial_id == "good-lr"
         assert result.best().metric("loss") < 1.0
-        # Wall time is wired through the tracker on the real-training path.
+        # Wall time is wired through the runner's clock on the real-training path.
         for trial in result.trials:
             assert trial.wall_seconds > 0.0
             assert trial.hyperparameters["model"] == "mlp-tiny"

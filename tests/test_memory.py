@@ -265,7 +265,7 @@ class TestSpillManager:
 
     def test_prefetch_overlaps_and_acquire_joins(self):
         a = np.arange(4, dtype=np.float32)
-        prefetcher = Prefetcher(depth=1)
+        prefetcher = Prefetcher()
         manager = self._manager(capacity=64, prefetcher=prefetcher, scrub_evicted=True)
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         with manager.lease(("m", 0)):
@@ -281,7 +281,7 @@ class TestSpillManager:
 
     def test_failed_prefetch_preserves_payload_and_surfaces(self):
         a = np.arange(4, dtype=np.float32)
-        prefetcher = Prefetcher(depth=1)
+        prefetcher = Prefetcher()
         manager = self._manager(
             capacity=64, prefetcher=prefetcher, scrub_evicted=True,
             acquire_timeout_seconds=5.0,
@@ -302,14 +302,14 @@ class TestSpillManager:
         prefetcher.close()
 
     def test_close_shuts_down_owned_prefetcher(self):
-        manager = self._manager(capacity=64, prefetcher=Prefetcher(depth=1))
+        manager = self._manager(capacity=64, prefetcher=Prefetcher())
         manager.close()
         manager.close()  # idempotent
 
     def test_prefetch_after_close_does_not_strand_the_shard(self):
         a = np.arange(4, dtype=np.float32)
         b = np.ones(4, dtype=np.float32)
-        prefetcher = Prefetcher(depth=1)
+        prefetcher = Prefetcher()
         manager = self._manager(
             capacity=16, prefetcher=prefetcher, scrub_evicted=True,
             acquire_timeout_seconds=2.0,

@@ -562,21 +562,21 @@ class TestFleetAPI:
             router.stop()
 
     def test_deploy_into_router(self, tmp_path):
-        from repro.selection.experiment import ExperimentTracker
+        from repro.selection import SelectionResult, TrialResult
 
         registry = ModelRegistry(tmp_path)
-        tracker = ExperimentTracker(objective="loss", mode="min")
+        result = SelectionResult("unit", objective="loss", mode="min")
         for index, trial_id in enumerate(["trial-a", "trial-b"]):
             model = make_model(seed=40 + index)
             registry.publish(trial_id, model)
-            tracker.start_trial(trial_id)
-            tracker.record(
-                trial_id,
-                hyperparameters={"seed": 40 + index},
-                metrics={"loss": 1.0 - index * 0.5},
-                epochs_trained=1,
+            result.trials.append(
+                TrialResult(
+                    trial_id,
+                    hyperparameters={"seed": 40 + index},
+                    metrics={"loss": 1.0 - index * 0.5},
+                    epochs_trained=1,
+                )
             )
-        result = tracker.as_result("tracker")
         router = FleetRouter(replicas=1, max_batch_size=GEOMETRY, watchdog_interval_s=None)
 
         def build(config):

@@ -1,9 +1,9 @@
 """Tests for the concurrent runtime: pools, retries, faults, determinism.
 
-Covers the ``repro.api.runtime`` subsystem (WorkerPool / AsyncTrialRunner /
-ConcurrentBackend), the FailedTrial fault-tolerance path through the
-TrialRunner, teardown discipline on failure paths, and callback/early-stop
-semantics under concurrency.
+Covers the ``repro.api.runtime`` subsystem (WorkerPool / RetryPolicy /
+ConcurrentBackend, the one trial dispatcher), the FailedTrial
+fault-tolerance path through the TrialRunner, teardown discipline on failure
+paths, and callback/early-stop semantics under concurrency.
 """
 
 import threading
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    AsyncTrialRunner,
     Budget,
     Callback,
     CallbackList,
@@ -28,7 +27,6 @@ from repro.api import (
     ShardParallelBackend,
     SuccessiveHalvingSearcher,
     ThreadWorkerPool,
-    TrialFault,
     TrialRunner,
     make_pool,
 )
@@ -36,7 +34,7 @@ from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
-from repro.selection import ExperimentTracker, FailedTrial, SearchSpace, TrialConfig
+from repro.selection import FailedTrial, SearchSpace, SelectionResult, TrialConfig
 
 DATASET = make_classification(
     num_samples=64, num_features=8, num_classes=3, class_separation=2.0,
@@ -128,9 +126,21 @@ class TestWorkerPools:
 
 
 # --------------------------------------------------------------------- #
-# Retry policy + async runner
+# Retry policy + per-trial dispatch (ConcurrentBackend.train_many)
 # --------------------------------------------------------------------- #
+def _dispatch(train_fn, trial_ids, workers=2, retry=None):
+    """Drive one ``train_many`` call as the runner does; return (metrics, handles)."""
+    with ConcurrentBackend(FunctionBackend(train_fn), workers=workers, retry=retry) as backend:
+        handles = [
+            backend.prepare(TrialConfig(trial_id=trial_id, hyperparameters={}))
+            for trial_id in trial_ids
+        ]
+        return backend.train_many(handles, 1), handles
+
+
 class TestAsyncTrialRunner:
+    """Asynchronous per-trial dispatch: retries, faults, deadlines, order."""
+
     def test_retry_policy_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_retries=-1)
@@ -150,63 +160,56 @@ class TestAsyncTrialRunner:
     def test_flaky_task_retries_then_succeeds(self):
         attempts = {}
 
-        def task(handle):
-            attempts[handle.trial_id] = attempts.get(handle.trial_id, 0) + 1
-            if attempts[handle.trial_id] < 2:
+        def flaky(trial, epochs):
+            attempts[trial.trial_id] = attempts.get(trial.trial_id, 0) + 1
+            if attempts[trial.trial_id] < 2:
                 raise RuntimeError("transient")
-            return "ok"
+            return {"loss": 0.0}
 
-        runner = AsyncTrialRunner(
-            make_pool(2), RetryPolicy(max_retries=2, backoff_seconds=0.0)
+        metrics, handles = _dispatch(
+            flaky, ["t0", "t1", "t2"], retry=RetryPolicy(max_retries=2, backoff_seconds=0.0)
         )
-        handles = [TrialConfig(trial_id=f"t{i}", hyperparameters={}) for i in range(3)]
-        outcomes = runner.run_cohort(task, handles)
-        assert all(outcome == "ok" for outcome in outcomes.values())
+        assert all(m == {"loss": 0.0} for m in metrics.values())
+        assert all(handle.failure is None for handle in handles)
         assert all(count == 2 for count in attempts.values())
 
     def test_exhausted_retries_become_fault_not_exception(self):
-        def task(handle):
+        attempts = []
+
+        def permanent(trial, epochs):
+            attempts.append(trial.trial_id)
             raise ValueError("permanent")
 
-        runner = AsyncTrialRunner(
-            make_pool(2), RetryPolicy(max_retries=1, backoff_seconds=0.0)
+        metrics, (handle,) = _dispatch(
+            permanent, ["t0"], retry=RetryPolicy(max_retries=1, backoff_seconds=0.0)
         )
-        handles = [TrialConfig(trial_id="t0", hyperparameters={})]
-        outcomes = runner.run_cohort(task, handles)
-        fault = outcomes["t0"]
-        assert isinstance(fault, TrialFault)
-        assert "permanent" in fault.error and fault.attempts == 2
-        assert not fault.timed_out
+        assert metrics == {"t0": {}}
+        assert handle.failure == {"error": "ValueError: permanent", "timed_out": False}
+        assert attempts == ["t0", "t0"]
 
     def test_straggler_deadline_faults_without_blocking_cohort(self):
-        def task(handle):
-            if handle.trial_id == "slow":
+        def sleepy(trial, epochs):
+            if trial.trial_id == "slow":
                 time.sleep(0.5)
-            return "ok"
+            return {"loss": 0.0}
 
-        runner = AsyncTrialRunner(make_pool(4), RetryPolicy(timeout_seconds=0.1))
-        handles = [
-            TrialConfig(trial_id=name, hyperparameters={})
-            for name in ("a", "slow", "b")
-        ]
         started = time.monotonic()
-        outcomes = runner.run_cohort(task, handles)
+        metrics, handles = _dispatch(
+            sleepy, ["a", "slow", "b"], workers=4, retry=RetryPolicy(timeout_seconds=0.1)
+        )
         assert time.monotonic() - started < 0.4  # did not wait out the straggler
-        assert outcomes["a"] == "ok" and outcomes["b"] == "ok"
-        assert isinstance(outcomes["slow"], TrialFault) and outcomes["slow"].timed_out
+        assert metrics == {"a": {"loss": 0.0}, "slow": {}, "b": {"loss": 0.0}}
+        failures = {handle.trial_id: handle.failure for handle in handles}
+        assert failures["slow"]["timed_out"] and failures["a"] is failures["b"] is None
 
     def test_outcomes_keyed_in_handle_order(self):
-        def task(handle):
-            time.sleep(0.05 if handle.trial_id == "first" else 0.0)
-            return handle.trial_id
+        def first_finishes_last(trial, epochs):
+            time.sleep(0.05 if trial.trial_id == "first" else 0.0)
+            return {"loss": 0.0}
 
-        runner = AsyncTrialRunner(make_pool(2))
-        handles = [
-            TrialConfig(trial_id=name, hyperparameters={}) for name in ("first", "second")
-        ]
-        outcomes = runner.run_cohort(task, handles)
+        metrics, _ = _dispatch(first_finishes_last, ["first", "second"])
         # "second" completes first, but the map is in handle order.
-        assert list(outcomes) == ["first", "second"]
+        assert list(metrics) == ["first", "second"]
 
 
 # --------------------------------------------------------------------- #
@@ -403,12 +406,6 @@ class TestConcurrentBackend:
                 experiment.run(backend=backend, workers=4)
             with pytest.raises(ConfigurationError):
                 experiment.run(backend=backend, retry=RetryPolicy())
-            with pytest.raises(ConfigurationError):
-                # Experiment-level workers must not be silently dropped either.
-                Experiment(
-                    space=SearchSpace({"x": [1]}), searcher="grid",
-                    objective="loss", workers=8,
-                ).run(backend=backend)
             assert len(experiment.run(backend=backend)) == 1  # bare run is fine
         finally:
             backend.close()
@@ -586,6 +583,73 @@ class TestConcurrentBackend:
         assert len(result.succeeded()) == 1
         assert {f.trial_id for f in result.failures} == {"grid-1", "grid-2"}
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_straggler_deadline_holds_on_every_pool(self, workers):
+        # Regression: the inline serial pool (workers=1) ran the straggler to
+        # completion inside submit and then accepted its late outcome.
+        def slowpoke(trial, epochs):
+            if trial.get("x") == 2:
+                time.sleep(0.5)
+            return {"loss": float(trial.get("x"))}
+
+        result = Experiment(
+            space=SearchSpace({"x": [0, 1, 2, 3]}), searcher="grid", objective="loss",
+        ).run(
+            backend=FunctionBackend(slowpoke),
+            workers=workers,
+            retry=RetryPolicy(timeout_seconds=0.2),
+        )
+        assert [f.trial_id for f in result.failures] == ["grid-2"]
+        assert result.failures[0].timed_out
+        assert result.failures[0].error == "straggler: no result within 0.200s cohort deadline"
+        assert [t.trial_id for t in result.ranked()] == ["grid-0", "grid-1", "grid-3"]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_trial_raising_timeout_error_is_not_a_straggler(self, workers):
+        def times_out_itself(trial, epochs):
+            if trial.get("x") == 1:
+                raise TimeoutError("engine gave up")
+            return {"loss": float(trial.get("x"))}
+
+        result = Experiment(
+            space=SearchSpace({"x": [0, 1]}), searcher="grid", objective="loss",
+        ).run(
+            backend=FunctionBackend(times_out_itself),
+            workers=workers,
+            retry=RetryPolicy(timeout_seconds=30.0),
+        )
+        (failure,) = result.failures
+        assert failure.error == "TimeoutError: engine gave up"
+        assert not failure.timed_out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inner_backend_gets_the_runners_own_handle(self, workers):
+        # One handle per trial in-process: the inner backend trains and tears
+        # down the very TrialHandle the runner prepared — nothing nested.
+        seen = {"train": [], "teardown": []}
+
+        class _Recording(ResumableFunctionBackend):
+            def train(self, handle, epochs):
+                seen["train"].append(handle)
+                return super().train(handle, epochs)
+
+            def teardown(self, handle):
+                seen["teardown"].append(handle)
+                super().teardown(handle)
+
+        def train_fn(trial, epochs, state):
+            return {"loss": 1.0}, (state or 0) + epochs
+
+        with ConcurrentBackend(_Recording(train_fn), workers=workers) as backend:
+            handle = backend.prepare(TrialConfig(trial_id="t0", hyperparameters={}))
+            backend.train_many([handle], 1)
+            backend.train_many([handle], 1)
+            assert handle.state == 2  # the inner backend's state, on this handle
+            backend.teardown(handle)
+        assert len(seen["train"]) == 2
+        assert all(seen_handle is handle for seen_handle in seen["train"])
+        assert len(seen["teardown"]) == 1 and seen["teardown"][0] is handle
+
     def test_non_positive_workers_rejected(self):
         experiment = Experiment(
             space=SearchSpace({"x": [1]}), searcher="grid", objective="loss",
@@ -659,10 +723,10 @@ class TestCerebroHopParallelism:
 # --------------------------------------------------------------------- #
 class TestTeardownOnFailure:
     def _runner(self, backend):
-        tracker = ExperimentTracker(objective="loss", mode="min")
+        result = SelectionResult("unit", objective="loss", mode="min")
         return TrialRunner(
             backend, SearchSpace({"x": [1]}), Budget(epochs_per_trial=5),
-            tracker, CallbackList([]),
+            result, CallbackList([]),
         )
 
     def test_resumable_backend_crash_mid_epoch_tears_down_handles(self):

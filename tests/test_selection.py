@@ -20,10 +20,11 @@ from repro.optim import SGD, Adam
 from repro.selection import (
     CerebroModelHopper,
     Choice,
-    ExperimentTracker,
     LogUniform,
     SearchSpace,
+    SelectionResult,
     TrialConfig,
+    TrialResult,
     Uniform,
 )
 
@@ -86,48 +87,55 @@ class TestSearchSpace:
             list(space.grid())
 
 
+def _selection(objective="loss", mode="min", **scores):
+    """A ``SelectionResult`` holding one trial per ``trial_id=score``."""
+    result = SelectionResult("unit", objective=objective, mode=mode)
+    for trial_id, score in scores.items():
+        result.trials.append(TrialResult(trial_id, {}, {objective: score}, 1))
+    return result
+
+
 class TestExperimentTracker:
+    """Experiment tracking: the runner records into one ``SelectionResult``."""
+
     def test_record_and_best_min_mode(self):
-        tracker = ExperimentTracker(objective="loss", mode="min")
-        tracker.record("a", {"lr": 0.1}, {"loss": 0.5}, epochs_trained=1)
-        tracker.record("b", {"lr": 0.01}, {"loss": 0.2}, epochs_trained=1)
-        assert tracker.best().trial_id == "b"
+        assert _selection(a=0.5, b=0.2).best().trial_id == "b"
 
     def test_best_max_mode(self):
-        tracker = ExperimentTracker(objective="accuracy", mode="max")
-        tracker.record("a", {}, {"accuracy": 0.7}, 1)
-        tracker.record("b", {}, {"accuracy": 0.9}, 1)
-        assert tracker.best().trial_id == "b"
+        assert _selection("accuracy", "max", a=0.7, b=0.9).best().trial_id == "b"
 
     def test_missing_objective_rejected(self):
-        tracker = ExperimentTracker(objective="loss")
-        with pytest.raises(SearchSpaceError):
-            tracker.record("a", {}, {"accuracy": 0.5}, 1)
+        experiment = Experiment(
+            SearchSpace({"x": [1]}), "grid", objective="loss",
+            backend=FunctionBackend(lambda trial, epochs: {"accuracy": 0.5}),
+        )
+        with pytest.raises(SearchSpaceError, match="lack the objective 'loss'"):
+            experiment.run()
 
     def test_invalid_mode(self):
         with pytest.raises(SearchSpaceError):
-            ExperimentTracker(mode="maximize")
+            SelectionResult("unit", objective="loss", mode="maximize")
+        experiment = Experiment(
+            SearchSpace({"x": [1]}), "grid", mode="maximize",
+            backend=FunctionBackend(lambda trial, epochs: {"loss": 0.5}),
+        )
+        with pytest.raises(SearchSpaceError):
+            experiment.run()
 
     def test_wall_time_measured_when_started(self):
-        tracker = ExperimentTracker()
-        tracker.start_trial("a")
-        result = tracker.record("a", {}, {"loss": 1.0}, 1)
-        assert result.wall_seconds >= 0.0
+        result = _search(SearchSpace({"lr": [1e-2]}), GridSearcher())
+        assert result.trials[0].wall_seconds > 0.0
 
     def test_selection_result_ranking_and_metric_access(self):
-        tracker = ExperimentTracker()
-        tracker.record("a", {}, {"loss": 0.9}, 1)
-        tracker.record("b", {}, {"loss": 0.1}, 1)
-        result = tracker.as_result("unit")
+        result = _selection(a=0.9, b=0.1)
         assert [t.trial_id for t in result.ranked()] == ["b", "a"]
         assert len(result) == 2
         with pytest.raises(KeyError):
             result.best().metric("f1")
 
     def test_empty_selection_result(self):
-        tracker = ExperimentTracker()
         with pytest.raises(SearchSpaceError):
-            tracker.as_result("unit").best()
+            SelectionResult("unit", objective="loss", mode="min").best()
 
 
 def _toy_train_fn(trial: TrialConfig, num_epochs: int):
