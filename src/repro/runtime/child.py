@@ -2,13 +2,23 @@
 
 A :class:`~repro.runtime.pool.ProcessWorkerPool` slot (payload: a task)
 and a :class:`~repro.serving.process.ProcessReplica` (payload: a
-micro-batch) both own persistent ``spawn``-ed children; the lifecycle is
-spelled here once.  Parent side, :class:`SupervisedChild`: lazy spawn with
-a private duplex pipe and an optional ready handshake → ``request`` → one
-wait that wakes on a reply *or* the child's death → a typed crash error
-naming the phase that failed → lazy respawn → the one polite →
-``terminate`` → ``kill`` stop.  Child side, :func:`_child_main`: build the
-owner's handler once, then recv → handle → reply until told to stop.
+micro-batch) both own persistent children; the lifecycle is spelled here
+once.  Parent side, :class:`SupervisedChild`: lazy start with a private
+duplex pipe and an optional ready handshake → ``request`` → one wait that
+wakes on a reply *or* the child's death → a typed crash error naming the
+phase that failed → lazy restart → the one polite → ``terminate`` →
+``kill`` stop.  Child side, :func:`_child_main`: adopt the parent's
+environment, build the owner's handler once, then recv → handle → reply
+until told to stop.
+
+Children fork from one ``forkserver`` per parent process that has already
+imported numpy and :mod:`repro.api`, so a child start costs a fork, not an
+interpreter boot plus imports (``spawn`` only where the platform has no
+forkserver).  The start is warm, but what the child *sees* is what a
+``spawn`` child sees: the parent's current ``sys.path`` and working
+directory (multiprocessing's own preparation data) and its current
+``os.environ`` (shipped with every start, since the server's is frozen at
+the moment it booted).
 
 Imports nothing from ``repro`` beyond the exception types: ``repro.runtime``
 is a leaf package every other layer may build on.
@@ -16,7 +26,9 @@ is a leaf package every other layer may build on.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
 import threading
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
@@ -43,14 +55,38 @@ def _reply(conn, tag: str, payload: Any) -> bool:
         return False
 
 
-def _child_main(conn, setup: Callable[..., Callable], args: tuple, handshake: bool) -> None:
+@functools.lru_cache(maxsize=None)
+def _context():
+    """The start context of every supervised child, built on first use.
+
+    ``fork`` from the parent would copy live threads' locks (spill managers,
+    serve loops) into the child mid-flight.  The forkserver is a separate,
+    single-threaded process that has only imported modules, so a child
+    forked from it inherits no live threads or locks, and the imports are
+    paid once per parent process instead of once per child.
+    ``"__main__"`` stays resolvable in the child exactly as under ``spawn``.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["__main__", "numpy", "repro.api"])
+    return context
+
+
+def _child_main(
+    conn, setup: Callable[..., Callable], args: tuple, handshake: bool, environ: dict
+) -> None:
     """A supervised child's whole life: set up once, then serve requests.
 
-    ``setup(*args)`` returns the handler (``message -> value``).  Replies
-    are ``("ok", value)`` or ``("err", exception)``; a failing ``setup``
-    sends ``("failed", text)`` and exits, and with ``handshake`` a
-    successful one announces ``("ok", None)``.  ``None``/EOF means stop.
+    ``environ`` is the parent's ``os.environ`` at start time; it replaces
+    the child's before ``setup`` runs.  ``setup(*args)`` returns the
+    handler (``message -> value``).  Replies are ``("ok", value)`` or
+    ``("err", exception)``; a failing ``setup`` sends ``("failed", text)``
+    and exits, and with ``handshake`` a successful one announces
+    ``("ok", None)``.  ``None``/EOF means stop.
     """
+    os.environ.clear()
+    os.environ.update(environ)
     try:
         handler = setup(*args)
     except BaseException as error:  # noqa: BLE001 - reported to the parent
@@ -76,7 +112,7 @@ def _child_main(conn, setup: Callable[..., Callable], args: tuple, handshake: bo
 
 
 class SupervisedChild:
-    """The parent side of one persistent ``spawn``-ed child process.
+    """The parent side of one persistent child process.
 
     ``setup``/``args`` run in the child (they must pickle) and produce its
     request handler; ``error`` and ``label`` are the crash error's type and
@@ -85,7 +121,7 @@ class SupervisedChild:
     before the first request; without it the first request goes straight
     into the pipe while the child boots.
 
-    The child is spawned on first use and replaced, on the next request,
+    The child is started on first use and replaced, on the next request,
     after a death; whatever the parent gives up on it stops and reaps
     first.  A lock serialises lifecycle changes and sends but not the wait
     for a reply, so :meth:`close` can end a request in flight (its caller
@@ -116,13 +152,13 @@ class SupervisedChild:
         self._lock = threading.RLock()
         self._process = None
         self._conn = None
-        self._spawns = 0
+        self._starts = 0
         self.closed = False
 
     @property
     def restarts(self) -> int:
         """How many times a dead child has been replaced."""
-        return max(self._spawns - 1, 0)
+        return max(self._starts - 1, 0)
 
     @property
     def pid(self) -> Optional[int]:
@@ -158,22 +194,20 @@ class SupervisedChild:
         if self._process is not None and self._process.is_alive():
             return self._conn, self._process
         self._reap(0.0)  # a child found dead while idle is reaped as it is replaced
-        # ``fork`` would duplicate live threads' locks (spill managers, serve
-        # loops) into the child mid-flight; ``spawn`` starts from a clean
-        # interpreter, so children are deterministic about what they inherit.
-        context = multiprocessing.get_context("spawn")
+        context = _context()
         conn, child_conn = context.Pipe(duplex=True)
+        handshake = self._ready_timeout is not None
         process = context.Process(
             target=_child_main,
-            args=(child_conn, self._setup, self._args, self._ready_timeout is not None),
+            args=(child_conn, self._setup, self._args, handshake, dict(os.environ)),
             name=self.name,
             daemon=True,
         )
         process.start()
         child_conn.close()
         self._conn, self._process = conn, process
-        self._spawns += 1
-        if self._ready_timeout is not None:
+        self._starts += 1
+        if handshake:
             self._await(conn, process, "died during start-up", self._ready_timeout)
         return conn, process
 

@@ -239,9 +239,10 @@ class ThreadWorkerPool(WorkerPool):
 def _pool_worker_main() -> Callable[[tuple], Any]:
     """A pool child's ``setup``: nothing to build; the handler runs one task.
 
-    Runs in a ``spawn``-ed child (see :mod:`~repro.runtime.child` for
-    the loop around it): each message is ``(fn, args, kwargs)``, the value
-    is ``fn``'s result, and whatever it raises is mirrored to the parent.
+    Runs in a supervised child (see :mod:`~repro.runtime.child` for the
+    loop around it and how it starts): each message is ``(fn, args,
+    kwargs)``, the value is ``fn``'s result, and whatever it raises is
+    mirrored to the parent.
     """
 
     def run(message: tuple) -> Any:
@@ -256,9 +257,9 @@ class ProcessWorkerPool(WorkerPool):
 
     ``size`` parent threads share ``size`` slots, each one
     :class:`~repro.runtime.child.SupervisedChild` — a persistent child
-    process created with the ``spawn`` start method (no inherited locks or
-    threads — the only start method that is deterministic about what a
-    child sees), named ``repro-pool-worker-<slot>``.  A task is shipped to
+    process forked from a preloaded forkserver (no inherited locks or
+    threads, the parent's current environment, and no interpreter boot per
+    child), named ``repro-pool-worker-<slot>``.  A task is shipped to
     an idle slot's child over a private duplex pipe; the thread waits for
     the reply, so a child killed mid-task fails **only that task** with
     :class:`~repro.exceptions.WorkerCrashedError` and the slot lazily

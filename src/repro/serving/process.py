@@ -17,12 +17,12 @@ protocol — lives in :mod:`~repro.runtime.pool` and
 * :class:`ProcessReplica` — the parent-side client that looks exactly like
   a :class:`~repro.serving.replica.Replica` (``infer(arrays, pad_to)``,
   ``close()``, ``name``, ``is_spilled``) but executes every forward in a
-  persistent ``spawn``-ed child process.  Request and response arrays ship
-  through two parent-owned :class:`multiprocessing.shared_memory` segments
-  (grown on demand, reused across requests); only tiny metadata tuples
-  travel over the control pipe.
+  persistent child process.  Request and response arrays ship through two
+  parent-owned :class:`multiprocessing.shared_memory` segments (grown on
+  demand, reused across requests); only tiny metadata tuples travel over
+  the control pipe.
 
-The child's lifecycle — spawn, ready handshake, request/reply, crash,
+The child's lifecycle — start, ready handshake, request/reply, crash,
 respawn, stop — is the one :class:`~repro.runtime.child.SupervisedChild`
 the process pool's slots also use; a replica is that child plus the two
 segments, the grow exchange and a lock.  So fault containment is the
@@ -256,7 +256,7 @@ class _ReplicaHandler:
     def _attach(self, name: str) -> shared_memory.SharedMemory:
         segment = self.segments.get(name)
         if segment is None:
-            # Attach without adopting the lifecycle: ``spawn`` children share
+            # Attach without adopting the lifecycle: supervised children share
             # the parent's resource tracker, so this duplicate registration is
             # a set-level no-op and the parent stays the sole owner (it unlinks
             # in ``close()``).  Deliberately *no* ``resource_tracker.unregister``:
@@ -305,9 +305,10 @@ class _ReplicaHandler:
 def _replica_child_main(spec: ModelSpec, telemetry_enabled: bool = False) -> _ReplicaHandler:
     """A replica child's ``setup``: build the model once, return its handler.
 
-    Runs in a ``spawn``-ed child (see :mod:`~repro.runtime.child` for
-    the loop around it).  With ``telemetry_enabled`` the child keeps its
-    own recorder; only that flag crossed the process boundary.
+    Runs in a supervised child (see :mod:`~repro.runtime.child` for the
+    loop around it and how it starts).  With ``telemetry_enabled`` the
+    child keeps its own recorder; only that flag crossed the process
+    boundary.
     """
     tel = Telemetry() if telemetry_enabled else NULL_TELEMETRY
     with tel.span("replica.build", cat="serving"):

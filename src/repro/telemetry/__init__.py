@@ -10,7 +10,7 @@ profiling, SLO autoscaling) consume (see ``docs/observability.md``):
   component defaults to; sites call it unguarded, and its no-op
   ``span``/``begin``/``end`` keep the disabled path inside the E16
   overhead budget;
-* cross-process collection — spawn children record into their own
+* cross-process collection — process children record into their own
   recorder, ``drain()`` into the existing result channels, and the parent
   ``ingest()``\\ s, so one trace shows every process;
 * :mod:`repro.telemetry.schema` — the documented snapshot schema with the

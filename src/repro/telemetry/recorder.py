@@ -5,7 +5,7 @@ One :class:`Telemetry` instance records *spans* (named intervals with
 enclosing span) and *instant events* into a bounded in-memory buffer, and
 owns one :class:`~repro.telemetry.metrics.MetricsRegistry`.  Everything in
 the buffer is a plain picklable dict, which is what makes cross-process
-collection trivial: a spawn child records into its own ``Telemetry``,
+collection trivial: a process child records into its own ``Telemetry``,
 :meth:`drain`\\ s the buffer into its result message, and the parent
 :meth:`ingest`\\ s the dicts into its own timeline.  On Linux
 ``CLOCK_MONOTONIC`` is system-wide, so child timestamps land directly on

@@ -28,10 +28,11 @@ def _live_shm_segments() -> set:
 def _spawn_start_method():
     """Pin the default start method to ``spawn``.
 
-    The runtime always builds its children from an explicit spawn context;
-    pinning the *default* as well means a test that accidentally reaches the
-    default context cannot fork a live test process (inheriting locks and
-    threads mid-flight) and behaves the same on every platform.
+    The runtime always builds its children from an explicit context
+    (forkserver, or spawn where there is none); pinning the *default* means
+    a test that accidentally reaches the default context cannot fork a live
+    test process (inheriting locks and threads mid-flight) and behaves the
+    same on every platform.
     """
     multiprocessing.set_start_method("spawn", force=True)
     yield

@@ -19,17 +19,19 @@ contracts under test:
   that request, with :class:`~repro.exceptions.ReplicaCrashedError`, and
   respawns on the next one — standalone and behind a ``ModelServer``.
 
-Every kill helper is a module-level class instance (pickles into spawn
-children) and self-terminates via ``os.kill(os.getpid(), SIGKILL)`` gated
+Every kill helper is a module-level class instance (pickles into child
+processes) and self-terminates via ``os.kill(os.getpid(), SIGKILL)`` gated
 on a marker file, so the injection is deterministic, not timing-based.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 from pathlib import Path
@@ -371,6 +373,30 @@ def _build_unsendable_second():
     return _UnsendableSecondNetwork(config, seed=0)
 
 
+_ADDED_ENV = "REPRO_TEST_ADDED_AFTER_START"
+
+
+def _seen_context() -> dict:
+    """What a process sees of its start context, one entry per aspect."""
+    return {
+        "env-set": os.environ.get(_ADDED_ENV),
+        "env-deleted": "PATH" in os.environ,
+        "chdir": os.getcwd(),
+        "sys-path": sys.path[0],
+    }
+
+
+class _RecordingBuild:
+    """Model builder that records the context its child was started with."""
+
+    def __init__(self, out: Path):
+        self.out = str(out)
+
+    def __call__(self):
+        Path(self.out).write_text(json.dumps(_seen_context()))
+        return _build_plain()
+
+
 def _wait_dead(pid: int) -> None:
     deadline = time.monotonic() + 30
     while any(
@@ -396,6 +422,9 @@ class _PoolOwner:
         """Run one healthy item; return the pid of the child that served it."""
         return self.pool.submit(os.getpid).result(timeout=60)
 
+    def seen_context(self) -> dict:
+        return self.pool.submit(_seen_context).result(timeout=60)
+
     def faulty_item(self, fault):
         if fault == "kill-mid-request":
             return self.pool.submit(_sigkill_self).result(timeout=60)
@@ -418,16 +447,22 @@ class _ReplicaOwner:
     arrays = {"features": np.ones((2, 8), np.float32)}
 
     def __init__(self, fault, tmp_path, monkeypatch):
+        self.seen = tmp_path / "seen.json"
         builder = {
             "kill-mid-request": _build_sleepy,
             "start-raises": _FailFirstBuild(tmp_path / "started"),
             "unpicklable-reply": _build_unsendable_second,
+            "record-context": _RecordingBuild(self.seen),
         }.get(fault, _build_plain)
         self.replica = ProcessReplica(ModelSpec(builder=builder), name="matrix")
 
     def item(self) -> int:
         assert self.replica.infer(self.arrays, pad_to=4).shape == (2, 3)
         return self.replica.pid
+
+    def seen_context(self) -> dict:
+        self.item()
+        return json.loads(self.seen.read_text())
 
     def faulty_item(self, fault):
         if fault != "kill-mid-request":
@@ -490,6 +525,45 @@ class TestSupervisedChildFaultMatrix:
             started = time.monotonic()
             owner.close()
             assert time.monotonic() - started < 30
+
+
+class TestSupervisedChildStart:
+    """Children start warm, from one preloaded server, yet see the parent
+    as it is *now*: a context change made after the server booted reaches
+    every child started afterwards, under both owners."""
+
+    @pytest.mark.parametrize("aspect", ["env-set", "env-deleted", "chdir", "sys-path"])
+    @pytest.mark.parametrize("owner_type", [_PoolOwner, _ReplicaOwner])
+    def test_child_sees_the_parent_context_at_start(
+        self, owner_type, aspect, tmp_path, monkeypatch
+    ):
+        with ProcessWorkerPool(1) as pool:  # boot the server before the change
+            pool.submit(os.getpid).result(timeout=60)
+        if aspect == "env-set":
+            monkeypatch.setenv(_ADDED_ENV, "set-after-start")
+        elif aspect == "env-deleted":
+            monkeypatch.delenv("PATH")
+        elif aspect == "chdir":
+            monkeypatch.chdir(tmp_path)
+        else:
+            monkeypatch.syspath_prepend(str(tmp_path / "prepended"))
+        owner = owner_type("record-context", tmp_path, monkeypatch)
+        try:
+            assert owner.seen_context()[aspect] == _seen_context()[aspect]
+        finally:
+            owner.close()
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="children are spawned where there is no forkserver",
+    )
+    def test_children_fork_from_one_shared_server(self):
+        parents = []
+        for _ in range(2):
+            with ProcessWorkerPool(1) as pool:
+                parents.append(pool.submit(os.getppid).result(timeout=60))
+        assert os.getpid() not in parents  # the server, not this process, forked them
+        assert parents[0] == parents[1]  # and the second pool reused it
 
 
 def _identity_after_sleep(seconds: float):
