@@ -4,14 +4,15 @@ The paper plans to pair Hydra with Cerebro, whose model-hopper keeps data
 partitions pinned to workers and moves models between them.  This benchmark
 runs the hybrid strategy on an 8-GPU cluster (two 4-GPU groups, so two data
 partitions) against pure shard parallelism and classic model parallelism, and
-additionally exercises the *real-execution* Cerebro hopper on small models to
-confirm it trains correctly.
+additionally trains small models for real on ``CerebroBackend`` to confirm
+hopping trains correctly.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import bert_large_jobs, print_report
+from repro.api import Budget, Callback, CerebroBackend, Experiment, FixedSearcher
 from repro.cluster import Cluster
 from repro.data import make_classification
 from repro.models import FeedForwardConfig, FeedForwardNetwork
@@ -21,7 +22,7 @@ from repro.scheduler import (
     ModelParallelStrategy,
     ShardParallelStrategy,
 )
-from repro.selection import CerebroModelHopper
+from repro.selection import TrialConfig
 
 NUM_MODELS = 4
 BATCHES = 8
@@ -61,28 +62,48 @@ def test_hybrid_shard_data_parallel_simulation(benchmark):
     assert results["shard-parallel"].makespan < results["model-parallel"].makespan
 
 
+class _EpochLosses(Callback):
+    """Records every trial's loss after each epoch."""
+
+    def __init__(self):
+        self.losses = {}
+
+    def on_epoch_end(self, trial, epoch, metrics):
+        self.losses.setdefault(trial.trial_id, []).append(metrics["loss"])
+
+
+def _build(trial):
+    model = FeedForwardNetwork(FeedForwardConfig.tiny(), seed=trial.get("seed"))
+    return model, Adam(model.parameters(), lr=trial.get("lr"))
+
+
 @pytest.mark.benchmark(group="cerebro")
 def test_cerebro_hopper_real_training(benchmark):
     data = make_classification(num_samples=128, num_features=16, num_classes=4,
                                class_separation=3.0, rng=np.random.default_rng(5))
+    trials = [
+        TrialConfig(f"lr={lr}", {"seed": seed, "lr": lr})
+        for seed, lr in enumerate([3e-3, 1e-2, 3e-2, 1e-3])
+    ]
 
     def run():
-        hopper = CerebroModelHopper(data, num_workers=4, batch_size=16, seed=0)
-        for seed, lr in enumerate([3e-3, 1e-2, 3e-2, 1e-3]):
-            model = FeedForwardNetwork(FeedForwardConfig.tiny(), seed=seed)
-            hopper.add_model(model, Adam(model.parameters(), lr=lr),
-                             boundaries=[(0, 1), (1, 3)], model_id=f"lr={lr}")
-        return hopper.fit(num_epochs=3)
+        recorder = _EpochLosses()
+        backend = CerebroBackend(data, builder=_build, num_workers=4, batch_size=16,
+                                 num_shards=2, seed=0)
+        Experiment(searcher=FixedSearcher(trials), backend=backend,
+                   budget=Budget(epochs_per_trial=3), callbacks=[recorder]).run()
+        return recorder.losses
 
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    losses = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
-        [model_id, f"{report.epochs[0]['loss']:.4f}", f"{report.epochs[-1]['loss']:.4f}"]
-        for model_id, report in reports.items()
+        [model_id, f"{per_epoch[0]:.4f}", f"{per_epoch[-1]:.4f}"]
+        for model_id, per_epoch in losses.items()
     ]
     print_report(
-        "Cerebro model hopper (real execution, 4 data partitions, 4 sharded models)",
+        "Cerebro model hopping (real execution, 4 data partitions, 4 two-shard models)",
         ["model", "epoch0_loss", "final_loss"],
         rows,
     )
-    assert all(r.epochs[-1]["loss"] < r.epochs[0]["loss"] for r in reports.values())
+    assert len(losses) == 4 and all(len(per_epoch) == 3 for per_epoch in losses.values())
+    assert all(per_epoch[-1] < per_epoch[0] for per_epoch in losses.values())

@@ -13,7 +13,7 @@ learning training, together with every substrate the paper depends on:
   model partitioning plus the shard-parallel (Hydra) scheduler and its
   task-parallel / model-parallel baselines.
 * :mod:`repro.selection`, :mod:`repro.training` — search spaces, trial
-  bookkeeping, the Cerebro-style model hopper, and real training engines.
+  bookkeeping, and the real (shard-parallel) training engine.
 * :mod:`repro.memory`, :mod:`repro.serving` — spilled execution with host
   offload, and online inference (registry, batching, servers, fleet router).
 * :mod:`repro.runtime` — the leaf substrate: worker pools and the one

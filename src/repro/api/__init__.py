@@ -8,8 +8,8 @@ budget, searcher — and run it on any :class:`ExecutionBackend`:
   the simulated GPU cluster under any scheduling strategy;
 * :class:`~repro.api.backends.ShardParallelBackend` — real numpy-engine
   training with Hydra-style shard-parallel interleaving;
-* :class:`~repro.api.backends.CerebroBackend` — real training with
-  Cerebro-style model hopping over data partitions;
+* :class:`~repro.api.backends.CerebroBackend` — the same engine with each
+  model's epoch walking Cerebro-style fixed data partitions;
 * :class:`~repro.api.backends.FunctionBackend` /
   :class:`~repro.api.backends.ResumableFunctionBackend` — plain callables
   (surrogate objectives, tests).

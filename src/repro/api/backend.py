@@ -11,8 +11,8 @@ into metrics.  The contract is deliberately tiny:
   epochs and returns the latest metrics;
 * :meth:`ExecutionBackend.train_many` does the same for a *cohort* of trials
   — backends that can co-schedule several models (shard-parallel
-  interleaving, Cerebro model hopping, multi-job cluster simulation)
-  override it to train the whole cohort together;
+  interleaving, multi-job cluster simulation) override it to train the
+  whole cohort together;
 * :meth:`ExecutionBackend.teardown` releases the per-trial state.
 
 Searchers never see any of this directly; they talk to a
@@ -115,7 +115,7 @@ class ExecutionBackend:
         """Train a cohort; the default runs trials one at a time.
 
         Backends with real multi-model execution (shard-parallel
-        interleaving, model hopping, multi-job simulation) override this so
+        interleaving, multi-job simulation) override this so
         the cohort shares the cluster instead of queueing on it.  Because
         execution here is sequential, each trial's own wall time is
         attributable and accumulated on its handle.
@@ -190,11 +190,12 @@ class CohortEngineBackend(ExecutionBackend):
     """Shared shape for backends that co-schedule cohorts on a real engine.
 
     Subclasses implement :meth:`make_driver`, returning a fresh driver with
-    the cohort's models registered (a ``ShardParallelTrainer``, a
-    ``CerebroModelHopper``, ...) exposing ``train_epoch(epoch) ->
-    {trial_id: metrics}``.  Epoch numbers continue from what the cohort has
-    already trained, so shuffling differs between resumed rungs; cohorts
-    are rung-aligned by construction.
+    the cohort's models registered (the ``ShardParallelTrainer`` of
+    :class:`~repro.api.backends.ShardParallelBackend` and of its
+    :class:`~repro.api.backends.CerebroBackend` configuration) exposing
+    ``train_epoch(epoch) -> {trial_id: metrics}``.  Epoch numbers continue
+    from what the cohort has already trained, so shuffling differs between
+    resumed rungs; cohorts are rung-aligned by construction.
     """
 
     def train(self, handle: TrialHandle, epochs: int) -> Dict[str, float]:

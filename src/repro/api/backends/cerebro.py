@@ -1,70 +1,85 @@
 """Cerebro backend: model hopping over fixed data partitions.
 
 Cerebro (Nakandala et al.) shards the *dataset* across workers and hops
-models between workers between sub-epochs; data never moves.  This backend
-owns the partitioned dataset and adapts the
-:class:`~repro.selection.cerebro.CerebroModelHopper` to the generic
-protocol: ``builder`` turns a trial into ``(model, optimizer)`` (loaders
-come from the backend's partitions), and each ``train_many`` cohort is
-hopped together — every model in the cohort sees every partition exactly
-once per epoch.
+models between workers between sub-epochs; data never moves.  On the real
+engine the hop is a data-loading order, not a second trainer: this backend
+is a :class:`~repro.api.backends.ShardParallelBackend` whose per-trial
+loader walks the backend's fixed partitions, so every model sees every
+partition exactly once per epoch and the cohort is trained by the one
+:class:`~repro.training.sharded_trainer.ShardParallelTrainer` — spilling,
+the process-pool snapshot protocol and telemetry included.
 
-Partitioning is seeded, so the per-worker loaders rebuilt for each cohort
-are identical across calls and resumed rungs continue on the same splits.
-
-With ``hop_parallel=True`` the backend owns a thread pool sized to
-``num_workers`` and hands it to every hopper it builds, so each sub-epoch's
-workers train their hosted models *concurrently* — true hop-parallelism,
-numerically identical to serial hopping (each model's update sequence is
-unchanged; see :meth:`CerebroModelHopper.train_epoch`).
+Epoch ``e`` visits partitions ``e, e+1, ..., e+W-1 (mod W)`` for every
+trial, whatever its cohort position, so a trial's losses do not depend on
+which other trials share its cohort (or on ``Experiment.run(workers=N)``).
+Partitioning is seeded, so resumed rungs continue on the same splits.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.api.backend import CohortEngineBackend, TrialHandle
+from repro.api.backends.shard_parallel import ShardParallelBackend, _TrialState
+from repro.data.dataloader import Batch, DataLoader
 from repro.data.dataset import Dataset
+from repro.data.partition import partition_dataset
 from repro.exceptions import ConfigurationError
 from repro.models.base import ShardableModel
 from repro.optim.optimizer import Optimizer
-from repro.runtime.pool import ThreadWorkerPool, WorkerPool
-from repro.selection.cerebro import CerebroModelHopper
 from repro.selection.experiment import TrialConfig
 from repro.sharding.partitioner import partition_uniform
 
-#: builds the live model and optimizer for one trial
+#: builds the live model and optimizer for one trial (data comes from the backend)
 CerebroTrialBuilder = Callable[[TrialConfig], Tuple[ShardableModel, Optimizer]]
 
 
-@dataclass
-class _TrialState:
-    model: ShardableModel
-    optimizer: Optimizer
-    boundaries: Optional[List[Tuple[int, int]]]
+class _HopLoader:
+    """One trial's epoch as a hop over its partition loaders.
+
+    Epoch ``e`` visits partitions ``e, e+1, ...`` (mod ``W``); partition
+    ``w``'s loader is seeded ``seed + w``, so it is shuffled by
+    ``(seed + w, e)``.  The epoch is read eagerly in :meth:`__iter__`, and
+    every partition's batch order is fixed there too, so an iterator never
+    observes a later ``set_epoch``.
+    """
+
+    def __init__(self, loaders: Sequence[DataLoader]):
+        self.loaders = list(loaders)
+        self._epoch = 0
+
+    def set_epoch(self, epoch: int) -> None:
+        self._epoch = int(epoch)
+
+    def __iter__(self) -> Iterator[Batch]:
+        epoch = self._epoch
+        self._epoch += 1
+        visits = []
+        for hop in range(len(self.loaders)):
+            loader = self.loaders[(epoch + hop) % len(self.loaders)]
+            loader.set_epoch(epoch)
+            visits.append(iter(loader))
+        return chain.from_iterable(visits)
 
 
-class CerebroBackend(CohortEngineBackend):
+class CerebroBackend(ShardParallelBackend):
     """Trains trials for real with Cerebro-style model hopping.
 
     Example::
 
         backend = CerebroBackend(dataset, builder=build_model_and_optimizer,
-                                 num_workers=2, hop_parallel=True)
-        try:
-            result = Experiment(space=space, searcher="grid",
-                                backend=backend).run()
-        finally:
-            backend.close()  # releases the hop pool (also runs at GC)
+                                 num_workers=2)
+        result = Experiment(space=space, searcher="grid",
+                            backend=backend).run(workers=2)
+
+    Each worker is one simulated device of the shard-parallel engine;
+    models are a single shard unless ``num_shards`` says otherwise.
 
     Raises:
         ConfigurationError: if ``num_workers`` is not positive.
     """
 
     name = "cerebro"
-    resumable = True
 
     def __init__(
         self,
@@ -75,79 +90,25 @@ class CerebroBackend(CohortEngineBackend):
         num_shards: Optional[int] = None,
         shuffle: bool = True,
         seed: int = 0,
-        hop_parallel: bool = False,
     ):
         if num_workers <= 0:
             raise ConfigurationError(f"num_workers must be positive, got {num_workers}")
+        super().__init__(builder=builder, num_devices=num_workers, num_shards=num_shards)
         self.dataset = dataset
-        self.builder = builder
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
-        self.num_shards = num_shards
         self.shuffle = shuffle
         self.seed = int(seed)
-        self.hop_parallel = bool(hop_parallel)
-        self._hop_pool: Optional[WorkerPool] = None
-        self._hop_pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    def prepare(self, trial: TrialConfig) -> TrialHandle:
-        handle = super().prepare(trial)
-        model, optimizer = self.builder(trial)
-        boundaries: Optional[List[Tuple[int, int]]] = None
-        if self.num_shards is not None:
-            boundaries = partition_uniform(model.profile(), self.num_shards)
-            handle.annotations.setdefault("num_shards", self.num_shards)
-        handle.state = _TrialState(model, optimizer, boundaries)
-        handle.annotations.setdefault("model", model.model_name)
-        return handle
-
-    def make_driver(self, handles: Sequence[TrialHandle]) -> CerebroModelHopper:
-        """Build a hopper with every handle's model registered (and, when
-        ``hop_parallel``, the backend's shared worker pool attached)."""
-        hopper = CerebroModelHopper(
-            self.dataset,
-            num_workers=self.num_workers,
-            batch_size=self.batch_size,
-            shuffle=self.shuffle,
-            seed=self.seed,
-            pool=self._pool(),
+        self.partitions = partition_dataset(
+            dataset, self.num_workers, shuffle=shuffle, seed=self.seed
         )
-        for handle in handles:
-            state: _TrialState = handle.state
-            hopper.add_model(
-                state.model, state.optimizer, boundaries=state.boundaries,
-                model_id=handle.trial_id,
-            )
-        return hopper
 
-    # ------------------------------------------------------------------ #
-    def _pool(self) -> Optional[WorkerPool]:
-        """The shared hop pool (one per backend, lazily built), or None.
-
-        Locked: under the concurrent runtime two worker threads can reach
-        first use simultaneously, and a double-built pool would leak threads.
-        """
-        if not self.hop_parallel:
-            return None
-        with self._hop_pool_lock:
-            if self._hop_pool is None:
-                self._hop_pool = ThreadWorkerPool(self.num_workers)
-            return self._hop_pool
-
-    def close(self) -> None:
-        """Shut down the hop pool, if one was created.
-
-        Safe to call between runs: the pool is rebuilt lazily on next use.
-        Long-lived processes should call this when done with the backend;
-        garbage collection also triggers it as a backstop.
-        """
-        if self._hop_pool is not None:
-            self._hop_pool.shutdown(wait=False)
-            self._hop_pool = None
-
-    def __del__(self):  # pragma: no cover - GC backstop
-        try:
-            self.close()
-        except Exception:
-            pass
+    def _build_state(self, trial: TrialConfig) -> _TrialState:
+        model, optimizer = self.builder(trial)
+        loader = _HopLoader([
+            DataLoader(partition, batch_size=self.batch_size, shuffle=self.shuffle,
+                       seed=self.seed + index)
+            for index, partition in enumerate(self.partitions)
+        ])
+        boundaries = partition_uniform(model.profile(), self.num_shards or 1)
+        return _TrialState(model, optimizer, loader, boundaries)

@@ -142,21 +142,16 @@ class ShardParallelBackend(CohortEngineBackend):
         """An equivalent backend whose trials run under ``memory_budget``.
 
         Used by ``Experiment.run(memory_budget=...)`` so a per-run budget
-        never mutates a shared backend; the other memory options
-        (eviction policy, prefetch, spill directory) carry over.  The
-        returned backend owns its spill manager — ``Experiment.run`` closes
-        it when the run finishes.
+        never mutates a shared backend.  The copy keeps this backend's class
+        and every other setting (eviction policy, prefetch, spill directory,
+        registry, subclass configuration) and owns a fresh spill manager —
+        ``Experiment.run`` closes it when the run finishes.
         """
-        options = dict(self._spill_options)
-        return ShardParallelBackend(
-            builder=self.builder,
-            num_devices=self.num_devices,
-            num_shards=self.num_shards,
-            memory_budget=memory_budget,
-            eviction_policy=options.pop("policy"),
-            registry=self.registry,
-            **options,
-        )
+        state = self.__getstate__()
+        state["_memory_budget"] = memory_budget
+        budgeted = object.__new__(type(self))
+        budgeted.__setstate__(state)
+        return budgeted
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a recorder and wire it into the owned spill manager."""

@@ -1,8 +1,8 @@
-"""Data partitioning for Cerebro-style model hopping.
+"""Data partitioning for Cerebro-style model selection.
 
-Cerebro shards the *data* across workers and hops models between partitions
-so that each model sees every partition once per epoch without moving data.
-The hybrid Hydra + data-parallel experiment (E7) reuses these partitions.
+Cerebro shards the *data* across workers and moves models, not data, so
+that each model sees every partition once per epoch.
+:class:`~repro.api.backends.CerebroBackend` trains over these partitions.
 """
 
 from __future__ import annotations

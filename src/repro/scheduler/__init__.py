@@ -24,7 +24,7 @@ its rules:
   staggered placement and no queues, so shards of *different* models
   interleave and no device waits on one model's sequential dependency chain.
 * :class:`~repro.scheduler.hybrid.HybridShardDataParallelStrategy` — Hydra
-  shards plus Cerebro-style hopping: a job is a chain of per-partition chunks.
+  shards plus Cerebro-style data partitions: a job is a chain of per-partition chunks.
 * :class:`~repro.scheduler.spill.SpilledShardParallelStrategy` — one wave no
   matter the memory: idle shards live in host DRAM, streamed in around passes.
 """

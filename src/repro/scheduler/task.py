@@ -46,9 +46,10 @@ class ShardTask:
     """One schedulable unit: a pass over one shard for one mini-batch.
 
     ``extra_transfers`` lists additional ``(source_device, bytes)`` inputs a
-    strategy wants charged before the task runs (e.g. the parameter movement
-    of a Cerebro-style model hop); the intrinsic activation/gradient transfer
-    implied by ``input_bytes`` is derived from the placement instead.
+    strategy wants charged before the task runs (e.g. the hybrid strategy's
+    parameter movement between device groups); the intrinsic
+    activation/gradient transfer implied by ``input_bytes`` is derived from
+    the placement instead.
     """
 
     task_id: str

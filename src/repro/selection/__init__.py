@@ -1,4 +1,4 @@
-"""Model selection: search spaces, trial bookkeeping, and Cerebro-style hopping.
+"""Model selection: search spaces and trial bookkeeping.
 
 The search drivers (grid / random / successive halving) are the searchers of
 :mod:`repro.api`; run them with ``Experiment(space, searcher, backend=...)``.
@@ -11,7 +11,6 @@ from repro.selection.experiment import (
     TrialConfig,
     TrialResult,
 )
-from repro.selection.cerebro import CerebroModelHopper
 
 __all__ = [
     "Choice",
@@ -22,5 +21,4 @@ __all__ = [
     "TrialResult",
     "FailedTrial",
     "SelectionResult",
-    "CerebroModelHopper",
 ]

@@ -274,7 +274,7 @@ def save_checkpoint(
 
     With ``compressed=True`` the archive is deflate-compressed
     (``np.savez_compressed``) — markedly smaller artifacts for the
-    model-hopping and selection examples, at a modest CPU cost on save.
+    selection examples, at a modest CPU cost on save.
     ``load_checkpoint`` reads both formats transparently.
 
     With ``optimizer=...`` the archive additionally captures the full

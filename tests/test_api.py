@@ -495,7 +495,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.selection": [
         "Choice", "Uniform", "LogUniform", "SearchSpace", "TrialConfig", "TrialResult",
-        "FailedTrial", "SelectionResult", "CerebroModelHopper",
+        "FailedTrial", "SelectionResult",
     ],
 }
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Budget, Experiment, ShardParallelBackend
+from repro.api import Budget, CerebroBackend, Experiment, ShardParallelBackend
 from repro.autograd import Tensor, check_gradients, ops
 from repro.cluster import Cluster, ClusterSimulator, Device, DeviceSpec, SimTask
 from repro.data import DataLoader, make_classification
@@ -14,6 +14,7 @@ from repro.optim import Adam
 from repro.profiling import ModelProfile, linear_cost
 from repro.selection import SearchSpace
 from repro.sharding import ShardingPlan, partition_min_max, partition_uniform
+from repro.telemetry import Telemetry
 from repro.training import ShardedModelExecutor
 
 # Keep hypothesis fast and deterministic for CI-style runs.
@@ -268,6 +269,36 @@ def _sweep_run(workers, pool, memory_budget):
     return experiment.run(backend=backend, workers=workers, pool=pool)
 
 
+def _cerebro_builder(trial):
+    """Module-level (model, optimizer) builder: four blocks, one per shard."""
+    width = int(trial.get("width", 16))
+    config = FeedForwardConfig(input_dim=8, hidden_dims=(width,) * 3, num_classes=3)
+    model = FeedForwardNetwork(config, seed=0)
+    return model, Adam(model.parameters(), lr=float(trial.get("lr", 1e-2)))
+
+
+#: holds the widest width-32 shard but not the two sharing its device, so a
+#: trial spills even alone in a process child
+_CEREBRO_TIGHT_BUDGET = 13 * 1024
+
+
+def _cerebro_run(workers, pool, memory_budget, telemetry=None):
+    backend = CerebroBackend(
+        _SWEEP_DATA, builder=_cerebro_builder, num_workers=2, batch_size=16,
+        num_shards=4,
+    )
+    experiment = Experiment(
+        space=SearchSpace({"width": [16, 32], "lr": [1e-2, 1e-3]}),
+        searcher="grid",
+        objective="loss",
+        budget=Budget(epochs_per_trial=2),
+    )
+    return experiment.run(
+        backend=backend, workers=workers, pool=pool,
+        memory_budget=memory_budget, telemetry=telemetry,
+    )
+
+
 @pytest.fixture(scope="module")
 def sweep_reference():
     """One serial, unconstrained run — the ranking every combo must match."""
@@ -275,6 +306,12 @@ def sweep_reference():
     ranking = [t.trial_id for t in result.ranked()]
     losses = {t.trial_id: t.metric("loss") for t in result.trials}
     return ranking, losses
+
+
+@pytest.fixture(scope="module")
+def cerebro_reference():
+    """One serial, unconstrained run that trains all four trials as one cohort."""
+    return [t.metric("loss") for t in _cerebro_run(None, None, None).trials]
 
 
 class TestCrossPoolDeterminism:
@@ -305,3 +342,21 @@ class TestCrossPoolDeterminism:
         assert {
             t.trial_id: t.metric("loss") for t in result.trials
         } == reference_losses
+
+    @pytest.mark.parametrize(
+        "memory_budget", [None, _CEREBRO_TIGHT_BUDGET], ids=["unbounded", "tight"]
+    )
+    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cerebro_losses_independent_of_cohort(
+        self, workers, pool, memory_budget, cerebro_reference
+    ):
+        """A Cerebro trial's losses do not depend on who shares its cohort:
+        every pooled run trains each trial in a cohort of one."""
+        telemetry = Telemetry()
+        result = _cerebro_run(workers, pool, memory_budget, telemetry)
+        assert not result.failures
+        assert np.array_equal([t.metric("loss") for t in result.trials], cerebro_reference)
+        if memory_budget is not None:
+            evictions = [e for e in telemetry.events() if e["name"] == "spill.evict"]
+            assert evictions, "budget was not tight enough to spill"

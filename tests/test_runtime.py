@@ -16,7 +16,6 @@ from repro.api import (
     Budget,
     Callback,
     CallbackList,
-    CerebroBackend,
     ConcurrentBackend,
     Experiment,
     FunctionBackend,
@@ -55,11 +54,6 @@ def _build_trainable_unless_zero_width(trial):
     if int(trial.get("width", 16)) == 0:
         raise ValueError("zero-width trial")
     return _build_trainable(trial)
-
-
-def _build_hoppable(trial):
-    model, optimizer, _ = _build_trainable(trial)
-    return model, optimizer
 
 
 # --------------------------------------------------------------------- #
@@ -675,47 +669,6 @@ class TestConcurrentBackend:
         pooled = run_model_selection(dict(builders), num_devices=2, workers=2)
         assert [t.metrics for t in serial.trials] == [t.metrics for t in pooled.trials]
         assert serial.best().trial_id == pooled.best().trial_id
-
-
-# --------------------------------------------------------------------- #
-# Cerebro hop-parallelism
-# --------------------------------------------------------------------- #
-class TestCerebroHopParallelism:
-    def test_hop_parallel_is_bit_identical_to_serial(self):
-        experiment = Experiment(
-            space=SearchSpace({"width": [16, 32], "lr": [1e-2, 1e-3]}),
-            searcher="grid",
-            objective="loss",
-            budget=Budget(epochs_per_trial=2),
-        )
-        serial = experiment.run(
-            backend=CerebroBackend(
-                DATASET, builder=_build_hoppable, num_workers=2, batch_size=16
-            )
-        )
-        parallel_backend = CerebroBackend(
-            DATASET, builder=_build_hoppable, num_workers=2, batch_size=16,
-            hop_parallel=True,
-        )
-        try:
-            parallel = experiment.run(backend=parallel_backend)
-        finally:
-            parallel_backend.close()
-        # Each model's update order is identical, so losses match exactly.
-        assert [t.metrics for t in serial.trials] == [t.metrics for t in parallel.trials]
-
-    def test_hop_pool_is_shared_across_cohorts(self):
-        backend = CerebroBackend(
-            DATASET, builder=_build_hoppable, num_workers=2, batch_size=16,
-            hop_parallel=True,
-        )
-        try:
-            first = backend._pool()
-            second = backend._pool()
-            assert first is second
-        finally:
-            backend.close()
-        assert backend._hop_pool is None
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
-"""Tests for search spaces, search drivers, experiment tracking, and the Cerebro hopper."""
+"""Tests for search spaces, search drivers, experiment tracking, and Cerebro hopping."""
 
 import numpy as np
 import pytest
 
 from repro.api import (
     Budget,
+    CerebroBackend,
     Experiment,
     FunctionBackend,
     GridSearcher,
@@ -14,11 +15,10 @@ from repro.api import (
     make_searcher,
 )
 from repro.data import make_classification
-from repro.exceptions import SchedulingError, SearchSpaceError
+from repro.exceptions import ConfigurationError, SchedulingError, SearchSpaceError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import SGD, Adam
 from repro.selection import (
-    CerebroModelHopper,
     Choice,
     LogUniform,
     SearchSpace,
@@ -217,51 +217,79 @@ class TestSuccessiveHalving:
 
 
 class TestCerebroModelHopper:
+    """Cerebro model hopping, trained by :class:`CerebroBackend`."""
+
     def _dataset(self):
         return make_classification(num_samples=64, num_features=16, num_classes=4,
                                    rng=np.random.default_rng(0))
 
-    def _model(self, seed):
-        model = FeedForwardNetwork(FeedForwardConfig.tiny(), seed=seed)
+    @staticmethod
+    def _build(trial):
+        model = FeedForwardNetwork(FeedForwardConfig.tiny(), seed=trial.get("seed", 0))
         return model, Adam(model.parameters(), lr=1e-2)
 
+    def _backend(self, **options):
+        options.setdefault("num_workers", 2)
+        return CerebroBackend(self._dataset(), builder=self._build, batch_size=16,
+                              seed=0, **options)
+
+    def _train(self, backend, trial_ids, epochs):
+        """Per-epoch losses of one cohort, trained an epoch at a time."""
+        handles = [backend.prepare(TrialConfig(t, {"seed": i}))
+                   for i, t in enumerate(trial_ids)]
+        losses = {t: [] for t in trial_ids}
+        for _ in range(epochs):
+            metrics = backend.train_many(handles, 1)
+            for handle in handles:
+                handle.epochs_trained += 1
+                losses[handle.trial_id].append(metrics[handle.trial_id]["loss"])
+        return handles, losses
+
     def test_requires_models(self):
-        hopper = CerebroModelHopper(self._dataset(), num_workers=2, batch_size=16)
+        backend = self._backend()
+        assert backend.train_many([], 1) == {}
         with pytest.raises(SchedulingError):
-            hopper.train_epoch()
+            backend.make_driver([]).train_epoch(0)
 
     def test_requires_positive_workers(self):
-        with pytest.raises(SchedulingError):
-            CerebroModelHopper(self._dataset(), num_workers=0)
+        for workers in (0, -1):
+            with pytest.raises(ConfigurationError):
+                self._backend(num_workers=workers)
 
-    def test_hop_schedule_is_a_latin_square(self):
-        hopper = CerebroModelHopper(self._dataset(), num_workers=3, batch_size=16)
-        for seed in range(3):
-            model, optimizer = self._model(seed)
-            hopper.add_model(model, optimizer, model_id=f"m{seed}")
-        schedule = hopper.hop_schedule(epoch=0)
-        assert len(schedule) == 3
-        for assignments in schedule:
-            workers = [worker for _, worker in assignments]
-            assert len(set(workers)) == len(workers)  # no worker double-booked
-        visits = {m: set() for m in range(3)}
-        for assignments in schedule:
-            for model_index, worker in assignments:
-                visits[model_index].add(worker)
-        assert all(v == {0, 1, 2} for v in visits.values())
+    def test_epoch_covers_every_partition_once(self):
+        backend = self._backend(num_workers=3)
+        dataset = backend.dataset
+        row_of = {dataset[i]["features"].tobytes(): i for i in range(len(dataset))}
+        loader = backend.prepare(TrialConfig("t", {})).state.loader
+        for epoch in range(3):
+            loader.set_epoch(epoch)
+            rows = [row_of[features.tobytes()]
+                    for batch in loader for features in batch["features"]]
+            assert sorted(rows) == list(range(len(dataset)))  # each example once
+            # Partitions are visited whole, starting at the epoch's offset.
+            for hop in range(3):
+                partition = backend.partitions[(epoch + hop) % 3]
+                visit, rows = rows[:len(partition)], rows[len(partition):]
+                assert sorted(visit) == sorted(partition.indices)
 
     def test_training_reduces_loss(self):
-        hopper = CerebroModelHopper(self._dataset(), num_workers=2, batch_size=16, seed=0)
-        for seed in range(2):
-            model, optimizer = self._model(seed)
-            hopper.add_model(model, optimizer, model_id=f"m{seed}")
-        reports = hopper.fit(num_epochs=3)
-        for report in reports.values():
-            assert report.epochs[-1]["loss"] < report.epochs[0]["loss"]
+        _, losses = self._train(self._backend(), ["m0", "m1"], epochs=3)
+        for per_epoch in losses.values():
+            assert per_epoch[-1] < per_epoch[0]
+
+    def test_memory_budget_copy_keeps_the_class(self):
+        backend = self._backend(num_workers=3, num_shards=2)
+        budgeted = backend.with_memory_budget(1 << 20)
+        try:
+            assert type(budgeted) is CerebroBackend
+            assert backend.memory is None and budgeted.memory is not None
+            assert budgeted.memory.arena_names == ["dev0", "dev1", "dev2"]
+            assert (budgeted.num_shards, budgeted.partitions) == (2, backend.partitions)
+        finally:
+            budgeted.close()
 
     def test_sharded_models_supported(self):
-        hopper = CerebroModelHopper(self._dataset(), num_workers=2, batch_size=16)
-        model, optimizer = self._model(0)
-        hopper.add_model(model, optimizer, boundaries=[(0, 1), (1, 3)], model_id="sharded")
-        results = hopper.train_epoch()
-        assert "sharded" in results and np.isfinite(results["sharded"]["loss"])
+        handles, losses = self._train(self._backend(num_shards=2), ["sharded"], epochs=1)
+        assert handles[0].annotations["num_shards"] == 2
+        assert len(handles[0].state.boundaries) == 2
+        assert np.isfinite(losses["sharded"][0])
