@@ -40,7 +40,6 @@ _API_EXPORTS = (
     "Callback",
     "CallbackList",
     "CerebroBackend",
-    "CohortEngineBackend",
     "ConcurrentBackend",
     "EarlyStopping",
     "ExecutionBackend",

@@ -36,7 +36,7 @@ it (``tests/test_layering.py``).  The pools and :class:`RetryPolicy`
 (:mod:`repro.serving.deploy`) are defined below and re-exported here.
 """
 
-from repro.api.backend import CohortEngineBackend, ExecutionBackend, TrialHandle
+from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.api.runtime import (
     ConcurrentBackend,
     ModelSpec,
@@ -78,7 +78,6 @@ __all__ = [
     "Callback",
     "CallbackList",
     "CerebroBackend",
-    "CohortEngineBackend",
     "ConcurrentBackend",
     "EarlyStopping",
     "ExecutionBackend",

@@ -184,40 +184,3 @@ class ExecutionBackend:
             "backend with spilled execution (e.g. ShardParallelBackend) or "
             "drop the memory_budget option"
         )
-
-
-class CohortEngineBackend(ExecutionBackend):
-    """Shared shape for backends that co-schedule cohorts on a real engine.
-
-    Subclasses implement :meth:`make_driver`, returning a fresh driver with
-    the cohort's models registered (the ``ShardParallelTrainer`` of
-    :class:`~repro.api.backends.ShardParallelBackend` and of its
-    :class:`~repro.api.backends.CerebroBackend` configuration) exposing
-    ``train_epoch(epoch) -> {trial_id: metrics}``.  Epoch numbers continue
-    from what the cohort has already trained, so shuffling differs between
-    resumed rungs; cohorts are rung-aligned by construction.
-    """
-
-    def train(self, handle: TrialHandle, epochs: int) -> Dict[str, float]:
-        return self.train_many([handle], epochs)[handle.trial_id]
-
-    def train_many(
-        self, handles: Sequence[TrialHandle], epochs: int
-    ) -> Dict[str, Dict[str, float]]:
-        if not handles:
-            return {}
-        driver = self.make_driver(handles)
-        base_epoch = handles[0].epochs_trained
-        metrics: Dict[str, Dict[str, float]] = {}
-        tel = self.telemetry
-        trial_ids = [handle.trial_id for handle in handles]
-        for offset in range(epochs):
-            with tel.span(
-                "epoch", cat="training", epoch=base_epoch + offset, trials=trial_ids
-            ):
-                metrics = driver.train_epoch(base_epoch + offset)
-        return {handle.trial_id: dict(metrics[handle.trial_id]) for handle in handles}
-
-    def make_driver(self, handles: Sequence[TrialHandle]):
-        """Build the engine driver with every handle's model registered."""
-        raise NotImplementedError

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.backend import CohortEngineBackend, TrialHandle
+from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.data.dataloader import DataLoader
 from repro.exceptions import ConfigurationError
 from repro.memory import SpillManager
@@ -53,7 +53,7 @@ class _TrialState:
     boundaries: List[Tuple[int, int]]
 
 
-class ShardParallelBackend(CohortEngineBackend):
+class ShardParallelBackend(ExecutionBackend):
     """Trains trials for real with shard-parallel multi-model interleaving.
 
     Example::
@@ -71,6 +71,10 @@ class ShardParallelBackend(CohortEngineBackend):
     and idle shards are evicted to a host cache under pressure.
     ``eviction_policy`` is ``"lru"`` or ``"schedule-aware"``; ``prefetch``
     overlaps the next shard's restore with the current shard's compute.
+
+    A cohort trains together in one :meth:`make_driver` trainer; epoch
+    numbers continue from what the cohort has already trained, so shuffling
+    differs between resumed rungs (cohorts are rung-aligned).
 
     ``registry`` (a :class:`~repro.serving.ModelRegistry`) publishes every
     trial's final parameters — under the trial id, with its last metrics and
@@ -208,7 +212,28 @@ class ShardParallelBackend(CohortEngineBackend):
         handle.annotations.setdefault("num_shards", len(state.boundaries))
         return handle
 
+    def train(self, handle: TrialHandle, epochs: int) -> Dict[str, float]:
+        return self.train_many([handle], epochs)[handle.trial_id]
+
+    def train_many(
+        self, handles: Sequence[TrialHandle], epochs: int
+    ) -> Dict[str, Dict[str, float]]:
+        if not handles:
+            return {}
+        driver = self.make_driver(handles)
+        base_epoch = handles[0].epochs_trained
+        metrics: Dict[str, Dict[str, float]] = {}
+        tel = self.telemetry
+        trial_ids = [handle.trial_id for handle in handles]
+        for offset in range(epochs):
+            with tel.span(
+                "epoch", cat="training", epoch=base_epoch + offset, trials=trial_ids
+            ):
+                metrics = driver.train_epoch(base_epoch + offset)
+        return {handle.trial_id: dict(metrics[handle.trial_id]) for handle in handles}
+
     def make_driver(self, handles: Sequence[TrialHandle]) -> ShardParallelTrainer:
+        """Build the engine driver with every handle's model registered."""
         trainer = ShardParallelTrainer(
             num_devices=self.num_devices,
             memory_manager=self.memory,

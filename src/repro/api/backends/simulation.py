@@ -1,9 +1,9 @@
 """Cost-model simulation backend: trials become simulated multi-model jobs.
 
-Each trial is profiled (via ``profile_fn``), sharded for the session's
-simulated cluster, and wrapped into a :class:`TrainingJob`.  A cohort of
-trials is scheduled *together* under one of the six
-:class:`~repro.scheduler.base.Strategy` classes, exactly like
+Each trial is profiled (via ``profile_fn``), sharded by the planner
+(:class:`~repro.scheduler.session.HydraSession`), and wrapped into a
+:class:`TrainingJob`.  A cohort of trials is scheduled *together* under one
+of the six :class:`~repro.scheduler.base.Strategy` classes, named as in
 :meth:`HydraSession.simulate` — so grid search over architectures yields the
 paper's multi-model workload, and the per-trial metrics read off the shared
 trace rank candidates by simulated cost.
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.api.backend import CohortEngineBackend, TrialHandle
-from repro.hydra import HydraConfig, HydraSession
+from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.models.registry import create_model
 from repro.profiling.cost_model import ModelProfile
+from repro.scheduler.session import HydraConfig, HydraSession
 from repro.scheduler.task import TrainingJob
 from repro.selection.experiment import TrialConfig
 
@@ -33,7 +33,7 @@ from repro.selection.experiment import TrialConfig
 ProfileFn = Callable[[TrialConfig], ModelProfile]
 
 
-def registry_profile(trial: TrialConfig, batch_size: int = 1) -> ModelProfile:
+def registry_profile(trial: TrialConfig) -> ModelProfile:
     """Default ``profile_fn``: instantiate the trial's ``model`` (a registry
     name, e.g. ``"mlp-tiny"``) and take its analytical profile."""
     name = trial.get("model")
@@ -43,10 +43,10 @@ def registry_profile(trial: TrialConfig, batch_size: int = 1) -> ModelProfile:
             f"explicit profile_fn to SimulationBackend for custom workloads"
         )
     model = create_model(name, seed=int(trial.get("seed", 0)))
-    return model.profile(batch_size)
+    return model.profile()
 
 
-class SimulationBackend(CohortEngineBackend):
+class SimulationBackend(ExecutionBackend):
     """Executes trials on the discrete-event cluster simulator.
 
     Example::
@@ -77,11 +77,10 @@ class SimulationBackend(CohortEngineBackend):
         batches_per_epoch: int = 1,
         batch_size: Optional[int] = None,
         num_shards: Optional[int] = None,
-        **strategy_kwargs,
     ):
         self.session = HydraSession(config)
         self.profile_fn = profile_fn if profile_fn is not None else registry_profile
-        self.strategy = self.session.make_strategy(strategy, **strategy_kwargs)
+        self.strategy = self.session.make_strategy(strategy)
         self.batches_per_epoch = int(batches_per_epoch)
         self.batch_size = (
             batch_size if batch_size is not None else self.session.config.default_batch_size
@@ -99,11 +98,12 @@ class SimulationBackend(CohortEngineBackend):
         handle.annotations["num_shards"] = plan.num_shards
         return handle
 
+    def train(self, handle: TrialHandle, epochs: int) -> Dict[str, float]:
+        return self.train_many([handle], epochs)[handle.trial_id]
+
     def train_many(
         self, handles: Sequence[TrialHandle], epochs: int
     ) -> Dict[str, Dict[str, float]]:
-        # Whole-cohort, multi-epoch simulation in one schedule (no per-epoch
-        # driver), so the generic cohort loop does not apply.
         if not handles:
             return {}
         jobs = [

@@ -27,9 +27,9 @@ each cohort call fans out across a :class:`~repro.runtime.pool.WorkerPool`:
   :class:`~repro.selection.experiment.SelectionResult` ranking is identical
   at any worker count.
 
-Semantics note: a cohort-engine backend (shard-parallel, and Cerebro, its
-fixed-partition configuration) normally co-schedules the whole cohort
-inside one driver.  Wrapped, each trial trains in its own single-model
+Semantics note: :class:`~repro.api.backends.ShardParallelBackend` (and
+Cerebro, its fixed-partition configuration) normally co-schedules the whole
+cohort inside one driver.  Wrapped, each trial trains in its own single-model
 driver on its own worker instead.  Each model's own update sequence is
 unchanged — cohort membership never leaks into a model's numerics, for
 Cerebro too, since every trial starts its epoch on the same partition — so

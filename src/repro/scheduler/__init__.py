@@ -27,6 +27,9 @@ its rules:
   shards plus Cerebro-style data partitions: a job is a chain of per-partition chunks.
 * :class:`~repro.scheduler.spill.SpilledShardParallelStrategy` — one wave no
   matter the memory: idle shards live in host DRAM, streamed in around passes.
+
+:class:`~repro.scheduler.session.HydraSession`, the planner, sits on top:
+it shards models for a simulated cluster and runs strategies by name.
 """
 
 from repro.scheduler.task import TaskKind, ShardTask, TrainingJob, build_task_graph
@@ -59,6 +62,7 @@ from repro.scheduler.spill import (
     SpilledShardParallelStrategy,
     spill_aware_placement,
 )
+from repro.scheduler.session import HydraConfig, HydraSession
 
 __all__ = [
     "TaskKind",
@@ -87,4 +91,6 @@ __all__ = [
     "SpillPlan",
     "SpilledShardParallelStrategy",
     "spill_aware_placement",
+    "HydraConfig",
+    "HydraSession",
 ]

@@ -35,16 +35,14 @@ class ShardParallelStrategy(Strategy):
 
     name = "shard-parallel"
 
-    def __init__(self, policy=None, track_activation_memory: bool = True):
+    def __init__(self, policy=None):
         super().__init__(policy=policy if policy is not None else critical_path_policy)
-        self.track_activation_memory = track_activation_memory
 
     def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:
-        waves = [
+        return SchedulePlan([
             self._wave(wave_jobs, self._place_wave(wave_jobs, cluster))
             for wave_jobs in plan_waves(jobs, cluster)
-        ]
-        return SchedulePlan(waves, track_activation_memory=self.track_activation_memory)
+        ])
 
     @staticmethod
     def _wave(jobs: List[TrainingJob], placement: Placement) -> Wave:

@@ -31,7 +31,6 @@ from repro.exceptions import SchedulingError
 from repro.scheduler.placement import (
     Placement,
     ShardKey,
-    charge_placement,
     round_robin_placement,
 )
 from repro.scheduler.plan import HOST_DEVICE_NAME, SchedulePlan
@@ -58,11 +57,7 @@ class SpillPlan:
         return len(self.spilled)
 
 
-def spill_aware_placement(
-    jobs: Sequence[TrainingJob],
-    cluster: Cluster,
-    charge_memory: bool = True,
-) -> SpillPlan:
+def spill_aware_placement(jobs: Sequence[TrainingJob], cluster: Cluster) -> SpillPlan:
     """Place every shard, marking the overflow as spilled instead of failing.
 
     Compute placement comes first: the staggered round-robin that makes
@@ -81,8 +76,8 @@ def spill_aware_placement(
     backward regardless of spilling.  Keeping the biggest shards resident
     minimises bytes moved per batch.
 
-    Only the resident shards charge the device ledgers (spill traffic is
-    charged dynamically during simulation).  Raises
+    Planning charges no ledger: the executor charges the resident shards
+    and, during simulation, the spill traffic.  Raises
     :class:`~repro.exceptions.SchedulingError` when even full spilling
     cannot admit a device's assignment — its largest shard plus the
     assigned activations exceed the device.
@@ -126,8 +121,6 @@ def spill_aware_placement(
                         f"host spilling"
                     )
                 break
-    if charge_memory:
-        charge_placement(jobs, cluster, placement, skip=spilled)
     return SpillPlan(placement=placement, spilled=spilled)
 
 
@@ -144,10 +137,9 @@ class SpilledShardParallelStrategy(ShardParallelStrategy):
     name = "spilled-shard-parallel"
 
     def plan(self, jobs: List[TrainingJob], cluster: Cluster) -> SchedulePlan:
-        spill_plan = spill_aware_placement(jobs, cluster, charge_memory=False)
+        spill_plan = spill_aware_placement(jobs, cluster)
         return SchedulePlan(
             [self._wave(jobs, spill_plan.placement)],
-            track_activation_memory=self.track_activation_memory,
             spilled=spill_plan.spilled,
             host_device=spill_plan.host_device,
         )

@@ -480,8 +480,8 @@ class TestSimulationBackendMetrics:
 #: the exact public surface; CI runs ``TestPublicSurface`` as its own step
 PUBLIC_SURFACE = {
     "repro.api": [
-        "Budget", "Callback", "CallbackList", "CerebroBackend", "CohortEngineBackend",
-        "ConcurrentBackend", "EarlyStopping", "ExecutionBackend", "Experiment",
+        "Budget", "Callback", "CallbackList", "CerebroBackend", "ConcurrentBackend",
+        "EarlyStopping", "ExecutionBackend", "Experiment",
         "FixedSearcher", "FunctionBackend", "GridSearcher", "LoggingCallback",
         "ModelSpec", "ProcessReplica", "ProcessWorkerPool", "RandomSearcher",
         "ResumableFunctionBackend", "RetryPolicy", "Searcher", "SerialWorkerPool",

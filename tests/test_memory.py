@@ -608,7 +608,7 @@ def over_memory_cluster_and_job(num_devices: int = 2):
 class TestSpillAwarePlacement:
     def test_admits_over_memory_job(self):
         cluster, job = over_memory_cluster_and_job()
-        plan = spill_aware_placement([job], cluster, charge_memory=False)
+        plan = spill_aware_placement([job], cluster)
         assert plan.num_spilled > 0
         assert len(plan.placement) == job.num_shards
 
@@ -617,7 +617,7 @@ class TestSpillAwarePlacement:
         job = TrainingJob(
             "fits", make_plan("fits", profile, batch_size=16, num_shards=4)
         )
-        plan = spill_aware_placement([job], four_gpu_cluster, charge_memory=False)
+        plan = spill_aware_placement([job], four_gpu_cluster)
         assert plan.num_spilled == 0
 
     def test_rejects_truly_impossible_shard(self):
@@ -629,7 +629,7 @@ class TestSpillAwarePlacement:
         )
         job = TrainingJob("huge", plan)
         with pytest.raises(SchedulingError):
-            spill_aware_placement([job], cluster, charge_memory=False)
+            spill_aware_placement([job], cluster)
 
     def test_plan_waves_error_names_shard_and_suggests_spilling(self):
         cluster, job = over_memory_cluster_and_job()

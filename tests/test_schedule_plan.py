@@ -43,6 +43,7 @@ class TestPlanIsTheOnlyThingAStrategyWrites:
     @pytest.mark.parametrize("name", HydraSession().available_strategies())
     def test_every_strategy_plans_and_none_overrides_the_executor(self, name):
         strategy = HydraSession().make_strategy(name)
+        assert strategy.policy is type(strategy)().policy
         assert type(strategy).schedule is Strategy.schedule
         cluster = Cluster.single_server(4, "v100-16gb")
         plan = strategy.plan(mlp_jobs(), cluster)
