@@ -31,7 +31,7 @@ import pytest
 
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
-from repro.memory import DeviceArena, Prefetcher, SpillManager
+from repro.memory import SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.training import ShardedModelExecutor
@@ -116,9 +116,9 @@ def _run_config(fraction, steps: int, measure_seconds: float):
     if fraction is not None:
         budget = int(need * fraction)
         manager = SpillManager(
-            [DeviceArena(f"dev{i}", budget) for i in range(NUM_DEVICES)],
+            {f"dev{i}": budget for i in range(NUM_DEVICES)},
             policy="schedule-aware",
-            prefetcher=Prefetcher(),
+            prefetch=True,
         )
         executor.bind_memory(
             manager, optimizer,
@@ -148,8 +148,7 @@ def _run_config(fraction, steps: int, measure_seconds: float):
             "bytes_fetched": stats["bytes_fetched"],
             "bytes_evicted": stats["bytes_evicted"],
         }
-        if manager.prefetcher is not None:
-            manager.prefetcher.close()
+        manager.close()
     return steps_per_sec, int(peak), np.asarray(losses), counters
 
 

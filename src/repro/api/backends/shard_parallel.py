@@ -109,7 +109,7 @@ class ShardParallelBackend(ExecutionBackend):
         self.num_shards = num_shards
         self.registry = registry
         self._memory_budget = memory_budget
-        #: the keyword arguments of ``SpillManager.from_budgets``, kept so a
+        #: the ``SpillManager`` keyword arguments, kept so a
         #: re-budgeted copy and an unpickled one rebuild the same manager
         self._spill_options = {
             "policy": eviction_policy,
@@ -140,7 +140,7 @@ class ShardParallelBackend(ExecutionBackend):
                 )
         else:
             budgets = {name: int(memory_budget) for name in names}
-        return SpillManager.from_budgets(budgets, **self._spill_options)
+        return SpillManager(budgets, **self._spill_options)
 
     def with_memory_budget(self, memory_budget: MemoryBudget) -> "ShardParallelBackend":
         """An equivalent backend whose trials run under ``memory_budget``.
@@ -189,7 +189,7 @@ class ShardParallelBackend(ExecutionBackend):
         if self.memory is not None:
             self.memory.close()
 
-    def __del__(self):  # pragma: no cover - GC backstop for the prefetcher
+    def __del__(self):  # pragma: no cover - GC backstop for the prefetch worker
         try:
             self.close()
         except Exception:

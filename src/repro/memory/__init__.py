@@ -11,9 +11,10 @@ subsystem:
   payloads, with an optional disk tier in checkpoint format;
 * :class:`SpillManager` — the residency state machine (resident → evicted →
   prefetching) with pluggable eviction (:class:`LRUEvictionPolicy`,
-  :class:`ScheduleAwareEvictionPolicy`);
-* :class:`Prefetcher` — double-buffered async host→device transfers that
-  overlap the next shard's fetch with the current shard's compute.
+  :class:`ScheduleAwareEvictionPolicy`).  One constructor,
+  ``SpillManager(budgets, policy=..., prefetch=...)``, builds the arenas,
+  the host cache and, with ``prefetch=True``, the transfer worker that
+  overlaps the next shard's fetch with the current shard's compute.
 
 The real engines opt in through
 ``ShardedModelExecutor.bind_memory`` / ``ShardParallelTrainer(memory_manager=...)``
@@ -26,7 +27,6 @@ See ``docs/memory.md``.
 
 from repro.memory.arena import DeviceArena
 from repro.memory.host_cache import HostShardCache
-from repro.memory.prefetch import Prefetcher
 from repro.memory.spill import (
     EvictionPolicy,
     LRUEvictionPolicy,
@@ -43,7 +43,6 @@ __all__ = [
     "EvictionPolicy",
     "HostShardCache",
     "LRUEvictionPolicy",
-    "Prefetcher",
     "ResidencyState",
     "ScheduleAwareEvictionPolicy",
     "ShardResidency",

@@ -45,11 +45,6 @@ class DeviceArena:
         """Bytes still available under the budget."""
         return self.capacity_bytes - self.used_bytes
 
-    def holds(self, key: str) -> bool:
-        """Whether an allocation named ``key`` is currently charged."""
-        with self._lock:
-            return key in self._allocations
-
     def allocate(self, key: str, num_bytes: int) -> None:
         """Charge ``num_bytes`` under ``key``; raises when over budget.
 
@@ -78,16 +73,6 @@ class DeviceArena:
             if key not in self._allocations:
                 raise ConfigurationError(f"no allocation named {key!r} on arena {self.name}")
             return self._allocations.pop(key)
-
-    def fits(self, num_bytes: int) -> bool:
-        """Whether ``num_bytes`` would fit right now (advisory — not a reservation)."""
-        return num_bytes <= self.free_bytes
-
-    def reset(self) -> None:
-        """Clear all allocations and peak tracking (between experiments)."""
-        with self._lock:
-            self._allocations.clear()
-            self.peak_bytes = 0
 
     def __repr__(self) -> str:
         return f"DeviceArena({self.name}, {self.used_bytes}/{self.capacity_bytes} bytes)"

@@ -57,8 +57,8 @@ class HostShardCache:
 
     Raises:
         ConfigurationError: if ``memory_limit_bytes`` is set without a
-            ``spill_dir`` (nowhere to overflow), or a key is taken/dropped
-            that the cache does not hold.
+            ``spill_dir`` (nowhere to overflow), or a key is taken that
+            the cache does not hold.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class HostShardCache:
         """Stash copies of ``arrays`` under ``key``, replacing any prior stash."""
         copies = [np.array(a, copy=True) for a in arrays]
         with self._lock:
-            self._drop_locked(key, missing_ok=True)
+            self._drop_locked(key)
             self._memory[key] = copies
             self._overflow_locked()
 
@@ -117,27 +117,18 @@ class HostShardCache:
                 return [bundle[name] for name in sorted(bundle)]
             raise ConfigurationError(f"host cache holds no payload for {key!r}")
 
-    def drop(self, key: ShardKey) -> None:
-        """Discard the payload for ``key`` (both tiers)."""
-        with self._lock:
-            self._drop_locked(key, missing_ok=False)
-
     def drop_model(self, model_id: str) -> None:
         """Discard every payload belonging to ``model_id`` (e.g. at teardown)."""
         with self._lock:
             for key in [k for k in self.keys() if k[0] == model_id]:
-                self._drop_locked(key, missing_ok=True)
+                self._drop_locked(key)
 
     # ------------------------------------------------------------------ #
-    def _drop_locked(self, key: ShardKey, missing_ok: bool) -> None:
+    def _drop_locked(self, key: ShardKey) -> None:
         if key in self._memory:
             del self._memory[key]
-            return
-        if key in self._disk:
+        elif key in self._disk:
             self._disk.pop(key).unlink(missing_ok=True)
-            return
-        if not missing_ok:
-            raise ConfigurationError(f"host cache holds no payload for {key!r}")
 
     def _overflow_locked(self) -> None:
         if self.memory_limit_bytes is None:

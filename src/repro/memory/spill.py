@@ -15,11 +15,19 @@ least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
 access sequences executors announce per batch and evicts the shard whose
 next hop is furthest away (Belady's rule on the declared schedule).
 
+With ``prefetch=True`` the manager owns a 1-thread transfer worker and keeps
+one restore in flight — classic double buffering, one shard computing and
+one landing — so the next shard's copy overlaps the current shard's compute
+(numpy's large array copies release the GIL).
+
 The manager is thread-safe: under the concurrent runtime several trials
 share the same arenas, and an acquire that cannot make room (everything
 else pinned) waits on a condition until pins or prefetches clear — with a
 timeout that turns a would-be deadlock into a loud
-:class:`~repro.exceptions.MemoryBudgetError`.
+:class:`~repro.exceptions.MemoryBudgetError`.  That condition's one lock
+guards every record, ledger charge and the in-flight restore slot; a
+prefetch claims the slot under it, and :meth:`SpillManager.close` waits for
+the slot to clear before it shuts the transfer worker down.
 """
 
 from __future__ import annotations
@@ -27,17 +35,17 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, MemoryBudgetError
 from repro.memory.arena import DeviceArena
 from repro.memory.host_cache import HostShardCache, ShardKey
-from repro.memory.prefetch import Prefetcher
+from repro.runtime.pool import ThreadWorkerPool
 from repro.telemetry import NULL_TELEMETRY
 
 #: returns the live device-side arrays of a shard (params + optimizer state),
@@ -190,11 +198,17 @@ class SpillManager:
 
     Example::
 
-        arenas = [DeviceArena("dev0", capacity_bytes=64 << 20)]
-        manager = SpillManager(arenas, policy="lru")
+        manager = SpillManager({"dev0": 64 << 20}, policy="lru")
         manager.register(("mlp", 0), "dev0", nbytes, arrays_fn)
         with manager.lease(("mlp", 0)):
             ...  # shard is resident and pinned
+        manager.close()
+
+    The manager builds everything it runs on: one :class:`DeviceArena` per
+    ``{name: bytes}`` entry of ``budgets``, a :class:`HostShardCache`
+    (``host_cache_limit_bytes`` with ``spill_dir`` adds the disk tier), the
+    eviction policy named by ``policy`` and, with ``prefetch=True``, the
+    transfer worker that :meth:`close` shuts down.
 
     ``scrub_evicted=True`` fills evicted float arrays with NaN after
     stashing them — any use that skips re-acquisition then fails loudly
@@ -202,36 +216,33 @@ class SpillManager:
     with this on).
 
     Raises:
-        ConfigurationError: on unknown arenas/keys or invalid registration.
+        ConfigurationError: on empty budgets, an unknown policy, unknown
+            arenas/keys or invalid registration.
         MemoryBudgetError: when a shard cannot fit its arena, or an acquire
             times out waiting for pinned occupants to clear.
     """
 
     def __init__(
         self,
-        arenas: Union[Sequence[DeviceArena], Dict[str, DeviceArena]],
-        cache: Optional[HostShardCache] = None,
-        policy: Union[str, EvictionPolicy] = "lru",
-        prefetcher: Optional[Prefetcher] = None,
+        budgets: Dict[str, int],
+        *,
+        policy: str = "lru",
+        prefetch: bool = False,
+        spill_dir: Optional[str] = None,
+        host_cache_limit_bytes: Optional[int] = None,
         scrub_evicted: bool = False,
         acquire_timeout_seconds: float = 60.0,
         telemetry=None,
     ):
-        if isinstance(arenas, dict):
-            arena_list = list(arenas.values())
-        else:
-            arena_list = list(arenas)
-        if not arena_list:
+        if not budgets:
             raise ConfigurationError("a SpillManager needs at least one arena")
-        names = [arena.name for arena in arena_list]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate arena names: {names}")
-        self.arenas: "OrderedDict[str, DeviceArena]" = OrderedDict(
-            (arena.name, arena) for arena in arena_list
+        self.arenas: Dict[str, DeviceArena] = {
+            name: DeviceArena(name, nbytes) for name, nbytes in budgets.items()
+        }
+        self.cache = HostShardCache(
+            memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
         )
-        self.cache = cache if cache is not None else HostShardCache()
-        self.policy = make_eviction_policy(policy) if isinstance(policy, str) else policy
-        self.prefetcher = prefetcher
+        self.policy = make_eviction_policy(policy)
         self.scrub_evicted = bool(scrub_evicted)
         self.acquire_timeout_seconds = float(acquire_timeout_seconds)
         self.stats = SpillStats()
@@ -239,36 +250,10 @@ class SpillManager:
         self._records: Dict[ShardKey, ShardResidency] = {}
         self._cond = threading.Condition(threading.RLock())
         self._clock = 0
-
-    @classmethod
-    def from_budgets(
-        cls,
-        budgets: Dict[str, int],
-        *,
-        policy: Union[str, EvictionPolicy],
-        prefetch: bool,
-        spill_dir: Optional[str] = None,
-        host_cache_limit_bytes: Optional[int] = None,
-        scrub_evicted: bool = False,
-        telemetry=None,
-    ) -> "SpillManager":
-        """The standard recipe: a manager that owns everything it runs on.
-
-        One :class:`DeviceArena` per ``{name: bytes}`` entry, a fresh
-        :class:`HostShardCache` (``host_cache_limit_bytes``/``spill_dir`` add
-        the disk tier) and, with ``prefetch``, its own double-buffering
-        :class:`Prefetcher`, which :meth:`close` shuts down.
-        """
-        return cls(
-            [DeviceArena(name, nbytes) for name, nbytes in budgets.items()],
-            cache=HostShardCache(
-                memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
-            ),
-            policy=policy,
-            prefetcher=Prefetcher() if prefetch else None,
-            scrub_evicted=scrub_evicted,
-            telemetry=telemetry,
-        )
+        #: the transfer worker (``None`` without prefetch or once closed) and
+        #: whether its one restore slot is taken — both under ``_cond``
+        self._pool: Optional[ThreadWorkerPool] = ThreadWorkerPool(1) if prefetch else None
+        self._inflight = False
 
     def bind_telemetry(self, telemetry, name: str = "spill") -> None:
         """Attach a recorder after construction and publish residency metrics.
@@ -492,83 +477,79 @@ class SpillManager:
     def prefetch(self, key: ShardKey) -> bool:
         """Start an async restore of an evicted shard; ``True`` if begun.
 
-        Opportunistic: returns ``False`` (without waiting) when the shard is
-        already resident or in flight, no prefetcher is attached (or it was
-        closed), the double-buffer is full, or room cannot be made without
-        touching pinned shards.  The transfer overlaps the caller's compute;
-        a later :meth:`acquire` joins on it.
+        Opportunistic: returns ``False`` (without waiting) when the manager
+        has no transfer worker (built without prefetch, or closed), a restore
+        is already in flight, the shard is not evicted, or room cannot be
+        made without touching pinned shards.  The transfer overlaps the
+        caller's compute; a later :meth:`acquire` joins on it.
         """
-        if self.prefetcher is None:
-            return False
         with self._cond:
+            if self._pool is None or self._inflight:
+                return False
             record = self._records.get(key)
             if record is None or record.state is not ResidencyState.EVICTED:
                 return False
             arena = self.arenas[record.device]
             if record.nbytes > arena.capacity_bytes:
                 return False
-            if not self.prefetcher.try_reserve():
-                return False
             if not self._make_room_locked(record, arena):
-                self.prefetcher.cancel_reservation()
                 return False
             arena.allocate(self._arena_key(record), record.nbytes)
             record.state = ResidencyState.PREFETCHING
             record.prefetch_error = None
             self.stats.prefetches_issued += 1
-            payload = self._take_payload(record)
+            self._inflight = True
+            pool, payload = self._pool, self._take_payload(record)
+        # Handed over after the lock is released: submitting under it
+        # measurably delays the lock's other users (serve_fleet p50).  The
+        # claimed slot keeps close() from shutting the pool down first.
+        pool.submit(self._land, record, payload)
+        return True
 
-        def job() -> None:
+    def _land(self, record: ShardResidency, payload: Optional[List[np.ndarray]]) -> None:
+        # Runs on the transfer thread: the copy outside the lock, then the
+        # outcome published in one locked block.
+        error: Optional[BaseException] = None
+        try:
             with self.telemetry.span(
                 "spill.prefetch", cat="memory", key=str(record.key), bytes=record.nbytes
             ):
                 self._copy_into_live_arrays(record, payload)
-
-        def unstage() -> None:
-            # Under the lock.  The payload was already taken from the cache;
-            # put it back so the canonical bytes survive, and free the arena.
-            if payload is not None:
-                self.cache.put(record.key, payload)
-            self.arenas[record.device].release(self._arena_key(record))
-            record.state = ResidencyState.EVICTED
+        except BaseException as exc:  # noqa: BLE001 - surfaced by the next acquire
+            error = exc
+        with self._cond:
+            self._inflight = False
+            if error is None:
+                record.state = ResidencyState.RESIDENT
+                self.stats.prefetches_completed += 1
+                self.stats.bytes_fetched += record.nbytes
+            else:
+                # Keep the error to re-raise at the next acquire — a silent
+                # failure here would train on stale weights — and put the
+                # canonical bytes back so a repaired shard can still restore.
+                record.prefetch_error = error
+                if payload is not None:
+                    self.cache.put(record.key, payload)
+                self.arenas[record.device].release(self._arena_key(record))
+                record.state = ResidencyState.EVICTED
             self._cond.notify_all()
-
-        def on_done(error: Optional[BaseException]) -> None:
-            with self._cond:
-                if error is None:
-                    record.state = ResidencyState.RESIDENT
-                    self.stats.prefetches_completed += 1
-                    self.stats.bytes_fetched += record.nbytes
-                    self._cond.notify_all()
-                else:
-                    # Keep the error to re-raise at the next acquire — a
-                    # silent failure here would train on stale weights.
-                    record.prefetch_error = error
-                    unstage()
-
-        try:
-            self.prefetcher.submit(job, on_done)
-        except RuntimeError:
-            # The prefetcher was closed after the shard was staged: nothing
-            # ran, so there is no error to keep — the next acquire
-            # demand-fetches, exactly as with no prefetcher attached.
-            with self._cond:
-                self.stats.prefetches_issued -= 1
-                unstage()
-            return False
-        return True
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the attached prefetcher's worker (if any).
+        """Shut down the transfer worker (if any), after a restore in flight.
 
-        Safe to call repeatedly; a prefetcher built on a caller-supplied
-        pool leaves that pool running (ownership stays with the caller).
+        Safe to call repeatedly.  Afterwards :meth:`prefetch` returns
+        ``False`` before staging anything and acquires demand-fetch.
         """
-        if self.prefetcher is not None:
-            self.prefetcher.close()
+        with self._cond:
+            pool, self._pool = self._pool, None
+            # A prefetch that claimed the slot submits after releasing the
+            # lock; its restore lands before the pool goes away.
+            self._cond.wait_for(lambda: not self._inflight, self.acquire_timeout_seconds)
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
     # Eviction

@@ -196,7 +196,7 @@ class Replica:
                 f"memory_budget {memory_budget} cannot hold the largest shard "
                 f"({largest} bytes); raise the budget or use more shards"
             )
-        manager = SpillManager.from_budgets(
+        manager = SpillManager(
             {_SERVE_ARENA: int(memory_budget)},
             policy=eviction_policy,
             prefetch=prefetch,

@@ -170,7 +170,7 @@ class FleetRouter(ServingCore):
         self.max_cold_skips = int(max_cold_skips)
         self.watchdog_interval_s = watchdog_interval_s
         self._budget = None if memory_budget is None else int(memory_budget)
-        self._manager = SpillManager.from_budgets(
+        self._manager = SpillManager(
             {_FLEET_ARENA: self._budget or _UNBOUNDED},
             policy=eviction_policy,
             prefetch=prefetch,

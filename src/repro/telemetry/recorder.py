@@ -15,7 +15,8 @@ Two recording shapes:
 
 * ``with tel.span("trial", trial_id=...):`` — lexically nested work.  The
   context manager pushes onto a thread-local stack, so spans opened inside
-  it become its children automatically.
+  it become its children automatically; a block that exits by exception
+  records the exception's type name as its ``error`` arg.
 * ``token = tel.begin("step", ...); ...; tel.end(token)`` — interleaved
   work (the shard-parallel trainer runs many models' steps concurrently on
   one thread), where spans overlap and cannot nest lexically.  ``begin``
@@ -87,7 +88,7 @@ class _Span:
         self._telemetry._stack().append(self._token)
         return self._token
 
-    def __exit__(self, *exc_info: Any) -> bool:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> bool:
         stack = self._telemetry._stack()
         if stack and stack[-1] is self._token:
             stack.pop()
@@ -96,6 +97,8 @@ class _Span:
                 stack.remove(self._token)
             except ValueError:
                 pass
+        if exc_type is not None:
+            self._token.attrs["error"] = exc_type.__name__
         self._telemetry.end(self._token)
         return False
 

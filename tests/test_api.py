@@ -489,6 +489,11 @@ PUBLIC_SURFACE = {
         "ThreadWorkerPool", "TrialHandle", "TrialRunner", "TrialTimer", "WorkerPool",
         "make_pool", "make_searcher", "serve", "serve_fleet",
     ],
+    "repro.memory": [
+        "DeviceArena", "EvictionPolicy", "HostShardCache", "LRUEvictionPolicy",
+        "ResidencyState", "ScheduleAwareEvictionPolicy", "ShardResidency",
+        "SpillManager", "SpillStats", "make_eviction_policy",
+    ],
     "repro.api.runtime": [
         "ConcurrentBackend", "ModelSpec", "ProcessReplica", "ProcessWorkerPool",
         "RetryPolicy", "SerialWorkerPool", "ThreadWorkerPool", "WorkerPool", "make_pool",

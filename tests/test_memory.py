@@ -21,7 +21,6 @@ from repro.memory import (
     DeviceArena,
     HostShardCache,
     LRUEvictionPolicy,
-    Prefetcher,
     ResidencyState,
     ScheduleAwareEvictionPolicy,
     SpillManager,
@@ -214,7 +213,7 @@ class TestEvictionPolicies:
 # --------------------------------------------------------------------------- #
 class TestSpillManager:
     def _manager(self, capacity: int, **kwargs):
-        return SpillManager([DeviceArena("dev0", capacity)], **kwargs)
+        return SpillManager({"dev0": capacity}, **kwargs)
 
     def test_acquire_charges_and_evicts_under_pressure(self):
         a = np.zeros(4, dtype=np.float32)
@@ -265,8 +264,7 @@ class TestSpillManager:
 
     def test_prefetch_overlaps_and_acquire_joins(self):
         a = np.arange(4, dtype=np.float32)
-        prefetcher = Prefetcher()
-        manager = self._manager(capacity=64, prefetcher=prefetcher, scrub_evicted=True)
+        manager = self._manager(capacity=64, prefetch=True, scrub_evicted=True)
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         with manager.lease(("m", 0)):
             pass
@@ -277,13 +275,12 @@ class TestSpillManager:
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
         assert manager.stats.prefetches_completed == 1
         assert manager.prefetch(("m", 0)) is False  # already resident
-        prefetcher.close()
+        manager.close()
 
     def test_failed_prefetch_preserves_payload_and_surfaces(self):
         a = np.arange(4, dtype=np.float32)
-        prefetcher = Prefetcher()
         manager = self._manager(
-            capacity=64, prefetcher=prefetcher, scrub_evicted=True,
+            capacity=64, prefetch=True, scrub_evicted=True,
             acquire_timeout_seconds=5.0,
         )
         manager.register(("m", 0), "dev0", 16, lambda: [a])
@@ -299,19 +296,18 @@ class TestSpillManager:
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
-        prefetcher.close()
+        manager.close()
 
     def test_close_shuts_down_owned_prefetcher(self):
-        manager = self._manager(capacity=64, prefetcher=Prefetcher())
+        manager = self._manager(capacity=64, prefetch=True)
         manager.close()
         manager.close()  # idempotent
 
     def test_prefetch_after_close_does_not_strand_the_shard(self):
         a = np.arange(4, dtype=np.float32)
         b = np.ones(4, dtype=np.float32)
-        prefetcher = Prefetcher()
         manager = self._manager(
-            capacity=16, prefetcher=prefetcher, scrub_evicted=True,
+            capacity=16, prefetch=True, scrub_evicted=True,
             acquire_timeout_seconds=2.0,
         )
         manager.register(("m", 0), "dev0", 16, lambda: [a])
@@ -321,10 +317,12 @@ class TestSpillManager:
         with manager.lease(("m", 1)):  # evicts shard 0 to the host cache
             pass
         manager.close()
-        # The closed worker refuses the job after the shard was staged
-        # (slot reserved, arena charged, payload taken): all of it is undone.
+        evictions = manager.stats.evictions
+        # A closed manager refuses before staging anything: shard 1 is not
+        # evicted to make room and shard 0's payload stays in the cache.
         assert manager.prefetch(("m", 0)) is False
-        assert prefetcher.inflight == 0
+        assert manager.residency(("m", 1)) is ResidencyState.RESIDENT
+        assert manager.stats.evictions == evictions
         assert manager.residency(("m", 0)) is ResidencyState.EVICTED
         assert manager.stats.prefetches_issued == 0
         with manager.lease(("m", 0)):  # demand-fetches the canonical bytes
@@ -344,8 +342,8 @@ class TestSpillManager:
 
     def test_reregistration_moves_device(self):
         a = np.zeros(2)
-        arenas = [DeviceArena("dev0", 64), DeviceArena("dev1", 64)]
-        manager = SpillManager(arenas)
+        manager = SpillManager({"dev0": 64, "dev1": 64})
+        arenas = list(manager.arenas.values())
         manager.register(("m", 0), "dev0", 8, lambda: [a])
         with manager.lease(("m", 0)):
             pass
@@ -372,10 +370,7 @@ class TestSpilledExecutorExactness:
         spilled_exec = ShardedModelExecutor(spilled_model, BOUNDARIES)
         budget = int(shard_nbytes(spilled_exec, 0, spilled_opt) * 1.5)
         manager = SpillManager(
-            [DeviceArena("dev0", budget)],
-            policy=policy,
-            prefetcher=Prefetcher(),
-            scrub_evicted=True,
+            {"dev0": budget}, policy=policy, prefetch=True, scrub_evicted=True
         )
         spilled_exec.bind_memory(manager, spilled_opt)
         spilled_losses = train_epochs(spilled_exec, mlp_loader(), spilled_opt)
@@ -398,7 +393,7 @@ class TestSpilledExecutorExactness:
         spilled_opt = SGD(spilled_model.parameters(), lr=1e-2, momentum=0.9)
         spilled_exec = ShardedModelExecutor(spilled_model, BOUNDARIES)
         manager = SpillManager(
-            [DeviceArena("dev0", int(shard_nbytes(spilled_exec, 0, spilled_opt) * 1.5))],
+            {"dev0": int(shard_nbytes(spilled_exec, 0, spilled_opt) * 1.5)},
             scrub_evicted=True,
         )
         spilled_exec.bind_memory(manager, spilled_opt)
@@ -410,7 +405,7 @@ class TestSpilledExecutorExactness:
         model = small_mlp()
         optimizer = Adam(model.parameters(), lr=1e-2)
         executor = ShardedModelExecutor(model, BOUNDARIES)
-        manager = SpillManager([DeviceArena("dev0", 1 << 20)])
+        manager = SpillManager({"dev0": 1 << 20})
         executor.bind_memory(manager, optimizer)
         other = Adam(model.parameters(), lr=1e-2)
         with pytest.raises(ConfigurationError):
@@ -446,9 +441,9 @@ class TestOverMemoryTraining:
             share = sum(shard_nbytes(probe, s, optimizer) for s in range(device, 4, 2))
             assert share > budget
         manager = SpillManager(
-            [DeviceArena("dev0", budget), DeviceArena("dev1", budget)],
+            {"dev0": budget, "dev1": budget},
             policy="schedule-aware",
-            prefetcher=Prefetcher(),
+            prefetch=True,
             scrub_evicted=True,
         )
         trainer = ShardParallelTrainer(num_devices=2, memory_manager=manager)
@@ -484,7 +479,7 @@ class TestOverMemoryTraining:
         probe = ShardedModelExecutor(probe_model, BOUNDARIES)
         budget = int(max(shard_nbytes(probe, s, probe_opt) for s in range(4)) * 1.6)
         manager = SpillManager(
-            [DeviceArena("dev0", budget), DeviceArena("dev1", budget)],
+            {"dev0": budget, "dev1": budget},
             policy="schedule-aware",
             scrub_evicted=True,
         )

@@ -10,7 +10,7 @@ from repro.api import Budget, Experiment, SimulationBackend
 from repro.cluster import Cluster
 from repro.data import DataLoader, make_classification
 from repro.hydra import HydraSession
-from repro.memory import DeviceArena, SpillManager
+from repro.memory import SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.scheduler import (
@@ -195,8 +195,8 @@ class TestEngineReadsTheSharedSchedule:
         )
         budget = int(per_shard * 1.6)
         manager = SpillManager(
-            [DeviceArena("dev0", budget), DeviceArena("dev1", budget)],
-            policy="schedule-aware", prefetcher=None, scrub_evicted=True,
+            {"dev0": budget, "dev1": budget},
+            policy="schedule-aware", prefetch=False, scrub_evicted=True,
         )
         trainer = ShardParallelTrainer(num_devices=2, memory_manager=manager)
         for index in range(3):

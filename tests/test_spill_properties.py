@@ -1,0 +1,414 @@
+"""Invariants of the spill manager under random operation sequences.
+
+A hypothesis state machine drives one :class:`~repro.memory.SpillManager`
+(1–2 arenas, 2–5 float32 shards no larger than the smallest arena,
+``scrub_evicted=True``, ``prefetch=True``) through register / acquire /
+release / lease-and-write / prefetch / evict / forget / re-register on the
+other arena / close, plus an acquire from a second thread that must wake
+when the machine's pins go.  After every step it checks what spilled
+training relies on:
+
+* each arena's ``used_bytes`` is within its capacity and equals the bytes of
+  its non-``EVICTED`` shards;
+* a pinned shard is ``RESIDENT`` (so it was never evicted), and every
+  resident shard — every leased one in particular — holds exactly the
+  expected values: scrub NaNs are never visible through a lease;
+* the residency states partition the registered keys;
+* the ``SpillStats`` counters are monotone;
+* ``bytes_fetched - bytes_evicted`` equals the resident bytes plus the bytes
+  the machine forgot while resident.
+
+The manager's own lock is held while an invariant reads, so a restore
+landing on the transfer thread cannot tear the snapshot.  Two threaded
+tests follow: a ``close()`` that arrives between a prefetch claiming the
+restore slot and submitting its job lets that restore land, and several
+threads, each holding at most one pin, lease and write shards on shared
+arenas — every acquire returns, and the values are exact afterwards.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.exceptions import ConfigurationError
+from repro.memory import ResidencyState, SpillManager
+
+FLOAT = np.dtype(np.float32).itemsize
+DEVICES = ("dev0", "dev1")
+#: long enough that a correct manager never times out on a loaded machine;
+#: a waiter that is never woken fails after this long
+WAIT_SECONDS = 5.0
+
+
+def _settle(manager: SpillManager) -> None:
+    """Wait until no restore is in flight (the machine issues no new ones)."""
+    deadline = time.monotonic() + WAIT_SECONDS
+    while any(
+        manager.residency(key) is ResidencyState.PREFETCHING
+        for key in manager.registered()
+    ):
+        assert time.monotonic() < deadline, "a prefetch never landed"
+        time.sleep(1e-4)
+
+
+class SpillMachine(RuleBasedStateMachine):
+    @initialize(
+        capacities=st.lists(st.integers(4, 12), min_size=1, max_size=2),
+        sizes=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+        placement=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+    )
+    def build(self, capacities, sizes, placement):
+        self.capacity = {
+            name: floats * FLOAT for name, floats in zip(DEVICES, capacities)
+        }
+        self.manager = SpillManager(
+            self.capacity, prefetch=True, scrub_evicted=True,
+            acquire_timeout_seconds=WAIT_SECONDS,
+        )
+        smallest = min(capacities)
+        self.keys = [("m", index) for index in range(len(sizes))]
+        self.live = {}        # key -> the shard's one live array
+        self.expected = {}    # key -> the values a lease must see
+        self.device = {}      # key -> arena, for registered keys
+        self.pins = {}        # key -> pins the machine holds
+        for index, (key, floats) in enumerate(zip(self.keys, sizes)):
+            values = np.arange(min(floats, smallest), dtype=np.float32) + 10 * index
+            self.live[key] = values.copy()
+            self.expected[key] = values
+            self.pins[key] = 0
+            self._register(key, DEVICES[placement[index] % len(self.capacity)])
+        self.forgotten_resident_bytes = 0
+        self.closed = False
+        self.last_stats = self.manager.stats.as_dict()
+
+    def teardown(self):
+        self.manager.close()
+
+    # ------------------------------------------------------------------ #
+    def _nbytes(self, key):
+        return self.live[key].nbytes
+
+    def _register(self, key, device):
+        live = self.live[key]
+        self.manager.register(key, device, live.nbytes, lambda: [live])
+        self.device[key] = device
+
+    def _key(self, index):
+        return self.keys[index % len(self.keys)]
+
+    def _blocked(self, key):
+        """Whether acquiring ``key`` must wait for the machine's own pins.
+
+        Resident and landing shards pin at once; an evicted one fits when
+        its arena minus the *pinned* bytes there can hold it (unpinned
+        occupants are evicted, a landing restore becomes evictable).
+        """
+        if self.manager.residency(key) is not ResidencyState.EVICTED:
+            return False
+        device = self.device[key]
+        pinned = sum(
+            self._nbytes(other) for other in self.device
+            if other != key and self.pins[other] and self.device[other] == device
+        )
+        return self._nbytes(key) > self.capacity[device] - pinned
+
+    # ------------------------------------------------------------------ #
+    @rule(index=st.integers(0, 4), device=st.integers(0, 1))
+    def register(self, index, device):
+        key = self._key(index)
+        if key in self.device:
+            return
+        self._register(key, DEVICES[device % len(self.capacity)])
+
+    @precondition(lambda self: len(self.capacity) == 2)
+    @rule(index=st.integers(0, 4))
+    def reregister_on_the_other_arena(self, index):
+        key = self._key(index)
+        if key not in self.device:
+            return
+        other = DEVICES[1 - DEVICES.index(self.device[key])]
+        if self.pins[key]:
+            with pytest.raises(ConfigurationError):
+                self._register(key, other)
+            return
+        self._register(key, other)  # a resident shard is evicted first
+
+    @rule(index=st.integers(0, 4))
+    def acquire(self, index):
+        key = self._key(index)
+        if key not in self.device:
+            with pytest.raises(ConfigurationError):
+                self.manager.acquire(key)
+            return
+        if self._blocked(key):
+            return  # the cross-thread rule covers waiting acquires
+        self.manager.acquire(key)
+        self.pins[key] += 1
+
+    @rule(index=st.integers(0, 4))
+    def release(self, index):
+        key = self._key(index)
+        if key in self.device and self.pins[key]:
+            self.manager.release(key)
+            self.pins[key] -= 1
+        else:
+            with pytest.raises(ConfigurationError):
+                self.manager.release(key)
+
+    @rule(index=st.integers(0, 4), delta=st.integers(1, 3))
+    def lease_and_write(self, index, delta):
+        key = self._key(index)
+        if key not in self.device or self._blocked(key):
+            return
+        live = self.live[key]
+        with self.manager.lease(key):
+            assert self.manager.residency(key) is ResidencyState.RESIDENT
+            assert np.array_equal(live, self.expected[key])
+            live += np.float32(delta)
+            self.expected[key] = live.copy()
+
+    @rule(index=st.integers(0, 4))
+    def prefetch(self, index):
+        key = self._key(index)
+        staging = ("evictions", "bytes_evicted", "prefetches_issued")
+        before = [getattr(self.manager.stats, name) for name in staging]
+        state = self.manager.residency(key) if key in self.device else None
+        started = self.manager.prefetch(key)
+        if self.closed or state is not ResidencyState.EVICTED:
+            # Refused before staging anything: no evictions made room.  (A
+            # restore already in flight may land meanwhile.)
+            assert not started
+            assert [getattr(self.manager.stats, name) for name in staging] == before
+        if started:
+            assert self.manager.residency(key) in (
+                ResidencyState.PREFETCHING, ResidencyState.RESIDENT,
+            )
+
+    @rule(index=st.integers(0, 4))
+    def evict(self, index):
+        key = self._key(index)
+        if key not in self.device:
+            return
+        _settle(self.manager)
+        if self.pins[key] or self.manager.residency(key) is not ResidencyState.RESIDENT:
+            with pytest.raises(ConfigurationError):
+                self.manager.evict(key)
+            return
+        self.manager.evict(key)
+        assert np.isnan(self.live[key]).all(), "scrub must poison the evicted shard"
+
+    @rule(index=st.integers(0, 4))
+    def forget(self, index):
+        key = self._key(index)
+        if key not in self.device:
+            return
+        _settle(self.manager)
+        if self.pins[key]:
+            with pytest.raises(ConfigurationError):
+                self.manager.forget(key)
+            return
+        if self.manager.residency(key) is ResidencyState.RESIDENT:
+            self.forgotten_resident_bytes += self._nbytes(key)
+        self.manager.forget(key)
+        del self.device[key]
+        # The model object stays valid once the manager lets go.
+        assert np.array_equal(self.live[key], self.expected[key])
+
+    @rule(index=st.integers(0, 4))
+    def acquire_from_another_thread(self, index):
+        """A waiter blocked by the machine's pins wakes when they go."""
+        key = self._key(index)
+        if key not in self.device or not self._blocked(key):
+            return
+        waits = self.manager.stats.acquire_waits
+        outcome = []
+
+        def acquire():
+            try:
+                self.manager.acquire(key)
+                outcome.append("ok")
+            except Exception as error:  # noqa: BLE001 - reported below
+                outcome.append(error)
+
+        waiter = threading.Thread(target=acquire)
+        waiter.start()
+        deadline = time.monotonic() + WAIT_SECONDS
+        while self.manager.stats.acquire_waits == waits and time.monotonic() < deadline:
+            time.sleep(1e-4)
+        for other in list(self.device):
+            if self.device[other] == self.device[key] and other != key:
+                while self.pins[other]:
+                    self.manager.release(other)
+                    self.pins[other] -= 1
+        waiter.join(timeout=3 * WAIT_SECONDS)
+        assert outcome == ["ok"], outcome
+        self.pins[key] += 1  # pins are not owned by threads; the machine releases it
+
+    @rule()
+    def close(self):
+        self.manager.close()
+        self.closed = True
+
+    # ------------------------------------------------------------------ #
+    @invariant()
+    def ledgers_match_residency(self):
+        with self.manager._cond:
+            assert self.manager.registered() == sorted(self.device)
+            state = {key: self.manager.residency(key) for key in self.device}
+            for name, arena in self.manager.arenas.items():
+                charged = sum(
+                    self._nbytes(key) for key in self.device
+                    if self.device[key] == name and state[key] is not ResidencyState.EVICTED
+                )
+                assert arena.used_bytes == charged, name
+                assert arena.used_bytes <= arena.capacity_bytes
+            # resident + evicted + prefetching partition the registered set
+            on_device = set(self.manager.resident_keys())
+            evicted = {key for key, s in state.items() if s is ResidencyState.EVICTED}
+            assert on_device.isdisjoint(evicted)
+            assert on_device | evicted == set(self.device)
+
+    @invariant()
+    def pinned_and_resident_shards_hold_the_expected_values(self):
+        with self.manager._cond:
+            for key in self.device:
+                state = self.manager.residency(key)
+                if self.pins[key]:
+                    assert state is ResidencyState.RESIDENT, key
+                if state is ResidencyState.RESIDENT:
+                    assert np.array_equal(self.live[key], self.expected[key]), key
+
+    @invariant()
+    def counters_are_monotone_and_balance(self):
+        with self.manager._cond:
+            stats = self.manager.stats.as_dict()
+            resident = sum(
+                self._nbytes(key) for key in self.device
+                if self.manager.residency(key) is ResidencyState.RESIDENT
+            )
+        for name, value in stats.items():
+            assert value >= self.last_stats[name], name
+        self.last_stats = stats
+        assert (
+            stats["bytes_fetched"] - stats["bytes_evicted"]
+            == resident + self.forgotten_resident_bytes
+        )
+
+
+SpillMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None, derandomize=True
+)
+TestSpillInvariants = SpillMachine.TestCase
+
+
+def test_close_in_the_submit_gap_lets_the_restore_land():
+    """A prefetch claims the restore slot under the lock and hands the job
+    to the transfer pool after releasing it.  A ``close()`` arriving in that
+    gap must let the restore land, not shut the pool under it (which would
+    refuse the job and strand the staged shard)."""
+    a = np.arange(4, dtype=np.float32)
+    manager = SpillManager(
+        {"dev0": 64}, prefetch=True, scrub_evicted=True,
+        acquire_timeout_seconds=WAIT_SECONDS,
+    )
+    manager.register(("m", 0), "dev0", a.nbytes, lambda: [a])
+    with manager.lease(("m", 0)):
+        pass
+    manager.evict(("m", 0))
+    pool, in_gap = manager._pool, threading.Event()
+    submit = pool.submit
+
+    def submit_late(*args):  # the prefetching thread is preempted in the gap
+        in_gap.wait(WAIT_SECONDS)
+        return submit(*args)
+
+    pool.submit = submit_late
+    started = []
+    prefetcher = threading.Thread(target=lambda: started.append(manager.prefetch(("m", 0))))
+    closer = threading.Thread(target=manager.close)
+    prefetcher.start()
+    deadline = time.monotonic() + WAIT_SECONDS
+    while manager.residency(("m", 0)) is not ResidencyState.PREFETCHING:
+        assert time.monotonic() < deadline, "the prefetch never claimed the slot"
+        time.sleep(1e-4)
+    closer.start()
+    while manager._pool is not None:
+        assert time.monotonic() < deadline, "close() never took the pool"
+        time.sleep(1e-4)
+    in_gap.set()
+    prefetcher.join(timeout=WAIT_SECONDS)
+    closer.join(timeout=3 * WAIT_SECONDS)
+    assert not prefetcher.is_alive() and not closer.is_alive()
+    assert started == [True]
+    assert manager.residency(("m", 0)) is ResidencyState.RESIDENT
+    assert np.array_equal(a, np.arange(4, dtype=np.float32))
+
+
+def test_threads_holding_one_pin_each_always_progress():
+    """Four threads share two arenas that hold two of their eight shards
+    each; every thread leases (and writes) one shard at a time and prefetches
+    its next.  Pins release without needing memory, so every acquire
+    returns, and each shard ends holding exactly its writes."""
+    floats, threads, rounds = 64, 4, 60
+    nbytes = floats * FLOAT
+    manager = SpillManager(
+        {"dev0": 2 * nbytes, "dev1": 2 * nbytes}, policy="lru", prefetch=True,
+        scrub_evicted=True, acquire_timeout_seconds=WAIT_SECONDS,
+    )
+    live = {}
+    for worker in range(threads):
+        for shard in range(2):
+            key = (f"t{worker}", shard)
+            array = live[key] = np.full(floats, worker * 100 + shard, dtype=np.float32)
+            manager.register(key, DEVICES[(worker + shard) % 2], nbytes, lambda a=array: [a])
+    expected = {key: array.copy() for key, array in live.items()}
+    failures = []
+
+    def work(worker):
+        order = [(f"t{worker}", step % 2) for step in range(rounds)]
+        try:
+            for step, key in enumerate(order):
+                if step + 1 < rounds:
+                    manager.prefetch(order[step + 1])
+                with manager.lease(key):
+                    if not np.array_equal(live[key], expected[key]):
+                        failures.append(f"{key}: lease saw stale values")
+                    live[key] += 1.0
+                    expected[key] += 1.0
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(f"t{worker}: {type(error).__name__}: {error}")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pool = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=6 * WAIT_SECONDS)
+    finally:
+        sys.setswitchinterval(previous)
+        manager.close()
+    assert not any(thread.is_alive() for thread in pool)
+    assert failures == []
+    for arena in manager.arenas.values():
+        assert arena.peak_bytes <= arena.capacity_bytes
+    for worker in range(threads):
+        manager.forget_model(f"t{worker}")
+    assert manager.registered() == []
+    assert all(arena.used_bytes == 0 for arena in manager.arenas.values())
+    for key, array in live.items():
+        assert np.array_equal(array, expected[key]), key

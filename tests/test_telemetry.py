@@ -40,7 +40,7 @@ from repro.api import (
 )
 from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError, ServingError
-from repro.memory import DeviceArena, Prefetcher, SpillManager
+from repro.memory import SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
@@ -305,9 +305,7 @@ class TestInstrumentation:
         tel = Telemetry()
         a = np.zeros(4, dtype=np.float32)
         b = np.ones(4, dtype=np.float32)
-        manager = SpillManager(
-            [DeviceArena("dev0", 16)], prefetcher=Prefetcher(), telemetry=tel
-        )
+        manager = SpillManager({"dev0": 16}, prefetch=True, telemetry=tel)
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         manager.register(("m", 1), "dev0", 16, lambda: [b])
         with tel.span("caller") as caller:
@@ -340,6 +338,25 @@ class TestInstrumentation:
             ("spill.lease", "memory", {"key": m0}, "caller"),
             ("caller", "repro", {}, None),
         ]
+
+    def test_failed_restore_span_records_the_error_type(self):
+        tel = Telemetry()
+        a = np.arange(4, dtype=np.float32)
+        manager = SpillManager({"dev0": 64}, prefetch=True, telemetry=tel)
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        with manager.lease(("m", 0)):
+            pass
+        manager.evict(("m", 0))
+        # Two live arrays against a one-array stash: the restore raises.
+        manager.register(("m", 0), "dev0", 16, lambda: [a, a])
+        assert manager.prefetch(("m", 0))
+        with pytest.raises(ConfigurationError):
+            manager.acquire(("m", 0))
+        manager.close()
+        (span,) = [e for e in tel.events() if e["name"] == "spill.prefetch"]
+        assert span["args"] == {
+            "key": str(("m", 0)), "bytes": 16, "error": "ConfigurationError",
+        }
 
     def test_experiment_trace_covers_trial_epoch_step(self):
         tel = Telemetry()
