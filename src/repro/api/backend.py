@@ -15,6 +15,12 @@ into metrics.  The contract is deliberately tiny:
   whole cohort together;
 * :meth:`ExecutionBackend.teardown` releases the per-trial state.
 
+Two more hooks carry a trial across a process boundary:
+:meth:`~ExecutionBackend.save_snapshot` turns live state into a picklable
+token and :meth:`~ExecutionBackend.finalize_snapshot` turns the token back
+into live state.  A memory budget, like every other engine setting, is a
+constructor argument of the backend that supports it.
+
 Searchers never see any of this directly; they talk to a
 :class:`~repro.api.experiment.TrialRunner`, which drives the backend and
 keeps handles alive across calls so multi-rung searchers (successive
@@ -29,7 +35,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.selection.experiment import TrialConfig
 from repro.telemetry import NULL_TELEMETRY
 
@@ -148,39 +153,12 @@ class ExecutionBackend:
         """
         return handle.state
 
-    def load_snapshot(self, handle: TrialHandle, snapshot: Any) -> None:
-        """Restore a :meth:`save_snapshot` token into ``handle``.
-
-        Called in the child before continuing a resumed trial and in the
-        parent after the child's report arrives.  The inverse of
-        :meth:`save_snapshot`; the default stores the token back as
-        ``handle.state``.
-        """
-        handle.state = snapshot
-
     def finalize_snapshot(self, handle: TrialHandle) -> None:
-        """One-time retirement work for a snapshot-transported trial.
+        """Turn a :meth:`save_snapshot` token on ``handle`` back into live state.
 
-        The process runtime retires trials in the *parent* (children skip
-        :meth:`teardown` so per-cohort side effects never run twice); a
-        backend whose teardown has publish-like side effects that need live
-        state — e.g. registry publication of trained weights — overrides
-        this to rebuild that state from the final snapshot first.  Runs
-        immediately before :meth:`teardown`; the default does nothing.
+        The one way back from a snapshot, wherever live state is needed: in
+        a pool child before a resumed trial trains, and in the parent before
+        retirement work that needs the trained state (registry publication).
+        Must be a no-op on state that is already live.  The default does
+        nothing: its token *is* the state.
         """
-
-    def with_memory_budget(self, memory_budget) -> "ExecutionBackend":
-        """A copy of this backend constrained to a per-device memory budget.
-
-        Engine backends that support spilled execution (currently
-        :class:`~repro.api.backends.ShardParallelBackend`) override this to
-        return an equivalent backend whose trials acquire shards through a
-        :class:`~repro.memory.SpillManager`; ``Experiment.run(memory_budget=...)``
-        calls it.  The base implementation refuses: most backends have no
-        device-memory notion to constrain.
-        """
-        raise ConfigurationError(
-            f"backend {self.name!r} does not support memory budgets; use a "
-            "backend with spilled execution (e.g. ShardParallelBackend) or "
-            "drop the memory_budget option"
-        )

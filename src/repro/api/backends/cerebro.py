@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.api.backends.shard_parallel import ShardParallelBackend, _TrialState
+from repro.api.backends.shard_parallel import MemoryBudget, ShardParallelBackend, _TrialState
 from repro.data.dataloader import Batch, DataLoader
 from repro.data.dataset import Dataset
 from repro.data.partition import partition_dataset
@@ -74,9 +74,12 @@ class CerebroBackend(ShardParallelBackend):
 
     Each worker is one simulated device of the shard-parallel engine;
     models are a single shard unless ``num_shards`` says otherwise.
+    ``memory_budget`` (bytes per worker, or a ``{"dev0": bytes}`` map) enables
+    spilled execution exactly as on :class:`ShardParallelBackend`.
 
     Raises:
-        ConfigurationError: if ``num_workers`` is not positive.
+        ConfigurationError: if ``num_workers`` is not positive, or
+            ``memory_budget`` is invalid.
     """
 
     name = "cerebro"
@@ -90,10 +93,12 @@ class CerebroBackend(ShardParallelBackend):
         num_shards: Optional[int] = None,
         shuffle: bool = True,
         seed: int = 0,
+        memory_budget: Optional[MemoryBudget] = None,
     ):
         if num_workers <= 0:
             raise ConfigurationError(f"num_workers must be positive, got {num_workers}")
-        super().__init__(builder=builder, num_devices=num_workers, num_shards=num_shards)
+        super().__init__(builder=builder, num_devices=num_workers, num_shards=num_shards,
+                         memory_budget=memory_budget)
         self.dataset = dataset
         self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)

@@ -109,8 +109,8 @@ class ShardParallelBackend(ExecutionBackend):
         self.num_shards = num_shards
         self.registry = registry
         self._memory_budget = memory_budget
-        #: the ``SpillManager`` keyword arguments, kept so a
-        #: re-budgeted copy and an unpickled one rebuild the same manager
+        #: the ``SpillManager`` keyword arguments, kept so an unpickled
+        #: copy rebuilds the same manager
         self._spill_options = {
             "policy": eviction_policy,
             "prefetch": prefetch,
@@ -142,21 +142,6 @@ class ShardParallelBackend(ExecutionBackend):
             budgets = {name: int(memory_budget) for name in names}
         return SpillManager(budgets, **self._spill_options)
 
-    def with_memory_budget(self, memory_budget: MemoryBudget) -> "ShardParallelBackend":
-        """An equivalent backend whose trials run under ``memory_budget``.
-
-        Used by ``Experiment.run(memory_budget=...)`` so a per-run budget
-        never mutates a shared backend.  The copy keeps this backend's class
-        and every other setting (eviction policy, prefetch, spill directory,
-        registry, subclass configuration) and owns a fresh spill manager —
-        ``Experiment.run`` closes it when the run finishes.
-        """
-        state = self.__getstate__()
-        state["_memory_budget"] = memory_budget
-        budgeted = object.__new__(type(self))
-        budgeted.__setstate__(state)
-        return budgeted
-
     def set_telemetry(self, telemetry) -> None:
         """Attach a recorder and wire it into the owned spill manager."""
         super().set_telemetry(telemetry)
@@ -183,8 +168,7 @@ class ShardParallelBackend(ExecutionBackend):
         """Release the spill manager's prefetch worker (no-op without one).
 
         Construction with ``memory_budget`` starts a background transfer
-        thread; call this (or use ``Experiment.run(memory_budget=...)``,
-        which owns and closes its budgeted backend) when the backend is done.
+        thread; call this when the backend is done.
         """
         if self.memory is not None:
             self.memory.close()
@@ -271,40 +255,18 @@ class ShardParallelBackend(ExecutionBackend):
         )
         return str(path)
 
-    def load_snapshot(self, handle: TrialHandle, snapshot: Any) -> None:
-        """Restore a snapshot: into live state in a child, as a token elsewhere.
-
-        In a worker child resuming a trial (``handle.state`` is the live
-        :class:`_TrialState` built by :meth:`prepare`), the checkpoint is
-        loaded back into the model *and* optimizer — bit-identical resume.
-        In the parent (no live state) the path is kept as the handle state
-        for :meth:`finalize_snapshot` to publish from.
-        """
-        if snapshot is None:
-            return
-        if isinstance(handle.state, _TrialState):
-            state: _TrialState = handle.state
-            load_checkpoint(state.model, snapshot, optimizer=state.optimizer)
-        else:
-            handle.state = snapshot
-
     def finalize_snapshot(self, handle: TrialHandle) -> None:
-        """Rebuild the trained model from its final snapshot for publication.
+        """Turn a :meth:`save_snapshot` path back into live training state.
 
-        Process-pool trials retire in the parent holding only a checkpoint
-        path; when a registry is configured the builder reconstructs the
-        architecture, the checkpoint restores the trained parameters, and
-        the normal :meth:`teardown` publish path runs exactly once — the
-        worker children never publish.
+        The builder reconstructs the architecture and the checkpoint
+        restores the trained model *and* optimizer — bit-identical resume in
+        a pool child, the trained weights for :meth:`teardown` to publish in
+        the parent.  Live state is left as it is.
         """
         snapshot = handle.state
-        if not isinstance(snapshot, (str, Path)):
-            return
-        if self.registry is None or handle.failure is not None:
-            handle.state = None
-            return
-        state = handle.state = self._build_state(handle.trial)
-        load_checkpoint(state.model, snapshot, optimizer=state.optimizer)
+        if isinstance(snapshot, (str, Path)):
+            state = handle.state = self._build_state(handle.trial)
+            load_checkpoint(state.model, snapshot, optimizer=state.optimizer)
 
     def teardown(self, handle: TrialHandle) -> None:
         """Release the trial's live objects and its spill-manager bookkeeping.
@@ -312,18 +274,18 @@ class ShardParallelBackend(ExecutionBackend):
         Evicted shards are restored into the model first, so a caller who
         kept a reference to the trial's model sees its true parameters —
         and so the registry (when configured) publishes the *trained*
-        weights, not a host-cache shadow of them.
+        weights, not a host-cache shadow of them.  A process-pool trial
+        arrives holding its final snapshot path, which
+        :meth:`finalize_snapshot` rebuilds only when there is something to
+        publish.
         """
         if self.memory is not None:
             self.memory.forget_model(handle.trial_id)
         # Failed trials (fault-tolerant runtime) publish nothing: their
         # parameters are torn mid-training, and a later registry.load would
         # silently serve them as if they were the trial's trained weights.
-        if (
-            self.registry is not None
-            and isinstance(handle.state, _TrialState)
-            and handle.failure is None
-        ):
+        if self.registry is not None and handle.failure is None and handle.state is not None:
+            self.finalize_snapshot(handle)
             state: _TrialState = handle.state
             metadata = {"epochs_trained": handle.epochs_trained}
             metadata.update(

@@ -100,8 +100,8 @@ class LoggingCallback(Callback):
                    callbacks=[LoggingCallback(every_epoch=True)]).run()
     """
 
-    def __init__(self, logger_name: str = "experiment", every_epoch: bool = False):
-        self.logger = get_logger(logger_name)
+    def __init__(self, every_epoch: bool = False):
+        self.logger = get_logger("experiment")
         self.every_epoch = every_epoch
 
     def on_trial_start(self, trial: TrialConfig) -> None:

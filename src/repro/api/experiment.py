@@ -325,7 +325,6 @@ class Experiment:
         callbacks: Optional[Sequence[Callback]] = None,
         workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        memory_budget=None,
         pool: Optional[str] = None,
         telemetry=None,
     ) -> SelectionResult:
@@ -354,14 +353,6 @@ class Experiment:
         as checkpoints; losses and rankings are bit-identical across pools
         and worker counts.  Passing ``pool`` alone implies ``workers=1``.
 
-        ``memory_budget`` (bytes per simulated device) opts the run into
-        *spilled* execution on backends that support it (see
-        :meth:`~repro.api.backend.ExecutionBackend.with_memory_budget`):
-        trials whose models exceed the budget keep idle shards in host
-        memory and stream them in just in time — bit-identical results,
-        bounded device memory.  Composes with ``workers``: the spill
-        manager is shared and thread-safe.
-
         ``telemetry`` (a :class:`repro.telemetry.Telemetry` recorder) traces
         the whole run: an ``experiment`` span wraps the search, each trial
         and epoch gets a span (including trials running in child processes —
@@ -373,9 +364,7 @@ class Experiment:
             ConfigurationError: if neither the experiment nor the call
                 provides a backend; if ``workers``/``retry`` are invalid; if
                 they are passed alongside a backend that is already a
-                ``ConcurrentBackend`` (configure that backend instead); or
-                if ``memory_budget`` is passed for a backend without spilled
-                execution.
+                ``ConcurrentBackend`` (configure that backend instead).
             SearchSpaceError: if ``mode`` is not ``"min"`` or ``"max"``,
                 or a trial's metrics lack the objective.
         """
@@ -392,15 +381,6 @@ class Experiment:
             objective=objective if objective is not None else self.objective,
             mode=mode if mode is not None else self.mode,
         )
-        owned_budget_backend = None
-        if memory_budget is not None:
-            if isinstance(engine, ConcurrentBackend):
-                raise ConfigurationError(
-                    "backend is already a ConcurrentBackend; construct its "
-                    "inner backend with the memory budget instead of passing "
-                    "memory_budget to run()"
-                )
-            engine = owned_budget_backend = engine.with_memory_budget(memory_budget)
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be positive, got {workers}")
         owned_runtime: Optional[ConcurrentBackend] = None
@@ -441,12 +421,5 @@ class Experiment:
         finally:
             if owned_runtime is not None:
                 owned_runtime.close()
-            if owned_budget_backend is not None:
-                # The budgeted backend (and its prefetch thread) was created
-                # for this run; release it with the run.  Third-party
-                # backends may support budgets without needing a close.
-                closer = getattr(owned_budget_backend, "close", None)
-                if closer is not None:
-                    closer()
         hooks.on_experiment_end(result)
         return result

@@ -16,10 +16,13 @@ each cohort call fans out across a :class:`~repro.runtime.pool.WorkerPool`:
   per-trial retry and backoff from a
   :class:`~repro.runtime.pool.RetryPolicy`, and a straggler deadline that
   runs from the trial's own dispatch (on the inline serial pool, from the
-  start of its inline run).  A trial has one body (:func:`_run_trial`) and
-  one report shape (:class:`_TrialReport`) on every pool; a process pool
-  only wraps the body in a picklable task and adds the snapshot and the
-  child's telemetry events to the report;
+  start of its inline run).  A trial has one body (:func:`_run_trial`), one
+  way to its live state (:func:`_live`) and one report shape
+  (:class:`_TrialReport`) on every pool; a process pool only wraps the body
+  in a picklable task and adds the snapshot and the child's telemetry events
+  to the report.  State crosses the boundary through the inner backend's
+  two snapshot hooks: ``save_snapshot`` (live → token) after training and
+  ``finalize_snapshot`` (token → live) before it;
 * a trial that still fails is marked on its handle (``handle.failure``) and
   surfaces as a :class:`~repro.selection.experiment.FailedTrial` — the rest
   of the cohort and the experiment continue;
@@ -43,7 +46,7 @@ import tempfile
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.exceptions import ConfigurationError
@@ -60,8 +63,8 @@ class _TrialReport:
 
     Live state never crosses a process boundary: from a pool child,
     ``snapshot`` is whatever the inner backend's ``save_snapshot`` returned
-    (a checkpoint path for real-training backends), re-attached in the
-    parent with ``load_snapshot``, and ``events`` are the child's drained
+    (a checkpoint path for real-training backends), stored in the parent as
+    ``handle.state``, and ``events`` are the child's drained
     telemetry events — they ride the existing result channel, so a child
     killed mid-trial ships nothing and the parent trace is never torn.
     In-process both stay empty: the live state is already in the parent.
@@ -82,27 +85,41 @@ class _Unprepared:
     """
 
 
+def _live(backend: ExecutionBackend, handle: TrialHandle) -> None:
+    """Give ``handle`` live state: ``prepare`` on first contact, else
+    ``finalize_snapshot`` (a no-op on state that is already live).
+
+    In-process ``handle`` is the runner's own; in a pool child it is the
+    unpickled copy carrying the last snapshot token.  Only one task touches
+    a given trial at a time (one future per handle per dispatch; retries
+    run inside that future).
+    """
+    if handle.state is _Unprepared:
+        prepared = backend.prepare(handle.trial)
+        handle.annotations.update(prepared.annotations)
+        handle.state = prepared.state
+    else:
+        backend.finalize_snapshot(handle)
+
+
 def _run_trial(
     backend: ExecutionBackend,
     handle: TrialHandle,
     epochs: int,
     telemetry,
-    live: Callable[[TrialHandle], TrialHandle],
     snapshot_dir: Optional[str] = None,
 ) -> _TrialReport:
     """One trial's train call — the one body every pool runs.
 
-    ``live(handle)`` yields the handle to train: the runner's own handle
-    in-process (prepared on first contact), a handle rebuilt from the last
-    snapshot in a pool child, which also passes the ``snapshot_dir`` to save
-    the trained state in.  The clock covers this trial's ``train`` only.
+    A pool child also passes the ``snapshot_dir`` to save the trained state
+    in.  The clock covers this trial's ``train`` only.
     """
     # A nesting span, so the backend's epoch/step spans get this trial as
     # their parent in the (merged) trace.
     with log_context(trial_id=handle.trial_id), telemetry.span(
         "trial", cat="experiment", trial_id=handle.trial_id
     ):
-        handle = live(handle)
+        _live(backend, handle)
         started = time.monotonic()
         metrics = backend.train(handle, epochs)
         elapsed = time.monotonic() - started
@@ -125,8 +142,7 @@ class _ChildTrialTask:
     a fresh copy in the worker child, which rebuilds per-process resources
     (spill managers rebuild from their options; registries rebind to their
     root directory).  The child never runs ``teardown``: publish-like
-    side effects happen exactly once, in the parent, at retirement
-    (``finalize_snapshot``).
+    side effects happen exactly once, in the parent, at retirement.
     """
 
     inner: ExecutionBackend
@@ -141,9 +157,7 @@ class _ChildTrialTask:
         tel = Telemetry() if self.telemetry_enabled else NULL_TELEMETRY
         backend.set_telemetry(tel)
         try:
-            report = _run_trial(
-                backend, handle, self.epochs, tel, self._resume, self.snapshot_dir
-            )
+            report = _run_trial(backend, handle, self.epochs, tel, self.snapshot_dir)
             return replace(report, events=tuple(tel.drain()))
         finally:
             # This unpickled backend copy dies with the task, but the child
@@ -155,14 +169,6 @@ class _ChildTrialTask:
                     close()
                 except Exception:  # noqa: BLE001 - cleanup must not mask
                     pass
-
-    def _resume(self, parent: TrialHandle) -> TrialHandle:
-        """A fresh handle in this child, caught up to the parent's snapshot."""
-        handle = self.inner.prepare(parent.trial)
-        handle.epochs_trained = parent.epochs_trained
-        if parent.state is not _Unprepared:
-            self.inner.load_snapshot(handle, parent.state)
-        return handle
 
 
 class ConcurrentBackend(ExecutionBackend):
@@ -178,9 +184,10 @@ class ConcurrentBackend(ExecutionBackend):
     With a **process** pool each trial's whole train call runs in a worker
     child process: the inner backend must pickle (checked up front with a
     round-trip probe — module-level builder functions yes, lambdas no), the
-    trial comes home as a ``save_snapshot`` token instead of live state,
-    and retirement (``finalize_snapshot`` + ``teardown``) happens exactly
-    once, in the parent.  Results are bit-identical to the thread and
+    trial comes home as a ``save_snapshot`` token instead of live state
+    (``finalize_snapshot`` turns it back into live state wherever that is
+    needed), and retirement (``teardown``) happens exactly once, in the
+    parent.  Results are bit-identical to the thread and
     serial pools at any worker count.
 
     Example::
@@ -303,9 +310,7 @@ class ConcurrentBackend(ExecutionBackend):
         if self._process_mode:
             task = _ChildTrialTask(self.inner, epochs, self._snapshot_dir, tel.enabled)
         else:
-            task = lambda handle: _run_trial(  # noqa: E731
-                self.inner, handle, epochs, tel, self._prepared
-            )
+            task = lambda handle: _run_trial(self.inner, handle, epochs, tel)  # noqa: E731
         timeout = self.retry.timeout_seconds
         dispatched = []
         for handle in handles:
@@ -345,7 +350,7 @@ class ConcurrentBackend(ExecutionBackend):
             for key, value in report.annotations.items():
                 handle.annotations.setdefault(key, value)
             if self._process_mode:
-                self.inner.load_snapshot(handle, report.snapshot)
+                handle.state = report.snapshot
             tel.ingest(report.events)
             metrics[handle.trial_id] = dict(report.metrics)
         return metrics
@@ -353,18 +358,17 @@ class ConcurrentBackend(ExecutionBackend):
     def teardown(self, handle: TrialHandle) -> None:
         """Retire the trial on the inner backend, inline and exactly once.
 
-        ``finalize_snapshot`` (rebuild a process-pool trial's trained state
-        for publish-like side effects; a no-op on live in-process state) then
-        ``teardown``, both on this very handle, in this process — never
+        ``teardown`` runs on this very handle, in this process — never
         through the pool, which abandoned stragglers may be saturating.  A
-        trial that never got past ``prepare`` has nothing to release.
-        Best-effort: never raises, so a failed trial's teardown cannot mask
-        the fault.
+        process-pool trial's handle holds its last snapshot token; a backend
+        whose teardown needs live state (registry publication) calls its own
+        ``finalize_snapshot`` first.  A trial that never got past
+        ``prepare`` has nothing to release.  Best-effort: never raises, so a
+        failed trial's teardown cannot mask the fault.
         """
         if handle.state is _Unprepared:
             return
         try:
-            self.inner.finalize_snapshot(handle)
             self.inner.teardown(handle)
         except Exception:  # noqa: BLE001 - teardown must not mask the fault
             handle.state = None
@@ -394,16 +398,3 @@ class ConcurrentBackend(ExecutionBackend):
             self.close()
         except Exception:
             pass
-
-    # ------------------------------------------------------------------ #
-    def _prepared(self, handle: TrialHandle) -> TrialHandle:
-        """The runner's own handle, prepared on the inner backend on first contact.
-
-        Only one task touches a given trial at a time (one future per
-        handle per dispatch; retries run inside that future).
-        """
-        if handle.state is _Unprepared:
-            prepared = self.inner.prepare(handle.trial)
-            handle.annotations.update(prepared.annotations)
-            handle.state = prepared.state
-        return handle

@@ -166,7 +166,6 @@ class SuccessiveHalvingSearcher(Searcher):
         num_trials: Optional[int] = 8,
         min_epochs: int = 1,
         reduction_factor: int = 2,
-        max_rungs: Optional[int] = None,
         seed: Optional[int] = 0,
     ):
         if num_trials is not None and num_trials <= 1:
@@ -178,7 +177,6 @@ class SuccessiveHalvingSearcher(Searcher):
         self.num_trials = num_trials
         self.min_epochs = min_epochs
         self.reduction_factor = reduction_factor
-        self.max_rungs = max_rungs
         self.seed = seed
 
     def run(self, session) -> None:
@@ -197,9 +195,7 @@ class SuccessiveHalvingSearcher(Searcher):
             TrialConfig(trial_id=f"sha-{index}", hyperparameters=session.space.sample(rng))
             for index in range(num_trials)
         ]
-        total_rungs = self.max_rungs if self.max_rungs is not None else max(
-            1, int(math.floor(math.log(num_trials, self.reduction_factor)))
-        )
+        total_rungs = max(1, int(math.floor(math.log(num_trials, self.reduction_factor))))
         survivors = list(trials)
         epochs_this_rung = self.min_epochs
         reverse = session.mode == "max"

@@ -92,9 +92,6 @@ class Device:
     def holds(self, key: str) -> bool:
         return key in self._allocations
 
-    def allocation_keys(self):
-        return list(self._allocations)
-
     def reset(self) -> None:
         """Clear all allocations and peak tracking (between experiments)."""
         self._allocations.clear()

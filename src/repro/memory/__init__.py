@@ -18,7 +18,7 @@ subsystem:
 
 The real engines opt in through
 ``ShardedModelExecutor.bind_memory`` / ``ShardParallelTrainer(memory_manager=...)``
-(or declaratively via ``Experiment.run(memory_budget=...)``); the simulator
+(or declaratively via ``ShardParallelBackend(memory_budget=...)``); the simulator
 models the same behaviour through the ``spilled-shard-parallel`` strategy.
 Spilled training is bit-identical to fully-resident training — restores put
 the exact bytes back — which the memory tests enforce with ``array_equal``.

@@ -43,8 +43,6 @@ from repro.scheduler.policies import (
     fifo_policy,
     backward_first_policy,
     critical_path_policy,
-    model_round_robin_policy,
-    random_policy,
     get_policy,
 )
 from repro.scheduler.ranking import compute_upward_ranks
@@ -76,8 +74,6 @@ __all__ = [
     "fifo_policy",
     "backward_first_policy",
     "critical_path_policy",
-    "model_round_robin_policy",
-    "random_policy",
     "get_policy",
     "compute_upward_ranks",
     "SchedulePlan",

@@ -11,9 +11,13 @@ rule, so the reproduction ships several and ablates them (experiment E8):
 * :func:`critical_path_policy` — prefer the task with the longest chain of
   dependent work remaining (HEFT-style upward rank); this is the default for
   the shard-parallel (Hydra) strategy.
-* :func:`model_round_robin_policy` — fairness across models (avoids starving
-  any single model's progress, useful with early-stopping model selection).
-* :func:`random_policy` — a seeded random baseline for the ablation.
+* :func:`model_round_robin_policy_factory` — fairness across models (avoids
+  starving any single model's progress, useful with early-stopping model
+  selection); stateful, so each simulation builds its own.
+* :func:`random_policy_factory` — a seeded random baseline for the ablation;
+  each instance owns its generator.
+
+:func:`get_policy` builds any of them by name.
 """
 
 from __future__ import annotations
@@ -83,16 +87,6 @@ def model_round_robin_policy_factory() -> Callable[[str, List[SimTask]], SimTask
     return policy
 
 
-def model_round_robin_policy(device: str, ready: List[SimTask]) -> SimTask:
-    """Stateless approximation of round-robin: pick the lexicographically next model."""
-    models = sorted({str(task.tags.get("model", "")) for task in ready})
-    chosen = models[0]
-    for task in ready:
-        if str(task.tags.get("model", "")) == chosen:
-            return task
-    return ready[0]
-
-
 def random_policy_factory(seed: int = 0) -> Callable[[str, List[SimTask]], SimTask]:
     """Create a seeded random task-selection policy."""
     rng = np.random.default_rng(seed)
@@ -102,13 +96,6 @@ def random_policy_factory(seed: int = 0) -> Callable[[str, List[SimTask]], SimTa
 
     return policy
 
-
-def random_policy(device: str, ready: List[SimTask]) -> SimTask:
-    """Unseeded-looking but deterministic random choice (seed 0)."""
-    return _default_random(device, ready)
-
-
-_default_random = random_policy_factory(0)
 
 _POLICIES: Dict[str, Callable] = {
     "fifo": lambda: fifo_policy,

@@ -173,7 +173,6 @@ class ModelEntry:
     compute_batch_size: Optional[int] = None
     replicas: Sequence[Any] = ()
     key: Optional[Tuple[str, int]] = None
-    nbytes: int = 0
     stats: Tuple[LatencyStats, ...] = ()
     requests: Deque[InferenceRequest] = field(default_factory=deque)
     #: stride-scheduling pass value — served rows / weight, monotone

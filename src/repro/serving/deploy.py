@@ -4,8 +4,8 @@ Import them as ``repro.api.serve`` / ``repro.api.serve_fleet``.  One call
 turns a (trained) model into a running
 :class:`~repro.serving.ModelServer`: replica construction, sharding and
 spill-manager plumbing for over-memory models, and batching configuration
-all happen here, mirroring how ``Experiment.run(memory_budget=...)`` hides
-the training-side spill wiring.  :func:`serve_fleet` does the same for a
+all happen here, mirroring how ``ShardParallelBackend(memory_budget=...)``
+hides the training-side spill wiring.  :func:`serve_fleet` does the same for a
 *registry*: every published model behind one
 :class:`~repro.serving.FleetRouter` sharing one replica pool and one memory
 budget.  ``SelectionResult.deploy`` composes these with the

@@ -140,7 +140,6 @@ class FleetRouter(ServingCore):
         spill_dir: Optional[str] = None,
         max_cold_skips: int = 3,
         watchdog_interval_s: Optional[float] = 5.0,
-        feature_field: str = "features",
         name: str = "fleet",
         telemetry=None,
     ):
@@ -161,7 +160,7 @@ class FleetRouter(ServingCore):
                 f"max_cold_skips must be >= 0, got {max_cold_skips}"
             )
         super().__init__(
-            name, replicas, timeout_ms, feature_field, telemetry,
+            name, replicas, timeout_ms, telemetry,
             DynamicBatcher(max_cold_skips=max_cold_skips, is_cold=self._is_cold),
         )
         self.replicas = int(replicas)
@@ -243,7 +242,6 @@ class FleetRouter(ServingCore):
             compute_batch_size=compute_batch_size,
             replicas=(replica,),
             key=key,
-            nbytes=nbytes,
         )
         if key is not None:
             self._manager.register(

@@ -54,7 +54,7 @@ from repro.utils.logging import log_context
 
 logger = logging.getLogger(__name__)
 
-#: request payload: a field->array dict, or a bare array for the default field
+#: request payload: a field->array dict, or a bare array for the ``"features"`` field
 RequestArrays = Union[Dict[str, np.ndarray], np.ndarray]
 
 #: stands in for the memory lease of entries that are not budget-managed
@@ -77,7 +77,6 @@ class ServingCore:
         name: str,
         workers: int,
         timeout_ms: Optional[float],
-        feature_field: str,
         telemetry,
         batcher: DynamicBatcher,
     ):
@@ -85,7 +84,6 @@ class ServingCore:
             raise ConfigurationError(f"timeout_ms must be positive, got {timeout_ms}")
         self.name = name
         self.timeout_ms = timeout_ms
-        self.feature_field = feature_field
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._workers = int(workers)
         self._batcher = batcher
@@ -176,7 +174,7 @@ class ServingCore:
                 f"{self._kind} {self.name!r} is not running; call start()"
             )
         if isinstance(arrays, np.ndarray):
-            arrays = {self.feature_field: arrays}
+            arrays = {"features": arrays}
         arrays = {name: np.asarray(values) for name, values in arrays.items()}
         now = time.monotonic()
         limit = timeout_ms if timeout_ms is not None else self.timeout_ms
@@ -319,14 +317,13 @@ class ModelServer(ServingCore):
         max_queue: int = 64,
         timeout_ms: Optional[float] = None,
         compute_batch_size: Optional[int] = None,
-        feature_field: str = "features",
         name: str = "server",
         telemetry=None,
     ):
         if not replicas:
             raise ConfigurationError("a ModelServer needs at least one replica")
         super().__init__(
-            name, len(replicas), timeout_ms, feature_field, telemetry, DynamicBatcher()
+            name, len(replicas), timeout_ms, telemetry, DynamicBatcher()
         )
         self.replicas = list(replicas)
         self.stats = LatencyStats()
@@ -358,7 +355,7 @@ class ModelServer(ServingCore):
         """Enqueue one request and return its response handle.
 
         ``arrays`` is a field→array dict with a shared leading (row)
-        dimension, or a bare array for the server's ``feature_field``.
+        dimension, or a bare array for the ``"features"`` field.
         ``timeout_ms`` overrides the server default deadline.  Raises
         immediately on a full queue (admission control) rather than
         blocking the client.

@@ -173,11 +173,6 @@ class ServerStats:
                 self._models[model] = LatencyStats()
             return self._models[model]
 
-    def model_names(self) -> List[str]:
-        """Models with a collector, sorted."""
-        with self._lock:
-            return sorted(self._models)
-
     # ------------------------------------------------------------------ #
     def snapshot(self, window_seconds: Optional[float] = None) -> Dict[str, Dict]:
         """``{"fleet": {...}, "models": {name: {...}}}`` — plain dicts."""

@@ -56,17 +56,18 @@ def _sanitize(name: str) -> str:
     return cleaned
 
 
-class Histogram:
-    """A bounded-sample distribution (windowed: keeps the last ``max_samples``)."""
+#: samples a :class:`Histogram` keeps for its percentiles
+_HISTOGRAM_WINDOW = 4096
 
-    def __init__(self, max_samples: int = 4096):
-        if max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
+
+class Histogram:
+    """A bounded-sample distribution (windowed: keeps the last 4096 samples)."""
+
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self._max_samples = int(max_samples)
         self._samples: List[float] = []
         self._cursor = 0
 
@@ -76,12 +77,12 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        if len(self._samples) < self._max_samples:
+        if len(self._samples) < _HISTOGRAM_WINDOW:
             self._samples.append(value)
         else:
             # Ring buffer: percentiles reflect the most recent window.
             self._samples[self._cursor] = value
-            self._cursor = (self._cursor + 1) % self._max_samples
+            self._cursor = (self._cursor + 1) % _HISTOGRAM_WINDOW
 
     def snapshot(self) -> Dict[str, float]:
         summary = {
@@ -148,11 +149,6 @@ class MetricsRegistry:
             raise TypeError(f"collector {name!r} must be callable")
         with self._lock:
             self._collectors[name] = fn
-
-    def unregister_collector(self, name: str) -> None:
-        """Drop a collector (no-op when absent)."""
-        with self._lock:
-            self._collectors.pop(name, None)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:

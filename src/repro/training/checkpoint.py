@@ -3,9 +3,10 @@
 Archives are flat key/value stores of numpy arrays with a namespace prefix
 per section: ``param::<name>`` for model parameters, ``opt::<...>`` for
 optimizer state (step count and per-parameter moment arrays),
-``sched::<key>`` for learning-rate-scheduler state, and ``meta::<key>`` for
-caller metadata.  The same serialization (via :func:`save_array_bundle` /
-:func:`load_array_bundle`) backs the host shard cache's disk tier in
+``sched::<key>`` for learning-rate-scheduler state, ``rng::<i>`` for the
+dropout generators' states, and ``meta::<key>`` for caller metadata.  The
+same serialization (via :func:`save_array_bundle` / :func:`load_array_bundle`)
+backs the host shard cache's disk tier in
 :mod:`repro.memory` and the serving :class:`~repro.serving.ModelRegistry`,
 so a spilled shard, a published model version, and a checkpoint are all
 one format.
@@ -13,12 +14,14 @@ one format.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.exceptions import CheckpointError
+from repro.nn.dropout import Dropout
 from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
 from repro.optim.optimizer import Optimizer
@@ -27,6 +30,7 @@ from repro.optim.optimizer import Optimizer
 PARAM_PREFIX = "param::"
 OPT_PREFIX = "opt::"
 SCHED_PREFIX = "sched::"
+RNG_PREFIX = "rng::"
 META_PREFIX = "meta::"
 
 
@@ -262,6 +266,19 @@ def _optimizer_param_names(model: Module, optimizer: Optimizer) -> Dict[int, str
     return names
 
 
+def _dropout_generators(model: Module) -> List[np.random.Generator]:
+    """The distinct generators ``model``'s dropout layers draw from.
+
+    Deduplicated by identity, in ``named_modules()`` order; layers drawing
+    from the global generator own no state to capture.
+    """
+    generators: Dict[int, np.random.Generator] = {}
+    for _, module in model.named_modules():
+        if isinstance(module, Dropout) and module._rng is not None:
+            generators.setdefault(id(module._rng), module._rng)
+    return list(generators.values())
+
+
 def save_checkpoint(
     model: Module,
     path: str | Path,
@@ -282,7 +299,9 @@ def save_checkpoint(
     rate, and every per-parameter state array (e.g. Adam's two moments) —
     so spill/restore and mid-trial resume round-trip the *complete*
     training state: training resumed from such a checkpoint is bit-identical
-    to training that never stopped.
+    to training that never stopped.  Every archive also records the state
+    of each generator the model's dropout layers draw from (``rng::``), so
+    the masks after a resume are the ones training would have drawn.
 
     With ``scheduler=...`` the learning-rate schedule's dynamic state
     (:meth:`~repro.optim.lr_scheduler.LRScheduler.state_dict`) is captured
@@ -306,6 +325,8 @@ def save_checkpoint(
     if scheduler is not None:
         for key, value in scheduler.state_dict().items():
             payload[f"{SCHED_PREFIX}{key}"] = np.asarray(value)
+    for index, generator in enumerate(_dropout_generators(model)):
+        payload[f"{RNG_PREFIX}{index}"] = np.asarray(json.dumps(generator.bit_generator.state))
     if metadata:
         for key, value in metadata.items():
             payload[f"{META_PREFIX}{key}"] = np.asarray(value)
@@ -331,12 +352,16 @@ def load_checkpoint(
     scheduler, and the caller must pass a freshly built schedule of the
     same shape (warmup/total steps are constructor arguments, like model
     architecture).
+
+    Dropout generator states (``rng::``) are restored when the archive has
+    them; an archive written before they were recorded loads as before.
     """
     archive = load_array_bundle(path)
     state = {}
     metadata = {}
     opt_entries: Dict[str, np.ndarray] = {}
     sched_entries: Dict[str, np.ndarray] = {}
+    rng_entries: Dict[int, np.ndarray] = {}
     for key, values in archive.items():
         if key.startswith(PARAM_PREFIX):
             state[key[len(PARAM_PREFIX):]] = values
@@ -346,6 +371,8 @@ def load_checkpoint(
             sched_entries[key[len(SCHED_PREFIX):]] = values
         elif key.startswith(OPT_PREFIX):
             opt_entries[key[len(OPT_PREFIX):]] = values
+        elif key.startswith(RNG_PREFIX):
+            rng_entries[int(key[len(RNG_PREFIX):])] = values
     if not state:
         raise CheckpointError(f"checkpoint {path} contains no parameters")
     # Validate the whole archive before mutating anything — a caller that
@@ -364,6 +391,12 @@ def load_checkpoint(
             f"checkpoint {path} contains no scheduler state; save it with "
             "save_checkpoint(..., scheduler=scheduler)"
         )
+    generators = _dropout_generators(model) if rng_entries else []
+    if len(generators) != len(rng_entries):
+        raise CheckpointError(
+            f"checkpoint {path} holds {len(rng_entries)} dropout generator "
+            f"states but the model's dropout layers draw from {len(generators)}"
+        )
     model.load_state_dict(state)
     if apply_optimizer is not None:
         apply_optimizer()
@@ -371,6 +404,8 @@ def load_checkpoint(
         scheduler.load_state_dict(
             {key: value.item() for key, value in sched_entries.items()}
         )
+    for index, generator in enumerate(generators):
+        generator.bit_generator.state = json.loads(rng_entries[index].item())
     return metadata
 
 

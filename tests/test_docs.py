@@ -9,7 +9,7 @@ public API docstrings exist.
 * every public ``repro.api`` symbol — and every public method/property of
   the public classes — must carry a non-empty docstring.
 
-The CI ``docs`` job runs exactly this module.
+Tier-1 collects this module like any other.
 """
 
 from __future__ import annotations

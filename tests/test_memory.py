@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import Budget, Experiment, FunctionBackend, ShardParallelBackend
+from repro.api import Budget, Experiment, ShardParallelBackend
 from repro.cluster import Cluster
 from repro.cluster.device import DeviceSpec
 from repro.data import DataLoader, make_classification
@@ -549,26 +549,6 @@ class TestSpillUnderConcurrentBackend:
             for arena in backend.memory.arenas.values():
                 assert arena.used_bytes == 0
                 assert arena.peak_bytes <= arena.capacity_bytes
-
-    def test_run_memory_budget_on_unsupported_backend(self):
-        experiment, _ = self._experiment()
-        backend = FunctionBackend(lambda trial, epochs: {"loss": 0.0})
-        with pytest.raises(ConfigurationError):
-            experiment.run(backend=backend, memory_budget=1 << 20)
-
-    def test_run_memory_budget_wraps_shard_parallel(self):
-        experiment, build = self._experiment()
-        plain = experiment.run(backend=ShardParallelBackend(builder=build, num_devices=2))
-        budgeted = experiment.run(
-            backend=ShardParallelBackend(builder=build, num_devices=2),
-            memory_budget=48 * 1024,
-        )
-        assert [t.trial_id for t in plain.ranked()] == [
-            t.trial_id for t in budgeted.ranked()
-        ]
-        assert {t.trial_id: t.metric("loss") for t in plain.ranked()} == {
-            t.trial_id: t.metric("loss") for t in budgeted.ranked()
-        }
 
 
 # --------------------------------------------------------------------------- #

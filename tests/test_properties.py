@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Budget, CerebroBackend, Experiment, ShardParallelBackend
+from repro.api import (
+    Budget,
+    CerebroBackend,
+    Experiment,
+    ShardParallelBackend,
+    SuccessiveHalvingSearcher,
+)
 from repro.autograd import Tensor, check_gradients, ops
 from repro.cluster import Cluster, ClusterSimulator, Device, DeviceSpec, SimTask
 from repro.data import DataLoader, make_classification
@@ -285,7 +291,7 @@ _CEREBRO_TIGHT_BUDGET = 13 * 1024
 def _cerebro_run(workers, pool, memory_budget, telemetry=None):
     backend = CerebroBackend(
         _SWEEP_DATA, builder=_cerebro_builder, num_workers=2, batch_size=16,
-        num_shards=4,
+        num_shards=4, memory_budget=memory_budget,
     )
     experiment = Experiment(
         space=SearchSpace({"width": [16, 32], "lr": [1e-2, 1e-3]}),
@@ -293,10 +299,44 @@ def _cerebro_run(workers, pool, memory_budget, telemetry=None):
         objective="loss",
         budget=Budget(epochs_per_trial=2),
     )
-    return experiment.run(
-        backend=backend, workers=workers, pool=pool,
-        memory_budget=memory_budget, telemetry=telemetry,
+    try:
+        return experiment.run(
+            backend=backend, workers=workers, pool=pool, telemetry=telemetry,
+        )
+    finally:
+        backend.close()
+
+
+_DROPOUT_DATA = make_classification(
+    num_samples=64, num_features=16, num_classes=4, rng=np.random.default_rng(1),
+)
+
+
+def _dropout_builder(trial):
+    """Module-level builder of an MLP whose dropout masks come from its own generator."""
+    config = FeedForwardConfig(input_dim=16, hidden_dims=(32, 32), num_classes=4, dropout=0.3)
+    model = FeedForwardNetwork(config, seed=0)
+    optimizer = Adam(model.parameters(), lr=float(trial.get("lr")))
+    loader = DataLoader(_DROPOUT_DATA, batch_size=16, shuffle=True, seed=0)
+    return model, optimizer, loader
+
+
+def _dropout_sha_run(pool):
+    """Successive halving: survivors resume, in another child on a process pool."""
+    experiment = Experiment(
+        space=SearchSpace({"lr": [1e-2, 5e-3, 2e-3, 1e-3]}),
+        searcher=SuccessiveHalvingSearcher(
+            num_trials=4, min_epochs=1, reduction_factor=2, seed=0
+        ),
+        objective="loss",
     )
+    backend = ShardParallelBackend(builder=_dropout_builder, num_devices=2)
+    if pool is None:
+        result = experiment.run(backend=backend)
+    else:
+        result = experiment.run(backend=backend, workers=2, pool=pool)
+    assert not result.failures
+    return [(t.trial_id, t.epochs_trained, t.metric("loss")) for t in result.trials]
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +400,10 @@ class TestCrossPoolDeterminism:
         if memory_budget is not None:
             evictions = [e for e in telemetry.events() if e["name"] == "spill.evict"]
             assert evictions, "budget was not tight enough to spill"
+
+    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    def test_resumed_dropout_trials_bit_identical(self, pool):
+        """A snapshot carries the dropout generators, so a trial resumed from
+        one draws the masks it would have drawn had it never stopped."""
+        # Float equality on purpose: the guarantee is bit-exactness.
+        assert _dropout_sha_run(pool) == _dropout_sha_run(None)

@@ -16,9 +16,7 @@ from repro.scheduler import (
     fifo_policy,
     get_policy,
     memory_aware_placement,
-    model_round_robin_policy,
     plan_waves,
-    random_policy,
     round_robin_placement,
 )
 from repro.scheduler.task import build_task_graphs, task_id_for
@@ -213,7 +211,7 @@ class TestPolicies:
         assert backward_first_policy("gpu0", ready).task_id == "bwd-old"
 
     def test_model_round_robin_picks_a_ready_task(self):
-        chosen = model_round_robin_policy("gpu0", self._ready())
+        chosen = get_policy("model_round_robin")("gpu0", self._ready())
         assert chosen.tags["model"] == "a"
 
     def test_random_policy_deterministic_with_seed(self):
@@ -228,7 +226,7 @@ class TestPolicies:
 
     def test_random_policy_returns_member(self):
         ready = self._ready()
-        assert random_policy("gpu0", ready) in ready
+        assert get_policy("random", seed=0)("gpu0", ready) in ready
 
     def test_get_policy_by_name(self):
         assert get_policy("fifo") is fifo_policy

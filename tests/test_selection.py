@@ -278,13 +278,17 @@ class TestCerebroModelHopper:
             assert per_epoch[-1] < per_epoch[0]
 
     def test_memory_budget_copy_keeps_the_class(self):
+        """The budget is a constructor argument: one arena per worker, the
+        same partitions as the unbudgeted backend."""
         backend = self._backend(num_workers=3, num_shards=2)
-        budgeted = backend.with_memory_budget(1 << 20)
+        budgeted = self._backend(num_workers=3, num_shards=2, memory_budget=1 << 20)
         try:
-            assert type(budgeted) is CerebroBackend
             assert backend.memory is None and budgeted.memory is not None
             assert budgeted.memory.arena_names == ["dev0", "dev1", "dev2"]
-            assert (budgeted.num_shards, budgeted.partitions) == (2, backend.partitions)
+            assert budgeted.num_shards == 2
+            assert [p.indices for p in budgeted.partitions] == [
+                p.indices for p in backend.partitions
+            ]
         finally:
             budgeted.close()
 

@@ -368,28 +368,38 @@ class TestMmapAlignment:
 class TestSchedulerCheckpointing:
     """Mid-trial resume with a warmup/decay schedule must be bit-identical."""
 
-    def _trainer(self, seed=0):
+    def _trainer(self, seed=0, dropout=0.0):
+        from dataclasses import replace
+
         from repro.optim import LinearWarmupDecay
 
         data = make_classification(num_samples=64, num_features=16, num_classes=4,
                                    rng=np.random.default_rng(3))
-        model = FeedForwardNetwork(FeedForwardConfig.tiny(), seed=seed)
+        config = replace(FeedForwardConfig.tiny(), dropout=dropout)
+        model = FeedForwardNetwork(config, seed=seed)
         optimizer = Adam(model.parameters(), lr=1e-2)
         scheduler = LinearWarmupDecay(optimizer, warmup_steps=3, total_steps=12)
         loader = DataLoader(data, batch_size=16, shuffle=True, seed=seed)
         return Trainer(model, optimizer, loader, scheduler=scheduler)
 
     def test_resume_is_bit_identical(self, tmp_path):
-        straight = self._trainer()
+        self._check_resume(tmp_path, dropout=0.0)
+
+    def test_resume_with_dropout_is_bit_identical(self, tmp_path):
+        """The dropout masks after a resume are the ones training would draw."""
+        self._check_resume(tmp_path, dropout=0.3)
+
+    def _check_resume(self, tmp_path, dropout):
+        straight = self._trainer(dropout=dropout)
         straight.fit(num_epochs=2)
 
-        resumed = self._trainer()
+        resumed = self._trainer(dropout=dropout)
         resumed.fit(num_epochs=1)
         path = tmp_path / "mid.npz"
         save_checkpoint(resumed.model, path, optimizer=resumed.optimizer,
                         scheduler=resumed.scheduler)
 
-        fresh = self._trainer()
+        fresh = self._trainer(dropout=dropout)
         load_checkpoint(fresh.model, path, optimizer=fresh.optimizer,
                         scheduler=fresh.scheduler)
         assert fresh.scheduler.step_count == resumed.scheduler.step_count
@@ -405,6 +415,14 @@ class TestSchedulerCheckpointing:
             assert np.array_equal(expected.data, actual.data), name
         assert straight.optimizer.lr == fresh.optimizer.lr
         assert straight.scheduler.step_count == fresh.scheduler.step_count
+
+    def test_dropout_generator_states_must_match_the_model(self, tmp_path):
+        plain, dropout = self._trainer().model, self._trainer(dropout=0.3).model
+        # An archive without ``rng::`` entries loads as before ...
+        load_checkpoint(dropout, save_checkpoint(plain, tmp_path / "plain.npz"))
+        # ... but recorded generator states need somewhere to go.
+        with pytest.raises(CheckpointError):
+            load_checkpoint(plain, save_checkpoint(dropout, tmp_path / "dropout.npz"))
 
     def test_scheduler_restore_requires_sched_section(self, tmp_path):
         trainer = self._trainer()
