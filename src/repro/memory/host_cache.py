@@ -43,22 +43,24 @@ class HostShardCache:
     """Pinned host store for evicted shard payloads, with an optional disk tier.
 
     ``put`` stores *copies* of the given arrays (the device-side arrays stay
-    mutable without corrupting the stash); ``take`` removes and returns the
-    payload.  When ``memory_limit_bytes`` is set, entries overflow
-    oldest-first to ``spill_dir`` so host DRAM usage stays bounded — the
-    archives reuse :func:`repro.training.checkpoint.save_array_bundle`, i.e.
-    the checkpoint ``.npz`` format.
+    mutable without corrupting the stash); ``get`` returns the payload and
+    *keeps* it, so a shard whose bytes have not changed since can be evicted
+    again without a copy; ``drop`` discards it.  When ``memory_limit_bytes``
+    is set, entries overflow to ``spill_dir`` so host DRAM usage stays
+    bounded, least recently stashed (or ``touch``-ed) first — the archives
+    reuse :func:`repro.training.checkpoint.save_array_bundle`, i.e. the
+    checkpoint ``.npz`` format.
 
     Example::
 
         cache = HostShardCache()
         cache.put(("mlp", 0), [weights, moments])
-        restored = cache.take(("mlp", 0))
+        restored = cache.get(("mlp", 0))
 
     Raises:
         ConfigurationError: if ``memory_limit_bytes`` is set without a
-            ``spill_dir`` (nowhere to overflow), or a key is taken that
-            the cache does not hold.
+            ``spill_dir`` (nowhere to overflow), or a key is read that the
+            cache does not hold.
     """
 
     def __init__(
@@ -105,17 +107,34 @@ class HostShardCache:
             self._memory[key] = copies
             self._overflow_locked()
 
-    def take(self, key: ShardKey) -> List[np.ndarray]:
-        """Remove and return the payload stashed under ``key``."""
+    def touch(self, key: ShardKey) -> None:
+        """Count a DRAM payload as just stashed, so it overflows to disk last.
+
+        For a shard evicted again without a copy: its payload is the one the
+        next restore reads.
+        """
         with self._lock:
             if key in self._memory:
-                return self._memory.pop(key)
+                self._memory.move_to_end(key)
+
+    def get(self, key: ShardKey) -> List[np.ndarray]:
+        """The payload stashed under ``key``; the entry stays in the cache.
+
+        A DRAM entry is returned as the cache's own arrays — read them, do
+        not write them.
+        """
+        with self._lock:
+            if key in self._memory:
+                return self._memory[key]
             if key in self._disk:
-                path = self._disk.pop(key)
-                bundle = load_array_bundle(path)
-                path.unlink(missing_ok=True)
+                bundle = load_array_bundle(self._disk[key])
                 return [bundle[name] for name in sorted(bundle)]
             raise ConfigurationError(f"host cache holds no payload for {key!r}")
+
+    def drop(self, key: ShardKey) -> None:
+        """Discard the payload stashed under ``key`` (a no-op if none is)."""
+        with self._lock:
+            self._drop_locked(key)
 
     def drop_model(self, model_id: str) -> None:
         """Discard every payload belonging to ``model_id`` (e.g. at teardown)."""

@@ -3,12 +3,20 @@
 A :class:`SpillManager` tracks one :class:`ShardResidency` record per
 ``(model_id, shard_index)`` key.  Executors *lease* a shard around every use
 (forward, loss, backward+update); between leases a shard is fair game for
-eviction, which stashes its parameter and optimizer-state arrays into the
-:class:`~repro.memory.host_cache.HostShardCache` and releases its
-:class:`~repro.memory.arena.DeviceArena` charge.  Re-acquiring an evicted
+eviction, which releases its :class:`~repro.memory.arena.DeviceArena` charge
+and leaves its parameter and optimizer-state bytes in the
+:class:`~repro.memory.host_cache.HostShardCache`.  Re-acquiring an evicted
 shard restores the exact bytes in place (``np.copyto`` into the live
 arrays), so spilled training is bit-identical to fully-resident training —
 the same exactness bar the fused kernels meet.
+
+Eviction moves bytes only when they changed.  The host copy outlives the
+restore, and each record carries a *dirty* bit: set at (re-)registration
+and by every writing lease (``write=True``, the default — the optimizer's
+``step_params`` runs under one), cleared once the host copy matches the live
+arrays again.  Evicting a dirty shard replaces its host copy with a fresh
+one; evicting a clean one (say, after forward-only leases) is a ledger
+change, counted in :attr:`SpillStats.clean_evictions`.
 
 Eviction is pluggable: :class:`LRUEvictionPolicy` evicts the
 least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
@@ -16,9 +24,12 @@ access sequences executors announce per batch and evicts the shard whose
 next hop is furthest away (Belady's rule on the declared schedule).
 
 With ``prefetch=True`` the manager owns a 1-thread transfer worker and keeps
-one restore in flight — classic double buffering, one shard computing and
-one landing — so the next shard's copy overlaps the current shard's compute
-(numpy's large array copies release the GIL).
+one restore in flight, so the copy of the shard a caller names overlaps the
+current shard's compute (numpy's large array copies release the GIL).  Which
+shard comes next is the caller's knowledge: an executor names its own next
+shard, and the shard-parallel trainer names the next slot of its sweep.
+An acquire that has to wait for such a restore counts as
+:attr:`SpillStats.prefetch_late`.
 
 The manager is thread-safe: under the concurrent runtime several trials
 share the same arenas, and an acquire that cannot make room (everything
@@ -74,6 +85,8 @@ class ShardResidency:
     pins: int = 0
     last_use: int = 0
     prefetch_error: Optional[BaseException] = None
+    #: the live arrays may differ from the host copy (or there is none)
+    dirty: bool = True
 
 
 @dataclass
@@ -83,10 +96,14 @@ class SpillStats:
     demand_fetches: int = 0
     prefetches_issued: int = 0
     prefetches_completed: int = 0
+    #: arena releases; ``clean_evictions`` of them copied nothing
     evictions: int = 0
+    clean_evictions: int = 0
     bytes_fetched: int = 0
     bytes_evicted: int = 0
     acquire_waits: int = 0
+    #: acquires that found their shard still landing and waited for it
+    prefetch_late: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (for reports and benchmarks)."""
@@ -287,8 +304,9 @@ class SpillManager:
         """Register (or re-register) a shard with its device and byte size.
 
         Re-registration is how resumed trials re-attach: the arrays callback
-        is refreshed, and a device change (a later cohort placing the model
-        differently) first evicts the shard from its old arena.  A shard
+        is refreshed, a device change (a later cohort placing the model
+        differently) first evicts the shard from its old arena, and the
+        shard is marked dirty — the new arrays may hold new bytes.  A shard
         starts ``EVICTED`` — conceptually host-resident — and is charged to
         its arena on first acquire.
         """
@@ -318,13 +336,15 @@ class SpillManager:
                 record.device = device
                 record.nbytes = int(nbytes)
             record.arrays_fn = arrays_fn
+            record.dirty = True
 
     def forget(self, key: ShardKey) -> None:
         """Drop a shard from management, restoring its bytes first.
 
         An evicted shard's canonical values live in the host cache; they are
         copied back into the live arrays so the model object remains valid
-        after the manager lets go (e.g. at trial teardown).
+        after the manager lets go (e.g. at trial teardown).  The host copy
+        goes with the record.
         """
         with self._cond:
             record = self._records.get(key)
@@ -340,6 +360,7 @@ class SpillManager:
                 self.arenas[record.device].release(self._arena_key(record))
             elif self.cache.holds(key):
                 self._restore_locked(record)
+            self.cache.drop(key)
             del self._records[key]
             self._cond.notify_all()
 
@@ -397,28 +418,37 @@ class SpillManager:
     # ------------------------------------------------------------------ #
     # Leasing
     # ------------------------------------------------------------------ #
-    def acquire(self, key: ShardKey) -> None:
+    def acquire(self, key: ShardKey, *, write: bool = True) -> None:
         """Pin the shard, restoring it from host first if necessary.
 
-        Blocks while other occupants are pinned or a prefetch is in flight;
-        raises :class:`MemoryBudgetError` after ``acquire_timeout_seconds``.
+        ``write=True`` (the default, always safe) marks the shard dirty, so
+        its next eviction copies it to host; a caller that only reads the
+        shard's arrays while pinned passes ``write=False``.  Blocks while
+        other occupants are pinned or a prefetch is in flight; raises
+        :class:`MemoryBudgetError` after ``acquire_timeout_seconds``.
         """
         deadline = time.monotonic() + self.acquire_timeout_seconds
+        late = False
         with self._cond:
             record = self._record(key)
             while True:
                 if record.prefetch_error is not None:
-                    # A failed prefetch restored nothing (its payload went
-                    # back to the cache); surface the error to the user
-                    # instead of silently demand-fetching around it.
+                    # A failed prefetch restored nothing (the host copy is
+                    # still the canonical one); surface the error to the
+                    # user instead of silently demand-fetching around it.
                     error = record.prefetch_error
                     record.prefetch_error = None
                     raise error
                 if record.state is ResidencyState.RESIDENT:
                     record.pins += 1
+                    if write:
+                        record.dirty = True
                     self._note_use(record)
                     return
                 if record.state is ResidencyState.PREFETCHING:
+                    if not late:
+                        late = True
+                        self.stats.prefetch_late += 1
                     self._wait_locked(deadline, key)
                     continue
                 arena = self.arenas[record.device]
@@ -438,6 +468,8 @@ class SpillManager:
                     self._restore_locked(record)
                 record.state = ResidencyState.RESIDENT
                 record.pins += 1
+                if write:
+                    record.dirty = True
                 self._note_use(record)
                 self.stats.demand_fetches += 1
                 self.stats.bytes_fetched += record.nbytes
@@ -455,15 +487,27 @@ class SpillManager:
                 self._cond.notify_all()
 
     @contextmanager
-    def lease(self, key: ShardKey) -> Iterator[None]:
-        """``with manager.lease(key):`` — acquire on entry, release on exit."""
+    def lease(self, key: ShardKey, *, write: bool = True) -> Iterator[None]:
+        """``with manager.lease(key):`` — acquire on entry, release on exit.
+
+        Any caller that mutates the shard's arrays inside the lease must
+        keep the default ``write=True`` (see :meth:`acquire`).  The
+        ``spill.lease`` span covers the acquire too: a failed acquire or a
+        raising body ends it with the exception's type as its ``error``.
+        """
         tel = self.telemetry
         token = tel.begin("spill.lease", cat="memory", key=str(key))
-        self.acquire(key)
         try:
-            yield
+            self.acquire(key, write=write)
+            try:
+                yield
+            finally:
+                self.release(key)
+        except BaseException as error:
+            if token is not None:
+                token.attrs["error"] = type(error).__name__
+            raise
         finally:
-            self.release(key)
             tel.end(token)
 
     def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
@@ -499,7 +543,7 @@ class SpillManager:
             record.prefetch_error = None
             self.stats.prefetches_issued += 1
             self._inflight = True
-            pool, payload = self._pool, self._take_payload(record)
+            pool, payload = self._pool, self._payload(record)
         # Handed over after the lock is released: submitting under it
         # measurably delays the lock's other users (serve_fleet p50).  The
         # claimed slot keeps close() from shutting the pool down first.
@@ -521,15 +565,14 @@ class SpillManager:
             self._inflight = False
             if error is None:
                 record.state = ResidencyState.RESIDENT
+                record.dirty = payload is None
                 self.stats.prefetches_completed += 1
                 self.stats.bytes_fetched += record.nbytes
             else:
                 # Keep the error to re-raise at the next acquire — a silent
-                # failure here would train on stale weights — and put the
-                # canonical bytes back so a repaired shard can still restore.
+                # failure here would train on stale weights.  The host copy
+                # is still in the cache, so a repaired shard can restore.
                 record.prefetch_error = error
-                if payload is not None:
-                    self.cache.put(record.key, payload)
                 self.arenas[record.device].release(self._arena_key(record))
                 record.state = ResidencyState.EVICTED
             self._cond.notify_all()
@@ -612,16 +655,22 @@ class SpillManager:
         return True
 
     def _evict_locked(self, record: ShardResidency) -> None:
-        # The stash copy (and, with a disk-tiered cache, its overflow write)
-        # runs under the manager lock: deferring it would need an extra
-        # EVICTING state so a concurrent acquire cannot observe the scrubbed
-        # arrays as canonical.  Correctness-first; the hold is one shard's
-        # memcpy unless a disk tier is configured.
+        # A dirty shard's stash copy (and, with a disk-tiered cache, its
+        # overflow write) runs under the manager lock: deferring it would
+        # need an extra EVICTING state so a concurrent acquire cannot observe
+        # the scrubbed arrays as canonical.  Correctness-first; the hold is
+        # one shard's memcpy unless a disk tier is configured.  A clean shard
+        # already has its bytes on host and copies nothing.
         with self.telemetry.span(
             "spill.evict", cat="memory", key=str(record.key), bytes=record.nbytes
         ):
             arrays = record.arrays_fn()
-            self.cache.put(record.key, arrays)
+            if record.dirty:
+                self.cache.put(record.key, arrays)
+                record.dirty = False
+            else:
+                self.cache.touch(record.key)
+                self.stats.clean_evictions += 1
             if self.scrub_evicted:
                 for array in arrays:
                     if np.issubdtype(array.dtype, np.floating):
@@ -631,11 +680,13 @@ class SpillManager:
             self.stats.evictions += 1
             self.stats.bytes_evicted += record.nbytes
 
-    def _take_payload(self, record: ShardResidency) -> Optional[List[np.ndarray]]:
-        return self.cache.take(record.key) if self.cache.holds(record.key) else None
+    def _payload(self, record: ShardResidency) -> Optional[List[np.ndarray]]:
+        return self.cache.get(record.key) if self.cache.holds(record.key) else None
 
     def _restore_locked(self, record: ShardResidency) -> None:
-        self._copy_into_live_arrays(record, self._take_payload(record))
+        payload = self._payload(record)
+        self._copy_into_live_arrays(record, payload)
+        record.dirty = payload is None
 
     @staticmethod
     def _copy_into_live_arrays(

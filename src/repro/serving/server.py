@@ -234,8 +234,12 @@ class ServingCore:
             # the worker loop and hang every later client.
             arrays = concat_rows([request.arrays for request in batch])
             # The lease pins the whole model resident (restoring it from
-            # the host cache if it was evicted) for exactly this forward.
-            lease = _NO_LEASE if entry.key is None else self._manager.lease(entry.key)
+            # the host cache if it was evicted) for exactly this forward,
+            # which only reads the weights: evicting them again copies nothing.
+            lease = (
+                _NO_LEASE if entry.key is None
+                else self._manager.lease(entry.key, write=False)
+            )
             with lease, tel.span("serve.forward", cat="serving", replica=replica.name):
                 output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients

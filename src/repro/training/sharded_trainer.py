@@ -18,10 +18,18 @@ Both opt into *spilled* execution through a
 :class:`~repro.memory.spill.SpillManager` (see ``docs/memory.md``): bound
 executors lease each shard around every use (forward / loss / backward +
 update) instead of assuming residency, announce their access schedule for
-schedule-aware eviction, prefetch the next shard while the current one
-computes, and apply the optimizer *per shard* while it is pinned — which is
-bit-identical to a whole-model step because each parameter's update depends
-only on its own gradient, state, and the shared step counter.
+schedule-aware eviction, and apply the optimizer *per shard* while it is
+pinned — which is bit-identical to a whole-model step because each
+parameter's update depends only on its own gradient, state, and the shared
+step counter.  Forward and loss leases only read (``write=False``), so a
+shard that has not been updated since its last trip to host is evicted
+without a copy; the backward lease, which runs the update, writes.
+
+While a task computes, the shard that is needed next is prefetched.  A
+lone executor names its own next shard.  The trainer knows better: its
+sweep runs one task per model in turn, so the next lease belongs to the
+*next model's* task, and each task prefetches that shard instead (passed
+down as ``prefetch=``).
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from __future__ import annotations
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING,
+    Any, Callable, ContextManager, Dict, Generator, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING,
 )
 
 import numpy as np
@@ -45,11 +54,14 @@ from repro.training.metrics import MetricTracker
 from repro.training.trainer import TrainingReport
 
 if TYPE_CHECKING:  # type-only: repro.memory imports this package (training.checkpoint)
+    from repro.memory.host_cache import ShardKey
     from repro.memory.spill import SpillManager
 
 
 #: what a task of a fully-resident executor runs under: nothing to lease
 _RESIDENT = nullcontext()
+#: what a finished sweep returns in place of its next lease
+_DONE = object()
 
 
 def _detach_state(state: Any) -> Any:
@@ -140,8 +152,9 @@ class ShardedModelExecutor:
         state bytes.  From then on forward/loss/backward lease the shard
         (restoring it from host when evicted), the next shard is prefetched
         while the current one computes, and the optimizer update runs *per
-        shard* inside its backward lease, so no more than one of this
-        model's shards needs to be resident per device at a time.
+        shard* inside its backward lease — the only lease that writes — so
+        no more than one of this model's shards needs to be resident per
+        device at a time.
 
         ``optimizer=None`` binds the executor for *inference only* (the
         serving subsystem's spilled replicas): shards carry just their
@@ -193,7 +206,7 @@ class ShardedModelExecutor:
         """Whether optimizer updates happen per shard inside ``run_backward``."""
         return self._memory is not None and self._memory_optimizer is not None
 
-    def _shard_key(self, shard_index: int) -> Tuple[str, int]:
+    def _shard_key(self, shard_index: int) -> ShardKey:
         return (self._memory_model_id, shard_index)
 
     def _announce_schedule(self) -> None:
@@ -206,23 +219,35 @@ class ShardedModelExecutor:
             self._memory_model_id, [self._shard_key(shard) for _, shard in self.order]
         )
 
-    def _leased(self, shard_index: int, then: Optional[int] = None) -> ContextManager[None]:
+    def _leased(
+        self,
+        shard_index: int,
+        write: bool,
+        then: Optional[int] = None,
+        prefetch: Optional[ShardKey] = None,
+    ) -> ContextManager[None]:
         """Context holding one shard for the duration of a task.
 
         Nothing to hold for a fully-resident executor.  With a bound spill
-        manager the shard is leased (restored from host if evicted), and the
-        fetch of shard ``then`` — the one the chain needs next, if it exists
-        — is kicked off first so it overlaps this task's compute.
+        manager the shard is leased (restored from host if evicted; ``write``
+        says whether the task changes its arrays), and the fetch of
+        ``prefetch`` — by default this model's shard ``then``, the one the
+        chain needs next, if it exists — is kicked off first so it overlaps
+        this task's compute.
         """
         if self._memory is None:
             return _RESIDENT
-        return self._spilled_lease(shard_index, then)
+        if prefetch is None and then is not None and 0 <= then < self.num_shards:
+            prefetch = self._shard_key(then)
+        return self._spilled_lease(self._shard_key(shard_index), write, prefetch)
 
     @contextmanager
-    def _spilled_lease(self, shard_index: int, then: Optional[int]) -> Iterator[None]:
-        with self._memory.lease(self._shard_key(shard_index)):
-            if then is not None and 0 <= then < self.num_shards:
-                self._memory.prefetch(self._shard_key(then))
+    def _spilled_lease(
+        self, key: ShardKey, write: bool, prefetch: Optional[ShardKey]
+    ) -> Iterator[None]:
+        with self._memory.lease(key, write=write):
+            if prefetch is not None:
+                self._memory.prefetch(prefetch)
             yield
 
     # ------------------------------------------------------------------ #
@@ -247,17 +272,25 @@ class ShardedModelExecutor:
         self._contexts = []
         self._loss = None
 
-    def run_task(self, kind: str, shard_index: int, batch: Batch) -> Any:
-        """Execute one ``(kind, shard)`` entry of :attr:`order`."""
+    def run_task(
+        self, kind: str, shard_index: int, batch: Batch, prefetch: Optional[ShardKey] = None
+    ) -> Any:
+        """Execute one ``(kind, shard)`` entry of :attr:`order`.
+
+        ``prefetch`` (spilled execution only) names the shard whose restore
+        should overlap this task; by default it is this model's next shard.
+        """
         if kind == FORWARD:
-            return self.run_forward(shard_index, batch)
+            return self.run_forward(shard_index, batch, prefetch)
         if kind == LOSS:
             return self.compute_loss(batch)
-        return self.run_backward(shard_index)
+        return self.run_backward(shard_index, prefetch)
 
-    def run_forward(self, shard_index: int, batch: Batch) -> Any:
+    def run_forward(
+        self, shard_index: int, batch: Batch, prefetch: Optional[ShardKey] = None
+    ) -> Any:
         """Forward pass of one shard; stores the boundary input and output."""
-        with self._leased(shard_index, then=shard_index + 1):
+        with self._leased(shard_index, write=False, then=shard_index + 1, prefetch=prefetch):
             context = self._contexts[shard_index]
             if shard_index == 0:
                 state: Any = None
@@ -274,16 +307,17 @@ class ShardedModelExecutor:
     def compute_loss(self, batch: Batch) -> Tensor:
         """Loss on the final shard's output (graph still attached to that shard only)."""
         # Leased in case the loss head reads parameters of the final shard.
-        with self._leased(self.num_shards - 1):
+        with self._leased(self.num_shards - 1, write=False):
             self._loss = self.model.compute_loss(self._contexts[-1].output, batch)
             return self._loss
 
-    def run_backward(self, shard_index: int) -> None:
+    def run_backward(self, shard_index: int, prefetch: Optional[ShardKey] = None) -> None:
         """Backward pass of one shard, consuming the downstream boundary gradient.
 
         Under a spill manager the shard's optimizer update runs inline before
         the lease ends — the only window in which its parameters, gradients,
-        and optimizer state are all guaranteed resident.
+        and optimizer state are all guaranteed resident — so this lease
+        writes.
         """
         if self._memory is not None and self._memory_optimizer is None:
             raise SchedulingError(
@@ -291,7 +325,7 @@ class ShardedModelExecutor:
                 "without an optimizer); spilled backward passes need the "
                 "optimizer registered so per-shard updates can run inline"
             )
-        with self._leased(shard_index, then=shard_index - 1):
+        with self._leased(shard_index, write=True, then=shard_index - 1, prefetch=prefetch):
             context = self._contexts[shard_index]
             if shard_index == self.num_shards - 1:
                 if self._loss is None:
@@ -476,13 +510,23 @@ class ShardParallelTrainer:
         """Run one epoch for every registered model, interleaving shard tasks."""
         if not self._slots:
             raise SchedulingError("no models registered")
-        running = []
+        sweeps = []
         for slot in self._slots:
             slot.loader.set_epoch(epoch)
-            running.append(self._sweep_slots(slot, iter(slot.loader), epoch))
+            sweeps.append(self._sweep_slots(slot, iter(slot.loader), epoch))
         # Round-robin over the models still in flight, one slot per sweep.
+        # Each entry is [sweep, the shard that model leases next]; every task
+        # prefetches the shard the next model in the round leases next, not
+        # its own next shard — by the time this model runs again, the other
+        # models' leases have evicted that.
+        running = [[sweep, next(sweep, _DONE)] for sweep in sweeps]
         while running:
-            running = [model for model in running if next(model, False)]
+            running = [entry for entry in running if entry[1] is not _DONE]
+            for index, entry in enumerate(running):
+                try:
+                    entry[1] = entry[0].send(self._next_lease(running, index))
+                except StopIteration:
+                    entry[1] = _DONE
 
         results: Dict[str, Dict[str, float]] = {}
         for slot in self._slots:
@@ -491,18 +535,40 @@ class ShardParallelTrainer:
             results[slot.model_id] = epoch_metrics
         return results
 
-    def _sweep_slots(self, slot: _ModelSlot, batches: Iterator[Batch], epoch: int) -> Iterator[bool]:
+    @staticmethod
+    def _next_lease(running: List[list], index: int) -> Optional[ShardKey]:
+        """The shard the first later model in the round leases next.
+
+        ``None`` when no other model leases one (a one-model cohort, or the
+        rest have finished): the executor then prefetches its own next
+        shard.  A fully-resident executor ignores the key.
+        """
+        count = len(running)
+        for step in range(1, count):
+            key = running[(index + step) % count][1]
+            if key is not None and key is not _DONE:
+                return key
+        return None
+
+    def _sweep_slots(
+        self, slot: _ModelSlot, batches: Iterator[Batch], epoch: int
+    ) -> Generator[Optional[ShardKey], Optional[ShardKey], None]:
         """One model's epoch as a generator that pauses after each sweep slot.
 
         Its suspended position is the model's cursor into the executor's
-        order.  A slot is either fetching a batch (with ``begin_batch`` and
+        order.  A slot is either starting a batch (``begin_batch`` and
         ``zero_grad``) or one forward/backward task; the loss rides in the
-        final forward's slot, and the whole-model optimizer step and batch
-        teardown in the final backward's.
+        final forward's slot, and the whole-model optimizer step, batch
+        teardown and the next batch's fetch in the final backward's.  Each
+        pause yields the key of the shard the model leases next (``None``
+        once its epoch is over) and receives the shard the task it resumes
+        into should prefetch (``None``: the executor's own next shard).
         """
         tel = self.telemetry
         executor = slot.executor
-        for batch in batches:
+        first = (slot.model_id, executor.order[0][1])
+        batch = next(batches, None)
+        while batch is not None:
             # Interleaved steps of different models overlap in time, so they
             # use begin/end tokens (flat spans), not the nesting context manager.
             token = tel.begin("step", cat="training", model=slot.model_id, epoch=epoch)
@@ -512,8 +578,8 @@ class ShardParallelTrainer:
                 if kind == LOSS:
                     slot.tracker.update(loss=executor.compute_loss(batch).item())
                 else:
-                    yield True
-                    executor.run_task(kind, shard_index, batch)
+                    prefetch = yield (slot.model_id, shard_index)
+                    executor.run_task(kind, shard_index, batch, prefetch=prefetch)
             # Spilled executors already updated each shard inside its
             # backward lease (the only window it is resident).
             if not executor.updates_inline:
@@ -522,7 +588,10 @@ class ShardParallelTrainer:
             # fetch so peak memory spans one batch, not two.
             executor.end_batch()
             tel.end(token)
-            yield True
+            batch = next(batches, None)
+            # The next resumption starts a batch and leases nothing, so the
+            # prefetch sent in here is dropped.
+            yield None if batch is None else first
 
     def fit(self, num_epochs: int = 1) -> Dict[str, TrainingReport]:
         """Train every registered model for ``num_epochs`` epochs."""

@@ -4,6 +4,8 @@ is bit-identical (``array_equal``) to fully-resident training."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -115,13 +117,27 @@ class TestHostShardCache:
         source = np.arange(6, dtype=np.float32)
         cache.put(("m", 0), [source])
         source += 100.0  # mutating the original must not corrupt the stash
-        (restored,) = cache.take(("m", 0))
+        (restored,) = cache.get(("m", 0))
         assert np.array_equal(restored, np.arange(6, dtype=np.float32))
+        assert cache.holds(("m", 0)), "get keeps the payload"
+        cache.drop(("m", 0))
         assert not cache.holds(("m", 0))
+        cache.drop(("m", 0))  # dropping nothing is a no-op
 
-    def test_take_missing_raises(self):
+    def test_get_missing_raises(self):
         with pytest.raises(ConfigurationError):
-            HostShardCache().take(("m", 0))
+            HostShardCache().get(("m", 0))
+
+    def test_touch_makes_an_entry_overflow_last(self, tmp_path):
+        cache = HostShardCache(memory_limit_bytes=32, spill_dir=tmp_path)
+        cache.put(("m", 0), [np.zeros(4, dtype=np.float32)])
+        cache.put(("m", 1), [np.zeros(4, dtype=np.float32)])
+        cache.touch(("m", 0))
+        cache.put(("m", 2), [np.zeros(4, dtype=np.float32)])
+        # DRAM tier first, then disk: the untouched older entry overflowed.
+        assert cache.keys() == [("m", 0), ("m", 2), ("m", 1)]
+        cache.touch(("m", 1))  # on disk: stays there
+        assert cache.keys()[-1] == ("m", 1)
 
     def test_drop_model(self):
         cache = HostShardCache()
@@ -147,10 +163,13 @@ class TestHostShardCache:
         assert cache.bytes_in_memory <= 64 or len(cache.keys()) == 1
         assert any(tmp_path.glob("*.npz")), "expected npz archives on disk"
         for key, arrays in payloads.items():
-            restored = cache.take(key)
+            restored = cache.get(key)
             for dst, src in zip(restored, arrays):
                 assert np.array_equal(dst, src)
-        assert not any(tmp_path.glob("*.npz")), "taken entries must leave disk"
+        assert any(tmp_path.glob("*.npz")), "read entries stay on disk"
+        for key in payloads:
+            cache.drop(key)
+        assert not any(tmp_path.glob("*.npz")), "dropped entries must leave disk"
 
     def test_disk_stems_do_not_collide_after_sanitisation(self, tmp_path):
         cache = HostShardCache(memory_limit_bytes=8, spill_dir=tmp_path)
@@ -158,15 +177,15 @@ class TestHostShardCache:
         second = np.full(4, 2.0, dtype=np.float32)
         cache.put(("m/1", 0), [first])  # both ids sanitise to "m_1"
         cache.put(("m_1", 0), [second])
-        assert np.array_equal(cache.take(("m/1", 0))[0], first)
-        assert np.array_equal(cache.take(("m_1", 0))[0], second)
+        assert np.array_equal(cache.get(("m/1", 0))[0], first)
+        assert np.array_equal(cache.get(("m_1", 0))[0], second)
 
     def test_oversized_single_payload_respects_dram_bound(self, tmp_path):
         cache = HostShardCache(memory_limit_bytes=8, spill_dir=tmp_path)
         big = np.arange(16, dtype=np.float32)  # 64 bytes > the 8-byte limit
         cache.put(("m", 0), [big])
         assert cache.bytes_in_memory == 0, "even the newest entry must overflow"
-        assert np.array_equal(cache.take(("m", 0))[0], big)
+        assert np.array_equal(cache.get(("m", 0))[0], big)
 
 
 # --------------------------------------------------------------------------- #
@@ -296,6 +315,92 @@ class TestSpillManager:
         manager.register(("m", 0), "dev0", 16, lambda: [a])
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
+        manager.close()
+
+    def test_acquire_that_waits_for_a_landing_prefetch_is_late(self):
+        a = np.arange(4, dtype=np.float32)
+        landing, gate = [], threading.Event()
+
+        def arrays():
+            if landing:  # the restore stalls until the acquire is waiting
+                gate.wait(5.0)
+            return [a]
+
+        manager = self._manager(
+            capacity=64, prefetch=True, scrub_evicted=True, acquire_timeout_seconds=5.0,
+        )
+        manager.register(("m", 0), "dev0", 16, arrays)
+        with manager.lease(("m", 0)):
+            pass
+        manager.evict(("m", 0))
+        landing.append(True)
+        assert manager.prefetch(("m", 0)) is True
+
+        def open_gate_once_late():
+            while manager.stats.prefetch_late == 0 and not gate.is_set():
+                gate.wait(1e-3)
+            gate.set()
+
+        opener = threading.Thread(target=open_gate_once_late)
+        opener.start()
+        with manager.lease(("m", 0)):  # finds the shard PREFETCHING and waits
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
+        opener.join(timeout=5.0)
+        assert manager.stats.prefetch_late == 1
+        assert manager.stats.prefetches_completed == 1
+        # A prefetch that landed before its acquire is not late.
+        manager.evict(("m", 0))
+        assert manager.prefetch(("m", 0)) is True
+        manager.close()  # waits for the restore to land
+        with manager.lease(("m", 0)):
+            pass
+        assert manager.stats.prefetch_late == 1
+        assert manager.stats.prefetches_completed == 2
+
+    def test_clean_eviction_copies_nothing_and_keeps_the_host_copy(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager(capacity=64, scrub_evicted=True)
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        with manager.lease(("m", 0)):  # first stash: no host copy yet
+            pass
+        manager.evict(("m", 0))
+        with manager.lease(("m", 0), write=False):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
+        manager.evict(("m", 0))
+        assert manager.stats.clean_evictions == 1
+        assert np.isnan(a).all(), "a clean eviction still scrubs"
+        with manager.lease(("m", 0)):  # a writing lease dirties the shard
+            a += 1.0
+        manager.evict(("m", 0))
+        assert manager.stats.clean_evictions == 1
+        (refreshed,) = manager.cache.get(("m", 0))
+        assert np.array_equal(refreshed, np.arange(4, dtype=np.float32) + 1.0)
+        assert manager.stats.evictions == 3
+        manager.forget(("m", 0))
+        assert np.array_equal(a, np.arange(4, dtype=np.float32) + 1.0)
+        assert not manager.cache.holds(("m", 0)), "forget drops the host copy"
+
+    def test_clean_eviction_keeps_the_host_copy_out_of_the_disk_tier(self, tmp_path):
+        arrays = {i: np.full(4, float(i), dtype=np.float32) for i in range(3)}
+        manager = self._manager(
+            capacity=16, spill_dir=str(tmp_path), host_cache_limit_bytes=32
+        )
+        for i in range(3):
+            manager.register(("m", i), "dev0", 16, lambda i=i: [arrays[i]])
+        for i in (0, 1):  # two dirty stashes fill the DRAM tier
+            with manager.lease(("m", i)):
+                pass
+            manager.evict(("m", i))
+        with manager.lease(("m", 0), write=False):  # restores 0 from DRAM
+            pass
+        manager.evict(("m", 0))  # clean: 0's copy is again the newest
+        with manager.lease(("m", 2)):
+            pass
+        manager.evict(("m", 2))  # overflows the oldest stash, 1's
+        assert manager.stats.clean_evictions == 1
+        assert manager.cache.keys() == [("m", 0), ("m", 2), ("m", 1)]
+        with manager.lease(("m", 1), write=False):  # streams back from disk
+            assert np.array_equal(arrays[1], np.full(4, 1.0, dtype=np.float32))
         manager.close()
 
     def test_close_shuts_down_owned_prefetcher(self):
@@ -490,6 +595,66 @@ class TestOverMemoryTraining:
             assert np.array_equal(
                 np.asarray(reference[model_id]), np.asarray(spilled[model_id])
             )
+
+
+# --------------------------------------------------------------------------- #
+# Sweep-order prefetch: the trainer prefetches the shard its sweep leases next
+# --------------------------------------------------------------------------- #
+class TestSweepPrefetch:
+    """Four uniform MLPs x 4 shards on 2 devices at ~1.3 shards per device:
+    one shard fits per device, so every task after the first evicts."""
+
+    @staticmethod
+    def _cohort(memory_manager, models):
+        trainer = ShardParallelTrainer(num_devices=2, memory_manager=memory_manager)
+        for index in range(models):
+            model = uniform_mlp(seed=30 + index, width=32)
+            trainer.add_model(
+                model, Adam(model.parameters(), lr=5e-3),
+                mlp_loader(features=32, classes=32), BOUNDARIES, model_id=f"m{index}",
+            )
+        reports = trainer.fit(num_epochs=2)
+        return {
+            model_id: np.asarray([epoch["loss"] for epoch in report.epochs])
+            for model_id, report in reports.items()
+        }
+
+    def _spilled(self, models, prefetch):
+        probe_model = uniform_mlp(width=32)
+        probe_opt = Adam(probe_model.parameters(), lr=5e-3)
+        probe = ShardedModelExecutor(probe_model, BOUNDARIES)
+        budget = int(max(shard_nbytes(probe, s, probe_opt) for s in range(4)) * 1.3)
+        manager = SpillManager(
+            {"dev0": budget, "dev1": budget}, policy="schedule-aware",
+            prefetch=prefetch, scrub_evicted=True,
+        )
+        try:
+            return self._cohort(manager, models), manager.stats
+        finally:
+            manager.close()
+
+    def test_prefetch_is_never_wasted_across_a_cohort(self):
+        resident = self._cohort(None, models=4)
+        spilled, stats = self._spilled(models=4, prefetch=True)
+        _, unprefetched = self._spilled(models=4, prefetch=False)
+        assert resident.keys() == spilled.keys()
+        for model_id, losses in resident.items():
+            assert np.array_equal(losses, spilled[model_id]), model_id
+        assert stats.prefetches_completed > 0
+        # Every prefetched shard is used before it is evicted: prefetching
+        # moves fetches off the critical path without adding any.
+        assert (
+            stats.demand_fetches + stats.prefetches_completed
+            <= unprefetched.demand_fetches
+        )
+        assert stats.clean_evictions > 0, "forward leases leave shards clean"
+
+    def test_one_model_prefetch_hit_ratio(self):
+        resident = self._cohort(None, models=1)
+        spilled, stats = self._spilled(models=1, prefetch=True)
+        assert np.array_equal(resident["m0"], spilled["m0"])
+        fetched = stats.prefetches_completed + stats.demand_fetches
+        assert stats.prefetches_completed / fetched >= 0.9
 
 
 # --------------------------------------------------------------------------- #

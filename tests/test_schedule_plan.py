@@ -207,8 +207,10 @@ class TestEngineReadsTheSharedSchedule:
             "acquire_waits": 0,
             "bytes_evicted": 215424,
             "bytes_fetched": 221952,
+            "clean_evictions": 21,
             "demand_fetches": 77,
             "evictions": 75,
+            "prefetch_late": 0,
             "prefetches_completed": 0,
             "prefetches_issued": 0,
         }

@@ -3,10 +3,13 @@
 A hypothesis state machine drives one :class:`~repro.memory.SpillManager`
 (1–2 arenas, 2–5 float32 shards no larger than the smallest arena,
 ``scrub_evicted=True``, ``prefetch=True``) through register / acquire /
-release / lease-and-write / prefetch / evict / forget / re-register on the
-other arena / close, plus an acquire from a second thread that must wake
-when the machine's pins go.  After every step it checks what spilled
-training relies on:
+release / lease-and-write / lease-and-read (``write=False``) / prefetch /
+evict / forget (after which the shard's owner writes it, as a model used
+outside the manager would) / re-register on the other arena / re-register
+with new arrays (a rebuilt model, read onto its device first and evicted
+after) / close, plus an acquire from a second thread that must wake when
+the machine's pins go.  After every step it checks what spilled training
+relies on:
 
 * each arena's ``used_bytes`` is within its capacity and equals the bytes of
   its non-``EVICTED`` shards;
@@ -14,9 +17,16 @@ training relies on:
   resident shard — every leased one in particular — holds exactly the
   expected values: scrub NaNs are never visible through a lease;
 * the residency states partition the registered keys;
+* every evicted shard that has been on a device since it was registered
+  is all NaN (the scrub runs on clean evictions too);
 * the ``SpillStats`` counters are monotone;
 * ``bytes_fetched - bytes_evicted`` equals the resident bytes plus the bytes
-  the machine forgot while resident.
+  the machine forgot while resident;
+* an explicit eviction is clean (``clean_evictions`` rises, nothing is
+  copied) exactly when the shard's host copy exists and no writing lease or
+  registration touched it since that copy was made.  The machine models
+  this itself from the residency it observes: any eviction leaves a current
+  host copy, and a restore from it makes the live arrays current again.
 
 The manager's own lock is held while an invariant reads, so a restore
 landing on the transfer thread cannot tear the snapshot.  Two threaded
@@ -84,6 +94,9 @@ class SpillMachine(RuleBasedStateMachine):
         self.expected = {}    # key -> the values a lease must see
         self.device = {}      # key -> arena, for registered keys
         self.pins = {}        # key -> pins the machine holds
+        self.on_device = {}   # key -> non-EVICTED when last observed
+        self.has_copy = {}    # key -> evicted since it was registered
+        self.written = {}     # key -> written or registered since its host copy
         for index, (key, floats) in enumerate(zip(self.keys, sizes)):
             values = np.arange(min(floats, smallest), dtype=np.float32) + 10 * index
             self.live[key] = values.copy()
@@ -103,8 +116,36 @@ class SpillMachine(RuleBasedStateMachine):
 
     def _register(self, key, device):
         live = self.live[key]
+        fresh = key not in self.device
         self.manager.register(key, device, live.nbytes, lambda: [live])
         self.device[key] = device
+        self.written[key] = True
+        if fresh:
+            self.on_device[key] = self.has_copy[key] = False
+
+    def _observe(self):
+        """Fold residency changes since the last look into the model."""
+        for key in self.device:
+            state = self.manager.residency(key)
+            if state is ResidencyState.EVICTED:
+                if self.on_device[key]:  # an eviction leaves a current host copy
+                    self.on_device[key] = False
+                    self.has_copy[key] = True
+                    self.written[key] = False
+            elif not self.on_device[key]:
+                self._arrived(key)
+
+    def _arrived(self, key):
+        """The shard came on device, restored from its host copy if it has one."""
+        self.on_device[key] = True
+        if self.has_copy[key]:
+            self.written[key] = False
+
+    def _acquired(self, key, write=True):
+        if not self.on_device[key]:
+            self._arrived(key)
+        if write:
+            self.written[key] = True
 
     def _key(self, index):
         return self.keys[index % len(self.keys)]
@@ -155,7 +196,9 @@ class SpillMachine(RuleBasedStateMachine):
             return
         if self._blocked(key):
             return  # the cross-thread rule covers waiting acquires
+        self._observe()
         self.manager.acquire(key)
+        self._acquired(key)
         self.pins[key] += 1
 
     @rule(index=st.integers(0, 4))
@@ -174,11 +217,24 @@ class SpillMachine(RuleBasedStateMachine):
         if key not in self.device or self._blocked(key):
             return
         live = self.live[key]
+        self._observe()
         with self.manager.lease(key):
+            self._acquired(key)
             assert self.manager.residency(key) is ResidencyState.RESIDENT
             assert np.array_equal(live, self.expected[key])
             live += np.float32(delta)
             self.expected[key] = live.copy()
+
+    @rule(index=st.integers(0, 4))
+    def lease_and_read(self, index):
+        key = self._key(index)
+        if key not in self.device or self._blocked(key):
+            return
+        self._observe()
+        with self.manager.lease(key, write=False):
+            self._acquired(key, write=False)
+            assert self.manager.residency(key) is ResidencyState.RESIDENT
+            assert np.array_equal(self.live[key], self.expected[key])
 
     @rule(index=st.integers(0, 4))
     def prefetch(self, index):
@@ -207,7 +263,16 @@ class SpillMachine(RuleBasedStateMachine):
             with pytest.raises(ConfigurationError):
                 self.manager.evict(key)
             return
+        self._evict_and_check(key)
+
+    def _evict_and_check(self, key):
+        self._observe()
+        clean = self.has_copy[key] and not self.written[key]
+        before = self.manager.stats.clean_evictions
         self.manager.evict(key)
+        assert self.manager.stats.clean_evictions == before + clean, (
+            "an eviction copies exactly when the shard was written since its host copy"
+        )
         assert np.isnan(self.live[key]).all(), "scrub must poison the evicted shard"
 
     @rule(index=st.integers(0, 4))
@@ -224,8 +289,31 @@ class SpillMachine(RuleBasedStateMachine):
             self.forgotten_resident_bytes += self._nbytes(key)
         self.manager.forget(key)
         del self.device[key]
-        # The model object stays valid once the manager lets go.
+        # The model object stays valid once the manager lets go ...
         assert np.array_equal(self.live[key], self.expected[key])
+        # ... and its owner may train it on: a later registration must see
+        # these bytes, not a host copy left over from before.
+        self.live[key] += np.float32(1)
+        self.expected[key] = self.live[key].copy()
+
+    @rule(index=st.integers(0, 4), delta=st.integers(1, 3))
+    def reregister_with_new_arrays(self, index, delta):
+        """A resumed trial re-attaches a rebuilt model: same key, new bytes.
+
+        The shard is read onto its device first — clean, if it has a host
+        copy — so only the re-registration can tell the manager that the
+        eviction that follows (other models' leases, in a trainer) must copy.
+        """
+        key = self._key(index)
+        if key not in self.device or self.pins[key] or self._blocked(key):
+            return
+        self._observe()
+        with self.manager.lease(key, write=False):
+            self._acquired(key, write=False)
+        self.expected[key] = self.expected[key] + np.float32(delta)
+        self.live[key] = self.expected[key].copy()
+        self._register(key, self.device[key])
+        self._evict_and_check(key)
 
     @rule(index=st.integers(0, 4))
     def acquire_from_another_thread(self, index):
@@ -243,6 +331,7 @@ class SpillMachine(RuleBasedStateMachine):
             except Exception as error:  # noqa: BLE001 - reported below
                 outcome.append(error)
 
+        self._observe()
         waiter = threading.Thread(target=acquire)
         waiter.start()
         deadline = time.monotonic() + WAIT_SECONDS
@@ -255,6 +344,7 @@ class SpillMachine(RuleBasedStateMachine):
                     self.pins[other] -= 1
         waiter.join(timeout=3 * WAIT_SECONDS)
         assert outcome == ["ok"], outcome
+        self._acquired(key)
         self.pins[key] += 1  # pins are not owned by threads; the machine releases it
 
     @rule()
@@ -290,6 +380,14 @@ class SpillMachine(RuleBasedStateMachine):
                     assert state is ResidencyState.RESIDENT, key
                 if state is ResidencyState.RESIDENT:
                     assert np.array_equal(self.live[key], self.expected[key]), key
+
+    @invariant()
+    def evicted_shards_are_scrubbed(self):
+        with self.manager._cond:
+            self._observe()
+            for key in self.device:
+                if self.manager.residency(key) is ResidencyState.EVICTED and self.has_copy[key]:
+                    assert np.isnan(self.live[key]).all(), key
 
     @invariant()
     def counters_are_monotone_and_balance(self):

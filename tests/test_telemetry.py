@@ -39,8 +39,8 @@ from repro.api import (
     serve_fleet,
 )
 from repro.data import DataLoader, make_classification
-from repro.exceptions import ConfigurationError, ServingError
-from repro.memory import SpillManager
+from repro.exceptions import ConfigurationError, MemoryBudgetError, ServingError
+from repro.memory import ResidencyState, SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
@@ -338,6 +338,25 @@ class TestInstrumentation:
             ("spill.lease", "memory", {"key": m0}, "caller"),
             ("caller", "repro", {}, None),
         ]
+
+    def test_failed_lease_span_records_the_error_type(self):
+        tel = Telemetry()
+        manager = SpillManager({"dev0": 16}, telemetry=tel)
+        manager.register(("m", 0), "dev0", 17, lambda: [])  # cannot ever fit
+        with pytest.raises(MemoryBudgetError):
+            with manager.lease(("m", 0)):
+                pass
+        manager.register(("m", 1), "dev0", 16, lambda: [])
+        with pytest.raises(KeyError):
+            with manager.lease(("m", 1)):
+                raise KeyError("body")
+        leases = [e["args"] for e in tel.events() if e["name"] == "spill.lease"]
+        assert leases == [
+            {"key": str(("m", 0)), "error": "MemoryBudgetError"},
+            {"key": str(("m", 1)), "error": "KeyError"},
+        ]
+        assert manager.residency(("m", 1)) is ResidencyState.RESIDENT
+        manager.evict(("m", 1))  # the raising body's lease was released
 
     def test_failed_restore_span_records_the_error_type(self):
         tel = Telemetry()
