@@ -18,7 +18,8 @@ serving traffic against it (see ``docs/serving.md``):
 * :class:`ModelServer` — the scheduler's one-queue case (fill window
   ``max_wait_ms``): a replica pool on the runtime's
   :class:`~repro.runtime.pool.WorkerPool`, with per-request deadlines
-  and p50/p95/p99 latency + throughput metrics;
+  and p50/p95/p99 latency + throughput metrics (a view over the batcher's
+  bounded metrics registry);
 * :class:`LoadGenerator` — closed-loop and open-loop (fixed arrival rate)
   clients for load tests;
 * :class:`FleetRouter` — the same serve path with one queue per model
@@ -54,13 +55,11 @@ from repro.serving.registry import ModelRegistry, ModelVersion
 from repro.serving.replica import Replica
 from repro.serving.router import FleetRouter, RouterHandle
 from repro.serving.server import ModelServer
-from repro.serving.stats import LatencyStats, ServerStats, latency_summary
 
 __all__ = [
     "DynamicBatcher",
     "FleetRouter",
     "InferenceRequest",
-    "LatencyStats",
     "LoadGenerator",
     "LoadReport",
     "ModelEntry",
@@ -70,7 +69,5 @@ __all__ = [
     "PendingResponse",
     "Replica",
     "RouterHandle",
-    "ServerStats",
-    "latency_summary",
     "warm_up",
 ]

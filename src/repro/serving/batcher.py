@@ -46,6 +46,16 @@ one runs, the assignment names the deferred queue so the caller can start
 its restore, and a skip counter guarantees the cold queue is served
 unconditionally after at most ``max_cold_skips`` deferrals — bounded
 unfairness, never starvation.
+
+**Outcomes.**  Every request ends here one way or another, so the batcher
+counts them: into its own :class:`~repro.telemetry.metrics.MetricsRegistry`
+(:attr:`DynamicBatcher.registry`), under ``serving.<model>.`` — counters
+``completed``, ``rejected``, ``timed_out``, ``failed``, ``batches`` and
+``batch_rows``, and one bounded ``latency_s`` histogram — plus one
+front-end-wide ``serving.queue_depth`` histogram.  A completed batch lands
+with one registry call.  :meth:`DynamicBatcher.outcomes` reads a model's
+row, or the front-end's as the sum of every model's, so nothing is
+recorded twice.
 """
 
 from __future__ import annotations
@@ -77,7 +87,17 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.serving.stats import LatencyStats
+from repro.telemetry.metrics import MetricsRegistry
+
+#: the per-model counters of :attr:`DynamicBatcher.registry`
+_OUTCOMES = ("completed", "rejected", "timed_out", "failed", "batches", "batch_rows")
+#: the front-end-wide histogram of requests still queued when a batch formed
+_QUEUE_DEPTH = "serving.queue_depth"
+
+
+def _key(model: str, metric: str) -> str:
+    """The registry name of one model's metric."""
+    return f"serving.{model}.{metric}"
 
 
 class PendingResponse:
@@ -156,9 +176,7 @@ class ModelEntry:
     whole-model shard key in the front-end's shared spill manager — forwards
     then run under a lease on it — or ``None`` when the entry is not
     budget-managed (a server's replicas; process-backed fleet members,
-    whose weights are page-cache-shared mmaps, not arena bytes).  ``stats``
-    are the collectors the entry's outcomes are counted on (a server's one;
-    a fleet member's own and the fleet's).
+    whose weights are page-cache-shared mmaps, not arena bytes).
 
     Raises:
         ConfigurationError: for non-positive limits or weight, a negative
@@ -173,7 +191,6 @@ class ModelEntry:
     compute_batch_size: Optional[int] = None
     replicas: Sequence[Any] = ()
     key: Optional[Tuple[str, int]] = None
-    stats: Tuple[LatencyStats, ...] = ()
     requests: Deque[InferenceRequest] = field(default_factory=deque)
     #: stride-scheduling pass value — served rows / weight, monotone
     pass_value: float = 0.0
@@ -232,6 +249,8 @@ class DynamicBatcher:
         batcher.add_entry(entry)
         batcher.submit(entry, request)       # raises ServerOverloadedError when full
         work = batcher.next_batch()          # Assignment, or None (closed and drained)
+        batcher.complete(work, time.monotonic())  # after the responses are set
+        row = batcher.outcomes("mlp")        # completed, p50/p95/p99, ...
 
     Raises:
         ConfigurationError: for a duplicate entry name, or a request larger
@@ -262,6 +281,10 @@ class DynamicBatcher:
         self._expirable: Set[int] = set()
         self._virtual_time = 0.0
         self._closed = False
+        #: every request outcome of this front-end (see the module docstring)
+        self.registry = MetricsRegistry()
+        #: the throughput clock: ``ServingCore.start`` resets it
+        self.started = time.monotonic()
 
     # ------------------------------------------------------------------ #
     def add_entry(self, entry: ModelEntry) -> None:
@@ -298,8 +321,7 @@ class DynamicBatcher:
                     f"{entry.name!r} is stopped; no new requests accepted"
                 )
             if len(entry.requests) >= entry.max_queue:
-                for stats in entry.stats:
-                    stats.count(rejected=1)
+                self.count(entry, "rejected", 1)
                 raise ServerOverloadedError(
                     f"request queue of {entry.name!r} is full "
                     f"({entry.max_queue} pending); retry later"
@@ -357,7 +379,7 @@ class DynamicBatcher:
     def cancel_pending(self, error: Optional[BaseException] = None) -> int:
         """Fail every queued request (used when serving stops without draining).
 
-        Each cancelled request counts as ``failed`` on its entry's collectors.
+        Each cancelled request counts as ``failed`` for its entry.
         """
         error = error if error is not None else ServingError("serving stopped")
         with self._cond:
@@ -375,9 +397,71 @@ class DynamicBatcher:
         for entry, requests in cancelled:
             for request in requests:
                 request.response.set_exception(error)
-            for stats in entry.stats:
-                stats.count(failed=len(requests))
+            self.count(entry, "failed", len(requests))
         return sum(len(requests) for _, requests in cancelled)
+
+    # ------------------------------------------------------------------ #
+    # Outcomes
+    # ------------------------------------------------------------------ #
+    def count(self, entry: ModelEntry, outcome: str, requests: int) -> None:
+        """Count ``requests`` of ``entry`` that ended as ``outcome``."""
+        self.registry.counter(_key(entry.name, outcome), requests)
+
+    def complete(self, work: Assignment, finished: float) -> None:
+        """Record ``work``'s requests as answered at ``finished``.
+
+        Called once per batch, after every response is set: the latencies,
+        the batch and the queue depth it formed at land in one registry call.
+        """
+        name = work.entry.name
+        self.registry.record(
+            counters={
+                _key(name, "completed"): len(work.requests),
+                _key(name, "batches"): 1,
+                _key(name, "batch_rows"): work.rows,
+            },
+            observations={
+                _key(name, "latency_s"): [
+                    finished - request.submitted for request in work.requests
+                ],
+                _QUEUE_DEPTH: (work.depth,),
+            },
+        )
+
+    def outcomes(self, model: Optional[str] = None) -> Dict[str, float]:
+        """One metrics row: counters, batch fill, queue depth, throughput, latency.
+
+        ``model`` names one entry; ``None`` reads the whole front-end — the
+        sum of every entry's counters and the merge of their latency
+        histograms — which alone carries the queue depth (a model's row
+        reports 0).  ``throughput_rps`` counts completions since
+        :attr:`started`; latencies are in milliseconds.
+        """
+        names = [model] if model is not None else [e.name for e in self.entries()]
+        counters = self.registry.counters()
+        total = {
+            outcome: sum(counters.get(_key(name, outcome), 0.0) for name in names)
+            for outcome in _OUTCOMES
+        }
+        latency = self.registry.merged(_key(name, "latency_s") for name in names).snapshot()
+        depth = self.registry.merged([_QUEUE_DEPTH] if model is None else []).snapshot()
+        elapsed = max(time.monotonic() - self.started, 1e-9)
+        batches = total["batches"]
+        return {
+            "completed": total["completed"],
+            "rejected": total["rejected"],
+            "timed_out": total["timed_out"],
+            "failed": total["failed"],
+            "batches": batches,
+            "mean_batch_rows": total["batch_rows"] / batches if batches else 0.0,
+            "queue_depth_max": depth["max"],
+            "queue_depth_mean": depth["mean"],
+            "throughput_rps": total["completed"] / elapsed,
+            "latency_p50_ms": latency["p50"] * 1e3,
+            "latency_p95_ms": latency["p95"] * 1e3,
+            "latency_p99_ms": latency["p99"] * 1e3,
+            "latency_mean_ms": latency["mean"] * 1e3,
+        }
 
     # ------------------------------------------------------------------ #
     # Internals (call with the condition's lock held)
@@ -410,8 +494,7 @@ class DynamicBatcher:
                         f"{now - request.submitted:.3f}s in the queue"
                     )
                 )
-            for stats in entry.stats:
-                stats.count(timed_out=len(requests))
+            self.count(entry, "timed_out", len(requests))
 
     def _ready_locked(self, entry: ModelEntry, now: float) -> bool:
         """Whether the non-empty ``entry``'s batch should dispatch now.

@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.exceptions import (
     ConfigurationError,
     RequestTimeoutError,
@@ -42,13 +44,28 @@ from repro.runtime.pool import ThreadWorkerPool
 from repro.serving.batcher import PendingResponse
 from repro.serving.router import FleetRouter, RouterHandle
 from repro.serving.server import ModelServer, RequestArrays
-from repro.serving.stats import latency_summary
 
 #: builds the arrays of one request: ``make_request(client_index, request_index)``
 RequestFactory = Callable[[int, int], RequestArrays]
 
 #: what a generator can drive: a server, one model's handle, or a whole fleet
 LoadTarget = Union[ModelServer, RouterHandle, FleetRouter]
+
+
+def _latency_summary(latencies_seconds: List[float]) -> Dict[str, float]:
+    """Exact p50/p95/p99/mean of a latency sample, in milliseconds (zeros when empty)."""
+    if not latencies_seconds:
+        return dict.fromkeys(
+            ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "latency_mean_ms"), 0.0
+        )
+    values = np.asarray(latencies_seconds, dtype=np.float64) * 1e3
+    p50, p95, p99 = np.percentile(values, (50.0, 95.0, 99.0))
+    return {
+        "latency_p50_ms": float(p50),
+        "latency_p95_ms": float(p95),
+        "latency_p99_ms": float(p99),
+        "latency_mean_ms": float(values.mean()),
+    }
 
 
 def mix_schedule(mix: Dict[str, float], length: int) -> List[str]:
@@ -224,7 +241,7 @@ class LoadGenerator:
             timed_out=timed_out,
             failed=failed,
             throughput_rps=len(latencies) / max(duration, 1e-9),
-            latency=latency_summary(latencies),
+            latency=_latency_summary(latencies),
             mode="open" if open_loop else "closed",
             offered_rps=self.arrival_rate_rps,
             per_model=per_model,

@@ -55,7 +55,6 @@ from repro.serving.batcher import DynamicBatcher, ModelEntry, PendingResponse
 from repro.serving.process import ModelSpec, ProcessReplica
 from repro.serving.replica import Replica
 from repro.serving.server import RequestArrays, ServingCore
-from repro.serving.stats import ServerStats
 from repro.utils.logging import log_context
 
 logger = logging.getLogger(__name__)
@@ -90,11 +89,9 @@ class RouterHandle:
         """Synchronous convenience: submit then wait for the rows."""
         return self.router.request(self.model, arrays, timeout_ms=timeout_ms)
 
-    def metrics(self, window_seconds: Optional[float] = None) -> Dict[str, float]:
+    def metrics(self) -> Dict[str, float]:
         """This model's latency/throughput snapshot."""
-        return self.router.stats.for_model(self.model).snapshot(
-            window_seconds=window_seconds
-        )
+        return self.router._batcher.outcomes(self.model)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RouterHandle({self.model!r} on {self.router.name!r})"
@@ -177,7 +174,6 @@ class FleetRouter(ServingCore):
             scrub_evicted=scrub_evicted,
             telemetry=self.telemetry,
         )
-        self.stats = ServerStats()
         self._stalls = 0
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
@@ -250,9 +246,6 @@ class FleetRouter(ServingCore):
                 nbytes,
                 lambda: [p.data for p in model.parameters()],
             )
-        # The model's own collector (a zeroed row in reports from day one)
-        # and the fleet's: every outcome lands in both.
-        entry.stats = (self.stats.for_model(name), self.stats.fleet)
         self._batcher.add_entry(entry)
         return entry
 
@@ -344,15 +337,20 @@ class FleetRouter(ServingCore):
         """Requests currently waiting, per model."""
         return {entry.name: len(entry.requests) for entry in self._batcher.entries()}
 
-    def metrics(self, window_seconds: Optional[float] = None) -> Dict[str, Any]:
+    def metrics(self) -> Dict[str, Any]:
         """Fleet and per-model latency/throughput plus residency counters.
 
-        The ``"fleet"`` and ``"models"`` sections carry p50/p95/p99,
-        throughput, batch fill, and the failure counters; ``"residency"``
-        reports the shared budget's evictions/restores and which models are
-        hot; ``"scheduler"`` reports queue depths and watchdog stalls.
+        The ``"models"`` rows carry p50/p95/p99, throughput, batch fill, and
+        the failure counters; the ``"fleet"`` row is their sum (latency
+        histograms merged) plus the scheduler-wide queue depth.
+        ``"residency"`` reports the shared budget's evictions/restores and
+        which models are hot; ``"scheduler"`` reports queue depths and
+        watchdog stalls.
         """
-        report: Dict[str, Any] = self.stats.snapshot(window_seconds=window_seconds)
+        report: Dict[str, Any] = {
+            "fleet": self._batcher.outcomes(),
+            "models": {name: self._batcher.outcomes(name) for name in self.models},
+        }
         spill = self._manager.stats.as_dict()
         report["residency"] = {
             "budget_bytes": self._budget,
@@ -394,11 +392,11 @@ class FleetRouter(ServingCore):
             self._watchdog_body()
 
     def _watchdog_body(self) -> None:
-        last_completed = self.stats.fleet.completed
+        last_completed = self._batcher.outcomes()["completed"]
         while not self._watchdog_stop.wait(self.watchdog_interval_s):
             depths = self.queue_depths
             queued = sum(depths.values())
-            completed = self.stats.fleet.completed
+            completed = self._batcher.outcomes()["completed"]
             progressed = completed - last_completed
             last_completed = completed
             if queued and progressed == 0:

@@ -10,8 +10,9 @@ entries are declared — and both front-ends are that core:
 * worker threads on a :class:`~repro.runtime.pool.WorkerPool` — the
   same execution substrate the concurrent trial runtime uses — each running
   the one serve loop: take an assignment, run it through a replica's
-  ``infer(arrays, pad_to)``, complete the responses, record the stats;
-* one ``start()`` / ``stop(drain)`` lifecycle.
+  ``infer(arrays, pad_to)``, complete the responses, record the outcome;
+* one ``start()`` / ``stop(drain)`` lifecycle, which also starts the
+  throughput clock of the batcher's metrics.
 
 A :class:`ModelServer` is the one-entry case: its batches wait out a fill
 window (``max_wait_ms``) and its replicas —
@@ -48,7 +49,6 @@ from repro.serving.batcher import (
     PendingResponse,
 )
 from repro.serving.replica import Replica, concat_rows, request_rows, slice_rows
-from repro.serving.stats import LatencyStats
 from repro.telemetry import NULL_TELEMETRY
 from repro.utils.logging import log_context
 
@@ -112,6 +112,7 @@ class ServingCore:
             self.telemetry.register_collector(
                 f"{self._kind}.{self.name}", self.metrics
             )
+        self._batcher.started = time.monotonic()
         self._pool = ThreadWorkerPool(self._workers)
         self._running = True
         self._loops = [
@@ -256,8 +257,7 @@ class ServingCore:
                 )
             for request in batch:
                 request.response.set_exception(mirrored)
-            for stats in entry.stats:
-                stats.count(failed=len(batch))
+            self._batcher.count(entry, "failed", len(batch))
             return
         finished = time.monotonic()
         offset = 0
@@ -266,14 +266,7 @@ class ServingCore:
                 slice_rows(output, offset, offset + request.rows)
             )
             offset += request.rows
-            for stats in entry.stats:
-                stats.record(finished - request.submitted)
-        # The depth is scheduler-wide, so it lands on the last collector
-        # only (a server's own, a fleet's total): per-model depths at
-        # fleet-batch granularity would double count.
-        for stats in entry.stats[:-1]:
-            stats.record_batch(work.rows)
-        entry.stats[-1].record_batch(work.rows, queue_depth=work.depth)
+        self._batcher.complete(work, finished)
         logger.debug(
             "%s=%s batch model=%s rows=%d/%d requests=%d infer_ms=%.2f queued=%d",
             self._kind,
@@ -330,7 +323,6 @@ class ModelServer(ServingCore):
             name, len(replicas), timeout_ms, telemetry, DynamicBatcher()
         )
         self.replicas = list(replicas)
-        self.stats = LatencyStats()
         self._entry = ModelEntry(
             name=name,
             max_batch_size=int(max_batch_size),
@@ -338,19 +330,10 @@ class ModelServer(ServingCore):
             max_wait=float(max_wait_ms) / 1e3,
             compute_batch_size=compute_batch_size,
             replicas=self.replicas,
-            stats=(self.stats,),
         )
         self.max_batch_size = self._entry.max_batch_size
         self.compute_batch_size = self._entry.compute_batch_size
         self._batcher.add_entry(self._entry)
-
-    def start(self) -> "ModelServer":
-        """Start one serve loop per replica on a thread worker pool."""
-        if not (self._running or self._stopped):
-            # A fresh collector: the throughput clock starts with the server.
-            self.stats = LatencyStats()
-            self._entry.stats = (self.stats,)
-        return super().start()
 
     # ------------------------------------------------------------------ #
     def submit(
@@ -372,9 +355,9 @@ class ModelServer(ServingCore):
         """Synchronous convenience: :meth:`submit` then wait for the rows."""
         return self._await(self.submit(arrays, timeout_ms=timeout_ms), timeout_ms)
 
-    def metrics(self, window_seconds: Optional[float] = None) -> Dict[str, float]:
+    def metrics(self) -> Dict[str, float]:
         """Latency percentiles, throughput, and counters as a plain dict."""
-        return self.stats.snapshot(window_seconds=window_seconds)
+        return self._batcher.outcomes()
 
     @property
     def queue_depth(self) -> int:

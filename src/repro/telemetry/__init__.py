@@ -10,11 +10,13 @@ profiling, SLO autoscaling) consume (see ``docs/observability.md``):
   component defaults to; sites call it unguarded, and its no-op
   ``span``/``begin``/``end`` keep the disabled path inside the E16
   overhead budget;
+* :class:`MetricsRegistry` / :class:`Histogram` — counters, gauges and
+  bounded log-bucket histograms (percentiles within 0.5 % relative
+  error, mergeable by adding buckets); every serving front-end records
+  its request outcomes into a registry of its own;
 * cross-process collection — process children record into their own
   recorder, ``drain()`` into the existing result channels, and the parent
-  ``ingest()``\\ s, so one trace shows every process;
-* :mod:`repro.telemetry.schema` — the documented snapshot schema with the
-  validators the tests share.
+  ``ingest()``\\ s, so one trace shows every process.
 
 Wiring points: ``Experiment.run(telemetry=...)``,
 ``serve(telemetry=...)`` / ``serve_fleet(telemetry=...)``.
@@ -22,29 +24,11 @@ Wiring points: ``Experiment.run(telemetry=...)``,
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.recorder import NULL_TELEMETRY, NullTelemetry, Telemetry
-from repro.telemetry.schema import (
-    HISTOGRAM_SUMMARY_KEYS,
-    LATENCY_SNAPSHOT_KEYS,
-    MONOTONIC_COUNTERS,
-    SchemaError,
-    assert_monotonic,
-    validate_fleet_metrics,
-    validate_latency_snapshot,
-    validate_registry_snapshot,
-)
 
 __all__ = [
-    "HISTOGRAM_SUMMARY_KEYS",
     "Histogram",
-    "LATENCY_SNAPSHOT_KEYS",
-    "MONOTONIC_COUNTERS",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "SchemaError",
     "Telemetry",
-    "assert_monotonic",
-    "validate_fleet_metrics",
-    "validate_latency_snapshot",
-    "validate_registry_snapshot",
 ]

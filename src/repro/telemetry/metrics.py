@@ -1,49 +1,50 @@
 """The metrics registry: counters, gauges, histograms, and live collectors.
 
-One :class:`MetricsRegistry` (owned by a
-:class:`~repro.telemetry.recorder.Telemetry`) aggregates everything the
-stack measures behind one snapshot schema (documented in
-:mod:`repro.telemetry.schema`):
+One :class:`MetricsRegistry` aggregates what a component measures behind one
+snapshot: a :class:`~repro.telemetry.recorder.Telemetry` owns one for the
+whole stack, and every serving front-end's
+:class:`~repro.serving.batcher.DynamicBatcher` owns one for its request
+outcomes.
 
 * **counters** — monotonic totals (``runtime.trials.completed``);
 * **gauges** — latest values (``pool.size``);
-* **histograms** — bounded-sample distributions with p50/p95/p99;
+* **histograms** — bounded distributions (:class:`Histogram`: fixed
+  logarithmic buckets, exact count/sum/min/max/mean, p50/p95/p99 within
+  0.5 % relative error), mergeable by adding bucket counts;
 * **collectors** — named callbacks polled at snapshot time.  This is how
-  existing live stats objects (:class:`~repro.serving.stats.ServerStats`,
-  spill residency, pool/runner state) are *absorbed* rather than
-  duplicated: the component registers ``lambda: stats.snapshot()`` once
-  and the registry folds the result into every snapshot.
+  live components (a server's or router's ``metrics()``, spill residency,
+  pool/runner state) are *absorbed* rather than duplicated: the component
+  registers ``lambda: component.metrics()`` once and the registry folds
+  the result into every snapshot.
 
-:meth:`MetricsRegistry.prometheus_text` renders the same data in the
-Prometheus text exposition format (metric names sanitised, nested
-collector dicts flattened with ``_``, non-numeric leaves skipped).
+:meth:`MetricsRegistry.record` applies many counter increments and
+histogram observations under one lock acquisition — the per-batch form a
+hot path uses.  :meth:`MetricsRegistry.prometheus_text` renders the same
+data in the Prometheus text exposition format (metric names sanitised,
+nested collector dicts flattened with ``_``, non-numeric leaves skipped).
 """
 
 from __future__ import annotations
 
+import math
 import re
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-#: the percentiles every distribution report carries (histograms here, the
-#: serving-side latency reports through :func:`percentile_summary`)
-_PERCENTILES = (50.0, 95.0, 99.0)
+#: the percentiles every histogram summary carries
+_PERCENTILES = np.array([50.0, 95.0, 99.0])
 
-
-def percentile_summary(samples) -> Dict[str, float]:
-    """``{"p50", "p95", "p99"}`` of a sample; all zeros when it is empty.
-
-    An empty sample has no distribution to report, and every caller prefers
-    a well-formed dict over an exception in that window.
-    """
-    values = np.asarray(samples, dtype=np.float64)
-    if not values.size:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    p50, p95, p99 = np.percentile(values, _PERCENTILES)
-    return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
-
+#: relative error bound of every :class:`Histogram` percentile
+_ALPHA = 0.005
+#: bucket ratio: bucket ``k`` counts the values in ``(_GAMMA**(k-1), _GAMMA**k]``,
+#: and its midpoint ``2 * _GAMMA**k / (1 + _GAMMA)`` is within ``_ALPHA`` of each
+_GAMMA = (1 + _ALPHA) / (1 - _ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+#: the bucket of exact zeros: below the bucket of the smallest positive float
+#: (about -74 000), and ``_GAMMA ** _ZERO_BUCKET`` underflows to a midpoint of 0
+_ZERO_BUCKET = -(1 << 31)
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -56,44 +57,91 @@ def _sanitize(name: str) -> str:
     return cleaned
 
 
-#: samples a :class:`Histogram` keeps for its percentiles
-_HISTOGRAM_WINDOW = 4096
+def _bucket(value: float) -> int:
+    """The index of the :class:`Histogram` bucket that counts ``value``."""
+    if value > 0.0:
+        return math.ceil(math.log(value) / _LOG_GAMMA)
+    if value == 0.0:
+        return _ZERO_BUCKET
+    raise ValueError(f"histogram observations must be >= 0, got {value}")
 
 
 class Histogram:
-    """A bounded-sample distribution (windowed: keeps the last 4096 samples)."""
+    """A bounded distribution: observation counts in fixed logarithmic buckets.
+
+    Memory grows with the *range* of the observed values (about 230 buckets
+    per factor of 10), never with their number.  Two histograms merge by
+    adding bucket counts, so a merge equals the histogram of the pooled
+    observations.  ``count``/``sum``/``min``/``max``/``mean`` are exact;
+    p50/p95/p99 interpolate between bucket midpoints like
+    ``numpy.percentile``'s default and are within 0.5 % relative error of
+    the exact order statistics around them, clamped to ``[min, max]``.
+    Observations must be >= 0 (:class:`ValueError` otherwise).
+    """
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._samples: List[float] = []
-        self._cursor = 0
+        self.min = math.inf
+        self.max = -math.inf
+        self._buckets: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
+        """Add one observation."""
         value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if len(self._samples) < _HISTOGRAM_WINDOW:
-            self._samples.append(value)
-        else:
-            # Ring buffer: percentiles reflect the most recent window.
-            self._samples[self._cursor] = value
-            self._cursor = (self._cursor + 1) % _HISTOGRAM_WINDOW
+        self._add((value,), (_bucket(value),))
+
+    def merge(self, other: "Histogram") -> None:
+        """Add every observation of ``other`` to this histogram."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        buckets = self._buckets
+        for index, count in other._buckets.items():
+            buckets[index] = buckets.get(index, 0) + count
+
+    def _add(self, values: Sequence[float], indices: Sequence[int]) -> None:
+        """Add ``values`` whose bucket ``indices`` the caller computed."""
+        if len(values) == 0:
+            return
+        self.count += len(values)
+        self.total += sum(values)
+        low, high = min(values), max(values)
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
+        buckets = self._buckets
+        for index in indices:
+            buckets[index] = buckets.get(index, 0) + 1
 
     def snapshot(self) -> Dict[str, float]:
-        summary = {
+        """``count``/``sum``/``min``/``max``/``mean``/``p50``/``p95``/``p99``."""
+        if not self.count:
+            return dict.fromkeys(
+                ("count", "sum", "min", "max", "mean", "p50", "p95", "p99"), 0.0
+            )
+        indices = sorted(self._buckets)
+        ends = np.cumsum([self._buckets[index] for index in indices])
+        midpoints = 2.0 * np.power(_GAMMA, np.array(indices, dtype=np.float64)) / (1.0 + _GAMMA)
+        # The exact percentile interpolates between the order statistics at
+        # ranks floor(r) and ceil(r); each is replaced by its bucket's midpoint.
+        ranks = _PERCENTILES / 100.0 * (self.count - 1)
+        below = np.floor(ranks)
+        low = midpoints[np.searchsorted(ends, below, side="right")]
+        high = midpoints[np.searchsorted(ends, np.ceil(ranks), side="right")]
+        p50, p95, p99 = np.clip(low + (ranks - below) * (high - low), self.min, self.max)
+        return {
             "count": float(self.count),
             "sum": float(self.total),
-            "min": 0.0 if self.min is None else float(self.min),
-            "max": 0.0 if self.max is None else float(self.max),
-            "mean": float(self.total / self.count) if self.count else 0.0,
+            "min": float(self.min),
+            "max": float(self.max),
+            "mean": float(self.total / self.count),
+            "p50": float(p50),
+            "p95": float(p95),
+            "p99": float(p99),
         }
-        summary.update(percentile_summary(self._samples))
-        return summary
 
 
 class MetricsRegistry:
@@ -104,6 +152,7 @@ class MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("requests", 3)
         registry.observe("latency_ms", 4.2)
+        registry.record(counters={"requests": 2}, observations={"latency_ms": [3.9, 5.1]})
         registry.register_collector("server", lambda: server.metrics())
         snap = registry.snapshot()
         text = registry.prometheus_text()
@@ -119,10 +168,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` (>= 0) to a monotonic counter."""
-        if value < 0:
-            raise ValueError(f"counter {name!r} increment must be >= 0, got {value}")
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + float(value)
+        self.record(counters={name: value})
 
     def gauge(self, name: str, value: float) -> None:
         """Set a gauge to its latest value."""
@@ -130,12 +176,55 @@ class MetricsRegistry:
             self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
-        """Add one observation to a histogram (created on first touch)."""
+        """Add one observation (>= 0) to a histogram (created on first touch)."""
+        self.record(observations={name: (float(value),)})
+
+    def record(
+        self,
+        counters: Optional[Mapping[str, float]] = None,
+        observations: Optional[Mapping[str, Sequence[float]]] = None,
+    ) -> None:
+        """Add counter increments and histogram observations in one go.
+
+        The batch form of :meth:`counter` and :meth:`observe`: validation and
+        bucket indexing happen before the registry lock is taken, and
+        everything lands under one acquisition of it.
+        """
+        counters = counters or {}
+        for name, value in counters.items():
+            if value < 0:
+                raise ValueError(f"counter {name!r} increment must be >= 0, got {value}")
+        binned = [
+            (name, values, [_bucket(value) for value in values])
+            for name, values in (observations or {}).items()
+        ]
         with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.observe(value)
+            for name, value in counters.items():
+                self._counters[name] = self._counters.get(name, 0.0) + float(value)
+            for name, values, indices in binned:
+                histogram = self._histograms.get(name)
+                if histogram is None:
+                    histogram = self._histograms[name] = Histogram()
+                histogram._add(values, indices)
+
+    def counters(self) -> Dict[str, float]:
+        """Every counter's current total (a copy)."""
+        with self._lock:
+            return dict(self._counters)
+
+    def merged(self, names: Iterable[str]) -> Histogram:
+        """A new histogram holding every observation of the named ones.
+
+        Names never observed contribute nothing, so an empty ``names`` gives
+        an empty histogram.
+        """
+        merged = Histogram()
+        with self._lock:
+            for name in names:
+                histogram = self._histograms.get(name)
+                if histogram is not None:
+                    merged.merge(histogram)
+        return merged
 
     def register_collector(self, name: str, fn: Callable[[], Dict[str, Any]]) -> None:
         """Register (or replace) a callback polled at snapshot time.

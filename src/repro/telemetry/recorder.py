@@ -260,7 +260,7 @@ class Telemetry:
         self.metrics.gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
-        """Add one observation to a named histogram."""
+        """Add one observation (>= 0) to a named histogram."""
         self.metrics.observe(name, value)
 
     def register_collector(self, name: str, fn) -> None:
@@ -268,7 +268,7 @@ class Telemetry:
         self.metrics.register_collector(name, fn)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """The registry's unified snapshot (see :mod:`repro.telemetry.schema`)."""
+        """The registry's unified snapshot (see :meth:`MetricsRegistry.snapshot`)."""
         return self.metrics.snapshot()
 
     def prometheus_text(self) -> str:

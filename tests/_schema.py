@@ -1,11 +1,11 @@
-"""The documented metrics snapshot schema, with validators the tests share.
+"""The metrics snapshot schema, with validators the tests share.
 
 Every metrics surface in the stack reports through one of three documented
 shapes, so dashboards and the future autoscaler can consume any of them
 without per-component parsing:
 
-**Latency snapshot** (``ModelServer.metrics()``,
-``LatencyStats.snapshot()``, each per-model row of the router report) —
+**Latency snapshot** (``ModelServer.metrics()``, ``RouterHandle.metrics()``,
+the fleet row and each per-model row of the router report) —
 a flat ``str -> float`` dict with exactly :data:`LATENCY_SNAPSHOT_KEYS`:
 the counters in :data:`MONOTONIC_COUNTERS` never decrease between
 snapshots of the same collector.

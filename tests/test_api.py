@@ -502,6 +502,14 @@ PUBLIC_SURFACE = {
         "Choice", "Uniform", "LogUniform", "SearchSpace", "TrialConfig", "TrialResult",
         "FailedTrial", "SelectionResult",
     ],
+    "repro.serving": [
+        "DynamicBatcher", "FleetRouter", "InferenceRequest", "LoadGenerator", "LoadReport",
+        "ModelEntry", "ModelRegistry", "ModelServer", "ModelVersion", "PendingResponse",
+        "Replica", "RouterHandle", "warm_up",
+    ],
+    "repro.telemetry": [
+        "Histogram", "MetricsRegistry", "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
+    ],
 }
 
 

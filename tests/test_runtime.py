@@ -484,7 +484,9 @@ class TestConcurrentBackend:
         # leaves behind — spans, counters, wall time, annotations, metrics,
         # the failure record — is the same whether it ran on a pool thread
         # or in a pool child.
-        from repro.telemetry import Telemetry, validate_registry_snapshot
+        from repro.telemetry import Telemetry
+
+        from _schema import validate_registry_snapshot
 
         def observe(pool):
             tel = Telemetry()

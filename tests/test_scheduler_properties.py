@@ -43,7 +43,7 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
-from repro.serving import ModelEntry, DynamicBatcher, InferenceRequest, LatencyStats
+from repro.serving import ModelEntry, DynamicBatcher, InferenceRequest
 
 MAX_COLD_SKIPS = 2
 QUEUE_NAMES = ("a", "b", "c")
@@ -79,7 +79,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.admitted = {}      # queue name -> requests in admission order
         self.handed = set()     # ids of requests returned in a batch
         self.failed = set()     # ids of requests the scheduler failed
-        self.counts = {}        # queue name -> expected stats counters
+        self.counts = {}        # queue name -> expected outcome counters
         self.last_pass = {}
         self.closed = False
 
@@ -89,7 +89,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         for name, (batch, depth, window, weight) in zip(QUEUE_NAMES, specs):
             queue = ModelEntry(
                 name, max_batch_size=batch, max_queue=depth, max_wait=window,
-                weight=weight, stats=(LatencyStats(),),
+                weight=weight,
             )
             self.batcher.add_entry(queue)
             self.queues.append(queue)
@@ -258,10 +258,12 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     @invariant()
     def counters_match(self):
+        counters = self.batcher.registry.counters()
         for queue in self.queues:
-            snapshot = queue.stats[0].snapshot()
             for key, value in self.counts[queue.name].items():
-                assert snapshot[key] == value, (queue.name, key)
+                assert counters.get(f"serving.{queue.name}.{key}", 0.0) == value, (
+                    queue.name, key,
+                )
 
     @invariant()
     def pass_values_are_monotone(self):

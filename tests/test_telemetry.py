@@ -44,18 +44,18 @@ from repro.memory import ResidencyState, SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
-from repro.serving import LatencyStats, ModelRegistry
-from repro.telemetry import (
+from repro.serving import ModelRegistry, ModelServer, Replica
+from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.utils import get_log_context, get_logger, log_context, set_verbosity
+
+from _schema import (
     LATENCY_SNAPSHOT_KEYS,
-    NULL_TELEMETRY,
     SchemaError,
-    Telemetry,
     assert_monotonic,
     validate_fleet_metrics,
     validate_latency_snapshot,
     validate_registry_snapshot,
 )
-from repro.utils import get_log_context, get_logger, log_context, set_verbosity
 
 DATASET = make_classification(
     num_samples=64, num_features=8, num_classes=3, class_separation=2.0,
@@ -224,9 +224,12 @@ class TestMetrics:
 
     def test_collectors_absorb_live_stats(self):
         tel = Telemetry()
-        stats = LatencyStats()
-        stats.record(0.010)
-        tel.register_collector("server.demo", stats.snapshot)
+        server = serve(_build_plain(), replicas=1, max_batch_size=4, name="demo")
+        try:
+            server.request(_arrays())
+        finally:
+            server.stop()
+        tel.register_collector("server.demo", server.metrics)
         snap = tel.metrics_snapshot()
         assert snap["collectors"]["server.demo"]["completed"] == 1.0
         validate_registry_snapshot(snap)
@@ -259,7 +262,7 @@ class TestMetrics:
             assert_monotonic(after, before)
 
     def test_latency_schema_rejects_missing_and_extra_keys(self):
-        good = LatencyStats().snapshot()
+        good = ModelServer([Replica.resident(_build_plain())]).metrics()
         validate_latency_snapshot(good)
         assert set(good) == set(LATENCY_SNAPSHOT_KEYS)
         with pytest.raises(SchemaError):
