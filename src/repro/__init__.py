@@ -48,8 +48,6 @@ _API_EXPORTS = (
     "FunctionBackend",
     "GridSearcher",
     "LoggingCallback",
-    "ModelSpec",
-    "ProcessReplica",
     "ProcessWorkerPool",
     "RandomSearcher",
     "ResumableFunctionBackend",

@@ -31,16 +31,13 @@ fleet (see ``docs/serving.md``).
 
 This package is the **top** of the package graph — nothing below it imports
 it (``tests/test_layering.py``).  The pools and :class:`RetryPolicy`
-(:mod:`repro.runtime`), :class:`ModelSpec` / :class:`ProcessReplica`
-(:mod:`repro.serving.process`) and :func:`serve` / :func:`serve_fleet`
+(:mod:`repro.runtime`) and :func:`serve` / :func:`serve_fleet`
 (:mod:`repro.serving.deploy`) are defined below and re-exported here.
 """
 
 from repro.api.backend import ExecutionBackend, TrialHandle
 from repro.api.runtime import (
     ConcurrentBackend,
-    ModelSpec,
-    ProcessReplica,
     ProcessWorkerPool,
     RetryPolicy,
     SerialWorkerPool,
@@ -86,8 +83,6 @@ __all__ = [
     "FunctionBackend",
     "GridSearcher",
     "LoggingCallback",
-    "ModelSpec",
-    "ProcessReplica",
     "ProcessWorkerPool",
     "RandomSearcher",
     "ResumableFunctionBackend",

@@ -4,8 +4,7 @@ Trial dispatch lives here.  The substrate it runs on lives below, where
 ``repro.memory`` and ``repro.serving`` reach it too, and is re-exported from
 this package: the :class:`WorkerPool` implementations and
 :class:`RetryPolicy` (:mod:`repro.runtime.pool`, on the one supervised child
-of :mod:`repro.runtime.child`), and the process-serving pair
-:class:`ModelSpec` / :class:`ProcessReplica` (:mod:`repro.serving.process`).
+of :mod:`repro.runtime.child`).
 
 :mod:`~repro.api.runtime.concurrent` holds :class:`ConcurrentBackend`, the
 :class:`~repro.api.backend.ExecutionBackend` wrapper that gives *any*
@@ -31,12 +30,9 @@ from repro.runtime.pool import (
     WorkerPool,
     make_pool,
 )
-from repro.serving.process import ModelSpec, ProcessReplica
 
 __all__ = [
     "ConcurrentBackend",
-    "ModelSpec",
-    "ProcessReplica",
     "ProcessWorkerPool",
     "RetryPolicy",
     "SerialWorkerPool",

@@ -82,14 +82,6 @@ class ServingError(ReproError):
     """Base class for online-inference (``repro.serving``) failures."""
 
 
-class ReplicaCrashedError(ServingError):
-    """Raised when a process replica's child died with a request in flight.
-
-    Only the in-flight micro-batch fails with this error; the replica
-    respawns its child on the next request, so the server keeps serving.
-    """
-
-
 class ServerOverloadedError(ServingError):
     """Raised when a request is rejected by bounded-queue admission control.
 

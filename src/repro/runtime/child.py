@@ -1,14 +1,12 @@
-"""One supervised child process: the lifecycle every process owner shares.
+"""One supervised child process: the lifecycle of a process pool slot.
 
-A :class:`~repro.runtime.pool.ProcessWorkerPool` slot (payload: a task)
-and a :class:`~repro.serving.process.ProcessReplica` (payload: a
-micro-batch) both own persistent children; the lifecycle is spelled here
-once.  Parent side, :class:`SupervisedChild`: lazy start with a private
-duplex pipe and an optional ready handshake → ``request`` → one wait that
-wakes on a reply *or* the child's death → a typed crash error naming the
-phase that failed → lazy restart → the one polite → ``terminate`` →
+Each :class:`~repro.runtime.pool.ProcessWorkerPool` slot owns one
+persistent child.  Parent side, :class:`SupervisedChild`: lazy start with
+a private duplex pipe → ``request`` → one wait that wakes on a reply *or*
+the child's death → a :class:`~repro.exceptions.WorkerCrashedError` naming
+the phase that failed → lazy restart → the one polite → ``terminate`` →
 ``kill`` stop.  Child side, :func:`_child_main`: adopt the parent's
-environment, build the owner's handler once, then recv → handle → reply
+environment, build the slot's handler once, then recv → handle → reply
 until told to stop.
 
 Children fork from one ``forkserver`` per parent process that has already
@@ -32,9 +30,9 @@ import os
 import threading
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Optional, Type
+from typing import Any, Callable
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, WorkerCrashedError
 
 
 def _reply(conn, tag: str, payload: Any) -> bool:
@@ -73,17 +71,14 @@ def _context():
     return context
 
 
-def _child_main(
-    conn, setup: Callable[..., Callable], args: tuple, handshake: bool, environ: dict
-) -> None:
+def _child_main(conn, setup: Callable[..., Callable], args: tuple, environ: dict) -> None:
     """A supervised child's whole life: set up once, then serve requests.
 
     ``environ`` is the parent's ``os.environ`` at start time; it replaces
     the child's before ``setup`` runs.  ``setup(*args)`` returns the
     handler (``message -> value``).  Replies are ``("ok", value)`` or
     ``("err", exception)``; a failing ``setup`` sends ``("failed", text)``
-    and exits, and with ``handshake`` a successful one announces
-    ``("ok", None)``.  ``None``/EOF means stop.
+    and exits.  ``None``/EOF means stop.
     """
     os.environ.clear()
     os.environ.update(environ)
@@ -93,8 +88,6 @@ def _child_main(
         _reply(conn, "failed", f"{type(error).__name__}: {error}")
         conn.close()
         return
-    if handshake:
-        _reply(conn, "ok", None)
     while True:
         try:
             message = conn.recv()
@@ -115,40 +108,26 @@ class SupervisedChild:
     """The parent side of one persistent child process.
 
     ``setup``/``args`` run in the child (they must pickle) and produce its
-    request handler; ``error`` and ``label`` are the crash error's type and
-    subject (``"worker process in slot 'repro-pool-worker-0'"``).  With
-    ``ready_timeout`` the parent waits that long for ``setup`` to finish
-    before the first request; without it the first request goes straight
-    into the pipe while the child boots.
+    request handler; ``name`` names the child process and its crash errors
+    (``"worker process in slot 'repro-pool-worker-0'"``).  The first
+    request goes straight into the pipe while the child boots.
 
     The child is started on first use and replaced, on the next request,
     after a death; whatever the parent gives up on it stops and reaps
     first.  A lock serialises lifecycle changes and sends but not the wait
     for a reply, so :meth:`close` can end a request in flight (its caller
-    gets the crash error).  One request at a time is the owner's contract.
+    gets the crash error).  One request at a time is the pool's contract.
 
     Raises:
-        error: from :meth:`start`/:meth:`request`, when the child died,
-            failed its ``setup``, or missed the ready deadline.
-        RuntimeError: from :meth:`start`/:meth:`request` after :meth:`close`.
+        WorkerCrashedError: from :meth:`request`, when the child died or
+            failed its ``setup``.
+        RuntimeError: from :meth:`request` after :meth:`close`.
     """
 
-    def __init__(
-        self,
-        setup: Callable[..., Callable],
-        args: tuple = (),
-        *,
-        name: str,
-        label: str,
-        error: Type[Exception],
-        ready_timeout: Optional[float] = None,
-    ):
+    def __init__(self, setup: Callable[..., Callable], args: tuple = (), *, name: str):
         self._setup = setup
         self._args = tuple(args)
         self.name = name
-        self._label = label
-        self._error = error
-        self._ready_timeout = ready_timeout
         self._lock = threading.RLock()
         self._process = None
         self._conn = None
@@ -159,17 +138,6 @@ class SupervisedChild:
     def restarts(self) -> int:
         """How many times a dead child has been replaced."""
         return max(self._starts - 1, 0)
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The live child's pid (``None`` before first use / after death)."""
-        process = self._process
-        return process.pid if process is not None and process.is_alive() else None
-
-    def start(self) -> None:
-        """Make sure a live child exists (idempotent)."""
-        with self._lock:
-            self._ensure()
 
     def request(self, message: Any) -> Any:
         """Send one message; return the handler's value or raise its exception."""
@@ -196,10 +164,9 @@ class SupervisedChild:
         self._reap(0.0)  # a child found dead while idle is reaped as it is replaced
         context = _context()
         conn, child_conn = context.Pipe(duplex=True)
-        handshake = self._ready_timeout is not None
         process = context.Process(
             target=_child_main,
-            args=(child_conn, self._setup, self._args, handshake, dict(os.environ)),
+            args=(child_conn, self._setup, self._args, dict(os.environ)),
             name=self.name,
             daemon=True,
         )
@@ -207,22 +174,17 @@ class SupervisedChild:
         child_conn.close()
         self._conn, self._process = conn, process
         self._starts += 1
-        if handshake:
-            self._await(conn, process, "died during start-up", self._ready_timeout)
         return conn, process
 
-    def _await(self, conn, process, died: str, timeout: Optional[float] = None) -> Any:
+    def _await(self, conn, process, died: str) -> Any:
         """The one liveness wait: wakes on a reply or on the child's death."""
         reply = None
         try:
             # Sentinel first: fds are polled in order, so once the child is
             # seen dead the pipe's state is final and a reply written just
             # before death is still delivered.
-            ready = wait([process.sentinel, conn], timeout)
-            if conn in ready:
+            if conn in wait([process.sentinel, conn]):
                 reply = conn.recv()
-            elif not ready:
-                died = f"did not finish start-up within {timeout:g}s"
         except (EOFError, OSError):
             pass  # the pipe closed under the wait: the child is gone
         if reply is None:
@@ -234,13 +196,13 @@ class SupervisedChild:
             raise payload
         return payload
 
-    def _give_up(self, process, what: str) -> Exception:
-        """Stop and reap ``process``, then build the owner's crash error."""
+    def _give_up(self, process, what: str) -> WorkerCrashedError:
+        """Stop and reap ``process``, then build its crash error."""
         with self._lock:
             if self._process is process:
                 self._reap(0.0)
-        return self._error(
-            f"{self._label} (pid {process.pid}) {what} "
+        return WorkerCrashedError(
+            f"worker process in slot {self.name!r} (pid {process.pid}) {what} "
             f"(exitcode={process.exitcode}); the next request starts a fresh child"
         )
 

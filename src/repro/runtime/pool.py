@@ -14,8 +14,7 @@ practical spectrum:
 * :class:`ProcessWorkerPool` — true multi-process execution for CPU-bound,
   *picklable* work (pure-python trial logic never escapes the GIL on
   threads).  Each slot owns one
-  :class:`~repro.runtime.child.SupervisedChild` — the lifecycle it shares
-  with :class:`~repro.serving.process.ProcessReplica` — so a child that dies
+  :class:`~repro.runtime.child.SupervisedChild`, so a child that dies
   mid-task fails **only that task**, unlike
   :class:`~concurrent.futures.ProcessPoolExecutor`, whose
   ``BrokenProcessPool`` condemns every pending future.
@@ -286,12 +285,7 @@ class ProcessWorkerPool(WorkerPool):
             raise ConfigurationError(f"pool size must be positive, got {size}")
         self.size = int(size)
         self._children = [
-            SupervisedChild(
-                _pool_worker_main,
-                name=f"repro-pool-worker-{slot}",
-                label=f"worker process in slot 'repro-pool-worker-{slot}'",
-                error=WorkerCrashedError,
-            )
+            SupervisedChild(_pool_worker_main, name=f"repro-pool-worker-{slot}")
             for slot in range(self.size)
         ]
         # A task checks a child out for its duration.  Last in, first out:

@@ -38,10 +38,7 @@ by the front door: :func:`repro.api.serve` builds a server from a model,
 :func:`repro.api.serve_fleet` builds a router over a registry's published
 models, and ``SelectionResult.deploy`` goes straight from an experiment's
 winner (rebuilt via the caller's builder, weights from the registry) to a
-running server — or, with ``router=``, into a shared fleet.  Process-backed
-replicas (:class:`~repro.serving.process.ModelSpec`,
-:class:`~repro.serving.process.ProcessReplica`) live in
-:mod:`repro.serving.process`.
+running server — or, with ``router=``, into a shared fleet.
 """
 
 from repro.serving.batcher import (

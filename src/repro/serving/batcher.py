@@ -175,8 +175,7 @@ class ModelEntry:
     ``i`` uses ``replicas[i % len(replicas)]``.  ``key`` is the model's
     whole-model shard key in the front-end's shared spill manager — forwards
     then run under a lease on it — or ``None`` when the entry is not
-    budget-managed (a server's replicas; process-backed fleet members,
-    whose weights are page-cache-shared mmaps, not arena bytes).
+    budget-managed (a server's replicas, which hold their own weights).
 
     Raises:
         ConfigurationError: for non-positive limits or weight, a negative

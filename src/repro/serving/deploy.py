@@ -16,20 +16,17 @@ and ``docs/router.md``).
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.models.base import ShardableModel
-from repro.serving.process import ModelSpec, ProcessReplica
 from repro.serving.registry import ModelRegistry
 from repro.serving.replica import Replica
 from repro.serving.router import FleetRouter
 from repro.serving.server import ModelServer
 
-#: what ``serve`` accepts: a live model, a zero-argument factory that
-#: builds one fresh copy per replica, or a picklable
-#: :class:`~repro.serving.process.ModelSpec` (required for process replicas)
+#: what ``serve`` accepts: a live model, or a zero-argument factory that
+#: builds one fresh copy per replica
 ModelSource = Union[ShardableModel, Callable[[], ShardableModel]]
 
 
@@ -43,12 +40,10 @@ def serve(
     compute_batch_size: Optional[int] = None,
     memory_budget: Optional[int] = None,
     num_shards: Optional[int] = None,
-    eviction_policy: str = "schedule-aware",
     prefetch: bool = True,
     spill_dir: Optional[str] = None,
     name: str = "server",
     start: bool = True,
-    replica_mode: str = "thread",
     telemetry=None,
 ) -> ModelServer:
     """Deploy ``model`` behind a dynamically batched replica pool.
@@ -57,17 +52,6 @@ def serve(
     read-only by every replica — or a zero-argument factory called once per
     replica (required when replicas must not share parameter arrays, e.g.
     spilled serving with more than one replica).
-
-    ``replica_mode="process"`` serves through
-    :class:`~repro.serving.process.ProcessReplica` children instead of
-    threads — true parallel forwards past the GIL.  ``model`` must then be
-    a :class:`~repro.serving.process.ModelSpec`; each child builds the
-    model itself and mmaps the spec's registry weights read-only, so N
-    replicas share one physical copy of the parameter bytes through the
-    page cache.  Responses are bit-identical to thread replicas at the same
-    geometry.  Process replicas never spill (``memory_budget`` is
-    rejected); a :class:`ModelSpec` with ``replica_mode="thread"`` is also
-    accepted and built in-process, once per replica.
 
     ``memory_budget`` (bytes) opts each replica into *spilled* serving: the
     model is cut into ``num_shards`` shards (default: one per block) and
@@ -87,8 +71,7 @@ def serve(
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry` recorder) traces
     submit→batch→forward spans and registers the server's latency stats as
-    a snapshot collector; process replicas flush their child-side spans
-    back with each reply.  ``None`` keeps the no-op recorder.
+    a snapshot collector.  ``None`` keeps the no-op recorder.
 
     Example::
 
@@ -103,27 +86,8 @@ def serve(
     """
     if replicas <= 0:
         raise ConfigurationError(f"replicas must be positive, got {replicas}")
-    if replica_mode not in ("thread", "process"):
-        raise ConfigurationError(
-            f"replica_mode must be 'thread' or 'process', got {replica_mode!r}"
-        )
     factory: Optional[Callable[[], ShardableModel]] = None
-    if replica_mode == "process":
-        if not isinstance(model, ModelSpec):
-            raise ConfigurationError(
-                "process replicas need a ModelSpec (live models cannot cross "
-                "a process boundary); pass serve(ModelSpec(...), "
-                "replica_mode='process')"
-            )
-        if memory_budget is not None:
-            raise ConfigurationError(
-                "process replicas do not spill: their weights are read-only "
-                "mmaps shared through the page cache; drop memory_budget or "
-                "use replica_mode='thread'"
-            )
-    elif isinstance(model, ModelSpec):
-        factory = model.build
-    elif callable(model) and not isinstance(model, ShardableModel):
+    if callable(model) and not isinstance(model, ShardableModel):
         factory = model
     elif memory_budget is not None and replicas > 1:
         raise ConfigurationError(
@@ -136,9 +100,6 @@ def serve(
     built = []
     for index in range(replicas):
         replica_name = f"{name}/replica{index}"
-        if replica_mode == "process":
-            built.append(ProcessReplica(model, name=replica_name, telemetry=telemetry))
-            continue
         instance = factory() if factory is not None else model
         if memory_budget is not None:
             built.append(
@@ -146,7 +107,6 @@ def serve(
                     instance,
                     memory_budget=memory_budget,
                     num_shards=num_shards,
-                    eviction_policy=eviction_policy,
                     prefetch=prefetch,
                     spill_dir=spill_dir,
                     name=replica_name,
@@ -180,13 +140,10 @@ def serve_fleet(
     max_queue: int = 64,
     timeout_ms: Optional[float] = None,
     compute_batch_size: Optional[int] = None,
-    eviction_policy: str = "lru",
     prefetch: bool = True,
     spill_dir: Optional[str] = None,
-    max_cold_skips: int = 3,
     name: str = "fleet",
     start: bool = True,
-    replica_mode: str = "thread",
     telemetry=None,
 ) -> FleetRouter:
     """Serve a registry's published models through one shared fleet router.
@@ -209,14 +166,6 @@ def serve_fleet(
     (default) the router is already running; use it as a context manager or
     call ``stop()`` when done.
 
-    ``replica_mode="process"`` serves each model from its own child
-    process: the deploy pins each name's **latest published version**, and
-    every child builds its model via ``builder(model_name)`` (which must be
-    a picklable, module-level callable) and mmaps that version's archive
-    read-only.  Process fleets ignore the device budget machinery — their
-    memory story is the shared page cache — so ``memory_budget`` is
-    rejected.
-
     Example::
 
         router = serve_fleet(registry, lambda name: build_model(name),
@@ -229,16 +178,6 @@ def serve_fleet(
             mismatch, or a model larger than ``memory_budget``.
         CheckpointError: for names without a published version.
     """
-    if replica_mode not in ("thread", "process"):
-        raise ConfigurationError(
-            f"replica_mode must be 'thread' or 'process', got {replica_mode!r}"
-        )
-    if replica_mode == "process" and memory_budget is not None:
-        raise ConfigurationError(
-            "a process fleet does not use the device budget: each model's "
-            "weights are read-only mmaps shared through the page cache; drop "
-            "memory_budget or use replica_mode='thread'"
-        )
     chosen = list(models) if models is not None else registry.names()
     if not chosen:
         raise ConfigurationError(
@@ -257,27 +196,14 @@ def serve_fleet(
         max_batch_size=max_batch_size,
         max_queue=max_queue,
         timeout_ms=timeout_ms,
-        eviction_policy=eviction_policy,
         prefetch=prefetch,
         spill_dir=spill_dir,
-        max_cold_skips=max_cold_skips,
         name=name,
         telemetry=telemetry,
     )
     for model_name in chosen:
-        if replica_mode == "process":
-            # Pin the latest version *now*: the fleet serves one immutable
-            # archive per model for its whole life, even if training keeps
-            # publishing newer versions behind it.
-            member = ModelSpec(
-                builder=functools.partial(builder, model_name),
-                registry_root=str(registry.root),
-                registry_name=model_name,
-                version=registry.latest_version(model_name),
-            )
-        else:
-            member = builder(model_name)
-            registry.load(model_name, member)
+        member = builder(model_name)
+        registry.load(model_name, member)
         router.add_model(
             model_name,
             member,

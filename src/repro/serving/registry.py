@@ -220,9 +220,8 @@ class ModelRegistry:
     def archive_path(self, name: str, version: Optional[int] = None) -> Path:
         """The ``.npz`` archive path of ``name``/``version`` (default latest).
 
-        This is the file process-based serving replicas ``mmap`` read-only:
-        published versions are immutable, so a path resolved once stays
-        valid for the life of the deployment.
+        Published versions are immutable, so a path resolved once stays
+        valid for as long as the version exists.
         """
         return self._resolve(name, version).archive
 

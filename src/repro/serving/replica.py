@@ -40,6 +40,8 @@ from repro.training.sharded_trainer import ShardedModelExecutor
 
 #: arena name of a spilled replica's single serving device
 _SERVE_ARENA = "serve0"
+#: eviction policy of a spilled replica's private spill manager
+_EVICTION_POLICY = "schedule-aware"
 
 
 def concat_rows(requests: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
@@ -157,7 +159,6 @@ class Replica:
         memory_budget: int,
         num_shards: Optional[int] = None,
         boundaries: Optional[Sequence[Tuple[int, int]]] = None,
-        eviction_policy: str = "schedule-aware",
         prefetch: bool = True,
         spill_dir: Optional[str] = None,
         host_cache_limit_bytes: Optional[int] = None,
@@ -198,7 +199,7 @@ class Replica:
             )
         manager = SpillManager(
             {_SERVE_ARENA: int(memory_budget)},
-            policy=eviction_policy,
+            policy=_EVICTION_POLICY,
             prefetch=prefetch,
             spill_dir=spill_dir,
             host_cache_limit_bytes=host_cache_limit_bytes,

@@ -27,7 +27,7 @@ first, so the scheduler prefers hot work while a restore is in flight (see
 :mod:`repro.serving.batcher`): the router answers its "is this queue
 cold?" from the shared manager's residency, kicks off the deferred model's
 restore in the background (prefetch), and the scheduler's skip counter
-serves the cold model unconditionally after at most ``max_cold_skips``
+serves the cold model unconditionally after at most ``_MAX_COLD_SKIPS``
 deferrals.  Arrival at an evicted model's queue also triggers a prefetch,
 so restores overlap other models' compute.
 
@@ -52,7 +52,6 @@ from typing import Any, Dict, List, Optional
 from repro.exceptions import ConfigurationError, ServingError
 from repro.memory import ResidencyState, SpillManager
 from repro.serving.batcher import DynamicBatcher, ModelEntry, PendingResponse
-from repro.serving.process import ModelSpec, ProcessReplica
 from repro.serving.replica import Replica
 from repro.serving.server import RequestArrays, ServingCore
 from repro.utils.logging import log_context
@@ -63,6 +62,10 @@ logger = logging.getLogger(__name__)
 _FLEET_ARENA = "fleet0"
 #: arena capacity standing in for "no budget" (effectively unbounded)
 _UNBOUNDED = 1 << 62
+#: eviction policy of the fleet's shared spill manager
+_EVICTION_POLICY = "lru"
+#: how many times in a row the scheduler may defer an evicted model's queue
+_MAX_COLD_SKIPS = 3
 
 
 class RouterHandle:
@@ -112,8 +115,7 @@ class FleetRouter(ServingCore):
     ``memory_budget`` (bytes) bounds the models' combined device residency;
     ``None`` keeps every model resident.  ``max_batch_size`` / ``max_queue``
     / ``timeout_ms`` are fleet-wide defaults that :meth:`add_model` can
-    override per model.  ``max_cold_skips`` bounds how often the scheduler
-    may defer an evicted model in favour of resident work.
+    override per model.
 
     Raises:
         ConfigurationError: for invalid counts/budgets, unknown or duplicate
@@ -131,11 +133,9 @@ class FleetRouter(ServingCore):
         max_batch_size: int = 8,
         max_queue: int = 64,
         timeout_ms: Optional[float] = None,
-        eviction_policy: str = "lru",
         prefetch: bool = True,
         scrub_evicted: bool = False,
         spill_dir: Optional[str] = None,
-        max_cold_skips: int = 3,
         watchdog_interval_s: Optional[float] = 5.0,
         name: str = "fleet",
         telemetry=None,
@@ -152,23 +152,18 @@ class FleetRouter(ServingCore):
             raise ConfigurationError(
                 f"memory_budget must be positive, got {memory_budget}"
             )
-        if max_cold_skips < 0:
-            raise ConfigurationError(
-                f"max_cold_skips must be >= 0, got {max_cold_skips}"
-            )
         super().__init__(
             name, replicas, timeout_ms, telemetry,
-            DynamicBatcher(max_cold_skips=max_cold_skips, is_cold=self._is_cold),
+            DynamicBatcher(max_cold_skips=_MAX_COLD_SKIPS, is_cold=self._is_cold),
         )
         self.replicas = int(replicas)
         self.max_batch_size = int(max_batch_size)
         self.max_queue = int(max_queue)
-        self.max_cold_skips = int(max_cold_skips)
         self.watchdog_interval_s = watchdog_interval_s
         self._budget = None if memory_budget is None else int(memory_budget)
         self._manager = SpillManager(
             {_FLEET_ARENA: self._budget or _UNBOUNDED},
-            policy=eviction_policy,
+            policy=_EVICTION_POLICY,
             prefetch=prefetch,
             spill_dir=spill_dir,
             scrub_evicted=scrub_evicted,
@@ -198,14 +193,6 @@ class FleetRouter(ServingCore):
         ``max_queue`` default to the router-wide settings.  The compute
         geometry must match any dedicated server the model's responses are
         compared against — exactness is per-geometry.
-
-        ``model`` may also be a :class:`~repro.serving.process.ModelSpec`:
-        the entry is then served by a :class:`~repro.serving.process.
-        ProcessReplica` — forwards run in a dedicated child process that
-        mmaps the spec's registry weights read-only.  Process entries are
-        never charged to the fleet budget (their bytes live in the shared
-        page cache, not the serving arena) and are always "hot" to the
-        scheduler.
         """
         if self._stopped:
             raise ServingError(
@@ -215,19 +202,12 @@ class FleetRouter(ServingCore):
             raise ConfigurationError(
                 f"model {name!r} is already registered with router {self.name!r}"
             )
-        if isinstance(model, ModelSpec):
-            # Child spawns lazily; it inherits the router's telemetry flag so
-            # its forward spans flow back through the reply channel.
-            replica = ProcessReplica(model, name=name, telemetry=self.telemetry)
-            nbytes, key = 0, None
-        else:
-            replica = Replica.resident(model, name=name)
-            nbytes, key = sum(p.data.nbytes for p in model.parameters()), (name, 0)
-            if self._budget is not None and nbytes > self._budget:
-                raise ConfigurationError(
-                    f"model {name!r} needs {nbytes} bytes but the fleet budget is "
-                    f"{self._budget}; a model must fit the budget whole"
-                )
+        nbytes, key = sum(p.data.nbytes for p in model.parameters()), (name, 0)
+        if self._budget is not None and nbytes > self._budget:
+            raise ConfigurationError(
+                f"model {name!r} needs {nbytes} bytes but the fleet budget is "
+                f"{self._budget}; a model must fit the budget whole"
+            )
         entry = ModelEntry(
             name=name,
             max_batch_size=(
@@ -236,16 +216,12 @@ class FleetRouter(ServingCore):
             max_queue=int(max_queue) if max_queue is not None else self.max_queue,
             weight=float(weight),
             compute_batch_size=compute_batch_size,
-            replicas=(replica,),
+            replicas=(Replica.resident(model, name=name),),
             key=key,
         )
-        if key is not None:
-            self._manager.register(
-                key,
-                _FLEET_ARENA,
-                nbytes,
-                lambda: [p.data for p in model.parameters()],
-            )
+        self._manager.register(
+            key, _FLEET_ARENA, nbytes, lambda: [p.data for p in model.parameters()]
+        )
         self._batcher.add_entry(entry)
         return entry
 
@@ -312,11 +288,7 @@ class FleetRouter(ServingCore):
         response = self._submit(entry, arrays, timeout_ms)
         # Outside the scheduler lock: the manager has its own locking, and a
         # restore started now overlaps whatever the workers are computing.
-        # Process-backed entries have no residency to manage.
-        if (
-            entry.key is not None
-            and self._manager.residency(entry.key) is ResidencyState.EVICTED
-        ):
+        if self._manager.residency(entry.key) is ResidencyState.EVICTED:
             self._manager.prefetch(entry.key)
         return response
 
@@ -381,10 +353,7 @@ class FleetRouter(ServingCore):
 
     def _is_cold(self, entry: ModelEntry) -> bool:
         """The scheduler's question: would serving ``entry`` wait on a restore?"""
-        return (
-            entry.key is not None
-            and self._manager.residency(entry.key) is not ResidencyState.RESIDENT
-        )
+        return self._manager.residency(entry.key) is not ResidencyState.RESIDENT
 
     def _watchdog_loop(self) -> None:
         """Log per-interval progress; flag stalls (queued work, no batches)."""

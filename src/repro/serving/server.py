@@ -16,9 +16,8 @@ entries are declared — and both front-ends are that core:
 
 A :class:`ModelServer` is the one-entry case: its batches wait out a fill
 window (``max_wait_ms``) and its replicas —
-:class:`~repro.serving.replica.Replica`, resident or spilled, or
-:class:`~repro.serving.process.ProcessReplica` — each get a worker of
-their own.  A :class:`~repro.serving.router.FleetRouter` is the many-entry
+:class:`~repro.serving.replica.Replica`, resident or spilled — each get a
+worker of their own.  A :class:`~repro.serving.router.FleetRouter` is the many-entry
 case on a shared pool and a shared memory budget.
 
 Every entry executes at its fixed compute geometry (``compute_batch_size``
@@ -104,7 +103,7 @@ class ServingCore:
             return self
         if self._stopped:
             # stop() released the replicas (spill managers, prefetch
-            # threads, children); a stopped front-end cannot come back.
+            # threads); a stopped front-end cannot come back.
             raise ServingError(
                 f"{self._kind} {self.name!r} was stopped; build a new {self._kind}"
             )
@@ -244,9 +243,7 @@ class ServingCore:
             with lease, tel.span("serve.forward", cat="serving", replica=replica.name):
                 output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients
-            # Typed serving errors (ReplicaCrashedError from a killed
-            # process replica, ServerOverloadedError, ...) pass through
-            # unwrapped so clients can react to the specific failure;
+            # A typed serving error passes through unwrapped so clients can react to the specific failure;
             # everything else is mirrored as a generic ServingError.
             if isinstance(error, ServingError):
                 mirrored = error

@@ -34,13 +34,6 @@ RNG_PREFIX = "rng::"
 META_PREFIX = "meta::"
 
 
-#: in-file data alignment of uncompressed archive members.  64-byte-aligned
-#: mmap views take the same BLAS code paths as heap arrays, which is what
-#: keeps mmap-served models bit-identical to eagerly loaded ones (misaligned
-#: operands can select different GEMM kernels with different rounding).
-_MMAP_ALIGN = 64
-
-
 def save_array_bundle(
     path: str | Path, arrays: Dict[str, np.ndarray], compressed: bool = False
 ) -> Path:
@@ -49,203 +42,24 @@ def save_array_bundle(
     This is the serialization primitive shared by :func:`save_checkpoint`
     and the disk tier of :class:`repro.memory.HostShardCache`.  Returns the
     actual path written (numpy appends ``.npz`` when missing).
-
-    Uncompressed archives are written with every member's array data
-    64-byte **aligned within the file** (zip extra-field padding), so
-    :func:`load_array_bundle(..., mmap=True)` yields aligned views — a
-    prerequisite for bit-exact zero-copy serving.  The result is a normal
-    ``.npz``: ``np.load`` and ``zipfile`` read it unchanged.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     written = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-    if compressed:
-        np.savez_compressed(
-            path, **{name: np.asarray(values) for name, values in arrays.items()}
-        )
-        return written
-    _write_aligned_npz(written, arrays)
+    save = np.savez_compressed if compressed else np.savez
+    save(path, **{name: np.asarray(values) for name, values in arrays.items()})
     return written
 
 
-def _write_aligned_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write an uncompressed ``.npz`` with 64-byte-aligned member data.
-
-    ``np.savez`` places members at arbitrary offsets; here each member's
-    zip local header gets a padding extra field (well-formed TLV, id
-    ``0x4141``) sized so the ``.npy`` stream starts on a
-    :data:`_MMAP_ALIGN` boundary.  The npy format itself pads its header to
-    a 64-multiple, so stream alignment == array-data alignment.
-    """
-    import io
-    import struct
-    import zipfile
-
-    from numpy.lib import format as npy_format
-
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
-        for name, values in arrays.items():
-            stream = io.BytesIO()
-            npy_format.write_array(
-                stream, np.asarray(values), allow_pickle=False
-            )
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_STORED
-            offset = archive.fp.tell()
-            header = 30 + len(info.filename.encode("utf-8"))
-            pad = -(offset + header) % _MMAP_ALIGN
-            if pad:
-                if pad < 4:  # a TLV extra block needs at least its 4-byte head
-                    pad += _MMAP_ALIGN
-                info.extra = struct.pack("<HH", 0x4141, pad - 4) + b"\x00" * (pad - 4)
-            archive.writestr(info, stream.getvalue())
-
-
-def load_array_bundle(path: str | Path, mmap: bool = False) -> Dict[str, np.ndarray]:
-    """Read back a ``name -> array`` mapping written by :func:`save_array_bundle`.
-
-    With ``mmap=True`` the members of an *uncompressed* archive are returned
-    as read-only ``np.memmap`` views instead of heap copies: ``np.savez``
-    stores members ``ZIP_STORED`` (byte-for-byte ``.npy`` files at fixed
-    offsets), so each array can be mapped straight out of the archive.  The
-    page cache then shares one physical copy of the bytes among every
-    process that maps the same file — the zero-copy transport the process
-    serving runtime is built on.  Compressed archives quietly fall back to
-    an eager load (their bytes are not mappable).
-    """
+def load_array_bundle(path: str | Path) -> Dict[str, np.ndarray]:
+    """Read back a ``name -> array`` mapping written by :func:`save_array_bundle`."""
     path = Path(path)
     if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
         path = path.with_suffix(path.suffix + ".npz")
     if not path.exists():
         raise CheckpointError(f"archive {path} does not exist")
-    if mmap:
-        mapped = _mmap_npz(path)
-        if mapped is not None:
-            return mapped
     with np.load(path, allow_pickle=False) as archive:
         return {key: archive[key] for key in archive.files}
-
-
-def _mmap_npz(path: Path) -> Optional[Dict[str, np.ndarray]]:
-    """Map every member of an uncompressed ``.npz`` as a read-only view.
-
-    Returns ``None`` when the archive cannot be mapped (compressed members,
-    object dtypes, or an unexpected layout) — callers fall back to the
-    eager loader.  Layout: each ``ZIP_STORED`` member is a verbatim ``.npy``
-    stream, so the array bytes live at ``local header + npy header``; the
-    zip local file header is 30 bytes plus name/extra fields.
-    """
-    import zipfile
-
-    from numpy.lib import format as npy_format
-
-    arrays: Dict[str, np.ndarray] = {}
-    try:
-        with zipfile.ZipFile(path) as archive:
-            infos = archive.infolist()
-            if any(info.compress_type != zipfile.ZIP_STORED for info in infos):
-                return None
-            with open(path, "rb") as stream:
-                for info in infos:
-                    stream.seek(info.header_offset)
-                    header = stream.read(30)
-                    if len(header) < 30 or header[:4] != b"PK\x03\x04":
-                        return None
-                    name_len = int.from_bytes(header[26:28], "little")
-                    extra_len = int.from_bytes(header[28:30], "little")
-                    stream.seek(info.header_offset + 30 + name_len + extra_len)
-                    version = npy_format.read_magic(stream)
-                    if version == (1, 0):
-                        shape, fortran, dtype = npy_format.read_array_header_1_0(stream)
-                    elif version == (2, 0):
-                        shape, fortran, dtype = npy_format.read_array_header_2_0(stream)
-                    else:
-                        return None
-                    if dtype.hasobject:
-                        return None
-                    key = info.filename
-                    if key.endswith(".npy"):
-                        key = key[: -len(".npy")]
-                    if shape == ():
-                        # 0-d arrays are cheaper copied than mapped.
-                        offset = stream.tell()
-                        arrays[key] = np.frombuffer(
-                            stream.read(dtype.itemsize), dtype=dtype
-                        ).reshape(())
-                        continue
-                    arrays[key] = np.memmap(
-                        path,
-                        dtype=dtype,
-                        mode="r",
-                        offset=stream.tell(),
-                        shape=shape,
-                        order="F" if fortran else "C",
-                    )
-    except (OSError, ValueError, zipfile.BadZipFile):
-        return None
-    return arrays
-
-
-def map_checkpoint_parameters(
-    model: Module, path: str | Path
-) -> Dict[str, np.ndarray]:
-    """Rebind ``model``'s parameters to read-only views of a checkpoint.
-
-    Unlike :func:`load_checkpoint` — which *copies* every array into the
-    model's existing buffers — this points each
-    :class:`~repro.nn.parameter.Parameter` at a ``np.memmap`` view of the
-    archive's bytes.  N processes mapping the same published version share
-    one physical copy through the page cache: the zero-copy weight
-    transport behind process-based serving replicas.
-
-    The model is **inference-only** afterwards: its parameters are
-    read-only (in-place writes raise) and must not be trained or published.
-    The returned dict is the archive's ``meta::`` metadata.
-
-    Raises:
-        CheckpointError: when the archive's parameter names/shapes do not
-            match the model, or it contains no parameters.
-    """
-    bundle = load_array_bundle(path, mmap=True)
-    state = {
-        key[len(PARAM_PREFIX):]: values
-        for key, values in bundle.items()
-        if key.startswith(PARAM_PREFIX)
-    }
-    metadata = {
-        key[len(META_PREFIX):]: values
-        for key, values in bundle.items()
-        if key.startswith(META_PREFIX)
-    }
-    if not state:
-        raise CheckpointError(f"checkpoint {path} contains no parameters")
-    params = dict(model.named_parameters())
-    missing = sorted(set(params) - set(state))
-    unexpected = sorted(set(state) - set(params))
-    if missing or unexpected:
-        raise CheckpointError(
-            f"checkpoint {path} does not match the model: "
-            f"missing parameters {missing}, unexpected entries {unexpected}"
-        )
-    for name, values in state.items():
-        param = params[name]
-        if tuple(values.shape) != tuple(param.data.shape):
-            raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {tuple(values.shape)} "
-                f"does not match model shape {tuple(param.data.shape)}"
-            )
-        if values.dtype != param.data.dtype:
-            # A dtype mismatch cannot be served zero-copy; fall back to a
-            # cast copy for this parameter only.
-            values = values.astype(param.data.dtype)
-        elif values.ctypes.data % _MMAP_ALIGN != 0:
-            # A misaligned view (archive written by plain np.savez) can
-            # steer BLAS onto a different kernel with different rounding;
-            # copy rather than break bit-exactness.  Aligned-archive views
-            # (our own writer) stay zero-copy.
-            values = np.ascontiguousarray(values)
-        param.data = values
-    return metadata
 
 
 def _optimizer_param_names(model: Module, optimizer: Optimizer) -> Dict[int, str]:
@@ -270,7 +84,8 @@ def _dropout_generators(model: Module) -> List[np.random.Generator]:
     """The distinct generators ``model``'s dropout layers draw from.
 
     Deduplicated by identity, in ``named_modules()`` order; layers drawing
-    from the global generator own no state to capture.
+    from the global generator own no state to capture (:func:`save_checkpoint`
+    refuses a model with such a layer unless its ``p`` is 0).
     """
     generators: Dict[int, np.random.Generator] = {}
     for _, module in model.named_modules():
@@ -308,7 +123,19 @@ def save_checkpoint(
     under ``sched::`` keys too, so warmup/decay schedules survive a
     mid-trial resume bit-identically — without it, a resumed run would
     restart the schedule at step 0 and silently diverge.
+
+    Raises:
+        CheckpointError: when a dropout layer with ``p > 0`` draws from the
+            process-global generator (built without ``rng=``): its state is
+            not the model's to capture, so a resume would draw other masks.
     """
+    for name, module in model.named_modules():
+        if isinstance(module, Dropout) and module.p > 0 and module._rng is None:
+            raise CheckpointError(
+                f"dropout layer {name!r} draws from the process-global generator, "
+                "which a checkpoint cannot capture, so a resumed model would draw "
+                "different masks; build it with Dropout(p, rng=generator)"
+            )
     path = Path(path)
     state = model.state_dict()
     payload: Dict[str, np.ndarray] = {

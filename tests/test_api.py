@@ -483,9 +483,9 @@ PUBLIC_SURFACE = {
         "Budget", "Callback", "CallbackList", "CerebroBackend", "ConcurrentBackend",
         "EarlyStopping", "ExecutionBackend", "Experiment",
         "FixedSearcher", "FunctionBackend", "GridSearcher", "LoggingCallback",
-        "ModelSpec", "ProcessReplica", "ProcessWorkerPool", "RandomSearcher",
-        "ResumableFunctionBackend", "RetryPolicy", "Searcher", "SerialWorkerPool",
-        "ShardParallelBackend", "SimulationBackend", "SuccessiveHalvingSearcher",
+        "ProcessWorkerPool", "RandomSearcher", "ResumableFunctionBackend", "RetryPolicy",
+        "Searcher", "SerialWorkerPool", "ShardParallelBackend", "SimulationBackend",
+        "SuccessiveHalvingSearcher",
         "ThreadWorkerPool", "TrialHandle", "TrialRunner", "TrialTimer", "WorkerPool",
         "make_pool", "make_searcher", "serve", "serve_fleet",
     ],
@@ -495,8 +495,8 @@ PUBLIC_SURFACE = {
         "SpillManager", "SpillStats", "make_eviction_policy",
     ],
     "repro.api.runtime": [
-        "ConcurrentBackend", "ModelSpec", "ProcessReplica", "ProcessWorkerPool",
-        "RetryPolicy", "SerialWorkerPool", "ThreadWorkerPool", "WorkerPool", "make_pool",
+        "ConcurrentBackend", "ProcessWorkerPool", "RetryPolicy", "SerialWorkerPool",
+        "ThreadWorkerPool", "WorkerPool", "make_pool",
     ],
     "repro.selection": [
         "Choice", "Uniform", "LogUniform", "SearchSpace", "TrialConfig", "TrialResult",

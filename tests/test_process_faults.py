@@ -14,10 +14,7 @@ contracts under test:
   :class:`RetryPolicy`) or surfaces as a single ``FailedTrial`` while the
   rest of the cohort completes — the run never hangs;
 * registry publishes stay atomic under kills: after a fault-injected run
-  every published archive loads cleanly and no staging litter remains;
-* a serving replica child SIGKILLed with a request in flight fails only
-  that request, with :class:`~repro.exceptions.ReplicaCrashedError`, and
-  respawns on the next one — standalone and behind a ``ModelServer``.
+  every published archive loads cleanly and no staging litter remains.
 
 Every kill helper is a module-level class instance (pickles into child
 processes) and self-terminates via ``os.kill(os.getpid(), SIGKILL)`` gated
@@ -27,7 +24,6 @@ on a marker file, so the injection is deterministic, not timing-based.
 from __future__ import annotations
 
 import gc
-import json
 import multiprocessing
 import os
 import signal
@@ -43,24 +39,16 @@ from repro.api import (
     Budget,
     Experiment,
     FunctionBackend,
-    ModelSpec,
-    ProcessReplica,
     ProcessWorkerPool,
     RetryPolicy,
     ShardParallelBackend,
-    serve,
 )
 from repro.data import DataLoader, make_classification
-from repro.exceptions import (
-    ReplicaCrashedError,
-    ReproError,
-    ServingError,
-    WorkerCrashedError,
-)
+from repro.exceptions import ReproError, WorkerCrashedError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.runtime import pool as pool_module
-from repro.runtime.child import SupervisedChild, _reply
+from repro.runtime.child import _reply
 from repro.selection import SearchSpace
 from repro.serving import ModelRegistry
 
@@ -72,11 +60,6 @@ DATASET = make_classification(
 
 def _sigkill_self():
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _pid_after_sleep(seconds: float = 0.0) -> int:
-    time.sleep(seconds)
-    return os.getpid()
 
 
 class _DieOnce:
@@ -132,24 +115,6 @@ class _KillingBuilder:
         optimizer = Adam(model.parameters(), lr=float(trial.get("lr", 1e-2)))
         loader = DataLoader(DATASET, batch_size=16, shuffle=True, seed=0)
         return model, optimizer, loader
-
-
-class _SleepyNetwork(FeedForwardNetwork):
-    """A network whose forward dawdles — a window to kill its process in."""
-
-    def forward(self, batch):
-        time.sleep(0.4)
-        return super().forward(batch)
-
-
-def _build_sleepy():
-    config = FeedForwardConfig(input_dim=8, hidden_dims=(16,), num_classes=3)
-    return _SleepyNetwork(config, seed=0)
-
-
-def _build_plain():
-    config = FeedForwardConfig(input_dim=8, hidden_dims=(16,), num_classes=3)
-    return FeedForwardNetwork(config, seed=0)
 
 
 # --------------------------------------------------------------------- #
@@ -247,80 +212,7 @@ class TestProcessTrialFaults:
 
 
 # --------------------------------------------------------------------- #
-# Serving-replica containment
-# --------------------------------------------------------------------- #
-class TestProcessReplicaFaults:
-    def _arrays(self):
-        rng = np.random.default_rng(3)
-        return {"features": rng.normal(size=(2, 8)).astype(np.float32)}
-
-    def test_kill_mid_request_fails_only_inflight_then_respawns(self):
-        replica = ProcessReplica(ModelSpec(builder=_build_sleepy), name="victim")
-        try:
-            replica.start()
-            pid = replica.pid
-            assert pid is not None
-            killer = threading.Timer(0.15, os.kill, args=(pid, signal.SIGKILL))
-            killer.start()
-            try:
-                with pytest.raises(ReplicaCrashedError):
-                    replica.infer(self._arrays(), pad_to=4)
-            finally:
-                killer.cancel()
-            # The next request respawns a fresh child and succeeds.
-            output = replica.infer(self._arrays(), pad_to=4)
-            assert output.shape == (2, 3)
-            assert replica.restarts == 1
-            assert replica.pid not in (None, pid)
-        finally:
-            replica.close()
-
-    def test_kill_while_idle_respawns_transparently(self):
-        replica = ProcessReplica(ModelSpec(builder=_build_plain), name="idle")
-        try:
-            first = replica.infer(self._arrays(), pad_to=4)
-            os.kill(replica.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 30
-            while replica.pid is not None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            # Death detected before the next send: no error, just a respawn —
-            # and the rebuilt model answers bit-identically.
-            second = replica.infer(self._arrays(), pad_to=4)
-            assert np.array_equal(first, second)
-            assert replica.restarts == 1
-        finally:
-            replica.close()
-
-    def test_server_survives_replica_kill(self):
-        server = serve(
-            ModelSpec(builder=_build_sleepy),
-            replicas=1,
-            replica_mode="process",
-            max_batch_size=2,
-            max_wait_ms=0.5,
-            name="fault-server",
-        )
-        try:
-            replica = server.replicas[0]
-            replica.start()
-            pid = replica.pid
-            future = server.submit(self._arrays())
-            killer = threading.Timer(0.25, os.kill, args=(pid, signal.SIGKILL))
-            killer.start()
-            try:
-                with pytest.raises(ServingError):
-                    future.result(timeout=60)
-            finally:
-                killer.cancel()
-            # The serve loop and the replica both survived the crash.
-            output = server.request(self._arrays(), timeout_ms=60_000)
-            assert output.shape == (2, 3)
-        finally:
-            server.stop()
-
-
-# --------------------------------------------------------------------- #
-# The shared supervised child: one fault matrix over both of its owners
+# The supervised child: one fault matrix over the pool slot that owns it
 # --------------------------------------------------------------------- #
 _START_MARKER_ENV = "REPRO_TEST_START_MARKER"
 
@@ -332,45 +224,6 @@ def _fail_first_start():
         marker.touch()
         raise RuntimeError("boom at start")
     return pool_module._pool_worker_main()
-
-
-class _FailFirstBuild:
-    """Model builder that raises in the first child that calls it."""
-
-    def __init__(self, marker: Path):
-        self.marker = str(marker)
-
-    def __call__(self):
-        marker = Path(self.marker)
-        if not marker.exists():
-            marker.touch()
-            raise RuntimeError("boom at start")
-        return _build_plain()
-
-
-class _UnsendableError(Exception):
-    """An exception that cannot pickle (it carries a lock)."""
-
-    def __init__(self):
-        super().__init__("unsendable")
-        self.lock = threading.Lock()
-
-
-class _UnsendableSecondNetwork(FeedForwardNetwork):
-    """A network whose second forward raises an error that cannot pickle."""
-
-    forwards = 0
-
-    def forward(self, batch):
-        self.forwards += 1
-        if self.forwards == 2:
-            raise _UnsendableError()
-        return super().forward(batch)
-
-
-def _build_unsendable_second():
-    config = FeedForwardConfig(input_dim=8, hidden_dims=(16,), num_classes=3)
-    return _UnsendableSecondNetwork(config, seed=0)
 
 
 _ADDED_ENV = "REPRO_TEST_ADDED_AFTER_START"
@@ -386,17 +239,6 @@ def _seen_context() -> dict:
     }
 
 
-class _RecordingBuild:
-    """Model builder that records the context its child was started with."""
-
-    def __init__(self, out: Path):
-        self.out = str(out)
-
-    def __call__(self):
-        Path(self.out).write_text(json.dumps(_seen_context()))
-        return _build_plain()
-
-
 def _wait_dead(pid: int) -> None:
     deadline = time.monotonic() + 30
     while any(
@@ -408,7 +250,7 @@ def _wait_dead(pid: int) -> None:
 
 
 class _PoolOwner:
-    """A process pool slot as an owner of the shared child."""
+    """A process pool slot, the owner of each supervised child."""
 
     crash = WorkerCrashedError
 
@@ -440,63 +282,21 @@ class _PoolOwner:
         self.pool.shutdown()
 
 
-class _ReplicaOwner:
-    """A process replica as an owner of the shared child."""
-
-    crash = ReplicaCrashedError
-    arrays = {"features": np.ones((2, 8), np.float32)}
-
-    def __init__(self, fault, tmp_path, monkeypatch):
-        self.seen = tmp_path / "seen.json"
-        builder = {
-            "kill-mid-request": _build_sleepy,
-            "start-raises": _FailFirstBuild(tmp_path / "started"),
-            "unpicklable-reply": _build_unsendable_second,
-            "record-context": _RecordingBuild(self.seen),
-        }.get(fault, _build_plain)
-        self.replica = ProcessReplica(ModelSpec(builder=builder), name="matrix")
-
-    def item(self) -> int:
-        assert self.replica.infer(self.arrays, pad_to=4).shape == (2, 3)
-        return self.replica.pid
-
-    def seen_context(self) -> dict:
-        self.item()
-        return json.loads(self.seen.read_text())
-
-    def faulty_item(self, fault):
-        if fault != "kill-mid-request":
-            return self.item()
-        killer = threading.Timer(0.15, os.kill, args=(self.replica.pid, signal.SIGKILL))
-        killer.start()
-        try:
-            return self.item()
-        finally:
-            killer.cancel()
-
-    @property
-    def restarts(self) -> int:
-        return self.replica.restarts
-
-    def close(self) -> None:
-        self.replica.close()
-
-
 class TestSupervisedChildFaultMatrix:
-    """{pool slot, replica} × {kill mid-request, kill idle, start raises,
-    unpicklable reply}: only the item in flight fails — with the owner's
-    typed error naming the phase — the next item succeeds on a fresh child,
+    """A pool slot × {kill mid-request, kill idle, start raises, unpicklable
+    reply}: only the item in flight fails — with the typed crash error
+    naming the phase — the next item succeeds on a fresh child,
     ``restarts`` moves by exactly one, and closing afterwards does not hang.
     (A reply that cannot pickle is the child's answer, not its death: that
     item fails with a portable error and the *same* child serves the next.)
-    The conftest leak guard checks no child or segment outlives each case.
+    The conftest leak guard checks no child outlives each case.
     """
 
     @pytest.mark.parametrize(
         "fault",
         ["kill-mid-request", "kill-idle", "start-raises", "unpicklable-reply"],
     )
-    @pytest.mark.parametrize("owner_type", [_PoolOwner, _ReplicaOwner])
+    @pytest.mark.parametrize("owner_type", [_PoolOwner])
     def test_fault_is_contained(self, owner_type, fault, tmp_path, monkeypatch):
         owner = owner_type(fault, tmp_path, monkeypatch)
         try:
@@ -530,10 +330,10 @@ class TestSupervisedChildFaultMatrix:
 class TestSupervisedChildStart:
     """Children start warm, from one preloaded server, yet see the parent
     as it is *now*: a context change made after the server booted reaches
-    every child started afterwards, under both owners."""
+    every child started afterwards."""
 
     @pytest.mark.parametrize("aspect", ["env-set", "env-deleted", "chdir", "sys-path"])
-    @pytest.mark.parametrize("owner_type", [_PoolOwner, _ReplicaOwner])
+    @pytest.mark.parametrize("owner_type", [_PoolOwner])
     def test_child_sees_the_parent_context_at_start(
         self, owner_type, aspect, tmp_path, monkeypatch
     ):
@@ -571,11 +371,6 @@ def _identity_after_sleep(seconds: float):
     return multiprocessing.current_process().name, os.getpid()
 
 
-def _sleepy_setup(seconds: float):
-    time.sleep(seconds)
-    return abs
-
-
 class _GonePipe:
     def send_bytes(self, data):
         raise BrokenPipeError("parent went away")
@@ -609,24 +404,6 @@ class TestSupervisedChildLifecycle:
             assert pool.restarts == 1
             if os.path.isdir("/proc/self/fd"):
                 assert self._open_fds() == fds  # the corpse's pipe did not linger
-
-    def test_start_timeout_stops_the_child_and_says_so(self):
-        # Regression: a handshake timeout reported "died with a request in
-        # flight" and forgot the still-building child without stopping it.
-        child = SupervisedChild(
-            _sleepy_setup, (30.0,), name="repro-test-slow-start",
-            label="slow starter", error=ReplicaCrashedError, ready_timeout=0.5,
-        )
-        try:
-            with pytest.raises(ReplicaCrashedError, match="start-up within 0.5s"):
-                child.start()
-            assert child.pid is None
-            assert not [
-                process for process in multiprocessing.active_children()
-                if process.name == "repro-test-slow-start" and process.is_alive()
-            ]
-        finally:
-            child.close()
 
     def test_reply_downgrade_survives_a_vanished_parent(self):
         # Regression: the pool child's downgrade was a second bare ``send``;

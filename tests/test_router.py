@@ -64,14 +64,6 @@ def dedicated_reference(seed: int, requests):
     return [replica.infer({"features": x}, pad_to=GEOMETRY) for x in requests]
 
 
-def _process_fleet_builder(model_name: str):
-    """Module-level fleet builder: pickles into replica child processes.
-
-    The architecture is all that matters — each child's weights come from
-    the registry version pinned at deploy time."""
-    return make_model(seed=99)
-
-
 class _SleepyModel(FeedForwardNetwork):
     """A model whose forward takes a configurable wall-clock time."""
 
@@ -377,8 +369,6 @@ class TestRouterLifecycle:
             FleetRouter(replicas=0)
         with pytest.raises(ConfigurationError):
             FleetRouter(memory_budget=0)
-        with pytest.raises(ConfigurationError):
-            FleetRouter(max_cold_skips=-1)
         router = FleetRouter(watchdog_interval_s=None)
         with pytest.raises(ConfigurationError):
             router.add_model("m", make_model(), weight=0.0)
@@ -525,41 +515,6 @@ class TestFleetAPI:
         registry.publish("m", make_model())
         with pytest.raises(ConfigurationError, match="not in the fleet"):
             serve_fleet(registry, lambda name: make_model(), weights={"ghost": 1.0})
-        with pytest.raises(ConfigurationError, match="memory_budget"):
-            serve_fleet(
-                registry, _process_fleet_builder,
-                replica_mode="process", memory_budget=1 << 20, start=False,
-            )
-
-    def test_process_fleet_matches_dedicated_servers(self, requests_32, tmp_path):
-        # Each model serves from its own child process, mmapping its pinned
-        # registry version — and still answers bit-identically to a
-        # dedicated in-process server at the same geometry.
-        from repro.api import serve_fleet
-
-        registry = ModelRegistry(tmp_path)
-        names = ["m0", "m1"]
-        for index, name in enumerate(names):
-            registry.publish(name, make_model(seed=30 + index))
-        references = {
-            name: dedicated_reference(30 + index, requests_32[:8])
-            for index, name in enumerate(names)
-        }
-        router = serve_fleet(
-            registry,
-            _process_fleet_builder,
-            replica_mode="process",
-            replicas=1,
-            max_batch_size=GEOMETRY,
-            compute_batch_size=GEOMETRY,
-        )
-        try:
-            for name in names:
-                for x, expected in zip(requests_32[:8], references[name]):
-                    got = router.request(name, {"features": x}, timeout_ms=60_000)
-                    assert np.array_equal(got, expected)
-        finally:
-            router.stop()
 
     def test_deploy_into_router(self, tmp_path):
         from repro.selection import SelectionResult, TrialResult

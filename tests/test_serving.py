@@ -259,104 +259,6 @@ class TestModelRegistry:
         assert "mlp" in repr(registry)
 
 
-# --------------------------------------------------------------------------- #
-# Process replicas: exactness across the process boundary
-# --------------------------------------------------------------------------- #
-def _spec_model():
-    """Module-level factory: ModelSpec builders must pickle into children."""
-    return make_model()
-
-
-class TestProcessServing:
-    def test_process_replica_equals_thread_replica(
-        self, requests_48, reference_outputs
-    ):
-        from repro.api import ModelSpec, ProcessReplica
-
-        with ProcessReplica(ModelSpec(builder=_spec_model)) as replica:
-            responses = [
-                replica.infer({"features": x}, pad_to=GEOMETRY)
-                for x in requests_48[:12]
-            ]
-        # Bit-identical: shm transport and the child's own forward change
-        # nothing about the numbers.
-        for response, expected in zip(responses, reference_outputs):
-            assert np.array_equal(response, expected)
-
-    def test_process_server_equals_thread_server(
-        self, requests_48, reference_outputs
-    ):
-        from repro.api import ModelSpec, serve
-
-        server = serve(
-            ModelSpec(builder=_spec_model),
-            replicas=2,
-            replica_mode="process",
-            max_batch_size=GEOMETRY,
-            max_wait_ms=2.0,
-            name="proc-server",
-        )
-        with server:
-            handles = [server.submit(x) for x in requests_48[:24]]
-            responses = [handle.result(timeout=60.0) for handle in handles]
-        for response, expected in zip(responses, reference_outputs):
-            assert np.array_equal(response, expected)
-
-    def test_registry_spec_mmaps_published_weights_exactly(self, tmp_path):
-        from repro.api import ModelSpec, ProcessReplica
-
-        registry = ModelRegistry(tmp_path)
-        trained = make_model(seed=21)
-        registry.publish("winner", trained)
-        spec = ModelSpec(
-            builder=_spec_model,
-            registry_root=str(registry.root),
-            registry_name="winner",
-        )
-        x = np.random.default_rng(9).normal(size=(3, 16)).astype(np.float32)
-        expected = Replica.resident(trained).infer({"features": x}, pad_to=GEOMETRY)
-        # build() in this process: the mmapped parameters forward bit-exactly.
-        local = spec.build()
-        assert np.array_equal(
-            Replica.resident(local).infer({"features": x}, pad_to=GEOMETRY), expected
-        )
-        # And in a child process, through the shm transport.
-        with ProcessReplica(spec) as replica:
-            assert np.array_equal(
-                replica.infer({"features": x}, pad_to=GEOMETRY), expected
-            )
-
-    def test_spec_validation(self, tmp_path):
-        from repro.api import ModelSpec, ProcessReplica, serve
-
-        with pytest.raises(ConfigurationError, match="process boundary"):
-            ModelSpec(builder=lambda: make_model())  # lambdas cannot pickle
-        with pytest.raises(ConfigurationError, match="registry_name"):
-            ModelSpec(builder=_spec_model, registry_root=str(tmp_path))
-        with pytest.raises(ConfigurationError, match="ModelSpec"):
-            ProcessReplica(make_model())  # live models cannot cross
-        with pytest.raises(ConfigurationError, match="ModelSpec"):
-            serve(make_model(), replica_mode="process", start=False)
-        with pytest.raises(ConfigurationError, match="spill"):
-            serve(
-                ModelSpec(builder=_spec_model),
-                replica_mode="process",
-                memory_budget=1 << 20,
-                start=False,
-            )
-
-    def test_structured_outputs_cross_the_boundary(self):
-        from repro.api import ModelSpec, ProcessReplica
-
-        with ProcessReplica(ModelSpec(builder=_build_multi_output)) as replica:
-            x = np.random.default_rng(4).normal(size=(2, 16)).astype(np.float32)
-            logits, (probs, total) = replica.infer({"features": x}, pad_to=4)
-        assert logits.shape == (2, 4)
-        assert probs.shape == (2, 4)
-        assert np.allclose(np.exp(probs), np.exp(probs))  # arrays, not views
-        assert total.shape == (2,)
-
-
 class _MultiOutputModel(FeedForwardNetwork):
     """Returns a nested (logits, (probs, row_sum)) structure."""
 
@@ -368,8 +270,15 @@ class _MultiOutputModel(FeedForwardNetwork):
         return logits, (probs, values.sum(axis=-1))
 
 
-def _build_multi_output():
-    return _MultiOutputModel(CONFIG, seed=5)
+class TestStructuredOutputs:
+    def test_structured_outputs_keep_their_rows(self):
+        replica = Replica.resident(_MultiOutputModel(CONFIG, seed=5))
+        x = np.random.default_rng(4).normal(size=(2, 16)).astype(np.float32)
+        logits, (probs, total) = replica.infer({"features": x}, pad_to=4)
+        # The padding rows are sliced off every leaf of the nested output.
+        assert logits.shape == (2, 4)
+        assert probs.shape == (2, 4)
+        assert total.shape == (2,)
 
 
 # --------------------------------------------------------------------------- #

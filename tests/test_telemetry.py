@@ -7,10 +7,10 @@ Covers the tentpole contracts of ``repro.telemetry``:
 * the metrics registry — counters/gauges/histograms, live-stats collectors,
   Prometheus text exposition, and the unified snapshot schema that
   ``ModelServer.metrics()`` / ``FleetRouter.metrics()`` validate against;
-* cross-process collection — an ``Experiment.run(pool="process")`` and a
-  process-replica fleet each produce one merged trace holding parent *and*
-  child-process spans, and a SIGKILLed child drops its buffer without ever
-  tearing the parent's timeline;
+* cross-process collection — an ``Experiment.run(pool="process")``
+  produces one merged trace holding parent *and* child-process spans, and a
+  SIGKILLed child drops its buffer without ever tearing the parent's
+  timeline;
 * the observability satellites — idempotent ``set_verbosity`` and
   contextual log records.
 """
@@ -24,7 +24,7 @@ import os
 import pickle
 import signal
 import threading
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,14 +32,13 @@ import pytest
 from repro.api import (
     Budget,
     Experiment,
-    ModelSpec,
-    ProcessReplica,
+    RetryPolicy,
     ShardParallelBackend,
     serve,
     serve_fleet,
 )
 from repro.data import DataLoader, make_classification
-from repro.exceptions import ConfigurationError, MemoryBudgetError, ServingError
+from repro.exceptions import ConfigurationError, MemoryBudgetError
 from repro.memory import ResidencyState, SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
@@ -77,17 +76,21 @@ def _build_plain():
     return FeedForwardNetwork(config, seed=0)
 
 
-class _SleepyNetwork(FeedForwardNetwork):
-    """A forward slow enough to SIGKILL its process mid-request."""
+class _KillOnceBuilder:
+    """Trial builder whose first build of ``victim`` SIGKILLs its child.
 
-    def forward(self, batch):
-        time.sleep(0.4)
-        return super().forward(batch)
+    A marker file gates the kill, so the retried attempt builds normally.
+    """
 
+    def __init__(self, marker: Path, victim: str):
+        self.marker = str(marker)
+        self.victim = victim
 
-def _build_sleepy():
-    config = FeedForwardConfig(input_dim=8, hidden_dims=(16,), num_classes=3)
-    return _SleepyNetwork(config, seed=0)
+    def __call__(self, trial):
+        if trial.trial_id == self.victim and not Path(self.marker).exists():
+            Path(self.marker).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _build_trainable(trial)
 
 
 def _fleet_builder(name):
@@ -481,58 +484,40 @@ class TestCrossProcess:
         }
         assert parent_pid in tracks and len(tracks) >= 2
 
-    def test_process_fleet_trace_has_child_spans(self, tmp_path):
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish("mlp-a", _build_plain())
+    def test_sigkilled_trial_never_tears_the_trace(self, tmp_path):
         tel = Telemetry()
-        router = serve_fleet(
-            registry, _fleet_builder, replicas=1, max_batch_size=4,
-            replica_mode="process", telemetry=tel,
+        result = Experiment(
+            space=SearchSpace({"width": [16, 32]}),
+            searcher="grid",
+            objective="loss",
+            budget=Budget(epochs_per_trial=1),
+        ).run(
+            backend=ShardParallelBackend(
+                builder=_KillOnceBuilder(tmp_path / "killed", victim="grid-1"),
+                num_devices=2,
+            ),
+            workers=2,
+            pool="process",
+            retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
+            telemetry=tel,
         )
-        try:
-            for _ in range(2):
-                router.request("mlp-a", _arrays())
-        finally:
-            router.stop()
+        assert (tmp_path / "killed").exists()  # the kill really fired
+        assert not result.failures
+        # The killed child's buffered spans are simply gone; whatever made
+        # it into the parent is whole, and the trace still loads.
         events = tel.events()
-        parent_pid = os.getpid()
-        parent_names = {e["name"] for e in events if e["pid"] == parent_pid}
-        child_names = {e["name"] for e in events if e["pid"] != parent_pid}
-        assert {"request.submit", "serve.batch", "serve.forward"} <= parent_names
-        assert {"replica.build", "replica.forward"} <= child_names
+        for event in events:
+            assert {"name", "cat", "ph", "ts", "pid", "tid"} <= set(event)
+        # The retried attempt ran in a fresh child and its spans arrived.
+        child_trials = {
+            event["args"]["trial_id"]
+            for event in events
+            if event["name"] == "trial" and event["pid"] != os.getpid()
+        }
+        assert child_trials == {"grid-0", "grid-1"}
         path = tel.export_chrome_trace(tmp_path / "trace.json")
         with open(path, encoding="utf-8") as handle:
             json.load(handle)
-
-    def test_sigkilled_replica_never_tears_the_trace(self, tmp_path):
-        tel = Telemetry()
-        replica = ProcessReplica(
-            ModelSpec(builder=_build_sleepy), name="victim", telemetry=tel,
-        )
-        try:
-            replica.start()
-            pid = replica.pid
-            killer = threading.Timer(0.15, os.kill, args=(pid, signal.SIGKILL))
-            killer.start()
-            try:
-                with pytest.raises(ServingError):
-                    replica.infer(_arrays(2), pad_to=4)
-            finally:
-                killer.cancel()
-            # The killed child's buffered spans are simply gone; whatever
-            # made it into the parent is whole, and the trace still loads.
-            for event in tel.events():
-                assert {"name", "cat", "ph", "ts", "pid", "tid"} <= set(event)
-            # The respawned child flushes normally again.
-            replica.infer(_arrays(2), pad_to=4)
-            assert "replica.forward" in {
-                e["name"] for e in tel.events() if e["pid"] != os.getpid()
-            }
-            path = tel.export_chrome_trace(tmp_path / "trace.json")
-            with open(path, encoding="utf-8") as handle:
-                json.load(handle)
-        finally:
-            replica.close()
 
 
 # --------------------------------------------------------------------- #

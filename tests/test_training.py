@@ -301,70 +301,6 @@ class TestCheckpointing:
         load_checkpoint(FeedForwardNetwork(tiny_mlp.config, seed=1), path)
 
 
-class TestMmapAlignment:
-    """Uncompressed archives must mmap to BLAS-aligned parameter views.
-
-    Misaligned operands steer BLAS onto different kernels, which changes
-    low-order result bits — so zero-copy serving would silently break the
-    ``mmap == eager`` exactness guarantee.  The writer therefore pads zip
-    members so every array's file offset is 64-byte aligned, and the mapper
-    falls back to a copy for any stray unaligned member.
-    """
-
-    @staticmethod
-    def _memmap_backed(values: np.ndarray) -> bool:
-        base = values
-        while base is not None:
-            if isinstance(base, np.memmap):
-                return True
-            base = getattr(base, "base", None)
-        return False
-
-    def test_uncompressed_archives_align_member_data(self, tmp_path, tiny_mlp):
-        from repro.training.checkpoint import map_checkpoint_parameters
-
-        path = tmp_path / "aligned.npz"
-        save_checkpoint(tiny_mlp, path)
-        clone = FeedForwardNetwork(tiny_mlp.config, seed=99)
-        map_checkpoint_parameters(clone, path)
-        for (name, expected), (_, mapped) in zip(
-            tiny_mlp.named_parameters(), clone.named_parameters()
-        ):
-            assert np.array_equal(expected.data, mapped.data), name
-            # Zero-copy (a true mmap view), at a BLAS-aligned address — the
-            # aligned writer means the copy fallback never fires here.
-            assert self._memmap_backed(mapped.data), name
-            assert mapped.data.ctypes.data % 64 == 0, (
-                f"{name} mapped at a misaligned address"
-            )
-
-    def test_aligned_archive_still_loads_with_numpy(self, tmp_path, tiny_mlp):
-        # The alignment padding lives in zip extra fields: a plain np.load
-        # (and therefore every existing consumer) reads the archive as-is.
-        path = tmp_path / "aligned.npz"
-        save_checkpoint(tiny_mlp, path)
-        with np.load(path) as archive:
-            for name, parameter in tiny_mlp.named_parameters():
-                assert np.array_equal(archive[f"param::{name}"], parameter.data)
-
-    def test_mmap_forward_equals_eager_forward(self, tmp_path, tiny_mlp):
-        from repro.training.checkpoint import map_checkpoint_parameters
-
-        path = tmp_path / "aligned.npz"
-        save_checkpoint(tiny_mlp, path)
-        mapped = FeedForwardNetwork(tiny_mlp.config, seed=99)
-        map_checkpoint_parameters(mapped, path)
-        rng = np.random.default_rng(17)
-        for rows in (1, 3, 8):  # GEMV and GEMM shapes both stay exact
-            features = rng.normal(
-                size=(rows, tiny_mlp.config.input_dim)
-            ).astype(np.float32)
-            batch = {"features": features}
-            expected = tiny_mlp.forward(Batch(arrays=batch))
-            actual = mapped.forward(Batch(arrays=batch))
-            assert np.array_equal(expected.data, actual.data), rows
-
-
 class TestSchedulerCheckpointing:
     """Mid-trial resume with a warmup/decay schedule must be bit-identical."""
 
@@ -423,6 +359,20 @@ class TestSchedulerCheckpointing:
         # ... but recorded generator states need somewhere to go.
         with pytest.raises(CheckpointError):
             load_checkpoint(plain, save_checkpoint(dropout, tmp_path / "dropout.npz"))
+
+    def test_global_generator_dropout_is_refused(self, tmp_path):
+        """A checkpoint cannot capture the process-global generator, so a
+        model drawing masks from it would resume with other masks."""
+        from repro import nn
+
+        model = nn.Sequential(nn.Linear(4, 4), nn.Dropout(0.5))
+        with pytest.raises(CheckpointError, match="dropout layer '1'"):
+            save_checkpoint(model, tmp_path / "global.npz")
+        assert not (tmp_path / "global.npz").exists()
+        # p == 0 draws nothing, and a layer with its own generator is captured.
+        save_checkpoint(nn.Sequential(nn.Linear(4, 4), nn.Dropout(0.0)), tmp_path / "p0.npz")
+        seeded = nn.Sequential(nn.Linear(4, 4), nn.Dropout(0.5, rng=np.random.default_rng(0)))
+        save_checkpoint(seeded, tmp_path / "seeded.npz")
 
     def test_scheduler_restore_requires_sched_section(self, tmp_path):
         trainer = self._trainer()
