@@ -157,8 +157,9 @@ class ExecutionBackend:
         """Turn a :meth:`save_snapshot` token on ``handle`` back into live state.
 
         The one way back from a snapshot, wherever live state is needed: in
-        a pool child before a resumed trial trains, and in the parent before
-        retirement work that needs the trained state (registry publication).
-        Must be a no-op on state that is already live.  The default does
-        nothing: its token *is* the state.
+        a pool child before a resumed trial trains, or in a backend's own
+        ``teardown`` when its retirement work needs the trained objects
+        (:class:`~repro.api.backends.ShardParallelBackend` publishes from
+        the snapshot archive instead).  Must be a no-op on state that is
+        already live.  The default does nothing: its token *is* the state.
         """

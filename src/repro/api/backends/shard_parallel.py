@@ -98,8 +98,6 @@ class ShardParallelBackend(ExecutionBackend):
         memory_budget: Optional[MemoryBudget] = None,
         eviction_policy: str = "schedule-aware",
         prefetch: bool = True,
-        spill_dir: Optional[str] = None,
-        host_cache_limit_bytes: Optional[int] = None,
         registry: Optional[ModelRegistry] = None,
     ):
         if num_devices <= 0:
@@ -111,12 +109,7 @@ class ShardParallelBackend(ExecutionBackend):
         self._memory_budget = memory_budget
         #: the ``SpillManager`` keyword arguments, kept so an unpickled
         #: copy rebuilds the same manager
-        self._spill_options = {
-            "policy": eviction_policy,
-            "prefetch": prefetch,
-            "spill_dir": spill_dir,
-            "host_cache_limit_bytes": host_cache_limit_bytes,
-        }
+        self._spill_options = {"policy": eviction_policy, "prefetch": prefetch}
         self.memory = self._make_spill_manager()
 
     def _make_spill_manager(self) -> Optional[SpillManager]:
@@ -240,9 +233,10 @@ class ShardParallelBackend(ExecutionBackend):
         Called in a worker child after training: live models and optimizers
         cannot cross the process boundary, so the trial comes home as a
         checkpoint archive (``param::`` + ``opt::`` sections via
-        :func:`~repro.training.checkpoint.save_checkpoint`).  Evicted shards
-        are restored first (the spill manager is asked to forget the model),
-        so the archive holds the true trained parameters, never a host-cache
+        :func:`~repro.training.checkpoint.save_checkpoint`, plus the
+        ``model_name`` a registry records).  Evicted shards are restored
+        first (the spill manager is asked to forget the model), so the
+        archive holds the true trained parameters, never a host-cache
         shadow.
         """
         state: _TrialState = handle.state
@@ -251,6 +245,7 @@ class ShardParallelBackend(ExecutionBackend):
         path = save_checkpoint(
             state.model,
             Path(directory) / f"{handle.trial_id}-e{handle.epochs_trained}.npz",
+            metadata={"model_name": state.model.model_name},
             optimizer=state.optimizer,
         )
         return str(path)
@@ -260,8 +255,7 @@ class ShardParallelBackend(ExecutionBackend):
 
         The builder reconstructs the architecture and the checkpoint
         restores the trained model *and* optimizer — bit-identical resume in
-        a pool child, the trained weights for :meth:`teardown` to publish in
-        the parent.  Live state is left as it is.
+        a pool child.  Live state is left as it is.
         """
         snapshot = handle.state
         if isinstance(snapshot, (str, Path)):
@@ -275,21 +269,20 @@ class ShardParallelBackend(ExecutionBackend):
         kept a reference to the trial's model sees its true parameters —
         and so the registry (when configured) publishes the *trained*
         weights, not a host-cache shadow of them.  A process-pool trial
-        arrives holding its final snapshot path, which
-        :meth:`finalize_snapshot` rebuilds only when there is something to
-        publish.
+        arrives holding its final snapshot path, and the registry publishes
+        straight from that archive: no model is rebuilt in this process.
         """
         if self.memory is not None:
             self.memory.forget_model(handle.trial_id)
         # Failed trials (fault-tolerant runtime) publish nothing: their
         # parameters are torn mid-training, and a later registry.load would
         # silently serve them as if they were the trial's trained weights.
-        if self.registry is not None and handle.failure is None and handle.state is not None:
-            self.finalize_snapshot(handle)
-            state: _TrialState = handle.state
+        state = handle.state
+        if self.registry is not None and handle.failure is None and state is not None:
             metadata = {"epochs_trained": handle.epochs_trained}
             metadata.update(
                 {f"metric::{name}": value for name, value in handle.last_metrics.items()}
             )
-            self.registry.publish(handle.trial_id, state.model, metadata=metadata)
+            source = state if isinstance(state, (str, Path)) else state.model
+            self.registry.publish(handle.trial_id, source, metadata=metadata)
         super().teardown(handle)

@@ -21,8 +21,9 @@ each cohort call fans out across a :class:`~repro.runtime.pool.WorkerPool`:
   (:class:`_TrialReport`) on every pool; a process pool only wraps the body
   in a picklable task and adds the snapshot and the child's telemetry events
   to the report.  State crosses the boundary through the inner backend's
-  two snapshot hooks: ``save_snapshot`` (live → token) after training and
-  ``finalize_snapshot`` (token → live) before it;
+  two snapshot hooks, both called in the child: ``save_snapshot`` (live →
+  token) after training and ``finalize_snapshot`` (token → live) before it.
+  The parent only ever holds the token, and retires the trial from it;
 * a trial that still fails is marked on its handle (``handle.failure``) and
   surfaces as a :class:`~repro.selection.experiment.FailedTrial` — the rest
   of the cohort and the experiment continue;
@@ -185,9 +186,9 @@ class ConcurrentBackend(ExecutionBackend):
     child process: the inner backend must pickle (checked up front with a
     round-trip probe — module-level builder functions yes, lambdas no), the
     trial comes home as a ``save_snapshot`` token instead of live state
-    (``finalize_snapshot`` turns it back into live state wherever that is
-    needed), and retirement (``teardown``) happens exactly once, in the
-    parent.  Results are bit-identical to the thread and
+    (``finalize_snapshot`` turns it back into live state in the child that
+    trains it next), and retirement (``teardown``) happens exactly once, in
+    the parent, from the token.  Results are bit-identical to the thread and
     serial pools at any worker count.
 
     Example::
@@ -360,11 +361,13 @@ class ConcurrentBackend(ExecutionBackend):
 
         ``teardown`` runs on this very handle, in this process — never
         through the pool, which abandoned stragglers may be saturating.  A
-        process-pool trial's handle holds its last snapshot token; a backend
-        whose teardown needs live state (registry publication) calls its own
-        ``finalize_snapshot`` first.  A trial that never got past
-        ``prepare`` has nothing to release.  Best-effort: never raises, so a
-        failed trial's teardown cannot mask the fault.
+        process-pool trial's handle holds its last snapshot token, and the
+        inner backend retires it from that token
+        (:class:`~repro.api.backends.ShardParallelBackend` publishes the
+        snapshot archive itself, without rebuilding the model).  A trial
+        that never got past ``prepare`` has nothing to release.
+        Best-effort: never raises, so a failed trial's teardown cannot mask
+        the fault.
         """
         if handle.state is _Unprepared:
             return

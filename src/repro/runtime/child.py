@@ -10,13 +10,14 @@ environment, build the slot's handler once, then recv → handle → reply
 until told to stop.
 
 Children fork from one ``forkserver`` per parent process that has already
-imported numpy and :mod:`repro.api`, so a child start costs a fork, not an
-interpreter boot plus imports (``spawn`` only where the platform has no
-forkserver).  The start is warm, but what the child *sees* is what a
-``spawn`` child sees: the parent's current ``sys.path`` and working
-directory (multiprocessing's own preparation data) and its current
-``os.environ`` (shipped with every start, since the server's is frozen at
-the moment it booted).
+imported numpy, :mod:`repro.api` and the application's own modules (see
+:func:`_context`), so a child start costs a fork, not an interpreter boot
+plus imports (``spawn`` only where the platform has no forkserver).  The
+start is warm, but what the child *sees* is what a ``spawn`` child sees:
+the parent's current ``sys.path`` and working directory
+(multiprocessing's own preparation data), its main module re-run as
+``__mp_main__``, and its current ``os.environ`` (shipped with every start,
+since the server's is frozen at the moment it booted).
 
 Imports nothing from ``repro`` beyond the exception types: ``repro.runtime``
 is a leaf package every other layer may build on.
@@ -27,10 +28,11 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import sys
 import threading
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable
+from typing import Any, Callable, List
 
 from repro.exceptions import ReproError, WorkerCrashedError
 
@@ -53,6 +55,26 @@ def _reply(conn, tag: str, payload: Any) -> bool:
         return False
 
 
+def _app_modules() -> List[str]:
+    """The modules of ``__main__``'s package that this process has imported.
+
+    Only for a main module started as ``python -m pkg.mod`` (a script has
+    no package to speak of): every module under the top-level package
+    ``pkg`` already in ``sys.modules``, except the main module itself —
+    preloaded under its own name, it would make runpy warn in every child
+    that re-runs it.
+    """
+    spec = getattr(sys.modules.get("__main__"), "__spec__", None)
+    if spec is None:
+        return []
+    package = spec.name.partition(".")[0]
+    return sorted(
+        name for name, module in list(sys.modules.items())
+        if module is not None and name != spec.name
+        and (name == package or name.startswith(package + "."))
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _context():
     """The start context of every supervised child, built on first use.
@@ -62,12 +84,17 @@ def _context():
     single-threaded process that has only imported modules, so a child
     forked from it inherits no live threads or locks, and the imports are
     paid once per parent process instead of once per child.
-    ``"__main__"`` stays resolvable in the child exactly as under ``spawn``.
+
+    The server preloads numpy, :mod:`repro.api` and :func:`_app_modules` as
+    they stand when it boots (modules imported later are not preloaded).
+    It never imports the main module: a child still re-runs it as
+    ``__mp_main__`` exactly as under ``spawn``, but the imports it makes
+    from its own package are already done.
     """
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["__main__", "numpy", "repro.api"])
+    context.set_forkserver_preload(["numpy", "repro.api", *_app_modules()])
     return context
 
 

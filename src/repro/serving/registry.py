@@ -10,26 +10,29 @@ Each archive is an ordinary checkpoint written by
 :func:`repro.training.checkpoint.save_checkpoint` (``param::`` parameter
 arrays plus ``meta::`` metadata), so a published model, a mid-trial
 checkpoint, and a disk-spilled shard all share one serialization.  Training
-code publishes a trained model under a name; serving code builds a model of
-the same architecture and loads the published bytes back into it —
-bit-identical, which is what makes a spilled or replicated deployment
-reproduce the training-time outputs exactly.
+code publishes a trained model — or the checkpoint archive a pool child
+already wrote for it, copied without its optimizer state — under a name;
+serving code builds a model of the same architecture and loads the
+published bytes back into it — bit-identical, which is what makes a
+spilled or replicated deployment reproduce the training-time outputs
+exactly.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import shutil
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.nn.module import Module
-from repro.training.checkpoint import load_checkpoint, save_checkpoint
+from repro.training.checkpoint import copy_checkpoint, load_checkpoint, save_checkpoint
 
 #: directory name for version ``n`` (zero-padded so lexical sort == numeric)
 _VERSION_DIR = "v{version:04d}"
@@ -114,11 +117,18 @@ class ModelRegistry:
     def publish(
         self,
         name: str,
-        model: Module,
+        source: Union[Module, str, os.PathLike],
         metadata: Optional[Dict[str, Any]] = None,
         version: Optional[int] = None,
     ) -> ModelVersion:
-        """Publish ``model``'s parameters as a new version of ``name``.
+        """Publish a model's parameters as a new version of ``name``.
+
+        ``source`` is the model itself, or the path of a checkpoint archive
+        of it: the archive's ``param::``, ``rng::`` and ``meta::`` members
+        are copied as they are (no model is built, no parameter decoded) and
+        its ``opt::``/``sched::`` members are left behind
+        (:func:`~repro.training.checkpoint.copy_checkpoint`).  Either way
+        ``metadata`` is written over what the source records.
 
         ``version`` defaults to one past the latest published version (1 for
         a new name); passing an explicit number that already exists raises —
@@ -136,13 +146,19 @@ class ModelRegistry:
             raise ConfigurationError(f"version must be positive, got {version}")
         with self._lock:
             directory, version = self._claim_version_dir(name, version)
-            payload = {"model_name": getattr(model, "model_name", type(model).__name__)}
-            payload.update(metadata or {})
-            staged = save_checkpoint(
-                model,
-                directory / (".staging-" + _ARCHIVE),
-                metadata=payload,
-            )
+            staged = directory / (".staging-" + _ARCHIVE)
+            try:
+                if isinstance(source, (str, os.PathLike)):
+                    copied = copy_checkpoint(source, staged, metadata)
+                    payload = {key: _plain(value) for key, value in copied.items()}
+                else:
+                    payload = {"model_name": getattr(source, "model_name", type(source).__name__)}
+                    payload.update(metadata or {})
+                    staged = save_checkpoint(source, staged, metadata=payload)
+            except BaseException:
+                # Give the claimed number back: nothing was published under it.
+                shutil.rmtree(directory, ignore_errors=True)
+                raise
             os.replace(staged, directory / _ARCHIVE)
             return ModelVersion(
                 name=name, version=version, path=directory, metadata=dict(payload)

@@ -9,14 +9,17 @@ same serialization (via :func:`save_array_bundle` / :func:`load_array_bundle`)
 backs the host shard cache's disk tier in
 :mod:`repro.memory` and the serving :class:`~repro.serving.ModelRegistry`,
 so a spilled shard, a published model version, and a checkpoint are all
-one format.
+one format — which is why :func:`copy_checkpoint` can publish a training
+snapshot by copying its members instead of rebuilding the model.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import zipfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -60,6 +63,48 @@ def load_array_bundle(path: str | Path) -> Dict[str, np.ndarray]:
         raise CheckpointError(f"archive {path} does not exist")
     with np.load(path, allow_pickle=False) as archive:
         return {key: archive[key] for key in archive.files}
+
+
+def copy_checkpoint(
+    source: str | Path, path: str | Path, metadata: Dict[str, Any] | None = None
+) -> Dict[str, np.ndarray]:
+    """Write ``source``'s model sections to ``path``, without decoding them.
+
+    The ``param::``, ``rng::`` and ``meta::`` members are copied byte for
+    byte, and ``metadata`` is written over the ``meta::`` keys it names.
+    ``opt::`` and ``sched::`` are dropped, so the copy is what
+    :func:`save_checkpoint` writes for the trained model alone.  Returns
+    the copy's metadata (the only members this reads as arrays).
+
+    Raises:
+        CheckpointError: if ``source`` does not exist or holds no parameters.
+    """
+    source = Path(source)
+    if not source.exists():
+        raise CheckpointError(f"archive {source} does not exist")
+    written = {f"{META_PREFIX}{key}.npy": np.asarray(value)
+               for key, value in (metadata or {}).items()}
+    kept = (PARAM_PREFIX, RNG_PREFIX, META_PREFIX)
+    with zipfile.ZipFile(source) as reader:
+        members = [info for info in reader.infolist()
+                   if info.filename.startswith(kept) and info.filename not in written]
+        if not any(info.filename.startswith(PARAM_PREFIX) for info in members):
+            raise CheckpointError(f"checkpoint {source} contains no parameters")
+        copied = {}
+        # The layout np.savez writes (stored, zip64 headers), so the copy
+        # is byte-for-byte the size of the archive save_checkpoint writes.
+        with zipfile.ZipFile(path, "w", allowZip64=True) as writer:
+            for info in members:
+                data = reader.read(info)
+                if info.filename.startswith(META_PREFIX):
+                    copied[info.filename] = np.lib.format.read_array(io.BytesIO(data))
+                with writer.open(info.filename, "w", force_zip64=True) as dst:
+                    dst.write(data)
+            for name, values in written.items():
+                with writer.open(name, "w", force_zip64=True) as dst:
+                    np.lib.format.write_array(dst, values, allow_pickle=False)
+    copied.update(written)
+    return {name[len(META_PREFIX):-len(".npy")]: values for name, values in copied.items()}
 
 
 def _optimizer_param_names(model: Module, optimizer: Optimizer) -> Dict[int, str]:

@@ -27,6 +27,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     Budget,
     Experiment,
@@ -95,8 +97,7 @@ class _KillFirstAttempt:
 class _KillingBuilder:
     """Trial builder that SIGKILLs the worker building one trial, once.
 
-    The marker file gates the kill, so the retried child — and the parent's
-    own rebuild at publish time — build normally.
+    The marker file gates the kill, so the retried child builds normally.
     """
 
     def __init__(self, marker_dir: Path, victim: str):
@@ -364,6 +365,51 @@ class TestSupervisedChildStart:
                 parents.append(pool.submit(os.getppid).result(timeout=60))
         assert os.getpid() not in parents  # the server, not this process, forked them
         assert parents[0] == parents[1]  # and the second pool reused it
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="children are spawned where there is no forkserver",
+    )
+    def test_children_start_with_the_app_package_imported(self, tmp_path):
+        # The server preloads the modules of the package ``-m`` ran, so a
+        # child's re-run of the main module finds its imports done.  The
+        # main module itself is not preloaded (runpy would warn in every
+        # child), and a plain script still starts children.
+        package = tmp_path / "warm_app"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "helper.py").write_text(
+            "import os\n"
+            "IMPORTED_PID = os.getpid()\n\n"
+            "def imported_before_fork():\n"
+            "    return IMPORTED_PID != os.getpid()\n"
+        )
+        main = (
+            "import warm_app.main  # the main module under its own name as well\n"
+            "from warm_app import helper\n"
+            "from repro.runtime.pool import ProcessWorkerPool\n\n"
+            "if __name__ == '__main__':\n"
+            "    with ProcessWorkerPool(1) as pool:\n"
+            "        print(pool.submit(helper.imported_before_fork).result(timeout=60))\n"
+        )
+        (package / "main.py").write_text(main)
+        (tmp_path / "script.py").write_text(main)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+
+        def run(*argv):
+            done = subprocess.run(
+                [sys.executable, *argv], cwd=tmp_path, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert "RuntimeWarning" not in done.stderr, done.stderr
+            return done.stdout.strip()
+
+        assert run("-m", "warm_app.main") == "True"
+        assert run("script.py") in ("True", "False")
 
 
 def _identity_after_sleep(seconds: float):

@@ -50,6 +50,15 @@ def _build_trainable(trial):
     return model, optimizer, loader
 
 
+#: trials built by ``_build_trainable_counted`` in *this* process
+_PARENT_BUILDS = []
+
+
+def _build_trainable_counted(trial):
+    _PARENT_BUILDS.append(trial.trial_id)
+    return _build_trainable(trial)
+
+
 def _build_trainable_unless_zero_width(trial):
     if int(trial.get("width", 16)) == 0:
         raise ValueError("zero-width trial")
@@ -456,17 +465,24 @@ class TestConcurrentBackend:
             objective="loss",
             budget=Budget(epochs_per_trial=2),
         )
+        serial_registry = ModelRegistry(tmp_path / "serial")
         serial = experiment.run(
-            backend=ShardParallelBackend(builder=_build_trainable, num_devices=2)
+            backend=ShardParallelBackend(
+                builder=_build_trainable_counted, num_devices=2, registry=serial_registry
+            )
         )
         registry = ModelRegistry(tmp_path / "registry")
+        _PARENT_BUILDS.clear()
         pooled = experiment.run(
             backend=ShardParallelBackend(
-                builder=_build_trainable, num_devices=2, registry=registry
+                builder=_build_trainable_counted, num_devices=2, registry=registry
             ),
             workers=2,
             pool="process",
         )
+        # The children built every model; the parent published each one
+        # from its snapshot archive without building it again.
+        assert _PARENT_BUILDS == []
         # Bit-identical: the trial round-tripped a child process through a
         # checkpoint snapshot, and no bit of its update sequence changed.
         assert [t.metrics for t in serial.trials] == [t.metrics for t in pooled.trials]
@@ -478,6 +494,18 @@ class TestConcurrentBackend:
         assert sorted(registry.names()) == sorted(t.trial_id for t in pooled.trials)
         for trial in pooled.trials:
             assert registry.latest_version(trial.trial_id) == 1
+            # What the pool published is what the serial run published.
+            assert registry.metadata(trial.trial_id) == serial_registry.metadata(trial.trial_id)
+            with np.load(registry.archive_path(trial.trial_id)) as got, np.load(
+                serial_registry.archive_path(trial.trial_id)
+            ) as want:
+                assert not [k for k in got.files if k.startswith(("opt::", "sched::"))]
+                model_keys = [k for k in want.files if k.startswith(("param::", "rng::"))]
+                assert model_keys and sorted(model_keys) == sorted(
+                    k for k in got.files if k.startswith(("param::", "rng::"))
+                )
+                for key in model_keys:
+                    assert np.array_equal(got[key], want[key]), key
 
     def test_trial_has_one_shape_on_thread_and_process_pools(self):
         # One trial body and one report shape in every pool: whatever a trial

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.training.checkpoint import save_array_bundle, save_checkpoint
 from repro.models import FeedForwardConfig, FeedForwardNetwork
+from repro.optim import Adam
 from repro.serving import (
     DynamicBatcher,
     InferenceRequest,
@@ -250,6 +253,44 @@ class TestModelRegistry:
         for bad in ("", "a/b", "a b", "../up"):
             with pytest.raises(ConfigurationError):
                 registry.publish(bad, make_model())
+
+    def test_publish_from_archive_copies_the_model_sections(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        model = make_model(seed=3)
+        snapshot = save_checkpoint(
+            model, tmp_path / "snapshot.npz",
+            metadata={"model_name": model.model_name, "loss": 9.0},
+            optimizer=Adam(model.parameters()),
+        )
+        caller = {"loss": 0.25, "epochs_trained": 2}
+        copied = registry.publish("copied", snapshot, metadata=caller)
+        built = registry.publish("built", model, metadata=caller)
+        # The caller's metadata overrides the archive's own.
+        assert copied.metadata == built.metadata
+        assert registry.metadata("copied") == registry.metadata("built")
+        assert registry.metadata("copied")["loss"] == 0.25
+        with zipfile.ZipFile(copied.archive) as archive:
+            names = archive.namelist()
+        assert names and not [n for n in names if n.startswith(("opt::", "sched::"))]
+        # Same members, same layout: the copy is the archive publish(model) writes.
+        assert copied.archive.stat().st_size == built.archive.stat().st_size
+        fresh = make_model(seed=99)
+        registry.load("copied", fresh)
+        for (name, expected), (_, actual) in zip(
+            model.named_parameters(), fresh.named_parameters()
+        ):
+            assert np.array_equal(expected.data, actual.data), name
+
+    def test_publish_from_archive_without_parameters_raises(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        empty = save_array_bundle(tmp_path / "empty.npz", {"meta::loss": np.asarray(1.0)})
+        with pytest.raises(CheckpointError, match="no parameters"):
+            registry.publish("mlp", empty, version=1)
+        with pytest.raises(CheckpointError, match="does not exist"):
+            registry.publish("mlp", tmp_path / "missing.npz")
+        # Nothing was published, so the number is still free.
+        assert registry.versions("mlp") == []
+        assert registry.publish("mlp", make_model(), version=1).version == 1
 
     def test_names_skips_unrelated_directories(self, tmp_path):
         (tmp_path / "old runs").mkdir()  # stray entry, not a model name
