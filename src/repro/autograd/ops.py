@@ -218,13 +218,23 @@ class LinearFunction(Function):
         if self.needs_input_grad[0]:
             grad_x = _stacked_matmul(grad_output, weight)
         if self.needs_input_grad[1]:
+            # The composition's gradient is ``(x^T @ g).T``; the GEMM writes
+            # it through a transposed view of a buffer laid out like the
+            # weight, so the result is C-contiguous (the layout the flat
+            # gradient buffer copies fastest) with the same products and
+            # reduction order.
             if x.ndim == 1:
-                grad_wt = np.outer(x, grad_output)
+                grad_w = np.outer(grad_output, x)
+            elif x.ndim == 2:
+                grad_w = np.empty(weight.shape, dtype=np.result_type(x, grad_output))
+                np.matmul(x.T, grad_output, out=grad_w.T)
             else:
-                grad_wt = np.swapaxes(x, -1, -2) @ grad_output
-                if grad_wt.ndim > 2:
-                    grad_wt = grad_wt.sum(axis=tuple(range(grad_wt.ndim - 2)))
-            grad_w = grad_wt.T
+                per_row = np.empty(
+                    x.shape[:-2] + weight.shape, dtype=np.result_type(x, grad_output)
+                )
+                np.matmul(np.swapaxes(x, -1, -2), grad_output,
+                          out=np.swapaxes(per_row, -1, -2))
+                grad_w = per_row.sum(axis=tuple(range(per_row.ndim - 2)))
         if len(self.needs_input_grad) > 2 and self.needs_input_grad[2]:
             grad_b = unbroadcast(grad_output, self.bias_shape)
         if len(self.needs_input_grad) == 2:

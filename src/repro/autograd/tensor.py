@@ -245,10 +245,7 @@ class Tensor:
                             grads.get(key), parent_grad, key, owned
                         )
                     else:
-                        # Leaf tensor: accumulate into .grad
-                        parent.grad = _accumulate_grad(
-                            parent.grad, parent_grad, id(parent), owned
-                        )
+                        _accumulate_leaf(parent, parent_grad, owned)
             if not retain_graph:
                 # Release saved activations and parent links eagerly
                 # (PyTorch's retain_graph=False behaviour).
@@ -281,28 +278,26 @@ class Tensor:
     # Construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False, dtype=np.float32) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
+    def zeros(*shape: int) -> "Tensor":
+        return Tensor(np.zeros(shape, dtype=np.float32))
 
     @staticmethod
-    def ones(*shape: int, requires_grad: bool = False, dtype=np.float32) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
+    def ones(*shape: int) -> "Tensor":
+        return Tensor(np.ones(shape, dtype=np.float32))
 
     @staticmethod
-    def full(shape: Sequence[int], value: float, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=np.float32), requires_grad=requires_grad)
+    def full(shape: Sequence[int], value: float) -> "Tensor":
+        return Tensor(np.full(shape, value, dtype=np.float32))
 
     @staticmethod
-    def randn(*shape: int, rng: Optional[np.random.Generator] = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
+    def randn(*shape: int, rng: Optional[np.random.Generator] = None) -> "Tensor":
         from repro.utils.rng import get_rng
         generator = rng if rng is not None else get_rng()
-        data = generator.normal(0.0, scale, size=shape).astype(np.float32)
-        return Tensor(data, requires_grad=requires_grad)
+        return Tensor(generator.normal(0.0, 1.0, size=shape).astype(np.float32))
 
     @staticmethod
-    def arange(n: int, dtype=np.int64) -> "Tensor":
-        return Tensor(np.arange(n, dtype=dtype))
+    def arange(n: int) -> "Tensor":
+        return Tensor(np.arange(n, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
     # Arithmetic operators (delegate to the op library)
@@ -425,3 +420,28 @@ def _accumulate_grad(
         return existing
     owned.add(slot)
     return existing + update
+
+
+def _accumulate_leaf(leaf: Tensor, update: np.ndarray, owned: Set[int]) -> None:
+    """Sum a gradient into a leaf's ``.grad``.
+
+    A parameter in an optimizer's flat buffers keeps its gradient in its
+    gradient view (:mod:`repro.nn.flat`): the first contribution is copied
+    in, later ones are added in place — the ``((g1 + g2) + g3)`` grouping of
+    :func:`_accumulate_grad`, so the sums are bit-for-bit unchanged.  A
+    contribution of another dtype, or a ``.grad`` assigned from outside,
+    takes the :func:`_accumulate_grad` path (the optimizer copies that
+    result into the view before it steps).
+    """
+    flat = getattr(leaf, "_flat", None)
+    existing = leaf.grad
+    if flat is not None and update.dtype == leaf.data.dtype:
+        view = flat.grad_view(leaf)
+        if existing is None:
+            np.copyto(view, update)
+            leaf.grad = view
+            return
+        if existing is view:
+            np.add(view, update, out=view)
+            return
+    leaf.grad = _accumulate_grad(existing, update, id(leaf), owned)

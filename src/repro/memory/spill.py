@@ -60,8 +60,7 @@ from repro.runtime.pool import ThreadWorkerPool
 from repro.telemetry import NULL_TELEMETRY
 
 #: returns the live device-side arrays of a shard (params + optimizer state),
-#: in a stable order — re-evaluated at each stash/restore so lazily created
-#: optimizer state is picked up
+#: in a stable order — re-evaluated at each stash/restore
 ArraysFn = Callable[[], List[np.ndarray]]
 
 

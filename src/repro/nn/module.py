@@ -76,7 +76,11 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values produced by :meth:`state_dict`."""
+        """Load parameter values produced by :meth:`state_dict`.
+
+        Values are written into each parameter's existing array, never
+        rebound: an optimizer's flat buffers keep viewing them.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -93,7 +97,7 @@ class Module:
                 raise ValueError(
                     f"parameter {name!r}: shape {values.shape} does not match {param.data.shape}"
                 )
-            param.data = values.astype(param.data.dtype).copy()
+            np.copyto(param.data, values, casting="unsafe")
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -12,7 +12,13 @@ class Parameter(Tensor):
 
     Parameters always require gradients and always store float32 data unless
     explicitly constructed from float64 (used by the gradient-parity tests).
+
+    ``_flat`` is ``None`` until an optimizer moves the parameter into flat
+    buffers (:class:`repro.nn.flat.FlatBuffers`), which backward then
+    accumulates its gradient into.
     """
+
+    _flat = None
 
     def __init__(self, data, name: str | None = None):
         array = np.asarray(data.data if isinstance(data, Tensor) else data)

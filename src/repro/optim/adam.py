@@ -9,44 +9,36 @@ import numpy as np
 from repro.nn.parameter import Parameter
 from repro.optim.optimizer import Optimizer
 
+#: added to the denominator of every update (the usual Adam epsilon)
+_EPS = 1e-8
+
 
 class Adam(Optimizer):
     """Adam with bias-corrected first and second moments."""
 
-    state_bytes_per_parameter = 8  # two float32 moments per scalar
+    state_keys = ("m", "v")
 
     def __init__(
         self,
         parameters: Iterable[Parameter],
         lr: float = 1e-3,
         betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
+        super().__init__(parameters, lr)
 
-    def _update(self, param: Parameter, grad: np.ndarray) -> None:
-        # Fully in-place update: the moments are mutated with `out=` ufuncs
-        # and every temporary lives in the optimizer's scratch buffer, so a
-        # warmed-up step allocates nothing.  Each numpy operation applies the
-        # same ufunc to the same operands as the allocating formulation
-        # (`m = beta1*m + (1-beta1)*grad`, ...), keeping updates bit-exact.
-        state = self._param_state(param)
-        m = state.get("m")
-        v = state.get("v")
-        if m is None:
-            m = state["m"] = np.zeros_like(param.data)
-            v = state["v"] = np.zeros_like(param.data)
-        work, scratch = self._scratch_views(param, 2)
+    def _update(self, data, grad, work, scratch, m, v) -> None:
+        # Every numpy operation applies the same ufunc to the same operands
+        # as the allocating formulation (`m = beta1*m + (1-beta1)*grad`, ...),
+        # elementwise, so updates are bit-exact whatever the chunking.
         if self.weight_decay and self._couples_weight_decay():
-            np.multiply(param.data, self.weight_decay, out=scratch)
+            np.multiply(data, self.weight_decay, out=scratch)
             grad = np.add(grad, scratch, out=work)
         np.multiply(m, self.beta1, out=m)
         np.multiply(grad, 1.0 - self.beta1, out=scratch)
@@ -58,13 +50,13 @@ class Adam(Optimizer):
         update = np.divide(m, 1.0 - self.beta1 ** self.step_count, out=work)  # m_hat
         denom = np.divide(v, 1.0 - self.beta2 ** self.step_count, out=scratch)  # v_hat
         np.sqrt(denom, out=denom)
-        np.add(denom, self.eps, out=denom)
+        np.add(denom, _EPS, out=denom)
         np.divide(update, denom, out=update)
         if self.weight_decay and not self._couples_weight_decay():
-            np.multiply(param.data, self.weight_decay, out=scratch)
+            np.multiply(data, self.weight_decay, out=scratch)
             np.add(update, scratch, out=update)
         np.multiply(update, self.lr, out=update)
-        np.subtract(param.data, update, out=param.data)
+        np.subtract(data, update, out=data)
 
     def _couples_weight_decay(self) -> bool:
         """Adam couples L2 into the gradient; AdamW decays weights directly."""

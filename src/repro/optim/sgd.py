@@ -20,29 +20,23 @@ class SGD(Optimizer):
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.state_bytes_per_parameter = 4 if momentum > 0 else 0
+        self.state_keys = ("velocity",) if momentum > 0 else ()
+        super().__init__(parameters, lr)
 
-    def _update(self, param: Parameter, grad: np.ndarray) -> None:
-        # In-place update: velocity is mutated with `out=` ufuncs, the only
-        # temporaries live in the optimizer scratch buffer, and `param.data`
-        # is written in place rather than rebound.  Ufunc-for-ufunc identical
-        # to the allocating `p -= lr * (momentum*vel + grad + wd*p)` formulation.
-        work, scratch = self._scratch_views(param, 2)
+    def _update(self, data, grad, work, scratch, *moments) -> None:
+        # Ufunc-for-ufunc identical to the allocating
+        # `p -= lr * (momentum*vel + grad + wd*p)` formulation.
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=scratch)
+            np.multiply(data, self.weight_decay, out=scratch)
             grad = np.add(grad, scratch, out=work)
-        if self.momentum > 0:
-            state = self._param_state(param)
-            velocity = state.get("velocity")
-            if velocity is None:
-                velocity = state["velocity"] = np.zeros_like(param.data)
+        if moments:  # with momentum, the one moment is the velocity
+            (velocity,) = moments
             np.multiply(velocity, self.momentum, out=velocity)
             np.add(velocity, grad, out=velocity)
             grad = velocity
         np.multiply(grad, self.lr, out=work)
-        np.subtract(param.data, work, out=param.data)
+        np.subtract(data, work, out=data)

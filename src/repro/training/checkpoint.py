@@ -306,6 +306,11 @@ def _resolve_optimizer_state(
                 "which the optimizer does not hold"
             )
         param = by_name[param_name]
+        if state_key not in optimizer.state_keys:
+            raise CheckpointError(
+                f"optimizer state {key!r}: {type(optimizer).__name__} keeps no "
+                f"{state_key!r} state"
+            )
         if values.shape != param.data.shape:
             raise CheckpointError(
                 f"optimizer state {key!r}: shape {values.shape} does not match "
@@ -314,10 +319,16 @@ def _resolve_optimizer_state(
         resolved.append((param, state_key, values))
 
     def apply() -> None:
+        # In place: the state arrays are views into the optimizer's flat
+        # buffers.  A parameter without saved state starts from zero, as a
+        # fresh optimizer would.
         optimizer.step_count = step_count
         optimizer.lr = lr
-        optimizer.state.clear()
+        optimizer.buffers.materialize()
+        for group in optimizer.buffers.groups:
+            for buffer in group.state.values():
+                buffer.fill(0)
         for param, state_key, values in resolved:
-            optimizer.state.setdefault(id(param), {})[state_key] = values.copy()
+            np.copyto(optimizer.state[id(param)][state_key], values)
 
     return apply

@@ -20,8 +20,10 @@ executors lease each shard around every use (forward / loss / backward +
 update) instead of assuming residency, announce their access schedule for
 schedule-aware eviction, and apply the optimizer *per shard* while it is
 pinned — which is bit-identical to a whole-model step because each
-parameter's update depends only on its own gradient, state, and the shared
-step counter.  Forward and loss leases only read (``write=False``), so a
+scalar's update depends only on its own value, gradient, state, and the
+shared step counter.  A shard's parameters are a contiguous range of the
+optimizer's flat buffers, so that update is one sweep and a spill moves
+one array per kind.  Forward and loss leases only read (``write=False``), so a
 shard that has not been updated since its last trip to host is evicted
 without a copy; the backward lease, which runs the update, writes.
 
@@ -40,8 +42,6 @@ from typing import (
     Any, Callable, ContextManager, Dict, Generator, Iterator, List, Optional, Sequence, Tuple,
     TYPE_CHECKING,
 )
-
-import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataloader import Batch, DataLoader
@@ -166,13 +166,9 @@ class ShardedModelExecutor:
         names = manager.arena_names
         if device_of is None:
             device_of = lambda shard_index: names[shard_index % len(names)]  # noqa: E731
-        # ``state_bytes_per_parameter`` counts float32 scalars (4 bytes each);
-        # the actual state arrays are ``zeros_like(param)``, so what matters
-        # is how many param-shaped arrays the optimizer keeps — charging
+        # One param-shaped state array per optimizer state key, so charging
         # ``count × param.nbytes`` stays honest for float64 parameters too.
-        state_arrays = (
-            0 if optimizer is None else (optimizer.state_bytes_per_parameter + 3) // 4
-        )
+        state_arrays = 0 if optimizer is None else len(optimizer.state_keys)
         for shard_index in range(self.num_shards):
             params = self.shard_parameters(shard_index)
             nbytes = sum(p.data.nbytes for p in params) * (1 + state_arrays)
@@ -188,18 +184,16 @@ class ShardedModelExecutor:
 
     @staticmethod
     def _shard_arrays_fn(params: List, optimizer: Optional[Optimizer]):
-        """Stable-order view of a shard's live arrays (params, then state)."""
+        """A shard's live arrays, in a stable order.
 
-        def arrays() -> List[np.ndarray]:
-            collected: List[np.ndarray] = []
-            for param in params:
-                collected.append(param.data)
-                state = optimizer.state.get(id(param)) if optimizer is not None else None
-                if state:
-                    collected.extend(state[key] for key in sorted(state))
-            return collected
-
-        return arrays
+        Trained, a shard is a contiguous range of its optimizer's flat
+        buffers: one slice of parameter values, then one per state key.
+        Bound for inference only, it is each parameter's own array.
+        """
+        if optimizer is None:
+            return lambda: [param.data for param in params]
+        arrays = optimizer.buffers.arrays(params)
+        return lambda: arrays
 
     @property
     def updates_inline(self) -> bool:

@@ -64,6 +64,27 @@ class TestFusedLinearParity:
         if bias:
             _assert_identical("grad_b", b1.grad, b2.grad)
 
+    # (input shape, output features): the bench models' layers — MLP 512x3
+    # at batch 4, MLP 256x3 at batch 32, BERT-tiny at batch 16 x 48 tokens.
+    @pytest.mark.parametrize("x_shape, out_features", [
+        ((4, 512), 512), ((32, 64), 256), ((32, 256), 256), ((32, 256), 10),
+        ((16, 48, 32), 32), ((16, 48, 32), 64), ((16, 48, 64), 32), ((16, 48, 32), 2),
+        ((7,), 5),
+    ])
+    def test_weight_gradient_is_c_contiguous_and_exact(self, x_shape, out_features):
+        rng = np.random.default_rng(sum(x_shape) + out_features)
+        x_data = rng.normal(size=x_shape).astype(np.float32)
+        w_data = rng.normal(size=(out_features, x_shape[-1])).astype(np.float32)
+        grad = rng.normal(size=x_shape[:-1] + (out_features,)).astype(np.float32)
+
+        x1, w1 = _tensors(x_data, w_data)
+        x1.matmul(w1.T).backward(grad)
+        x2, w2 = _tensors(x_data, w_data)
+        ops.linear(x2, w2).backward(grad)
+
+        assert w2.grad.flags.c_contiguous
+        _assert_identical("grad_w", w1.grad, w2.grad)
+
     def test_gradcheck(self):
         rng = np.random.default_rng(0)
         x, w, b = _tensors(
@@ -294,7 +315,7 @@ class TestGraphFreeing:
 
 
 class TestInPlaceOptimizerParity:
-    """The in-place/scratch-buffer updates match the allocating formulas."""
+    """The flat, chunked, in-place updates match the allocating per-parameter formulas."""
 
     @staticmethod
     def _reference_adam(params, grads, lr, betas, eps, weight_decay, decoupled, steps):
@@ -354,6 +375,90 @@ class TestInPlaceOptimizerParity:
             velocity = 0.9 * velocity + g
             expected = expected - 0.1 * velocity
         _assert_identical("param", param.data, expected)
+
+    @staticmethod
+    def _reference_sgd(params, grads, lr, momentum, weight_decay, steps):
+        params = [p.copy() for p in params]
+        velocity = [np.zeros_like(p) for p in params]
+        for _ in range(steps):
+            for i, grad in enumerate(grads):
+                grad = grad + weight_decay * params[i]
+                velocity[i] = momentum * velocity[i] + grad
+                params[i] = params[i] - lr * velocity[i]
+        return params
+
+    # Sizes 30 000 + 5 000 + ...: the second parameter straddles the first
+    # 32 768-element chunk boundary, so the sweep splits it in two.
+    _SHAPES = [(100, 300), (50, 100), (17,), (40, 900), (3, 5)]
+
+    @pytest.mark.parametrize("kind", ["adam", "adamw", "sgd-momentum"])
+    def test_chunked_flat_update_matches_per_parameter_reference(self, kind):
+        from repro.nn import Parameter
+
+        rng = np.random.default_rng(21)
+        datas = [rng.normal(size=s).astype(np.float32) for s in self._SHAPES]
+        grads = [rng.normal(size=s).astype(np.float32) for s in self._SHAPES]
+        params = [Parameter(d.copy()) for d in datas]
+        if kind == "sgd-momentum":
+            optimizer = SGD(params, lr=0.05, momentum=0.9, weight_decay=0.01)
+        else:
+            optimizer = (AdamW if kind == "adamw" else Adam)(params, lr=1e-2, weight_decay=0.01)
+        # Parameter 2 has no gradient in the last step: it splits the flat
+        # buffer into two runs, is skipped, and its moments stay as step 2
+        # left them.
+        skipped = 2
+        for step in range(3):
+            if step == 2:
+                moments_before = {
+                    key: view.copy() for key, view in optimizer.state[id(params[skipped])].items()
+                }
+            for i, (param, grad) in enumerate(zip(params, grads)):
+                param.grad = None if (i, step) == (skipped, 2) else grad.copy()
+            optimizer.step()
+
+        def reference(steps):
+            if kind == "sgd-momentum":
+                return self._reference_sgd(datas, grads, 0.05, 0.9, 0.01, steps=steps)
+            return self._reference_adam(
+                datas, grads, 1e-2, (0.9, 0.999), 1e-8, 0.01, kind == "adamw", steps=steps
+            )
+
+        for i, exp in enumerate(reference(3)):
+            if i != skipped:
+                _assert_identical(f"param {i}", params[i].data, exp)
+        _assert_identical("skipped param", params[skipped].data, reference(2)[skipped])
+        for key, moment in optimizer.state[id(params[skipped])].items():
+            assert moment.any()
+            _assert_identical(f"skipped {key}", moment, moments_before[key])
+        # Values and state are views of one flat buffer per kind.
+        group = optimizer.buffers.groups[0]
+        for param in params:
+            assert np.shares_memory(param.data, group.data)
+            for key, moment in optimizer.state[id(param)].items():
+                assert np.shares_memory(moment, group.state[key])
+
+    def test_backward_accumulates_into_the_gradient_view(self):
+        from repro.nn import Parameter
+
+        rng = np.random.default_rng(4)
+        param = Parameter(rng.normal(size=(3, 4)).astype(np.float32))
+        optimizer = Adam([param], lr=1e-3)
+        terms = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(3)]
+        # Three uses of one leaf: the contributions sum ((g1 + g2) + g3).
+        total = sum((param * Tensor(t)).sum() for t in terms)
+        total.backward()
+        assert param.grad is optimizer.buffers.grad_view(param)
+        _assert_identical("grad", param.grad, (terms[0] + terms[1]) + terms[2])
+
+    def test_rebound_parameter_data_is_refused(self):
+        from repro.nn import Parameter
+
+        param = Parameter(np.ones((3,), dtype=np.float32))
+        optimizer = Adam([param], lr=1e-3)
+        param.data = np.zeros((3,), dtype=np.float32)
+        param.grad = np.ones((3,), dtype=np.float32)
+        with pytest.raises(ValueError, match="rebound"):
+            optimizer.step()
 
     def test_step_leaves_param_grad_untouched(self):
         from repro.nn import Parameter

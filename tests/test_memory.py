@@ -28,7 +28,7 @@ from repro.memory import (
     SpillManager,
     make_eviction_policy,
 )
-from repro.models import FeedForwardConfig, FeedForwardNetwork
+from repro.models import FeedForwardConfig, FeedForwardNetwork, available_models, create_model
 from repro.optim import SGD, Adam
 from repro.scheduler import (
     ShardParallelStrategy,
@@ -506,6 +506,28 @@ class TestSpilledExecutorExactness:
             resident_losses, train_epochs(spilled_exec, mlp_loader(), spilled_opt)
         )
 
+    def test_shard_spills_as_one_array_per_kind(self):
+        model = small_mlp()
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        executor = ShardedModelExecutor(model, BOUNDARIES)
+        manager = SpillManager({"dev0": 1 << 20})
+        executor.bind_memory(manager, optimizer)
+        group = optimizer.buffers.groups[0]
+        for shard in range(executor.num_shards):
+            values, m, v = manager._records[(model.model_name, shard)].arrays_fn()
+            size = sum(p.data.size for p in executor.shard_parameters(shard))
+            assert values.size == m.size == v.size == size
+            assert np.shares_memory(values, group.data)
+            assert np.shares_memory(m, group.state["m"])
+            assert np.shares_memory(v, group.state["v"])
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_builtin_model_blocks_own_consecutive_parameters(self, name):
+        model = create_model(name)
+        optimizer = SGD(model.parameters(), lr=1e-2)
+        for block in range(model.num_blocks()):
+            assert len(optimizer.buffers.runs(model.block_parameters(block))) == 1, block
+
     def test_train_step_rejects_foreign_optimizer(self):
         model = small_mlp()
         optimizer = Adam(model.parameters(), lr=1e-2)
@@ -885,6 +907,49 @@ class TestCheckpointOptimizerState:
             reference.named_parameters(), resumed.named_parameters()
         ):
             assert np.array_equal(p_ref.data, p_res.data)
+
+    def test_load_writes_into_the_flat_buffers(self, tmp_path):
+        """A load that rebinds ``param.data`` or replaces a state array would
+        detach it from the buffers the optimizer updates."""
+        batches = self._batches(3)
+        twin = small_mlp(seed=4)
+        twin_opt = Adam(twin.parameters(), lr=1e-2)
+        self._train_on(twin, twin_opt, batches)
+
+        source = small_mlp(seed=4)
+        source_opt = Adam(source.parameters(), lr=1e-2)
+        self._train_on(source, source_opt, batches[:2])
+        path = save_checkpoint(source, tmp_path / "mid.npz", optimizer=source_opt)
+
+        loaded = small_mlp(seed=99)
+        loaded_opt = Adam(loaded.parameters(), lr=1e-2)
+        load_checkpoint(loaded, path, optimizer=loaded_opt)
+        self._train_on(loaded, loaded_opt, batches[2:])
+
+        group = loaded_opt.buffers.groups[0]
+        for (name, p_twin), (_, p_loaded) in zip(
+            twin.named_parameters(), loaded.named_parameters()
+        ):
+            assert np.shares_memory(p_loaded.data, group.data), name
+            assert np.array_equal(p_twin.data, p_loaded.data), name
+            for key in ("m", "v"):
+                moment = loaded_opt.state[id(p_loaded)][key]
+                assert np.shares_memory(moment, group.state[key]), (name, key)
+                assert np.array_equal(twin_opt.state[id(p_twin)][key], moment), (name, key)
+
+    def test_load_resets_moments_the_archive_does_not_hold(self, tmp_path):
+        fresh = small_mlp(seed=4)
+        path = save_checkpoint(
+            fresh, tmp_path / "fresh.npz", optimizer=Adam(fresh.parameters(), lr=1e-2)
+        )
+        model = small_mlp(seed=4)
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        self._train_on(model, optimizer, self._batches(1))
+        load_checkpoint(model, path, optimizer=optimizer)
+        assert optimizer.step_count == 0
+        for state in optimizer.state.values():
+            for moment in state.values():
+                assert not moment.any()
 
     def test_load_without_saved_optimizer_state_raises(self, tmp_path):
         model = small_mlp()
