@@ -26,7 +26,8 @@ serving traffic against it (see ``docs/serving.md``):
   (fill window 0, i.e. continuous batching): every published model served
   through **one** replica pool and **one** memory budget, with
   weighted-fair scheduling and Hydra-style whole-model eviction/restore of
-  cold models (see ``docs/router.md``).
+  cold models, each member a one-shard executor leasing from the shared
+  :class:`~repro.memory.SpillManager` (see ``docs/router.md``).
 
 Exactness is the core contract, inherited from the training side: replicas
 run every forward at one fixed compute geometry, so batched responses are

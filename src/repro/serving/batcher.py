@@ -39,14 +39,6 @@ others' grow.  A queue that was empty re-enters at the scheduler's current
 virtual time, so an idle model cannot bank credit and then monopolise the
 pool.
 
-**Cold queues.**  With an ``is_cold`` callback (the fleet's "is this model
-evicted?"), the scheduler prefers hot work while a cold queue's restore is
-in flight: if the fair pick is cold and a hot queue also has work, the hot
-one runs, the assignment names the deferred queue so the caller can start
-its restore, and a skip counter guarantees the cold queue is served
-unconditionally after at most ``max_cold_skips`` deferrals — bounded
-unfairness, never starvation.
-
 **Outcomes.**  Every request ends here one way or another, so the batcher
 counts them: into its own :class:`~repro.telemetry.metrics.MetricsRegistry`
 (:attr:`DynamicBatcher.registry`), under ``serving.<model>.`` — counters
@@ -68,7 +60,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     List,
@@ -172,10 +163,7 @@ class ModelEntry:
     ``weight`` the model's fair share of the workers.  ``replicas`` all
     answer ``infer(arrays, pad_to)`` / ``close()`` and run every micro-batch
     at ``compute_batch_size`` rows (default ``max_batch_size``); worker slot
-    ``i`` uses ``replicas[i % len(replicas)]``.  ``key`` is the model's
-    whole-model shard key in the front-end's shared spill manager — forwards
-    then run under a lease on it — or ``None`` when the entry is not
-    budget-managed (a server's replicas, which hold their own weights).
+    ``i`` uses ``replicas[i % len(replicas)]``.
 
     Raises:
         ConfigurationError: for non-positive limits or weight, a negative
@@ -189,12 +177,9 @@ class ModelEntry:
     weight: float = 1.0
     compute_batch_size: Optional[int] = None
     replicas: Sequence[Any] = ()
-    key: Optional[Tuple[str, int]] = None
     requests: Deque[InferenceRequest] = field(default_factory=deque)
     #: stride-scheduling pass value — served rows / weight, monotone
     pass_value: float = 0.0
-    #: consecutive times the scheduler deferred this entry while cold
-    cold_skips: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
@@ -230,8 +215,6 @@ class Assignment(NamedTuple):
     rows: int
     #: requests still waiting, across all entries, once this batch was formed
     depth: int
-    #: the cold entry this batch ran instead of, if the pick was deferred
-    deferred: Optional[ModelEntry]
 
 
 def _stride_key(entry: ModelEntry) -> Tuple[float, str]:
@@ -259,16 +242,10 @@ class DynamicBatcher:
         ServingError: from :meth:`submit` after :meth:`close`.
     """
 
-    def __init__(
-        self,
-        max_cold_skips: int = 0,
-        is_cold: Optional[Callable[[ModelEntry], bool]] = None,
-    ):
-        self.max_cold_skips = int(max_cold_skips)
+    def __init__(self) -> None:
         self.batches_dispatched = 0
         #: number of requests currently queued, across all entries
         self.pending = 0
-        self._is_cold = is_cold
         self._entries: Dict[str, ModelEntry] = {}
         self._cond = threading.Condition()
         #: min-heap of (deadline, tiebreak, request, entry); the items of
@@ -529,25 +506,6 @@ class DynamicBatcher:
     def _take_locked(self, ready: List[ModelEntry]) -> Assignment:
         """Stride-pick among the ``ready`` entries and pop the pick's batch."""
         chosen = min(ready, key=_stride_key)
-        deferred = None
-        if (
-            self._is_cold is not None
-            and chosen.cold_skips < self.max_cold_skips
-            and self._is_cold(chosen)
-        ):
-            # Cold (evicted or mid-restore): a worker that took this batch
-            # would block restoring it — possibly on an eviction that needs
-            # the *other* workers to unpin first.  Defer the pick (bounded)
-            # and run hot work meanwhile.
-            hot = [
-                entry
-                for entry in ready
-                if entry is not chosen and not self._is_cold(entry)
-            ]
-            if hot:
-                chosen.cold_skips += 1
-                deferred, chosen = chosen, min(hot, key=_stride_key)
-        chosen.cold_skips = 0
         self._virtual_time = chosen.pass_value
         queued = chosen.requests
         taken: List[InferenceRequest] = []
@@ -561,4 +519,4 @@ class DynamicBatcher:
         chosen.pass_value += rows / chosen.weight
         self.pending -= len(taken)
         self.batches_dispatched += 1
-        return Assignment(chosen, taken, rows, self.pending, deferred)
+        return Assignment(chosen, taken, rows, self.pending)

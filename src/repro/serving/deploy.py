@@ -39,9 +39,6 @@ def serve(
     timeout_ms: Optional[float] = None,
     compute_batch_size: Optional[int] = None,
     memory_budget: Optional[int] = None,
-    num_shards: Optional[int] = None,
-    prefetch: bool = True,
-    spill_dir: Optional[str] = None,
     name: str = "server",
     start: bool = True,
     telemetry=None,
@@ -54,10 +51,10 @@ def serve(
     spilled serving with more than one replica).
 
     ``memory_budget`` (bytes) opts each replica into *spilled* serving: the
-    model is cut into ``num_shards`` shards (default: one per block) and
-    served through a private :class:`~repro.memory.SpillManager` whose
-    single arena holds ``memory_budget`` bytes — over-memory models answer
-    bit-identically to resident ones from a bounded device footprint.
+    model is cut into one shard per block and served through a private
+    :class:`~repro.memory.SpillManager` whose single arena holds
+    ``memory_budget`` bytes — over-memory models answer bit-identically to
+    resident ones from a bounded device footprint.
 
     The remaining knobs configure the :class:`~repro.serving.ModelServer`:
     ``max_batch_size``/``max_wait_ms`` bound the dynamic batcher,
@@ -106,9 +103,6 @@ def serve(
                 Replica.spilled(
                     instance,
                     memory_budget=memory_budget,
-                    num_shards=num_shards,
-                    prefetch=prefetch,
-                    spill_dir=spill_dir,
                     name=replica_name,
                     telemetry=telemetry,
                 )
@@ -140,8 +134,6 @@ def serve_fleet(
     max_queue: int = 64,
     timeout_ms: Optional[float] = None,
     compute_batch_size: Optional[int] = None,
-    prefetch: bool = True,
-    spill_dir: Optional[str] = None,
     name: str = "fleet",
     start: bool = True,
     telemetry=None,
@@ -196,8 +188,6 @@ def serve_fleet(
         max_batch_size=max_batch_size,
         max_queue=max_queue,
         timeout_ms=timeout_ms,
-        prefetch=prefetch,
-        spill_dir=spill_dir,
         name=name,
         telemetry=telemetry,
     )

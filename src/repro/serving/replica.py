@@ -3,12 +3,14 @@
 A :class:`Replica` wraps either
 
 * a fully **resident** model — one ``forward`` under ``no_grad``; or
-* a **spilled** sharded model — a
-  :class:`~repro.training.sharded_trainer.ShardedModelExecutor` bound
-  (inference-only) to its own :class:`~repro.memory.SpillManager`, so a
-  model whose parameters exceed a single device budget still serves: shards
-  are leased one at a time, restored from the host cache on demand, and the
-  next shard prefetches while the current one computes.
+* a :class:`~repro.training.sharded_trainer.ShardedModelExecutor` bound
+  (inference-only) to a :class:`~repro.memory.SpillManager`, whose
+  ``forward_only`` leases each shard around its blocks.  A **spilled**
+  replica owns its manager, so a model whose parameters exceed a single
+  device budget still serves: shards are leased one at a time, restored
+  from the host cache on demand, and the next shard prefetches while the
+  current one computes.  A fleet member is the one-shard case on the
+  fleet's shared manager (:mod:`repro.serving.router`).
 
 **Fixed-geometry execution.**  BLAS kernels choose different blocking for
 different batch sizes, so the *same row* run at batch 1 and at batch 32
@@ -26,7 +28,7 @@ precisely to fill those rows with real work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from repro.data.dataloader import Batch
 from repro.exceptions import ConfigurationError, ServingError
 from repro.memory import SpillManager
 from repro.models.base import ShardableModel
-from repro.sharding.partitioner import partition_uniform
 from repro.training.sharded_trainer import ShardedModelExecutor
 
 #: arena name of a spilled replica's single serving device
@@ -157,24 +158,18 @@ class Replica:
         cls,
         model: ShardableModel,
         memory_budget: int,
-        num_shards: Optional[int] = None,
-        boundaries: Optional[Sequence[Tuple[int, int]]] = None,
-        prefetch: bool = True,
-        spill_dir: Optional[str] = None,
-        host_cache_limit_bytes: Optional[int] = None,
         scrub_evicted: bool = False,
         name: str = "replica",
         telemetry=None,
     ) -> "Replica":
         """A replica serving from a single ``memory_budget``-byte device arena.
 
-        The model is cut into ``num_shards`` shards (default: one per block,
-        the finest granularity and thus the smallest residency floor) and
-        bound inference-only to a private spill manager: no optimizer state
-        is charged, forwards lease one shard at a time, and the next shard's
-        restore overlaps the current shard's compute when ``prefetch`` is on.
-        Responses are bit-identical to a resident replica's — restores put
-        the exact parameter bytes back.
+        The model is cut into one shard per block (the finest granularity and
+        thus the smallest residency floor) and bound inference-only to a
+        private spill manager: no optimizer state is charged, forwards lease
+        one shard at a time, and the next shard's restore overlaps the
+        current shard's compute.  Responses are bit-identical to a resident
+        replica's — restores put the exact parameter bytes back.
 
         Raises:
             ConfigurationError: if the budget is not positive or smaller
@@ -184,10 +179,9 @@ class Replica:
             raise ConfigurationError(
                 f"memory_budget must be positive, got {memory_budget}"
             )
-        if boundaries is None:
-            shard_count = num_shards if num_shards is not None else model.num_blocks()
-            boundaries = partition_uniform(model.profile(), shard_count)
-        executor = ShardedModelExecutor(model, boundaries)
+        executor = ShardedModelExecutor(
+            model, [(block, block + 1) for block in range(model.num_blocks())]
+        )
         largest = max(
             sum(p.data.nbytes for p in executor.shard_parameters(shard))
             for shard in range(executor.num_shards)
@@ -195,14 +189,12 @@ class Replica:
         if largest > memory_budget:
             raise ConfigurationError(
                 f"memory_budget {memory_budget} cannot hold the largest shard "
-                f"({largest} bytes); raise the budget or use more shards"
+                f"({largest} bytes); raise the budget"
             )
         manager = SpillManager(
             {_SERVE_ARENA: int(memory_budget)},
             policy=_EVICTION_POLICY,
-            prefetch=prefetch,
-            spill_dir=spill_dir,
-            host_cache_limit_bytes=host_cache_limit_bytes,
+            prefetch=True,
             scrub_evicted=scrub_evicted,
             telemetry=telemetry,
         )
@@ -214,7 +206,7 @@ class Replica:
     # ------------------------------------------------------------------ #
     @property
     def is_spilled(self) -> bool:
-        """Whether this replica serves through a spill manager."""
+        """Whether this replica serves through a spill manager of its own."""
         return self.manager is not None
 
     def infer(

@@ -11,10 +11,13 @@ the same :class:`~repro.serving.server.ServingCore`; one router owns, for
   scheduler for ``(model, micro-batch)`` work;
 * **one spill budget** — a single :class:`~repro.memory.SpillManager`
   arena that all models' parameters are charged against.  Each model is
-  registered *whole* (Hydra-style: models move as units, not layer
-  fragments): hot models stay device-resident, cold models are evicted to
-  the host cache under pressure and restored on demand, so the fleet's
-  total parameter bytes may exceed the budget;
+  served through a one-shard
+  :class:`~repro.training.sharded_trainer.ShardedModelExecutor` bound to
+  that arena, so it moves *whole* (Hydra-style: models move as units, not
+  layer fragments) and only inside its executor's lease, the path a spilled
+  replica takes too: hot models stay device-resident, cold models are
+  evicted to the host cache under pressure and restored on demand, so the
+  fleet's total parameter bytes may exceed the budget;
 * **one scheduler** — the :class:`~repro.serving.batcher.DynamicBatcher` a
   server uses, with one queue per model (per-model admission control),
   a fill window of zero (**continuous batching**: unlike a server, which
@@ -22,14 +25,10 @@ the same :class:`~repro.serving.server.ServingCore`; one router owns, for
   sleeps on purpose) and the stride-scheduled weighted-fair pick between
   the queues.
 
-**Cold models.**  Serving an evicted model means restoring its bytes
-first, so the scheduler prefers hot work while a restore is in flight (see
-:mod:`repro.serving.batcher`): the router answers its "is this queue
-cold?" from the shared manager's residency, kicks off the deferred model's
-restore in the background (prefetch), and the scheduler's skip counter
-serves the cold model unconditionally after at most ``_MAX_COLD_SKIPS``
-deferrals.  Arrival at an evicted model's queue also triggers a prefetch,
-so restores overlap other models' compute.
+**Cold models.**  The scheduler picks an evicted model like any other;
+its forward restores the bytes inside the lease.  Arrival at an evicted
+model's queue starts that restore in the background (prefetch), so it
+overlaps other models' compute.
 
 **Exactness.**  Every model executes at its own fixed compute geometry
 (micro-batches padded via :func:`~repro.serving.replica.pad_rows`), and
@@ -54,6 +53,7 @@ from repro.memory import ResidencyState, SpillManager
 from repro.serving.batcher import DynamicBatcher, ModelEntry, PendingResponse
 from repro.serving.replica import Replica
 from repro.serving.server import RequestArrays, ServingCore
+from repro.training.sharded_trainer import ShardedModelExecutor
 from repro.utils.logging import log_context
 
 logger = logging.getLogger(__name__)
@@ -64,8 +64,6 @@ _FLEET_ARENA = "fleet0"
 _UNBOUNDED = 1 << 62
 #: eviction policy of the fleet's shared spill manager
 _EVICTION_POLICY = "lru"
-#: how many times in a row the scheduler may defer an evicted model's queue
-_MAX_COLD_SKIPS = 3
 
 
 class RouterHandle:
@@ -133,9 +131,7 @@ class FleetRouter(ServingCore):
         max_batch_size: int = 8,
         max_queue: int = 64,
         timeout_ms: Optional[float] = None,
-        prefetch: bool = True,
         scrub_evicted: bool = False,
-        spill_dir: Optional[str] = None,
         watchdog_interval_s: Optional[float] = 5.0,
         name: str = "fleet",
         telemetry=None,
@@ -152,10 +148,7 @@ class FleetRouter(ServingCore):
             raise ConfigurationError(
                 f"memory_budget must be positive, got {memory_budget}"
             )
-        super().__init__(
-            name, replicas, timeout_ms, telemetry,
-            DynamicBatcher(max_cold_skips=_MAX_COLD_SKIPS, is_cold=self._is_cold),
-        )
+        super().__init__(name, replicas, timeout_ms, telemetry, DynamicBatcher())
         self.replicas = int(replicas)
         self.max_batch_size = int(max_batch_size)
         self.max_queue = int(max_queue)
@@ -164,8 +157,7 @@ class FleetRouter(ServingCore):
         self._manager = SpillManager(
             {_FLEET_ARENA: self._budget or _UNBOUNDED},
             policy=_EVICTION_POLICY,
-            prefetch=prefetch,
-            spill_dir=spill_dir,
+            prefetch=True,
             scrub_evicted=scrub_evicted,
             telemetry=self.telemetry,
         )
@@ -187,12 +179,13 @@ class FleetRouter(ServingCore):
     ) -> ModelEntry:
         """Register one model with the fleet (before or while serving).
 
-        The model is put in ``eval`` mode and its whole parameter set is
-        registered against the shared budget.  ``weight`` scales its fair
-        share of the pool; ``max_batch_size``/``compute_batch_size``/
-        ``max_queue`` default to the router-wide settings.  The compute
-        geometry must match any dedicated server the model's responses are
-        compared against — exactness is per-geometry.
+        The model is put in ``eval`` mode and served by a one-shard executor
+        whose shard, the whole parameter set, is registered against the
+        shared budget.  ``weight`` scales its fair share of the pool;
+        ``max_batch_size``/``compute_batch_size``/``max_queue`` default to
+        the router-wide settings.  The compute geometry must match any
+        dedicated server the model's responses are compared against —
+        exactness is per-geometry.
         """
         if self._stopped:
             raise ServingError(
@@ -202,11 +195,17 @@ class FleetRouter(ServingCore):
             raise ConfigurationError(
                 f"model {name!r} is already registered with router {self.name!r}"
             )
-        nbytes, key = sum(p.data.nbytes for p in model.parameters()), (name, 0)
+        nbytes = sum(p.data.nbytes for p in model.parameters())
         if self._budget is not None and nbytes > self._budget:
             raise ConfigurationError(
                 f"model {name!r} needs {nbytes} bytes but the fleet budget is "
                 f"{self._budget}; a model must fit the budget whole"
+            )
+        executor = ShardedModelExecutor(model, [(0, model.num_blocks())])
+        if list(map(id, executor.shard_parameters(0))) != list(map(id, model.parameters())):
+            raise ConfigurationError(
+                f"model {name!r}: its blocks must own exactly its parameters, "
+                "or the fleet would charge and restore the wrong bytes"
             )
         entry = ModelEntry(
             name=name,
@@ -216,12 +215,9 @@ class FleetRouter(ServingCore):
             max_queue=int(max_queue) if max_queue is not None else self.max_queue,
             weight=float(weight),
             compute_batch_size=compute_batch_size,
-            replicas=(Replica.resident(model, name=name),),
-            key=key,
+            replicas=(Replica(model, executor=executor, name=name),),
         )
-        self._manager.register(
-            key, _FLEET_ARENA, nbytes, lambda: [p.data for p in model.parameters()]
-        )
+        executor.bind_memory(self._manager, model_id=name, device_of=lambda _: _FLEET_ARENA)
         self._batcher.add_entry(entry)
         return entry
 
@@ -288,8 +284,9 @@ class FleetRouter(ServingCore):
         response = self._submit(entry, arrays, timeout_ms)
         # Outside the scheduler lock: the manager has its own locking, and a
         # restore started now overlaps whatever the workers are computing.
-        if self._manager.residency(entry.key) is ResidencyState.EVICTED:
-            self._manager.prefetch(entry.key)
+        key = entry.replicas[0].executor.shard_key(0)
+        if self._manager.residency(key) is ResidencyState.EVICTED:
+            self._manager.prefetch(key)
         return response
 
     def request(
@@ -350,10 +347,6 @@ class FleetRouter(ServingCore):
                 f"registered: {self.models or 'none'}"
             )
         return entry
-
-    def _is_cold(self, entry: ModelEntry) -> bool:
-        """The scheduler's question: would serving ``entry`` wait on a restore?"""
-        return self._manager.residency(entry.key) is not ResidencyState.RESIDENT
 
     def _watchdog_loop(self) -> None:
         """Log per-interval progress; flag stalls (queued work, no batches)."""

@@ -17,8 +17,10 @@ entries are declared — and both front-ends are that core:
 A :class:`ModelServer` is the one-entry case: its batches wait out a fill
 window (``max_wait_ms``) and its replicas —
 :class:`~repro.serving.replica.Replica`, resident or spilled — each get a
-worker of their own.  A :class:`~repro.serving.router.FleetRouter` is the many-entry
-case on a shared pool and a shared memory budget.
+worker of their own.  A :class:`~repro.serving.router.FleetRouter` is the
+many-entry case on a shared pool and a shared memory budget.  Residency is
+never the serve loop's business: a replica that leases (spilled, or a fleet
+member) does so inside its executor's forward.
 
 Every entry executes at its fixed compute geometry (``compute_batch_size``
 rows, default ``max_batch_size``), which is what makes responses
@@ -31,7 +33,6 @@ spilled.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import time
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -55,9 +56,6 @@ logger = logging.getLogger(__name__)
 
 #: request payload: a field->array dict, or a bare array for the ``"features"`` field
 RequestArrays = Union[Dict[str, np.ndarray], np.ndarray]
-
-#: stands in for the memory lease of entries that are not budget-managed
-_NO_LEASE = contextlib.nullcontext()
 
 
 class ServingCore:
@@ -86,7 +84,7 @@ class ServingCore:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._workers = int(workers)
         self._batcher = batcher
-        #: the shared SpillManager that entries with a ``key`` lease from
+        #: the SpillManager the entries' executors share, if the front-end owns one
         self._manager = None
         self._labels = {self._kind: name}
         self._pool = None
@@ -149,7 +147,7 @@ class ServingCore:
             for entry in self._batcher.entries():
                 for replica in entry.replicas:
                     replica.close()
-                if entry.key is not None:
+                if self._manager is not None:
                     self._manager.forget_model(entry.name)
             if self._manager is not None:
                 self._manager.close()
@@ -210,10 +208,6 @@ class ServingCore:
             work = self._batcher.next_batch()
             if work is None:
                 return
-            if work.deferred is not None:
-                # The fair pick was cold and this hot batch runs instead:
-                # its restore travels while the batch computes.
-                self._manager.prefetch(work.deferred.key)
             entry = work.entry
             replica = entry.replicas[slot % len(entry.replicas)]
             with log_context(model=entry.name, **self._labels), tel.span(
@@ -233,14 +227,7 @@ class ServingCore:
             # mismatched field sets must fail *their batch*, not kill
             # the worker loop and hang every later client.
             arrays = concat_rows([request.arrays for request in batch])
-            # The lease pins the whole model resident (restoring it from
-            # the host cache if it was evicted) for exactly this forward,
-            # which only reads the weights: evicting them again copies nothing.
-            lease = (
-                _NO_LEASE if entry.key is None
-                else self._manager.lease(entry.key, write=False)
-            )
-            with lease, tel.span("serve.forward", cat="serving", replica=replica.name):
+            with tel.span("serve.forward", cat="serving", replica=replica.name):
                 output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients
             # A typed serving error passes through unwrapped so clients can react to the specific failure;

@@ -156,11 +156,11 @@ class ShardedModelExecutor:
         no more than one of this model's shards needs to be resident per
         device at a time.
 
-        ``optimizer=None`` binds the executor for *inference only* (the
-        serving subsystem's spilled replicas): shards carry just their
-        parameter bytes, :meth:`forward_only` leases them as usual, and a
-        backward pass raises instead of silently training without per-shard
-        updates.
+        ``optimizer=None`` binds the executor for *inference only* (every
+        serving replica that leases: spilled replicas and fleet members):
+        shards carry just their parameter bytes, :meth:`forward_only` leases
+        them as usual, and a backward pass raises instead of silently
+        training without per-shard updates.
         """
         model_id = model_id if model_id is not None else self.model.model_name
         names = manager.arena_names
@@ -200,7 +200,8 @@ class ShardedModelExecutor:
         """Whether optimizer updates happen per shard inside ``run_backward``."""
         return self._memory is not None and self._memory_optimizer is not None
 
-    def _shard_key(self, shard_index: int) -> ShardKey:
+    def shard_key(self, shard_index: int) -> ShardKey:
+        """The spill manager's key for one shard of a bound executor."""
         return (self._memory_model_id, shard_index)
 
     def _announce_schedule(self) -> None:
@@ -210,7 +211,7 @@ class ShardedModelExecutor:
         schedule-aware policy would see the final shard as hop-less right
         before its backward and evict exactly the shard needed next."""
         self._memory.announce(
-            self._memory_model_id, [self._shard_key(shard) for _, shard in self.order]
+            self._memory_model_id, [self.shard_key(shard) for _, shard in self.order]
         )
 
     def _leased(
@@ -232,8 +233,8 @@ class ShardedModelExecutor:
         if self._memory is None:
             return _RESIDENT
         if prefetch is None and then is not None and 0 <= then < self.num_shards:
-            prefetch = self._shard_key(then)
-        return self._spilled_lease(self._shard_key(shard_index), write, prefetch)
+            prefetch = self.shard_key(then)
+        return self._spilled_lease(self.shard_key(shard_index), write, prefetch)
 
     @contextmanager
     def _spilled_lease(
@@ -292,11 +293,15 @@ class ShardedModelExecutor:
                 upstream = self._contexts[shard_index - 1].output
                 state = _detach_state(upstream)
             context.boundary_input = state
-            start, stop = self.boundaries[shard_index]
-            for block_index in range(start, stop):
-                state = self.model.run_block(block_index, state, batch)
-            context.output = state
-            return state
+            context.output = self._run_blocks(shard_index, state, batch)
+            return context.output
+
+    def _run_blocks(self, shard_index: int, state: Any, batch: Batch) -> Any:
+        """Run one shard's blocks on the upstream boundary ``state``."""
+        start, stop = self.boundaries[shard_index]
+        for block_index in range(start, stop):
+            state = self.model.run_block(block_index, state, batch)
+        return state
 
     def compute_loss(self, batch: Batch) -> Tensor:
         """Loss on the final shard's output (graph still attached to that shard only)."""
@@ -400,20 +405,21 @@ class ShardedModelExecutor:
         Output values are bit-identical to the graph-building forward — only
         the recording is skipped — and with a bound spill manager only the
         forward chain is announced, so schedule-aware eviction never plans
-        for a backward pass that will not happen.
+        for a backward pass that will not happen.  The chain's state lives
+        in this call, not in the per-batch stashes, so several threads may
+        run it at once (a fleet's workers serving two batches of one model).
         """
         forward = [shard for kind, shard in self.order if kind == FORWARD]
-        self.begin_batch()
         if self._memory is not None:
             self._memory.announce(
-                self._memory_model_id, [self._shard_key(shard) for shard in forward]
+                self._memory_model_id, [self.shard_key(shard) for shard in forward]
             )
+        state: Any = None
         with no_grad():
-            output = None
             for shard_index in forward:
-                output = self.run_forward(shard_index, batch)
-        self.end_batch()
-        return output
+                with self._leased(shard_index, write=False, then=shard_index + 1):
+                    state = self._run_blocks(shard_index, state, batch)
+        return state
 
 
 @dataclass

@@ -9,6 +9,9 @@ The contracts under test, in order of importance:
   geometry — whether the model was resident or evicted when asked;
 * **cold models serve** — a budget smaller than any two models forces every
   switch to evict/restore, and responses stay bit-exact through the churn;
+* **one model, two forwards at once** — a fleet member is a bound
+  one-shard executor, and its forward keeps the chain's state per call, so
+  two workers inside one model's forward each get their own answer;
 * **weighted-fair, never starved** — under a skewed mix the minority
   model's requests complete interleaved with the majority's, not after;
 * **admission is per model** — one model's full queue rejects that model's
@@ -19,6 +22,7 @@ The contracts under test, in order of importance:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -30,6 +34,7 @@ from repro.exceptions import (
     ServerOverloadedError,
     ServingError,
 )
+from repro.memory import SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.serving import (
     FleetRouter,
@@ -39,6 +44,7 @@ from repro.serving import (
     Replica,
 )
 from repro.serving.loadgen import mix_schedule
+from repro.training.sharded_trainer import ShardedModelExecutor
 
 CONFIG = FeedForwardConfig(input_dim=16, hidden_dims=(24, 16), num_classes=4)
 GEOMETRY = 8  # compute geometry shared by every exactness comparison
@@ -65,15 +71,33 @@ def dedicated_reference(seed: int, requests):
 
 
 class _SleepyModel(FeedForwardNetwork):
-    """A model whose forward takes a configurable wall-clock time."""
+    """A model whose forward takes a configurable wall-clock time.
+
+    The delay sits in the first block, which every forward runs once:
+    fleet members run blocks through their executor, never ``forward``.
+    """
 
     def __init__(self, delay_seconds: float, seed: int = 5):
         super().__init__(CONFIG, seed=seed)
         self.delay_seconds = delay_seconds
 
-    def forward(self, batch: Batch):
-        time.sleep(self.delay_seconds)
-        return super().forward(batch)
+    def run_block(self, index: int, state, batch: Batch):
+        if index == 0:
+            time.sleep(self.delay_seconds)
+        return super().run_block(index, state, batch)
+
+
+class _MeetingModel(FeedForwardNetwork):
+    """A model whose forwards wait in the first block until two are inside."""
+
+    def __init__(self, seed: int = 5):
+        super().__init__(CONFIG, seed=seed)
+        self.meeting = threading.Barrier(2)
+
+    def run_block(self, index: int, state, batch: Batch):
+        if index == 0:
+            self.meeting.wait(timeout=10)
+        return super().run_block(index, state, batch)
 
 
 @pytest.fixture
@@ -162,6 +186,51 @@ class TestFleetExactness:
                     f.result() for f in [pool.submit(client, n) for n in names]
                 ]
         assert failures == [None] * len(names)
+
+
+# --------------------------------------------------------------------------- #
+# Two forwards of one model at once
+# --------------------------------------------------------------------------- #
+class TestConcurrentForward:
+    def test_two_threads_share_one_bound_executor(self):
+        """Two threads inside one bound 2-shard executor's ``forward_only``
+        at once, on different inputs: each gets its own input's answer."""
+        model = _MeetingModel(seed=20)
+        executor = ShardedModelExecutor(model, [(0, 1), (1, model.num_blocks())])
+        manager = SpillManager({"dev0": model_bytes(model)}, scrub_evicted=True)
+        executor.bind_memory(manager, model_id="m", device_of=lambda _: "dev0")
+        rng = np.random.default_rng(3)
+        inputs = [rng.normal(size=(GEOMETRY, 16)).astype(np.float32) for _ in range(2)]
+        reference = make_model(seed=20)
+        expected = [reference.forward(Batch(arrays={"features": x})).data for x in inputs]
+        outputs = [None, None]
+
+        def run(index):
+            batch = Batch(arrays={"features": inputs[index]})
+            outputs[index] = executor.forward_only(batch).data
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        manager.close()
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(outputs, expected):
+            assert got is not None and np.array_equal(got, want)
+
+    def test_fleet_workers_inside_one_models_forward(self, requests_32):
+        """``replicas=2``, one model, one-request batches: both workers are
+        inside its forward together, and both answers match a dedicated
+        server's."""
+        router = FleetRouter(replicas=2, max_batch_size=1, watchdog_interval_s=None)
+        router.add_model("m", _MeetingModel(seed=20), compute_batch_size=GEOMETRY)
+        expected = dedicated_reference(20, requests_32[:2])
+        with router:
+            pending = [router.submit("m", {"features": x}) for x in requests_32[:2]]
+            got = [response.result(timeout=30) for response in pending]
+        for answer, want in zip(got, expected):
+            assert np.array_equal(answer, want)
 
 
 # --------------------------------------------------------------------------- #
@@ -332,6 +401,18 @@ class TestRouterLifecycle:
         router = FleetRouter(memory_budget=one // 2, watchdog_interval_s=None)
         with pytest.raises(ConfigurationError, match="fit the budget whole"):
             router.add_model("m", make_model())
+
+    def test_model_with_parameters_outside_its_blocks_rejected(self):
+        """A fleet member moves as its executor's one shard, so that shard
+        must be every parameter the model has."""
+        from repro.nn.parameter import Parameter
+
+        model = make_model()
+        model.stray = Parameter(np.zeros(3, dtype=np.float32))
+        router = FleetRouter(watchdog_interval_s=None)
+        with pytest.raises(ConfigurationError, match="own exactly its parameters"):
+            router.add_model("m", model)
+        assert router.models == []
 
     def test_stopped_router_cannot_restart(self):
         router = FleetRouter(watchdog_interval_s=None)

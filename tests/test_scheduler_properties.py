@@ -1,15 +1,15 @@
 """Invariants of the serving scheduler under random operation sequences.
 
 A hypothesis state machine drives one :class:`~repro.serving.DynamicBatcher`
-with 1–3 queues through submit / take / cancel / close (plus residency
-flips for the cold-skip rule) and checks, after every step, what every
-front-end built on it relies on:
+with 1–3 queues through submit / take / cancel / close and checks, after
+every step, what every front-end built on it relies on:
 
 * every admitted request is handed out exactly once **or** failed with a
   typed error — never both, never neither once serving stopped;
 * FIFO within a queue, whole requests only, ``rows <= max_batch_size``, and
   a batch is as full as FIFO order allows;
 * nothing is dispatched at or after its deadline;
+* the pick is the ready queue with the smallest ``(pass, name)``;
 * per-queue pass values are monotone and a re-entering queue starts at the
   scheduler's virtual time;
 * ``next_batch()`` returns ``None`` only when closed and empty.
@@ -45,7 +45,6 @@ from repro.exceptions import (
 )
 from repro.serving import ModelEntry, DynamicBatcher, InferenceRequest
 
-MAX_COLD_SKIPS = 2
 QUEUE_NAMES = ("a", "b", "c")
 
 def make_request(rows=1, deadline=None, tag=(0, 0)):
@@ -71,10 +70,7 @@ queue_specs = st.lists(
 class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.cold = set()
-        self.batcher = DynamicBatcher(
-            max_cold_skips=MAX_COLD_SKIPS, is_cold=lambda queue: queue.name in self.cold
-        )
+        self.batcher = DynamicBatcher()
         self.queues = []
         self.admitted = {}      # queue name -> requests in admission order
         self.handed = set()     # ids of requests returned in a batch
@@ -83,9 +79,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.last_pass = {}
         self.closed = False
 
-    @initialize(specs=queue_specs, cold=st.sets(st.sampled_from(QUEUE_NAMES)))
-    def declare_queues(self, specs, cold):
-        self.cold |= cold
+    @initialize(specs=queue_specs)
+    def declare_queues(self, specs):
         for name, (batch, depth, window, weight) in zip(QUEUE_NAMES, specs):
             queue = ModelEntry(
                 name, max_batch_size=batch, max_queue=depth, max_wait=window,
@@ -110,6 +105,20 @@ class SchedulerMachine(RuleBasedStateMachine):
     def _live(self, queue):
         now = time.monotonic()
         return [r for r in self._outstanding(queue) if not r.expired(now)]
+
+    def _ready(self, queue):
+        """Whether ``queue``'s batch dispatches now: the scheduler is closed,
+        the queue has no fill window, or its live requests cannot grow the
+        batch any further."""
+        live = self._live(queue)
+        if not live or self.closed or queue.max_wait == 0:
+            return bool(live)
+        rows = 0
+        for request in live:
+            if rows + request.rows > queue.max_batch_size:
+                return True
+            rows += request.rows
+        return rows >= queue.max_batch_size
 
     def _note_expired(self):
         """Account for what the next take will expire (past deadlines)."""
@@ -173,6 +182,8 @@ class SchedulerMachine(RuleBasedStateMachine):
                 self._take_one()
 
     def _take_one(self):
+        ready = [queue for queue in self.queues if self._ready(queue)]
+        fair = min(ready, key=lambda queue: (queue.pass_value, queue.name), default=None)
         self._note_expired()
         work = self.batcher.next_batch()
         if work is None:
@@ -181,6 +192,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             assert not any(self._outstanding(queue) for queue in self.queues)
             return
         queue, batch = work.entry, work.requests
+        assert queue is fair, (queue.name, fair and fair.name)
         assert batch, "an assignment carries at least one request"
         # Dispatched for a reason: closed, no window, or a batch that cannot
         # grow (the queued rows already fill or overflow it).
@@ -200,15 +212,6 @@ class SchedulerMachine(RuleBasedStateMachine):
         if queue.requests:
             assert work.rows + queue.requests[0].rows > queue.max_batch_size
         assert work.depth == self.batcher.pending
-        # Bounded cold-skip: hot work only ever jumps a cold queue.
-        if work.deferred is not None:
-            assert work.deferred.name in self.cold and queue.name not in self.cold
-            assert 1 <= work.deferred.cold_skips <= MAX_COLD_SKIPS
-        assert queue.cold_skips == 0
-
-    @rule(index=st.integers(0, 2))
-    def flip_residency(self, index):
-        self.cold ^= {self.queues[index % len(self.queues)].name}
 
     # The stopping rules wait for some traffic to have built up first, so
     # most of a run is submits and takes.
@@ -270,41 +273,12 @@ class SchedulerMachine(RuleBasedStateMachine):
         for queue in self.queues:
             assert queue.pass_value >= self.last_pass[queue.name]
             self.last_pass[queue.name] = queue.pass_value
-            assert queue.cold_skips <= MAX_COLD_SKIPS
 
 
 SchedulerMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None, derandomize=True
 )
 TestSchedulerInvariants = SchedulerMachine.TestCase
-
-
-def test_cold_queue_is_deferred_a_bounded_number_of_times():
-    """The cold-skip rule, step by step: hot work jumps the cold fair pick
-    ``max_cold_skips`` times, then the cold queue is served regardless."""
-    cold = {"cold"}
-    batcher = DynamicBatcher(max_cold_skips=2, is_cold=lambda queue: queue.name in cold)
-    queues = {
-        name: ModelEntry(name, max_batch_size=1, max_queue=8) for name in ("cold", "hot")
-    }
-
-    def submit(name):
-        batcher.submit(queues[name], make_request())
-
-    for queue in queues.values():
-        batcher.add_entry(queue)
-    for _ in range(4):
-        submit("hot")
-    submit("cold")  # equal pass values: "cold" sorts first, so it is the fair pick
-    picks = []
-    for _ in range(4):
-        work = batcher.next_batch()
-        picks.append((work.entry.name, work.deferred and work.deferred.name))
-    assert picks == [("hot", "cold"), ("hot", "cold"), ("cold", None), ("hot", None)]
-    # A queue that turned hot again is simply the fair pick.
-    cold.clear()
-    submit("cold")
-    assert batcher.next_batch().entry.name == "cold"
 
 
 def test_concurrent_submitters_and_workers_hand_out_every_request_once():

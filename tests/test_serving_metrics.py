@@ -4,8 +4,8 @@ Every serving front-end counts its request outcomes in the
 :class:`~repro.telemetry.MetricsRegistry` its batcher owns, and every
 ``metrics()`` row is a view over it.  The contracts under test:
 
-* **bounded** — recording 10⁵ requests, through a server or a two-model
-  router, does not grow the process's traced memory;
+* **bounded** — recording 10⁵ request outcomes in a server's or a
+  two-model router's batcher does not grow the process's traced memory;
 * **accurate** — each :class:`~repro.telemetry.Histogram` percentile lies
   within the stated relative error α of the exact order statistics around
   it, on fixed samples, and a merge is the histogram of the pooled samples;
@@ -30,7 +30,8 @@ import pytest
 from repro.api import serve
 from repro.exceptions import RequestTimeoutError, ServerOverloadedError, ServingError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import FleetRouter
+from repro.serving import FleetRouter, InferenceRequest
+from repro.serving.batcher import Assignment
 from repro.telemetry import Histogram, MetricsRegistry
 
 #: the relative error the histogram states (docs/observability.md)
@@ -165,21 +166,39 @@ class TestHistogram:
 # Bounded store under traffic
 # --------------------------------------------------------------------------- #
 REQUESTS = 100_000
-CHUNK = 500
+WARM_UP = 4_096
+BATCH = 16
+#: the batch completion times the store sees, cycled; each batch's requests
+#: were submitted 0..15 ms before, so the latencies span a fixed range and
+#: every histogram bucket the run touches already exists after warm-up
+FINISHED = np.geomspace(1e-4, 1.0, 64)
+#: a rejection, a timeout or a failure is counted beside every batch
+FAILURES = ("rejected", "timed_out", "failed")
 
 
-def _memory_growth(submit) -> int:
-    """Traced bytes retained by recording ``REQUESTS`` requests, after warm-up."""
+def _memory_growth(batcher) -> int:
+    """Traced bytes retained by recording ``REQUESTS`` outcomes, after warm-up.
+
+    The batcher's registry is driven the way its serve loop drives it — one
+    :meth:`complete` per answered batch, one :meth:`count` per failure — but
+    without forwards, so only the store's own growth is measured.
+    """
+    entries = batcher.entries()
+    requests = [
+        InferenceRequest(arrays={}, rows=1, submitted=-1e-3 * index)
+        for index in range(BATCH)
+    ]
 
     def run(count):
-        for _ in range(count // CHUNK):
-            pending = [submit(index) for index in range(CHUNK)]
-            for response in pending:
-                response.result(timeout=30)
+        for index in range(count // (BATCH * len(entries))):
+            for entry in entries:
+                work = Assignment(entry, requests, BATCH, index % 7)
+                batcher.complete(work, FINISHED[index % len(FINISHED)])
+                batcher.count(entry, FAILURES[index % len(FAILURES)], 1)
 
     tracemalloc.start()
     try:
-        run(10 * CHUNK)
+        run(WARM_UP)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         run(REQUESTS)
@@ -191,27 +210,27 @@ def _memory_growth(submit) -> int:
 
 class TestBoundedStore:
     def test_server_records_1e5_requests_in_bounded_memory(self):
-        server = serve(make_model(), max_batch_size=16, max_queue=CHUNK, name="bounded")
+        server = serve(make_model(), max_batch_size=16, name="bounded")
         try:
-            growth = _memory_growth(lambda index: server.submit(ROW))
+            server.request(ROW)  # one request through the whole serve path
+            growth = _memory_growth(server._batcher)
         finally:
             server.stop()
-        assert server.metrics()["completed"] == REQUESTS + 10 * CHUNK
+        assert server.metrics()["completed"] == 1 + WARM_UP + REQUESTS
         assert growth < 256 * 1024, growth
 
     def test_router_records_1e5_requests_in_bounded_memory(self):
-        router = FleetRouter(
-            replicas=2, max_batch_size=16, max_queue=CHUNK, watchdog_interval_s=None
-        )
+        router = FleetRouter(replicas=2, max_batch_size=16, watchdog_interval_s=None)
         router.add_model("a", make_model(1))
         router.add_model("b", make_model(2))
-        names = ("a", "b")
         try:
             router.start()
-            growth = _memory_growth(lambda index: router.submit(names[index % 2], ROW))
+            for name in ("a", "b"):
+                router.request(name, ROW)
+            growth = _memory_growth(router._batcher)
         finally:
             router.stop()
-        assert router.metrics()["fleet"]["completed"] == REQUESTS + 10 * CHUNK
+        assert router.metrics()["fleet"]["completed"] == 2 + WARM_UP + REQUESTS
         assert growth < 256 * 1024, growth
 
 
@@ -219,17 +238,22 @@ class TestBoundedStore:
 # Counters add up
 # --------------------------------------------------------------------------- #
 class _GatedModel(FeedForwardNetwork):
-    """A model whose forwards each wait for a permit the test hands out."""
+    """A model whose forwards each wait for a permit the test hands out.
+
+    The gate sits in the first block, which every forward runs once: fleet
+    members run blocks through their executor, never ``forward``.
+    """
 
     def __init__(self):
         super().__init__(CONFIG, seed=7)
         self.entered = threading.Semaphore(0)
         self.permits = threading.Semaphore(0)
 
-    def forward(self, batch):
-        self.entered.release()
-        assert self.permits.acquire(timeout=30), "the test never released the forward"
-        return super().forward(batch)
+    def run_block(self, index, state, batch):
+        if index == 0:
+            self.entered.release()
+            assert self.permits.acquire(timeout=30), "the test never released the forward"
+        return super().run_block(index, state, batch)
 
 
 class TestCountersAddUp:
