@@ -199,17 +199,22 @@ class LinearFunction(Function):
         x = np.asarray(x)
         weight = np.asarray(weight)
         self.save_for_backward(x, weight)
-        self.bias_shape = np.shape(bias) if bias is not None else None
         out = _stacked_matmul(x, weight.T)
-        if bias is not None:
-            bias = np.asarray(bias)
-            if (np.result_type(out.dtype, bias.dtype) == out.dtype
-                    and np.broadcast_shapes(out.shape, bias.shape) == out.shape):
-                # Same rounding as `out + bias`, one fewer allocation.
-                out += bias
-            else:
-                # Promoting or out-broadcasting bias: match the composition.
-                out = out + bias
+        if bias is None:
+            self.bias_shape = None
+            return out
+        bias = np.asarray(bias)
+        self.bias_shape = bias.shape
+        # The layer's own bias (same dtype, one entry per output column) is
+        # tested first, without numpy's general promotion/broadcast helpers.
+        if ((bias.dtype == out.dtype and bias.shape == out.shape[-1:])
+                or (np.result_type(out.dtype, bias.dtype) == out.dtype
+                    and np.broadcast_shapes(out.shape, bias.shape) == out.shape)):
+            # Same rounding as `out + bias`, one fewer allocation.
+            out += bias
+        else:
+            # Promoting or out-broadcasting bias: match the composition.
+            out = out + bias
         return out
 
     def backward(self, grad_output):

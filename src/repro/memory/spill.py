@@ -264,10 +264,13 @@ class SpillManager:
         self.stats = SpillStats()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._records: Dict[ShardKey, ShardResidency] = {}
-        self._cond = threading.Condition(threading.RLock())
+        #: entered directly (a C-level lock) on the lease path; waits and
+        #: notifications go through the condition built on it
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._clock = 0
         #: the transfer worker (``None`` without prefetch or once closed) and
-        #: whether its one restore slot is taken — both under ``_cond``
+        #: whether its one restore slot is taken — both under ``_lock``
         self._pool: Optional[ThreadWorkerPool] = ThreadWorkerPool(1) if prefetch else None
         self._inflight = False
 
@@ -315,7 +318,7 @@ class SpillManager:
             )
         if nbytes < 0:
             raise ConfigurationError(f"shard size must be non-negative, got {nbytes}")
-        with self._cond:
+        with self._lock:
             record = self._records.get(key)
             if record is None:
                 self._records[key] = ShardResidency(
@@ -345,7 +348,7 @@ class SpillManager:
         after the manager lets go (e.g. at trial teardown).  The host copy
         goes with the record.
         """
-        with self._cond:
+        with self._lock:
             record = self._records.get(key)
             if record is None:
                 return
@@ -365,7 +368,7 @@ class SpillManager:
 
     def forget_model(self, model_id: str) -> None:
         """Forget every shard of ``model_id`` and drop its schedule."""
-        with self._cond:
+        with self._lock:
             for key in [k for k in self._records if k[0] == model_id]:
                 self.forget(key)
             self.policy.retire(model_id)
@@ -373,13 +376,17 @@ class SpillManager:
 
     def registered(self) -> List[ShardKey]:
         """Keys currently under management."""
-        with self._cond:
+        with self._lock:
             return sorted(self._records)
 
     def residency(self, key: ShardKey) -> ResidencyState:
-        """The shard's current residency state."""
-        with self._cond:
-            return self._record(key).state
+        """The shard's current residency state.
+
+        Read without the lock: a single state read is a snapshot either way,
+        and what a caller does with it (:meth:`prefetch`, :meth:`acquire`)
+        checks the state again under the lock.
+        """
+        return self._record(key).state
 
     def resident_keys(self) -> List[ShardKey]:
         """Keys whose bytes are currently on a device (resident or landing).
@@ -388,7 +395,7 @@ class SpillManager:
         so for occupancy purposes they are on-device.  Used by the serving
         router to report which whole models are hot.
         """
-        with self._cond:
+        with self._lock:
             return sorted(
                 record.key
                 for record in self._records.values()
@@ -397,7 +404,7 @@ class SpillManager:
 
     def resident_bytes(self) -> int:
         """Total bytes currently charged to arenas by managed shards."""
-        with self._cond:
+        with self._lock:
             return sum(
                 record.nbytes
                 for record in self._records.values()
@@ -411,7 +418,7 @@ class SpillManager:
         over-committed — exactly the regime spilling exists for; the ratio
         is the router's head-line residency metric.
         """
-        with self._cond:
+        with self._lock:
             return sum(record.nbytes for record in self._records.values())
 
     # ------------------------------------------------------------------ #
@@ -428,7 +435,7 @@ class SpillManager:
         """
         deadline = time.monotonic() + self.acquire_timeout_seconds
         late = False
-        with self._cond:
+        with self._lock:
             record = self._record(key)
             while True:
                 if record.prefetch_error is not None:
@@ -477,7 +484,7 @@ class SpillManager:
 
     def release(self, key: ShardKey) -> None:
         """Unpin the shard (it stays resident until pressure evicts it)."""
-        with self._cond:
+        with self._lock:
             record = self._record(key)
             if record.pins <= 0:
                 raise ConfigurationError(f"release without acquire for shard {key!r}")
@@ -511,7 +518,7 @@ class SpillManager:
 
     def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
         """Declare a model's upcoming access sequence (for schedule-aware eviction)."""
-        with self._cond:
+        with self._lock:
             self.policy.announce(model_id, sequence)
 
     # ------------------------------------------------------------------ #
@@ -526,7 +533,7 @@ class SpillManager:
         made without touching pinned shards.  The transfer overlaps the
         caller's compute; a later :meth:`acquire` joins on it.
         """
-        with self._cond:
+        with self._lock:
             if self._pool is None or self._inflight:
                 return False
             record = self._records.get(key)
@@ -560,7 +567,7 @@ class SpillManager:
                 self._copy_into_live_arrays(record, payload)
         except BaseException as exc:  # noqa: BLE001 - surfaced by the next acquire
             error = exc
-        with self._cond:
+        with self._lock:
             self._inflight = False
             if error is None:
                 record.state = ResidencyState.RESIDENT
@@ -585,7 +592,7 @@ class SpillManager:
         Safe to call repeatedly.  Afterwards :meth:`prefetch` returns
         ``False`` before staging anything and acquires demand-fetch.
         """
-        with self._cond:
+        with self._lock:
             pool, self._pool = self._pool, None
             # A prefetch that claimed the slot submits after releasing the
             # lock; its restore lands before the pool goes away.
@@ -598,7 +605,7 @@ class SpillManager:
     # ------------------------------------------------------------------ #
     def evict(self, key: ShardKey) -> None:
         """Explicitly push one unpinned resident shard to host (mostly for tests)."""
-        with self._cond:
+        with self._lock:
             record = self._record(key)
             if record.state is not ResidencyState.RESIDENT:
                 raise ConfigurationError(f"shard {key!r} is not resident")
@@ -611,9 +618,10 @@ class SpillManager:
     # Internals (call with the condition's lock held)
     # ------------------------------------------------------------------ #
     def _record(self, key: ShardKey) -> ShardResidency:
-        if key not in self._records:
+        record = self._records.get(key)
+        if record is None:
             raise ConfigurationError(f"shard {key!r} is not registered")
-        return self._records[key]
+        return record
 
     @staticmethod
     def _arena_key(record: ShardResidency) -> str:
@@ -706,7 +714,7 @@ class SpillManager:
             np.copyto(destination, source, casting="no")
 
     def __repr__(self) -> str:
-        with self._cond:
+        with self._lock:
             resident = sum(
                 1 for r in self._records.values() if r.state is ResidencyState.RESIDENT
             )

@@ -39,6 +39,13 @@ others' grow.  A queue that was empty re-enters at the scheduler's current
 virtual time, so an idle model cannot bank credit and then monopolise the
 pool.
 
+**Completion.**  Every request carries one :class:`PendingResponse`: its
+outcome, ``completed_at`` and a lock taken at construction.  The one
+completion — the rows from a worker, or a timeout, cancellation or replica
+failure — stores the outcome and releases the lock, and each waiter
+acquires and releases it in turn; a second completion raises
+:class:`~repro.exceptions.ServingError` instead of replacing the first.
+
 **Outcomes.**  Every request ends here one way or another, so the batcher
 counts them: into its own :class:`~repro.telemetry.metrics.MetricsRegistry`
 (:attr:`DynamicBatcher.registry`), under ``serving.<model>.`` — counters
@@ -96,48 +103,77 @@ class PendingResponse:
 
     Completed exactly once by the serving machinery, either with the
     request's output rows or with an exception (timeout, overload at drain,
-    replica failure).  ``result`` blocks the calling thread — the closed-loop
-    client model — with an optional wait bound of its own.
+    replica failure); a second completion raises
+    :class:`~repro.exceptions.ServingError`.  ``result`` blocks the calling
+    thread — the closed-loop client model — with an optional wait bound of
+    its own.
+
+    The handle is one small object: the outcome, its completion time and a
+    lock acquired at construction and released once by the completion — a
+    latch.  A waiter acquires it (bounded by its timeout) and releases it
+    again at once, so every waiter wakes; a caller that comes after the
+    completion never touches it.
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._latch = threading.Lock()
+        self._latch.acquire()
         self._value: Any = None
         self._error: Optional[BaseException] = None
         #: ``time.monotonic()`` at completion — what open-loop load
         #: generation measures latency against (the caller may collect
-        #: results long after they landed)
+        #: results long after they landed); ``None`` until then
         self.completed_at: Optional[float] = None
 
     def done(self) -> bool:
         """Whether a result or error has landed."""
-        return self._event.is_set()
+        return self.completed_at is not None
 
     def set_result(self, value: Any) -> None:
         """Complete the response with the request's output rows."""
+        if self.completed_at is not None:
+            self._refuse()
         self._value = value
         self.completed_at = time.monotonic()
-        self._event.set()
+        try:
+            self._latch.release()
+        except RuntimeError:  # another completion raced past the check above
+            self._refuse()
 
     def set_exception(self, error: BaseException) -> None:
         """Complete the response with a failure."""
+        if self.completed_at is not None:
+            self._refuse()
         self._error = error
         self.completed_at = time.monotonic()
-        self._event.set()
+        try:
+            self._latch.release()
+        except RuntimeError:
+            self._refuse()
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """The request's output rows; raises what the request failed with.
 
         ``timeout`` (seconds) bounds the wait; running out raises
-        :class:`~repro.exceptions.RequestTimeoutError`.
+        :class:`~repro.exceptions.RequestTimeoutError`.  A timeout of zero
+        or less only checks.
         """
-        if not self._event.wait(timeout):
-            raise RequestTimeoutError(
-                f"no response within {timeout:.3f}s wait"
-            )
+        if self.completed_at is None:
+            latch = self._latch
+            if timeout is None:
+                latch.acquire()
+            elif not latch.acquire(timeout=max(timeout, 0.0)):
+                raise RequestTimeoutError(f"no response within {timeout:.3f}s wait")
+            latch.release()
         if self._error is not None:
             raise self._error
         return self._value
+
+    def _refuse(self) -> None:
+        raise ServingError(
+            "response completed twice: a request must end exactly once "
+            "(completed, rejected, timed out, cancelled or failed)"
+        )
 
 
 @dataclass
@@ -247,7 +283,10 @@ class DynamicBatcher:
         #: number of requests currently queued, across all entries
         self.pending = 0
         self._entries: Dict[str, ModelEntry] = {}
-        self._cond = threading.Condition()
+        #: entered directly (a C-level lock); waits and notifications go
+        #: through the condition built on it
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         #: min-heap of (deadline, tiebreak, request, entry); the items of
         #: requests that already left their queue are pruned lazily
         self._deadlines: List[Tuple[float, int, InferenceRequest, ModelEntry]] = []
@@ -265,7 +304,7 @@ class DynamicBatcher:
     # ------------------------------------------------------------------ #
     def add_entry(self, entry: ModelEntry) -> None:
         """Put ``entry`` under the scheduler (before or while serving)."""
-        with self._cond:
+        with self._lock:
             if entry.name in self._entries:
                 raise ConfigurationError(f"{entry.name!r} is already registered")
             self._entries[entry.name] = entry
@@ -279,7 +318,7 @@ class DynamicBatcher:
 
     def entries(self) -> List[ModelEntry]:
         """Every registered entry, sorted by name."""
-        with self._cond:
+        with self._lock:
             return [entry for _, entry in sorted(self._entries.items())]
 
     def submit(self, entry: ModelEntry, request: InferenceRequest) -> None:
@@ -291,7 +330,7 @@ class DynamicBatcher:
                 f"request carries {request.rows} rows but {entry.name!r} batches "
                 f"at most {entry.max_batch_size}; split it client-side"
             )
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ServingError(
                     f"{entry.name!r} is stopped; no new requests accepted"
@@ -327,7 +366,7 @@ class DynamicBatcher:
         made to wait the full window again — has run out, when the batch is
         saturated, or when the scheduler is closed.
         """
-        with self._cond:
+        with self._lock:
             while True:
                 # Recomputed per iteration: another worker may take a head,
                 # or a deadline pass, while this one waits.
@@ -348,7 +387,7 @@ class DynamicBatcher:
 
     def close(self) -> None:
         """Stop accepting requests; queued work remains drainable."""
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._cond.notify_all()
 
@@ -358,7 +397,7 @@ class DynamicBatcher:
         Each cancelled request counts as ``failed`` for its entry.
         """
         error = error if error is not None else ServingError("serving stopped")
-        with self._cond:
+        with self._lock:
             cancelled = [
                 (entry, list(entry.requests))
                 for entry in self._entries.values()

@@ -45,8 +45,19 @@ _SERVE_ARENA = "serve0"
 _EVICTION_POLICY = "schedule-aware"
 
 
-def concat_rows(requests: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
-    """Stack per-request field arrays into one micro-batch along axis 0."""
+def concat_rows(
+    requests: Sequence[Dict[str, np.ndarray]], pad_to: int
+) -> Dict[str, np.ndarray]:
+    """Stack per-request field arrays into one ``pad_to``-row micro-batch.
+
+    The requests' rows are stacked along axis 0 and the batch is padded to
+    exactly ``pad_to`` rows, in one copy.  Padding repeats the first row —
+    its content cannot influence the real rows' results (GEMM computes each
+    output row from its input row alone), and repeating an existing row
+    keeps dtypes and value ranges valid for any downstream layer.  Raises
+    when the requests disagree on their fields or hold more than ``pad_to``
+    rows.
+    """
     fields = requests[0].keys()
     for arrays in requests[1:]:
         if arrays.keys() != fields:
@@ -54,12 +65,19 @@ def concat_rows(requests: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarr
                 f"cannot coalesce requests with different fields: "
                 f"{sorted(fields)} vs {sorted(arrays.keys())}"
             )
-    if len(requests) == 1:
-        return dict(requests[0])
-    return {
-        name: np.concatenate([arrays[name] for arrays in requests], axis=0)
-        for name in fields
-    }
+    batch = {}
+    for name in fields:
+        parts = [arrays[name] for arrays in requests]
+        missing = pad_to - sum(map(len, parts))
+        if missing < 0:
+            raise ConfigurationError(
+                f"micro-batch has {pad_to - missing} rows but the compute "
+                f"geometry is {pad_to}"
+            )
+        if missing:
+            parts.append(np.repeat(parts[0][:1], missing, axis=0))
+        batch[name] = np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+    return batch
 
 
 def slice_rows(payload: Any, start: int, stop: int) -> Any:
@@ -76,33 +94,11 @@ def slice_rows(payload: Any, start: int, stop: int) -> Any:
     )
 
 
-def pad_rows(
-    arrays: Dict[str, np.ndarray], rows: int, pad_to: int
-) -> Dict[str, np.ndarray]:
-    """Pad a ``rows``-row micro-batch to exactly ``pad_to`` rows.
-
-    Padding repeats the first row — its content cannot influence the real
-    rows' results (GEMM computes each output row from its input row alone),
-    and repeating an existing row keeps dtypes and value ranges valid for
-    any downstream layer.  Raises when the batch is already larger than the
-    geometry.
-    """
-    if rows > pad_to:
-        raise ConfigurationError(
-            f"micro-batch has {rows} rows but the compute geometry is {pad_to}"
-        )
-    if rows == pad_to:
-        return arrays
-    return {
-        name: np.concatenate(
-            [values, np.repeat(values[:1], pad_to - rows, axis=0)], axis=0
-        )
-        for name, values in arrays.items()
-    }
-
-
 def request_rows(arrays: Dict[str, np.ndarray]) -> int:
     """The (consistent) leading-dimension row count of one request."""
+    if len(arrays) == 1:
+        (values,) = arrays.values()
+        return np.asarray(values).shape[0]
     if not arrays:
         raise ConfigurationError("a request needs at least one field array")
     counts = {name: np.asarray(values).shape[0] for name, values in arrays.items()}
@@ -221,7 +217,7 @@ class Replica:
         bit-reproducible among equal batch shapes.
         """
         rows = request_rows(arrays)
-        padded = arrays if pad_to is None else pad_rows(arrays, rows, pad_to)
+        padded = arrays if pad_to in (None, rows) else concat_rows([arrays], pad_to)
         batch = Batch(arrays={name: np.asarray(v) for name, v in padded.items()})
         with no_grad():
             if self.executor is not None:

@@ -31,7 +31,7 @@ model's queue starts that restore in the background (prefetch), so it
 overlaps other models' compute.
 
 **Exactness.**  Every model executes at its own fixed compute geometry
-(micro-batches padded via :func:`~repro.serving.replica.pad_rows`), and
+(micro-batches padded via :func:`~repro.serving.replica.concat_rows`), and
 evict/restore round-trips are bit-exact, so a fleet answer is
 ``array_equal`` to a dedicated single-model :class:`ModelServer` at the
 same geometry — whether the model happened to be resident or evicted.
@@ -282,8 +282,9 @@ class FleetRouter(ServingCore):
         """
         entry = self._entry(model)
         response = self._submit(entry, arrays, timeout_ms)
-        # Outside the scheduler lock: the manager has its own locking, and a
-        # restore started now overlaps whatever the workers are computing.
+        # A lock-free state read: prefetch checks it again under the
+        # manager's lock, and a restore started now overlaps whatever the
+        # workers are computing.
         key = entry.replicas[0].executor.shard_key(0)
         if self._manager.residency(key) is ResidencyState.EVICTED:
             self._manager.prefetch(key)

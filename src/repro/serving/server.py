@@ -9,8 +9,9 @@ entries are declared — and both front-ends are that core:
   micro-batch coalescing and the weighted-fair pick between entries;
 * worker threads on a :class:`~repro.runtime.pool.WorkerPool` — the
   same execution substrate the concurrent trial runtime uses — each running
-  the one serve loop: take an assignment, run it through a replica's
-  ``infer(arrays, pad_to)``, complete the responses, record the outcome;
+  the one serve loop: take an assignment, stack and pad its rows in one
+  copy, run them through a replica's ``infer(arrays, pad_to)``, complete
+  each response with its slice of the output, record the outcome;
 * one ``start()`` / ``stop(drain)`` lifecycle, which also starts the
   throughput clock of the batcher's metrics.
 
@@ -173,7 +174,8 @@ class ServingCore:
             )
         if isinstance(arrays, np.ndarray):
             arrays = {"features": arrays}
-        arrays = {name: np.asarray(values) for name, values in arrays.items()}
+        else:
+            arrays = {name: np.asarray(values) for name, values in arrays.items()}
         now = time.monotonic()
         limit = timeout_ms if timeout_ms is not None else self.timeout_ms
         request = InferenceRequest(
@@ -226,7 +228,9 @@ class ServingCore:
             # The concat belongs inside the try: requests with
             # mismatched field sets must fail *their batch*, not kill
             # the worker loop and hang every later client.
-            arrays = concat_rows([request.arrays for request in batch])
+            arrays = concat_rows(
+                [request.arrays for request in batch], pad_to=entry.compute_batch_size
+            )
             with tel.span("serve.forward", cat="serving", replica=replica.name):
                 output = replica.infer(arrays, pad_to=entry.compute_batch_size)
         except BaseException as error:  # noqa: BLE001 - mirrored to clients
@@ -244,12 +248,15 @@ class ServingCore:
             self._batcher.count(entry, "failed", len(batch))
             return
         finished = time.monotonic()
+        # An array output is sliced in place; slice_rows walks structured ones.
+        direct = isinstance(output, np.ndarray)
         offset = 0
         for request in batch:
+            stop = offset + request.rows
             request.response.set_result(
-                slice_rows(output, offset, offset + request.rows)
+                output[offset:stop] if direct else slice_rows(output, offset, stop)
             )
-            offset += request.rows
+            offset = stop
         self._batcher.complete(work, finished)
         logger.debug(
             "%s=%s batch model=%s rows=%d/%d requests=%d infer_ms=%.2f queued=%d",

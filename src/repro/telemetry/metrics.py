@@ -66,6 +66,14 @@ def _bucket(value: float) -> int:
     raise ValueError(f"histogram observations must be >= 0, got {value}")
 
 
+def _buckets(values: Sequence[float]) -> List[int]:
+    """:func:`_bucket` of every value, in one pass when all are positive."""
+    try:
+        return [math.ceil(math.log(value) / _LOG_GAMMA) for value in values]
+    except ValueError:  # a zero, a negative or a NaN: let _bucket sort it out
+        return [_bucket(value) for value in values]
+
+
 class Histogram:
     """A bounded distribution: observation counts in fixed logarithmic buckets.
 
@@ -195,7 +203,7 @@ class MetricsRegistry:
             if value < 0:
                 raise ValueError(f"counter {name!r} increment must be >= 0, got {value}")
         binned = [
-            (name, values, [_bucket(value) for value in values])
+            (name, values, _buckets(values))
             for name, values in (observations or {}).items()
         ]
         with self._lock:
