@@ -68,7 +68,7 @@ class ShardParallelBackend(ExecutionBackend):
     ``memory_budget`` (bytes per device, or a ``{"dev0": bytes}`` map over
     arenas ``dev0 .. dev{num_devices-1}``) enables spilled execution:
     trials lease shards through a shared :class:`~repro.memory.SpillManager`
-    and idle shards are evicted to a host cache under pressure.
+    and idle shards are evicted to host memory under pressure.
     ``eviction_policy`` is ``"lru"`` or ``"schedule-aware"``; ``prefetch``
     overlaps the next shard's restore with the current shard's compute.
 
@@ -236,8 +236,8 @@ class ShardParallelBackend(ExecutionBackend):
         :func:`~repro.training.checkpoint.save_checkpoint`, plus the
         ``model_name`` a registry records).  Evicted shards are restored
         first (the spill manager is asked to forget the model), so the
-        archive holds the true trained parameters, never a host-cache
-        shadow.
+        archive holds the true trained parameters, never the NaN-scrubbed
+        or stale arrays of an evicted shard.
         """
         state: _TrialState = handle.state
         if self.memory is not None:
@@ -268,7 +268,7 @@ class ShardParallelBackend(ExecutionBackend):
         Evicted shards are restored into the model first, so a caller who
         kept a reference to the trial's model sees its true parameters —
         and so the registry (when configured) publishes the *trained*
-        weights, not a host-cache shadow of them.  A process-pool trial
+        weights, not an evicted shard's leftover arrays.  A process-pool trial
         arrives holding its final snapshot path, and the registry publishes
         straight from that archive: no model is rebuilt in this process.
         """

@@ -7,14 +7,14 @@ host DRAM and move onto devices just in time.  This package is that
 subsystem:
 
 * :class:`DeviceArena` — a per-device byte ledger;
-* :class:`HostShardCache` — the pinned host store for evicted shard
-  payloads, with an optional disk tier in checkpoint format;
 * :class:`SpillManager` — the residency state machine (resident → evicted →
   prefetching) with pluggable eviction (:class:`LRUEvictionPolicy`,
-  :class:`ScheduleAwareEvictionPolicy`).  One constructor,
-  ``SpillManager(budgets, policy=..., prefetch=...)``, builds the arenas,
-  the host cache and, with ``prefetch=True``, the transfer worker that
-  overlaps the next shard's fetch with the current shard's compute.
+  :class:`ScheduleAwareEvictionPolicy`).  Each shard's
+  :class:`ShardResidency` record also holds its host copy, the bytes an
+  evicted shard is restored from.  One constructor,
+  ``SpillManager(budgets, policy=..., prefetch=...)``, builds the arenas
+  and, with ``prefetch=True``, the transfer worker that overlaps the next
+  shard's fetch with the current shard's compute.
 
 The real engines opt in through
 ``ShardedModelExecutor.bind_memory`` / ``ShardParallelTrainer(memory_manager=...)``
@@ -26,7 +26,6 @@ See ``docs/memory.md``.
 """
 
 from repro.memory.arena import DeviceArena
-from repro.memory.host_cache import HostShardCache
 from repro.memory.spill import (
     EvictionPolicy,
     LRUEvictionPolicy,
@@ -41,7 +40,6 @@ from repro.memory.spill import (
 __all__ = [
     "DeviceArena",
     "EvictionPolicy",
-    "HostShardCache",
     "LRUEvictionPolicy",
     "ResidencyState",
     "ScheduleAwareEvictionPolicy",

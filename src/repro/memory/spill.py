@@ -4,8 +4,8 @@ A :class:`SpillManager` tracks one :class:`ShardResidency` record per
 ``(model_id, shard_index)`` key.  Executors *lease* a shard around every use
 (forward, loss, backward+update); between leases a shard is fair game for
 eviction, which releases its :class:`~repro.memory.arena.DeviceArena` charge
-and leaves its parameter and optimizer-state bytes in the
-:class:`~repro.memory.host_cache.HostShardCache`.  Re-acquiring an evicted
+and leaves its parameter and optimizer-state bytes as a host copy on the
+record itself (:attr:`ShardResidency.host`).  Re-acquiring an evicted
 shard restores the exact bytes in place (``np.copyto`` into the live
 arrays), so spilled training is bit-identical to fully-resident training —
 the same exactness bar the fused kernels meet.
@@ -16,7 +16,9 @@ and by every writing lease (``write=True``, the default — the optimizer's
 ``step_params`` runs under one), cleared once the host copy matches the live
 arrays again.  Evicting a dirty shard replaces its host copy with a fresh
 one; evicting a clean one (say, after forward-only leases) is a ledger
-change, counted in :attr:`SpillStats.clean_evictions`.
+change, counted in :attr:`SpillStats.clean_evictions`.  The copy lives and
+dies with its record: :meth:`SpillManager.forget` restores from it and drops
+both.
 
 Eviction is pluggable: :class:`LRUEvictionPolicy` evicts the
 least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
@@ -48,16 +50,18 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, MemoryBudgetError
 from repro.memory.arena import DeviceArena
-from repro.memory.host_cache import HostShardCache, ShardKey
 from repro.runtime.pool import ThreadWorkerPool
 from repro.telemetry import NULL_TELEMETRY
+
+#: ``(model_id, shard_index)`` — the key of one managed shard
+ShardKey = Tuple[str, int]
 
 #: returns the live device-side arrays of a shard (params + optimizer state),
 #: in a stable order — re-evaluated at each stash/restore
@@ -86,6 +90,9 @@ class ShardResidency:
     prefetch_error: Optional[BaseException] = None
     #: the live arrays may differ from the host copy (or there is none)
     dirty: bool = True
+    #: copies of the arrays as of the last dirty eviction; ``None`` until the
+    #: first one (the live arrays are then the only, canonical, bytes)
+    host: Optional[List[np.ndarray]] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -221,10 +228,10 @@ class SpillManager:
         manager.close()
 
     The manager builds everything it runs on: one :class:`DeviceArena` per
-    ``{name: bytes}`` entry of ``budgets``, a :class:`HostShardCache`
-    (``host_cache_limit_bytes`` with ``spill_dir`` adds the disk tier), the
-    eviction policy named by ``policy`` and, with ``prefetch=True``, the
-    transfer worker that :meth:`close` shuts down.
+    ``{name: bytes}`` entry of ``budgets``, the eviction policy named by
+    ``policy`` and, with ``prefetch=True``, the transfer worker that
+    :meth:`close` shuts down.  Evicted shards' host copies live on their
+    :class:`ShardResidency` records.
 
     ``scrub_evicted=True`` fills evicted float arrays with NaN after
     stashing them — any use that skips re-acquisition then fails loudly
@@ -244,8 +251,6 @@ class SpillManager:
         *,
         policy: str = "lru",
         prefetch: bool = False,
-        spill_dir: Optional[str] = None,
-        host_cache_limit_bytes: Optional[int] = None,
         scrub_evicted: bool = False,
         acquire_timeout_seconds: float = 60.0,
         telemetry=None,
@@ -255,9 +260,6 @@ class SpillManager:
         self.arenas: Dict[str, DeviceArena] = {
             name: DeviceArena(name, nbytes) for name, nbytes in budgets.items()
         }
-        self.cache = HostShardCache(
-            memory_limit_bytes=host_cache_limit_bytes, spill_dir=spill_dir
-        )
         self.policy = make_eviction_policy(policy)
         self.scrub_evicted = bool(scrub_evicted)
         self.acquire_timeout_seconds = float(acquire_timeout_seconds)
@@ -343,7 +345,7 @@ class SpillManager:
     def forget(self, key: ShardKey) -> None:
         """Drop a shard from management, restoring its bytes first.
 
-        An evicted shard's canonical values live in the host cache; they are
+        An evicted shard's canonical values live in its host copy; they are
         copied back into the live arrays so the model object remains valid
         after the manager lets go (e.g. at trial teardown).  The host copy
         goes with the record.
@@ -360,9 +362,8 @@ class SpillManager:
                 raise ConfigurationError(f"cannot forget pinned shard {key!r}")
             if record.state is ResidencyState.RESIDENT:
                 self.arenas[record.device].release(self._arena_key(record))
-            elif self.cache.holds(key):
-                self._restore_locked(record)
-            self.cache.drop(key)
+            else:
+                self._copy_into_live_arrays(record, record.host)
             del self._records[key]
             self._cond.notify_all()
 
@@ -372,7 +373,6 @@ class SpillManager:
             for key in [k for k in self._records if k[0] == model_id]:
                 self.forget(key)
             self.policy.retire(model_id)
-            self.cache.drop_model(model_id)
 
     def registered(self) -> List[ShardKey]:
         """Keys currently under management."""
@@ -549,7 +549,7 @@ class SpillManager:
             record.prefetch_error = None
             self.stats.prefetches_issued += 1
             self._inflight = True
-            pool, payload = self._pool, self._payload(record)
+            pool, payload = self._pool, record.host
         # Handed over after the lock is released: submitting under it
         # measurably delays the lock's other users (serve_fleet p50).  The
         # claimed slot keeps close() from shutting the pool down first.
@@ -577,7 +577,7 @@ class SpillManager:
             else:
                 # Keep the error to re-raise at the next acquire — a silent
                 # failure here would train on stale weights.  The host copy
-                # is still in the cache, so a repaired shard can restore.
+                # is still on the record, so a repaired shard can restore.
                 record.prefetch_error = error
                 self.arenas[record.device].release(self._arena_key(record))
                 record.state = ResidencyState.EVICTED
@@ -662,21 +662,19 @@ class SpillManager:
         return True
 
     def _evict_locked(self, record: ShardResidency) -> None:
-        # A dirty shard's stash copy (and, with a disk-tiered cache, its
-        # overflow write) runs under the manager lock: deferring it would
-        # need an extra EVICTING state so a concurrent acquire cannot observe
-        # the scrubbed arrays as canonical.  Correctness-first; the hold is
-        # one shard's memcpy unless a disk tier is configured.  A clean shard
+        # A dirty shard's host copy is taken under the manager lock:
+        # deferring it would need an extra EVICTING state so a concurrent
+        # acquire cannot observe the scrubbed arrays as canonical.
+        # Correctness-first; the hold is one shard's memcpy.  A clean shard
         # already has its bytes on host and copies nothing.
         with self.telemetry.span(
             "spill.evict", cat="memory", key=str(record.key), bytes=record.nbytes
         ):
             arrays = record.arrays_fn()
             if record.dirty:
-                self.cache.put(record.key, arrays)
+                record.host = [np.array(a, copy=True) for a in arrays]
                 record.dirty = False
             else:
-                self.cache.touch(record.key)
                 self.stats.clean_evictions += 1
             if self.scrub_evicted:
                 for array in arrays:
@@ -687,13 +685,9 @@ class SpillManager:
             self.stats.evictions += 1
             self.stats.bytes_evicted += record.nbytes
 
-    def _payload(self, record: ShardResidency) -> Optional[List[np.ndarray]]:
-        return self.cache.get(record.key) if self.cache.holds(record.key) else None
-
     def _restore_locked(self, record: ShardResidency) -> None:
-        payload = self._payload(record)
-        self._copy_into_live_arrays(record, payload)
-        record.dirty = payload is None
+        self._copy_into_live_arrays(record, record.host)
+        record.dirty = record.host is None
 
     @staticmethod
     def _copy_into_live_arrays(

@@ -6,7 +6,7 @@ serving traffic against it (see ``docs/serving.md``):
 
 * :class:`ModelRegistry` — versioned published checkpoints (the
   training→serving hand-off, in the same ``.npz`` serialization as
-  checkpoints and disk-spilled shards);
+  training checkpoints);
 * :class:`DynamicBatcher` — the one scheduler behind both front-ends:
   bounded per-queue admission control, deadline expiry, micro-batch
   coalescing under ``max_batch_size`` / a fill window, and the

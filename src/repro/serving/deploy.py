@@ -148,7 +148,7 @@ def serve_fleet(
 
     ``memory_budget`` (bytes) is the **fleet-wide** device budget: the
     models' combined parameter bytes may exceed it, in which case cold
-    models are evicted whole to the host cache and restored on demand —
+    models are evicted whole to host memory and restored on demand —
     every model must fit the budget individually.  ``None`` keeps the whole
     fleet resident.
 

@@ -8,8 +8,8 @@ A :class:`ModelRegistry` is a directory of published model versions::
 
 Each archive is an ordinary checkpoint written by
 :func:`repro.training.checkpoint.save_checkpoint` (``param::`` parameter
-arrays plus ``meta::`` metadata), so a published model, a mid-trial
-checkpoint, and a disk-spilled shard all share one serialization.  Training
+arrays plus ``meta::`` metadata), so a published model and a mid-trial
+checkpoint share one serialization.  Training
 code publishes a trained model — or the checkpoint archive a pool child
 already wrote for it, copied without its optimizer state — under a name;
 serving code builds a model of the same architecture and loads the

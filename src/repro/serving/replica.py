@@ -8,7 +8,7 @@ A :class:`Replica` wraps either
   ``forward_only`` leases each shard around its blocks.  A **spilled**
   replica owns its manager, so a model whose parameters exceed a single
   device budget still serves: shards are leased one at a time, restored
-  from the host cache on demand, and the next shard prefetches while the
+  from their host copies on demand, and the next shard prefetches while the
   current one computes.  A fleet member is the one-shard case on the
   fleet's shared manager (:mod:`repro.serving.router`).
 
@@ -236,7 +236,7 @@ class Replica:
         """Release spill-manager state, restoring evicted shards into the model.
 
         After closing, the model object holds its true parameters again (an
-        evicted shard's canonical bytes live in the host cache until then)
+        evicted shard's canonical bytes live in its host copy until then)
         and the prefetch worker is shut down.  Resident replicas no-op.
         """
         if self.manager is not None:

@@ -16,7 +16,7 @@ the same :class:`~repro.serving.server.ServingCore`; one router owns, for
   that arena, so it moves *whole* (Hydra-style: models move as units, not
   layer fragments) and only inside its executor's lease, the path a spilled
   replica takes too: hot models stay device-resident, cold models are
-  evicted to the host cache under pressure and restored on demand, so the
+  evicted to host memory under pressure and restored on demand, so the
   fleet's total parameter bytes may exceed the budget;
 * **one scheduler** — the :class:`~repro.serving.batcher.DynamicBatcher` a
   server uses, with one queue per model (per-model admission control),

@@ -126,7 +126,7 @@ class ServingCore:
         way.  Stopping closes every replica and releases the shared spill
         state: each budget-managed model's canonical bytes are restored
         into its live parameter arrays (an evicted model's truth lives in
-        the host cache until then), so the model objects remain usable.
+        its host copies until then), so the model objects remain usable.
         """
         if not self._running:
             return

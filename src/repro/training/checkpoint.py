@@ -6,11 +6,10 @@ optimizer state (step count and per-parameter moment arrays),
 ``sched::<key>`` for learning-rate-scheduler state, ``rng::<i>`` for the
 dropout generators' states, and ``meta::<key>`` for caller metadata.  The
 same serialization (via :func:`save_array_bundle` / :func:`load_array_bundle`)
-backs the host shard cache's disk tier in
-:mod:`repro.memory` and the serving :class:`~repro.serving.ModelRegistry`,
-so a spilled shard, a published model version, and a checkpoint are all
-one format — which is why :func:`copy_checkpoint` can publish a training
-snapshot by copying its members instead of rebuilding the model.
+backs the serving :class:`~repro.serving.ModelRegistry`, so a published
+model version and a checkpoint are one format — which is why
+:func:`copy_checkpoint` can publish a training snapshot by copying its
+members instead of rebuilding the model.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ def save_array_bundle(
 ) -> Path:
     """Write a flat ``name -> array`` mapping to an ``.npz`` archive.
 
-    This is the serialization primitive shared by :func:`save_checkpoint`
-    and the disk tier of :class:`repro.memory.HostShardCache`.  Returns the
-    actual path written (numpy appends ``.npz`` when missing).
+    This is the serialization primitive under :func:`save_checkpoint` (and
+    so under the serving registry's published versions).  Returns the actual
+    path written (numpy appends ``.npz`` when missing).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

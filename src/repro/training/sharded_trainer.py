@@ -53,9 +53,8 @@ from repro.telemetry import NULL_TELEMETRY
 from repro.training.metrics import MetricTracker
 from repro.training.trainer import TrainingReport
 
-if TYPE_CHECKING:  # type-only: repro.memory imports this package (training.checkpoint)
-    from repro.memory.host_cache import ShardKey
-    from repro.memory.spill import SpillManager
+if TYPE_CHECKING:  # type-only: executors are handed a manager and never build one
+    from repro.memory.spill import ShardKey, SpillManager
 
 
 #: what a task of a fully-resident executor runs under: nothing to lease
@@ -449,7 +448,7 @@ class ShardParallelTrainer:
     With ``memory_manager`` set, every registered model executes *spilled*:
     shards are leased through the manager around each task (each shard
     charges its device's arena), optimizer updates happen per shard inside the
-    backward lease, and idle shards are evicted to the host cache under
+    backward lease, and idle shards are evicted to host memory under
     memory pressure — which is how models whose resident bytes exceed every
     device budget still train, bit-identically to fully-resident runs.
     """

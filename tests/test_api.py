@@ -490,7 +490,7 @@ PUBLIC_SURFACE = {
         "make_pool", "make_searcher", "serve", "serve_fleet",
     ],
     "repro.memory": [
-        "DeviceArena", "EvictionPolicy", "HostShardCache", "LRUEvictionPolicy",
+        "DeviceArena", "EvictionPolicy", "LRUEvictionPolicy",
         "ResidencyState", "ScheduleAwareEvictionPolicy", "ShardResidency",
         "SpillManager", "SpillStats", "make_eviction_policy",
     ],

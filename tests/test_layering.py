@@ -6,7 +6,9 @@ Two checks, static and dynamic:
   function-local import cannot hide an upward edge — is folded into a
   package-level graph that must be acyclic with no allow-listed edge, and
   only the facades may import ``repro.api`` (the planner the ``repro.hydra``
-  facade re-exports lives below it, in ``repro.scheduler``);
+  facade re-exports lives below it, in ``repro.scheduler``); ``repro.memory``
+  sits below ``repro.training`` (executors lease shards from it) and must
+  not import it;
 * in a fresh interpreter, importing every layer below the API must not load
   a single ``repro.api`` module.
 """
@@ -129,3 +131,14 @@ def test_layers_below_the_api_import_without_it():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]", result.stdout
+
+
+def test_memory_does_not_import_training():
+    offenders = sorted(
+        f"{module} imports {name}"
+        for module, names in _imports_by_module().items()
+        if _top(module) == "memory"
+        for name in names
+        if _top(name) == "training"
+    )
+    assert not offenders, offenders

@@ -1,4 +1,4 @@
-"""The spilled-execution subsystem: arenas, host cache, spill manager,
+"""The spilled-execution subsystem: arenas, spill manager and host copies,
 prefetch, spill-aware scheduling — and the exactness bar: spilled training
 is bit-identical (``array_equal``) to fully-resident training."""
 
@@ -21,7 +21,6 @@ from repro.exceptions import (
 )
 from repro.memory import (
     DeviceArena,
-    HostShardCache,
     LRUEvictionPolicy,
     ResidencyState,
     ScheduleAwareEvictionPolicy,
@@ -106,86 +105,6 @@ class TestDeviceArena:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ConfigurationError):
             DeviceArena("dev0", 0)
-
-
-# --------------------------------------------------------------------------- #
-# HostShardCache
-# --------------------------------------------------------------------------- #
-class TestHostShardCache:
-    def test_round_trip_copies(self):
-        cache = HostShardCache()
-        source = np.arange(6, dtype=np.float32)
-        cache.put(("m", 0), [source])
-        source += 100.0  # mutating the original must not corrupt the stash
-        (restored,) = cache.get(("m", 0))
-        assert np.array_equal(restored, np.arange(6, dtype=np.float32))
-        assert cache.holds(("m", 0)), "get keeps the payload"
-        cache.drop(("m", 0))
-        assert not cache.holds(("m", 0))
-        cache.drop(("m", 0))  # dropping nothing is a no-op
-
-    def test_get_missing_raises(self):
-        with pytest.raises(ConfigurationError):
-            HostShardCache().get(("m", 0))
-
-    def test_touch_makes_an_entry_overflow_last(self, tmp_path):
-        cache = HostShardCache(memory_limit_bytes=32, spill_dir=tmp_path)
-        cache.put(("m", 0), [np.zeros(4, dtype=np.float32)])
-        cache.put(("m", 1), [np.zeros(4, dtype=np.float32)])
-        cache.touch(("m", 0))
-        cache.put(("m", 2), [np.zeros(4, dtype=np.float32)])
-        # DRAM tier first, then disk: the untouched older entry overflowed.
-        assert cache.keys() == [("m", 0), ("m", 2), ("m", 1)]
-        cache.touch(("m", 1))  # on disk: stays there
-        assert cache.keys()[-1] == ("m", 1)
-
-    def test_drop_model(self):
-        cache = HostShardCache()
-        cache.put(("a", 0), [np.zeros(2)])
-        cache.put(("a", 1), [np.zeros(2)])
-        cache.put(("b", 0), [np.zeros(2)])
-        cache.drop_model("a")
-        assert cache.keys() == [("b", 0)]
-
-    def test_memory_limit_requires_spill_dir(self):
-        with pytest.raises(ConfigurationError):
-            HostShardCache(memory_limit_bytes=10)
-
-    def test_disk_tier_round_trip(self, tmp_path):
-        payloads = {
-            ("m", i): [np.full(8, i, dtype=np.float32), np.full(4, -i, dtype=np.float32)]
-            for i in range(4)
-        }
-        cache = HostShardCache(memory_limit_bytes=64, spill_dir=tmp_path)
-        for key, arrays in payloads.items():
-            cache.put(key, arrays)
-        # The limit holds ~one entry in DRAM; the rest overflowed to disk.
-        assert cache.bytes_in_memory <= 64 or len(cache.keys()) == 1
-        assert any(tmp_path.glob("*.npz")), "expected npz archives on disk"
-        for key, arrays in payloads.items():
-            restored = cache.get(key)
-            for dst, src in zip(restored, arrays):
-                assert np.array_equal(dst, src)
-        assert any(tmp_path.glob("*.npz")), "read entries stay on disk"
-        for key in payloads:
-            cache.drop(key)
-        assert not any(tmp_path.glob("*.npz")), "dropped entries must leave disk"
-
-    def test_disk_stems_do_not_collide_after_sanitisation(self, tmp_path):
-        cache = HostShardCache(memory_limit_bytes=8, spill_dir=tmp_path)
-        first = np.full(4, 1.0, dtype=np.float32)
-        second = np.full(4, 2.0, dtype=np.float32)
-        cache.put(("m/1", 0), [first])  # both ids sanitise to "m_1"
-        cache.put(("m_1", 0), [second])
-        assert np.array_equal(cache.get(("m/1", 0))[0], first)
-        assert np.array_equal(cache.get(("m_1", 0))[0], second)
-
-    def test_oversized_single_payload_respects_dram_bound(self, tmp_path):
-        cache = HostShardCache(memory_limit_bytes=8, spill_dir=tmp_path)
-        big = np.arange(16, dtype=np.float32)  # 64 bytes > the 8-byte limit
-        cache.put(("m", 0), [big])
-        assert cache.bytes_in_memory == 0, "even the newest entry must overflow"
-        assert np.array_equal(cache.get(("m", 0))[0], big)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,35 +292,12 @@ class TestSpillManager:
             a += 1.0
         manager.evict(("m", 0))
         assert manager.stats.clean_evictions == 1
-        (refreshed,) = manager.cache.get(("m", 0))
+        (refreshed,) = manager._records[("m", 0)].host
         assert np.array_equal(refreshed, np.arange(4, dtype=np.float32) + 1.0)
         assert manager.stats.evictions == 3
         manager.forget(("m", 0))
         assert np.array_equal(a, np.arange(4, dtype=np.float32) + 1.0)
-        assert not manager.cache.holds(("m", 0)), "forget drops the host copy"
-
-    def test_clean_eviction_keeps_the_host_copy_out_of_the_disk_tier(self, tmp_path):
-        arrays = {i: np.full(4, float(i), dtype=np.float32) for i in range(3)}
-        manager = self._manager(
-            capacity=16, spill_dir=str(tmp_path), host_cache_limit_bytes=32
-        )
-        for i in range(3):
-            manager.register(("m", i), "dev0", 16, lambda i=i: [arrays[i]])
-        for i in (0, 1):  # two dirty stashes fill the DRAM tier
-            with manager.lease(("m", i)):
-                pass
-            manager.evict(("m", i))
-        with manager.lease(("m", 0), write=False):  # restores 0 from DRAM
-            pass
-        manager.evict(("m", 0))  # clean: 0's copy is again the newest
-        with manager.lease(("m", 2)):
-            pass
-        manager.evict(("m", 2))  # overflows the oldest stash, 1's
-        assert manager.stats.clean_evictions == 1
-        assert manager.cache.keys() == [("m", 0), ("m", 2), ("m", 1)]
-        with manager.lease(("m", 1), write=False):  # streams back from disk
-            assert np.array_equal(arrays[1], np.full(4, 1.0, dtype=np.float32))
-        manager.close()
+        assert ("m", 0) not in manager._records, "forget drops the host copy with its record"
 
     def test_close_shuts_down_owned_prefetcher(self):
         manager = self._manager(capacity=64, prefetch=True)
@@ -419,12 +315,12 @@ class TestSpillManager:
         manager.register(("m", 1), "dev0", 16, lambda: [b])
         with manager.lease(("m", 0)):
             pass
-        with manager.lease(("m", 1)):  # evicts shard 0 to the host cache
+        with manager.lease(("m", 1)):  # evicts shard 0 to its host copy
             pass
         manager.close()
         evictions = manager.stats.evictions
         # A closed manager refuses before staging anything: shard 1 is not
-        # evicted to make room and shard 0's payload stays in the cache.
+        # evicted to make room and shard 0's host copy stays on its record.
         assert manager.prefetch(("m", 0)) is False
         assert manager.residency(("m", 1)) is ResidencyState.RESIDENT
         assert manager.stats.evictions == evictions
