@@ -468,10 +468,16 @@ class SpillManager:
                     self._wait_locked(deadline, key)
                     continue
                 arena.allocate(self._arena_key(record), record.nbytes)
-                with self.telemetry.span(
-                    "spill.fetch", cat="memory", key=str(key), bytes=record.nbytes
-                ):
-                    self._restore_locked(record)
+                try:
+                    with self.telemetry.span(
+                        "spill.fetch", cat="memory", key=str(key), bytes=record.nbytes
+                    ):
+                        self._restore_locked(record)
+                except BaseException:
+                    # The shard stays evicted with its host copy; hand the
+                    # charge back so a repaired shard can be fetched again.
+                    arena.release(self._arena_key(record))
+                    raise
                 record.state = ResidencyState.RESIDENT
                 record.pins += 1
                 if write:

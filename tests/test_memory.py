@@ -356,6 +356,137 @@ class TestSpillManager:
 
 
 # --------------------------------------------------------------------------- #
+# Host copies on the residency records
+# --------------------------------------------------------------------------- #
+class TestHostCopy:
+    def _manager(self, capacity: int = 64, **kwargs):
+        return SpillManager({"dev0": capacity}, **kwargs)
+
+    def _evicted(self, manager, key, arrays):
+        manager.register(key, "dev0", sum(a.nbytes for a in arrays), lambda: arrays)
+        with manager.lease(key):
+            pass
+        manager.evict(key)
+
+    def test_host_copy_is_private_to_the_record(self):
+        a = np.arange(6, dtype=np.float32)
+        manager = self._manager()
+        self._evicted(manager, ("m", 0), [a])
+        a += 100.0  # mutating the live array must not corrupt the copy
+        (host,) = manager._records[("m", 0)].host
+        assert np.array_equal(host, np.arange(6, dtype=np.float32))
+        with manager.lease(("m", 0)):
+            assert np.array_equal(a, np.arange(6, dtype=np.float32))
+            a -= 1.0  # nor may writing the restored array reach the copy
+        assert np.array_equal(host, np.arange(6, dtype=np.float32))
+
+    def test_first_fetch_without_a_host_copy_copies_nothing(self):
+        a = np.arange(4, dtype=np.float32)
+        calls = []
+
+        def arrays():
+            calls.append(True)
+            return [a]
+
+        manager = self._manager()
+        manager.register(("m", 0), "dev0", 16, arrays)
+        assert manager._records[("m", 0)].host is None
+        with manager.lease(("m", 0), write=False):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
+        assert calls == [], "the live arrays are canonical until the first eviction"
+        assert manager._records[("m", 0)].dirty, "nothing on host yet, so still dirty"
+        manager.evict(("m", 0))
+        assert manager.stats.clean_evictions == 0
+
+    def test_forget_model_drops_only_that_models_copies(self):
+        keys = [("a", 0), ("a", 1), ("b", 0)]
+        arrays = {key: np.full(2, float(i)) for i, key in enumerate(keys)}
+        manager = self._manager(scrub_evicted=True)
+        for key, array in arrays.items():
+            self._evicted(manager, key, [array])
+        manager.forget_model("a")
+        assert manager.registered() == [("b", 0)]
+        assert np.array_equal(arrays[("a", 0)], np.full(2, 0.0))
+        assert np.array_equal(arrays[("a", 1)], np.full(2, 1.0))
+        assert np.isnan(arrays[("b", 0)]).all(), "b is still evicted"
+        with manager.lease(("b", 0)):
+            assert np.array_equal(arrays[("b", 0)], np.full(2, 2.0))
+
+    def test_forget_of_a_resident_shard_keeps_its_newer_live_values(self):
+        a = np.zeros(4, dtype=np.float32)
+        manager = self._manager(scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [a])
+        with manager.lease(("m", 0)):
+            a += 5.0
+        manager.forget(("m", 0))  # resident: the stale host copy stays unused
+        assert np.array_equal(a, np.full(4, 5.0, dtype=np.float32))
+        assert manager.arenas["dev0"].used_bytes == 0
+
+    def test_dirty_eviction_replaces_the_copy_and_clean_eviction_keeps_it(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager()
+        self._evicted(manager, ("m", 0), [a])
+        first = manager._records[("m", 0)].host
+        with manager.lease(("m", 0), write=False):
+            pass
+        manager.evict(("m", 0))
+        assert manager._records[("m", 0)].host is first
+        with manager.lease(("m", 0)):
+            a += 1.0
+        manager.evict(("m", 0))
+        second = manager._records[("m", 0)].host
+        assert second is not first
+        assert np.array_equal(first[0], np.arange(4, dtype=np.float32)), (
+            "a replaced copy is never written in place"
+        )
+        assert np.array_equal(second[0], np.arange(4, dtype=np.float32) + 1.0)
+
+    def test_round_trip_keeps_dtypes_shapes_and_non_float_arrays(self):
+        weights = np.arange(6, dtype=np.float32).reshape(2, 3)
+        moments = np.linspace(0.0, 1.0, 5)
+        steps = np.array([7, 8], dtype=np.int64)
+        manager = self._manager(capacity=128, scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [weights, moments, steps])
+        assert np.isnan(weights).all() and np.isnan(moments).all()
+        assert np.array_equal(steps, [7, 8]), "scrubbing poisons float arrays only"
+        host = manager._records[("m", 0)].host
+        assert [(h.dtype, h.shape) for h in host] == [
+            (np.dtype(np.float32), (2, 3)),
+            (np.dtype(np.float64), (5,)),
+            (np.dtype(np.int64), (2,)),
+        ]
+        with manager.lease(("m", 0)):
+            assert np.array_equal(weights, np.arange(6, dtype=np.float32).reshape(2, 3))
+            assert np.array_equal(moments, np.linspace(0.0, 1.0, 5))
+
+    def test_landed_prefetch_leaves_the_shard_clean(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager(prefetch=True, scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [a])
+        host = manager._records[("m", 0)].host
+        assert manager.prefetch(("m", 0)) is True
+        manager.close()  # waits for the restore to land
+        with manager.lease(("m", 0), write=False):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
+        manager.evict(("m", 0))
+        assert manager.stats.clean_evictions == 1
+        assert manager._records[("m", 0)].host is host
+
+    def test_failed_demand_restore_keeps_the_copy_and_frees_the_arena(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager(scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [a])
+        manager.register(("m", 0), "dev0", 16, lambda: [a, a])
+        with pytest.raises(ConfigurationError):
+            manager.acquire(("m", 0))
+        assert manager.residency(("m", 0)) is ResidencyState.EVICTED
+        assert manager.arenas["dev0"].used_bytes == 0
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        with manager.lease(("m", 0)):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32))
+
+
+# --------------------------------------------------------------------------- #
 # Spilled execution is bit-identical to resident execution
 # --------------------------------------------------------------------------- #
 class TestSpilledExecutorExactness:
