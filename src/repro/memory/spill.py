@@ -1,4 +1,4 @@
-"""The shard residency state machine: resident → evicted → prefetching.
+"""The shard residency state machine: resident → evicting → evicted → prefetching.
 
 A :class:`SpillManager` tracks one :class:`ShardResidency` record per
 ``(model_id, shard_index)`` key.  Executors *lease* a shard around every use
@@ -14,11 +14,12 @@ Eviction moves bytes only when they changed.  The host copy outlives the
 restore, and each record carries a *dirty* bit: set at (re-)registration
 and by every writing lease (``write=True``, the default — the optimizer's
 ``step_params`` runs under one), cleared once the host copy matches the live
-arrays again.  Evicting a dirty shard replaces its host copy with a fresh
-one; evicting a clean one (say, after forward-only leases) is a ledger
-change, counted in :attr:`SpillStats.clean_evictions`.  The copy lives and
-dies with its record: :meth:`SpillManager.forget` restores from it and drops
-both.
+arrays again.  Evicting a dirty shard writes its live arrays back into the host copy
+(allocated on the shard's first dirty eviction, reused after); evicting a
+clean one (say, after forward-only leases) is a ledger change, counted in
+:attr:`SpillStats.clean_evictions`.  The copy lives and dies with its
+record: :meth:`SpillManager.forget` restores from it and drops both, and a
+re-registration restores from it and drops it.
 
 Eviction is pluggable: :class:`LRUEvictionPolicy` evicts the
 least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
@@ -26,19 +27,30 @@ access sequences executors announce per batch and evicts the shard whose
 next hop is furthest away (Belady's rule on the declared schedule).
 
 With ``prefetch=True`` the manager owns a 1-thread transfer worker and keeps
-one restore in flight, so the copy of the shard a caller names overlaps the
+one transfer in flight, so the copy of the shard a caller names overlaps the
 current shard's compute (numpy's large array copies release the GIL).  Which
 shard comes next is the caller's knowledge: an executor names its own next
 shard, and the shard-parallel trainer names the next slot of its sweep.
-An acquire that has to wait for such a restore counts as
+A dirty shard that a prefetch evicts to make room enters ``EVICTING``: its
+arena charge is released at once, and the same transfer job writes it back
+to host (and scrubs it) before it restores the prefetched shard — neither
+copy runs under the lock or on the caller's thread.  Acquires,
+registrations and forgets of a shard in transfer (``EVICTING`` or
+``PREFETCHING``) wait for it; an acquire that waits counts as
 :attr:`SpillStats.prefetch_late`.
+
+The worker only overlaps its caller if the two run on different CPUs.
+When the process may run on two or more, the worker confines itself to the
+last of them (:attr:`SpillManager.transfer_cpu`) and the thread that drives
+spilled training leaves that CPU for the duration of the call
+(:mod:`repro.runtime.placement`).
 
 The manager is thread-safe: under the concurrent runtime several trials
 share the same arenas, and an acquire that cannot make room (everything
 else pinned) waits on a condition until pins or prefetches clear — with a
 timeout that turns a would-be deadlock into a loud
 :class:`~repro.exceptions.MemoryBudgetError`.  That condition's one lock
-guards every record, ledger charge and the in-flight restore slot; a
+guards every record, ledger charge and the in-flight transfer slot; a
 prefetch claims the slot under it, and :meth:`SpillManager.close` waits for
 the slot to clear before it shuts the transfer worker down.
 """
@@ -46,6 +58,7 @@ the slot to clear before it shuts the transfer worker down.
 from __future__ import annotations
 
 import enum
+import os
 import threading
 import time
 from collections import deque
@@ -57,6 +70,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, MemoryBudgetError
 from repro.memory.arena import DeviceArena
+from repro.runtime.placement import spare_cpu
 from repro.runtime.pool import ThreadWorkerPool
 from repro.telemetry import NULL_TELEMETRY
 
@@ -72,8 +86,17 @@ class ResidencyState(str, enum.Enum):
     """Where a shard's bytes currently live."""
 
     RESIDENT = "resident"
+    #: off the arena ledger; the transfer worker is writing it back to host
+    EVICTING = "evicting"
     EVICTED = "evicted"
     PREFETCHING = "prefetching"
+
+
+#: states whose bytes the transfer worker is moving; leases, registrations
+#: and forgets wait them out
+_IN_TRANSFER = (ResidencyState.PREFETCHING, ResidencyState.EVICTING)
+#: states charged to an arena
+_CHARGED = (ResidencyState.RESIDENT, ResidencyState.PREFETCHING)
 
 
 @dataclass
@@ -87,11 +110,13 @@ class ShardResidency:
     state: ResidencyState = ResidencyState.EVICTED
     pins: int = 0
     last_use: int = 0
-    prefetch_error: Optional[BaseException] = None
+    #: a failed prefetch or deferred write-back, raised by the next acquire
+    transfer_error: Optional[BaseException] = None
     #: the live arrays may differ from the host copy (or there is none)
     dirty: bool = True
     #: copies of the arrays as of the last dirty eviction; ``None`` until the
-    #: first one (the live arrays are then the only, canonical, bytes)
+    #: first one, after a re-registration and after a failed write-back (the
+    #: live arrays are then the only, canonical, bytes)
     host: Optional[List[np.ndarray]] = field(default=None, repr=False, compare=False)
 
 
@@ -108,7 +133,8 @@ class SpillStats:
     bytes_fetched: int = 0
     bytes_evicted: int = 0
     acquire_waits: int = 0
-    #: acquires that found their shard still landing and waited for it
+    #: acquires that found their shard in transfer (landing, or being
+    #: written back after a prefetch evicted it) and waited for it
     prefetch_late: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -230,7 +256,8 @@ class SpillManager:
     The manager builds everything it runs on: one :class:`DeviceArena` per
     ``{name: bytes}`` entry of ``budgets``, the eviction policy named by
     ``policy`` and, with ``prefetch=True``, the transfer worker that
-    :meth:`close` shuts down.  Evicted shards' host copies live on their
+    :meth:`close` shuts down (confined to :attr:`transfer_cpu` when there
+    is one).  Evicted shards' host copies live on their
     :class:`ShardResidency` records.
 
     ``scrub_evicted=True`` fills evicted float arrays with NaN after
@@ -272,9 +299,23 @@ class SpillManager:
         self._cond = threading.Condition(self._lock)
         self._clock = 0
         #: the transfer worker (``None`` without prefetch or once closed) and
-        #: whether its one restore slot is taken — both under ``_lock``
+        #: whether its one transfer slot is taken — both under ``_lock``
         self._pool: Optional[ThreadWorkerPool] = ThreadWorkerPool(1) if prefetch else None
         self._inflight = False
+        self._transfer_cpu = spare_cpu() if prefetch else None
+        if self._transfer_cpu is not None:
+            # The pool's one thread runs this first, so every transfer runs
+            # off the trainer's CPU (see repro.runtime.placement).
+            self._pool.submit(os.sched_setaffinity, 0, {self._transfer_cpu})
+
+    @property
+    def transfer_cpu(self) -> Optional[int]:
+        """The CPU the transfer worker runs on, for callers to stay off.
+
+        ``None`` without a worker (built without prefetch, or closed) or
+        when the process may run on only one CPU.
+        """
+        return self._transfer_cpu if self._pool is not None else None
 
     def bind_telemetry(self, telemetry, name: str = "spill") -> None:
         """Attach a recorder after construction and publish residency metrics.
@@ -310,9 +351,12 @@ class SpillManager:
         Re-registration is how resumed trials re-attach: the arrays callback
         is refreshed, a device change (a later cohort placing the model
         differently) first evicts the shard from its old arena, and the
-        shard is marked dirty — the new arrays may hold new bytes.  A shard
-        starts ``EVICTED`` — conceptually host-resident — and is charged to
-        its arena on first acquire.
+        shard is marked dirty — the new arrays may hold new bytes.  An
+        evicted shard's host copy is first restored into the arrays it was
+        registered with (as :meth:`forget` does), then dropped, so it can
+        never be copied over the new ones.  A shard starts ``EVICTED`` —
+        conceptually host-resident — and is charged to its arena on first
+        acquire.
         """
         if device not in self.arenas:
             raise ConfigurationError(
@@ -330,8 +374,7 @@ class SpillManager:
             # Let any in-flight transfer land before rewriting the record —
             # re-routing device/nbytes/arrays_fn under a live copy would
             # corrupt the arena ledgers (and the copy itself).
-            while record.state is ResidencyState.PREFETCHING:
-                self._wait_locked(time.monotonic() + self.acquire_timeout_seconds, key)
+            self._wait_out_transfer_locked(record)
             if record.pins > 0:
                 raise ConfigurationError(f"cannot re-register pinned shard {key!r}")
             if record.device != device or record.nbytes != nbytes:
@@ -339,6 +382,9 @@ class SpillManager:
                     self._evict_locked(record)
                 record.device = device
                 record.nbytes = int(nbytes)
+            if record.state is ResidencyState.EVICTED:
+                self._copy_into_live_arrays(record, record.host)
+            record.host = None
             record.arrays_fn = arrays_fn
             record.dirty = True
 
@@ -354,10 +400,9 @@ class SpillManager:
             record = self._records.get(key)
             if record is None:
                 return
-            while record.state is ResidencyState.PREFETCHING:
-                self._wait_locked(time.monotonic() + self.acquire_timeout_seconds, key)
+            self._wait_out_transfer_locked(record)
             # Checked *after* any wait: another thread may have pinned the
-            # shard the moment its prefetch landed.
+            # shard the moment its transfer finished.
             if record.pins > 0:
                 raise ConfigurationError(f"cannot forget pinned shard {key!r}")
             if record.state is ResidencyState.RESIDENT:
@@ -392,14 +437,15 @@ class SpillManager:
         """Keys whose bytes are currently on a device (resident or landing).
 
         ``PREFETCHING`` shards count: their arena charge is already taken,
-        so for occupancy purposes they are on-device.  Used by the serving
-        router to report which whole models are hot.
+        so for occupancy purposes they are on-device; ``EVICTING`` shards
+        have handed theirs back and do not.  Used by the serving router to
+        report which whole models are hot.
         """
         with self._lock:
             return sorted(
                 record.key
                 for record in self._records.values()
-                if record.state is not ResidencyState.EVICTED
+                if record.state in _CHARGED
             )
 
     def resident_bytes(self) -> int:
@@ -408,7 +454,7 @@ class SpillManager:
             return sum(
                 record.nbytes
                 for record in self._records.values()
-                if record.state is not ResidencyState.EVICTED
+                if record.state in _CHARGED
             )
 
     def registered_bytes(self) -> int:
@@ -430,7 +476,7 @@ class SpillManager:
         ``write=True`` (the default, always safe) marks the shard dirty, so
         its next eviction copies it to host; a caller that only reads the
         shard's arrays while pinned passes ``write=False``.  Blocks while
-        other occupants are pinned or a prefetch is in flight; raises
+        other occupants are pinned or the shard is in transfer; raises
         :class:`MemoryBudgetError` after ``acquire_timeout_seconds``.
         """
         deadline = time.monotonic() + self.acquire_timeout_seconds
@@ -438,12 +484,13 @@ class SpillManager:
         with self._lock:
             record = self._record(key)
             while True:
-                if record.prefetch_error is not None:
-                    # A failed prefetch restored nothing (the host copy is
-                    # still the canonical one); surface the error to the
-                    # user instead of silently demand-fetching around it.
-                    error = record.prefetch_error
-                    record.prefetch_error = None
+                if record.transfer_error is not None:
+                    # A failed transfer lost nothing (a failed prefetch
+                    # leaves the host copy canonical, a failed write-back
+                    # the live arrays); surface the error to the user
+                    # instead of silently demand-fetching around it.
+                    error = record.transfer_error
+                    record.transfer_error = None
                     raise error
                 if record.state is ResidencyState.RESIDENT:
                     record.pins += 1
@@ -451,7 +498,7 @@ class SpillManager:
                         record.dirty = True
                     self._note_use(record)
                     return
-                if record.state is ResidencyState.PREFETCHING:
+                if record.state in _IN_TRANSFER:
                     if not late:
                         late = True
                         self.stats.prefetch_late += 1
@@ -534,11 +581,14 @@ class SpillManager:
         """Start an async restore of an evicted shard; ``True`` if begun.
 
         Opportunistic: returns ``False`` (without waiting) when the manager
-        has no transfer worker (built without prefetch, or closed), a restore
-        is already in flight, the shard is not evicted, or room cannot be
-        made without touching pinned shards.  The transfer overlaps the
+        has no transfer worker (built without prefetch, or closed), a
+        transfer is already in flight, the shard is not evicted, or room
+        cannot be made without touching pinned shards.  Dirty shards evicted
+        to make room are written back by the same transfer, before the
+        restore (``EVICTING`` until then).  The transfer overlaps the
         caller's compute; a later :meth:`acquire` joins on it.
         """
+        victims: List[ShardResidency] = []
         with self._lock:
             if self._pool is None or self._inflight:
                 return False
@@ -548,23 +598,42 @@ class SpillManager:
             arena = self.arenas[record.device]
             if record.nbytes > arena.capacity_bytes:
                 return False
-            if not self._make_room_locked(record, arena):
+            if not self._make_room_locked(record, arena, victims):
                 return False
             arena.allocate(self._arena_key(record), record.nbytes)
             record.state = ResidencyState.PREFETCHING
-            record.prefetch_error = None
+            record.transfer_error = None
             self.stats.prefetches_issued += 1
             self._inflight = True
             pool, payload = self._pool, record.host
         # Handed over after the lock is released: submitting under it
         # measurably delays the lock's other users (serve_fleet p50).  The
         # claimed slot keeps close() from shutting the pool down first.
-        pool.submit(self._land, record, payload)
+        pool.submit(self._transfer, record, payload, victims)
         return True
 
-    def _land(self, record: ShardResidency, payload: Optional[List[np.ndarray]]) -> None:
-        # Runs on the transfer thread: the copy outside the lock, then the
-        # outcome published in one locked block.
+    def _transfer(
+        self,
+        record: ShardResidency,
+        payload: Optional[List[np.ndarray]],
+        victims: List[ShardResidency],
+    ) -> None:
+        # Runs on the transfer thread: each copy outside the lock, each
+        # outcome published in one locked block.  An EVICTING victim is
+        # touched by nothing else until it is published EVICTED.
+        for victim in victims:
+            failure: Optional[BaseException] = None
+            try:
+                with self.telemetry.span(
+                    "spill.evict", cat="memory", key=str(victim.key), bytes=victim.nbytes
+                ):
+                    self._write_back(victim)
+            except BaseException as exc:  # noqa: BLE001 - surfaced by the next acquire
+                failure = exc
+            with self._lock:
+                victim.transfer_error = failure
+                victim.state = ResidencyState.EVICTED
+                self._cond.notify_all()
         error: Optional[BaseException] = None
         try:
             with self.telemetry.span(
@@ -584,7 +653,7 @@ class SpillManager:
                 # Keep the error to re-raise at the next acquire — a silent
                 # failure here would train on stale weights.  The host copy
                 # is still on the record, so a repaired shard can restore.
-                record.prefetch_error = error
+                record.transfer_error = error
                 self.arenas[record.device].release(self._arena_key(record))
                 record.state = ResidencyState.EVICTED
             self._cond.notify_all()
@@ -593,7 +662,7 @@ class SpillManager:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the transfer worker (if any), after a restore in flight.
+        """Shut down the transfer worker (if any), after a transfer in flight.
 
         Safe to call repeatedly.  Afterwards :meth:`prefetch` returns
         ``False`` before staging anything and acquires demand-fetch.
@@ -601,7 +670,7 @@ class SpillManager:
         with self._lock:
             pool, self._pool = self._pool, None
             # A prefetch that claimed the slot submits after releasing the
-            # lock; its restore lands before the pool goes away.
+            # lock; its transfer finishes before the pool goes away.
             self._cond.wait_for(lambda: not self._inflight, self.acquire_timeout_seconds)
         if pool is not None:
             pool.shutdown(wait=True)
@@ -651,45 +720,85 @@ class SpillManager:
                 f"concurrent working set"
             )
 
-    def _make_room_locked(self, record: ShardResidency, arena: DeviceArena) -> bool:
+    def _wait_out_transfer_locked(self, record: ShardResidency) -> None:
+        deadline = time.monotonic() + self.acquire_timeout_seconds
+        while record.state in _IN_TRANSFER:
+            self._wait_locked(deadline, record.key)
+
+    def _make_room_locked(
+        self,
+        record: ShardResidency,
+        arena: DeviceArena,
+        deferred: Optional[List[ShardResidency]] = None,
+    ) -> bool:
+        """Evict unpinned resident shards until ``record`` fits.
+
+        ``False``, evicting nothing, when even every candidate would not
+        make room.  With ``deferred`` (a prefetch's list), dirty victims
+        are only released to ``EVICTING`` and appended, for the transfer
+        job to write back; clean ones are evicted here, as they copy nothing.
+        """
+        candidates = [
+            r
+            for r in self._records.values()
+            if r is not record
+            and r.device == record.device
+            and r.state is ResidencyState.RESIDENT
+            and r.pins == 0
+        ]
+        if record.nbytes > arena.free_bytes + sum(r.nbytes for r in candidates):
+            return False
         while record.nbytes > arena.free_bytes:
-            candidates = [
-                r
-                for r in self._records.values()
-                if r is not record
-                and r.device == record.device
-                and r.state is ResidencyState.RESIDENT
-                and r.pins == 0
-            ]
-            if not candidates:
-                return False
             victim = self.policy.choose(candidates)
-            self._evict_locked(victim)
+            candidates.remove(victim)
+            if deferred is not None and victim.dirty:
+                self._release_locked(victim, ResidencyState.EVICTING)
+                deferred.append(victim)
+            else:
+                self._evict_locked(victim)
         return True
 
     def _evict_locked(self, record: ShardResidency) -> None:
-        # A dirty shard's host copy is taken under the manager lock:
-        # deferring it would need an extra EVICTING state so a concurrent
-        # acquire cannot observe the scrubbed arrays as canonical.
-        # Correctness-first; the hold is one shard's memcpy.  A clean shard
-        # already has its bytes on host and copies nothing.
+        # The demand path (acquire, evict, register): a dirty shard's copy to
+        # host is made here, under the manager lock — one memcpy.  Dirty
+        # victims of a prefetch skip this: the transfer worker copies them,
+        # off the lock, while they are EVICTING.  A clean shard already has
+        # its bytes on host and copies nothing.
         with self.telemetry.span(
             "spill.evict", cat="memory", key=str(record.key), bytes=record.nbytes
         ):
-            arrays = record.arrays_fn()
-            if record.dirty:
-                record.host = [np.array(a, copy=True) for a in arrays]
-                record.dirty = False
-            else:
+            if not record.dirty:
                 self.stats.clean_evictions += 1
-            if self.scrub_evicted:
-                for array in arrays:
-                    if np.issubdtype(array.dtype, np.floating):
-                        array.fill(np.nan)
-            self.arenas[record.device].release(self._arena_key(record))
-            record.state = ResidencyState.EVICTED
-            self.stats.evictions += 1
-            self.stats.bytes_evicted += record.nbytes
+            self._write_back(record)
+            self._release_locked(record, ResidencyState.EVICTED)
+
+    def _release_locked(self, record: ShardResidency, state: ResidencyState) -> None:
+        self.arenas[record.device].release(self._arena_key(record))
+        record.state = state
+        self.stats.evictions += 1
+        self.stats.bytes_evicted += record.nbytes
+
+    def _write_back(self, record: ShardResidency) -> None:
+        # The one copy to host, called by _evict_locked (under the lock) and
+        # by the transfer job (for an EVICTING shard, nobody else's).  A dirty
+        # shard's live arrays go into its host copy — in place, once the
+        # first eviction has allocated it; the copy is detached meanwhile,
+        # so a failure leaves ``host=None`` and the live arrays canonical.
+        # The scrub runs only after a complete copy.
+        arrays = record.arrays_fn()
+        if record.dirty:
+            host, record.host = record.host, None
+            if host is None:
+                host = [np.array(a, copy=True) for a in arrays]
+            else:
+                for stored, live in self._paired(record, host, arrays):
+                    np.copyto(stored, live, casting="no")
+            record.host = host
+            record.dirty = False
+        if self.scrub_evicted:
+            for array in arrays:
+                if np.issubdtype(array.dtype, np.floating):
+                    array.fill(np.nan)
 
     def _restore_locked(self, record: ShardResidency) -> None:
         self._copy_into_live_arrays(record, record.host)
@@ -703,15 +812,20 @@ class SpillManager:
             # First fetch: the live arrays already hold the canonical values
             # (models are built in host memory); only the ledger changes.
             return
-        live = record.arrays_fn()
-        if len(live) != len(payload):
+        for stored, live in SpillManager._paired(record, payload, record.arrays_fn()):
+            np.copyto(live, stored, casting="no")
+
+    @staticmethod
+    def _paired(
+        record: ShardResidency, host: List[np.ndarray], live: List[np.ndarray]
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        if len(live) != len(host):
             raise ConfigurationError(
-                f"shard {record.key!r}: stash holds {len(payload)} arrays but the "
+                f"shard {record.key!r}: stash holds {len(host)} arrays but the "
                 f"live shard exposes {len(live)} — arrays_fn must be stable "
                 "across an eviction"
             )
-        for destination, source in zip(live, payload):
-            np.copyto(destination, source, casting="no")
+        return zip(host, live)
 
     def __repr__(self) -> str:
         with self._lock:

@@ -2,8 +2,10 @@
 
 A leaf package — it imports nothing from ``repro`` but the exception types —
 holding the :class:`WorkerPool` implementations with their
-:class:`RetryPolicy` (:mod:`~repro.runtime.pool`) and the one
-:class:`SupervisedChild` process (:mod:`~repro.runtime.child`).
+:class:`RetryPolicy` (:mod:`~repro.runtime.pool`), the one
+:class:`SupervisedChild` process (:mod:`~repro.runtime.child`) and the CPU
+placement that keeps a helper thread off its caller's core
+(:mod:`~repro.runtime.placement`).
 :mod:`repro.memory`, :mod:`repro.serving` and :mod:`repro.api.runtime` build
 on it; :mod:`repro.api` re-exports the public names.
 """

@@ -4,6 +4,7 @@ is bit-identical (``array_equal``) to fully-resident training."""
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -217,21 +218,22 @@ class TestSpillManager:
 
     def test_failed_prefetch_preserves_payload_and_surfaces(self):
         a = np.arange(4, dtype=np.float32)
+        view = [[a]]
         manager = self._manager(
             capacity=64, prefetch=True, scrub_evicted=True,
             acquire_timeout_seconds=5.0,
         )
-        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        manager.register(("m", 0), "dev0", 16, lambda: view[0])
         with manager.lease(("m", 0)):
             pass
         manager.evict(("m", 0))
         # Break the live-array view so the async restore fails mid-flight.
-        manager.register(("m", 0), "dev0", 16, lambda: [a, a])
+        view[0] = [a, a]
         assert manager.prefetch(("m", 0)) is True
         with pytest.raises(ConfigurationError):
             manager.acquire(("m", 0))  # surfaces the prefetch failure
         # The canonical payload survived the failure: repair and restore.
-        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        view[0] = [a]
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
         manager.close()
@@ -422,11 +424,12 @@ class TestHostCopy:
         assert np.array_equal(a, np.full(4, 5.0, dtype=np.float32))
         assert manager.arenas["dev0"].used_bytes == 0
 
-    def test_dirty_eviction_replaces_the_copy_and_clean_eviction_keeps_it(self):
+    def test_dirty_eviction_refreshes_the_copy_in_place_and_clean_eviction_keeps_it(self):
         a = np.arange(4, dtype=np.float32)
         manager = self._manager()
         self._evicted(manager, ("m", 0), [a])
         first = manager._records[("m", 0)].host
+        (buffer,) = first
         with manager.lease(("m", 0), write=False):
             pass
         manager.evict(("m", 0))
@@ -434,12 +437,9 @@ class TestHostCopy:
         with manager.lease(("m", 0)):
             a += 1.0
         manager.evict(("m", 0))
-        second = manager._records[("m", 0)].host
-        assert second is not first
-        assert np.array_equal(first[0], np.arange(4, dtype=np.float32)), (
-            "a replaced copy is never written in place"
-        )
-        assert np.array_equal(second[0], np.arange(4, dtype=np.float32) + 1.0)
+        (refreshed,) = manager._records[("m", 0)].host
+        assert refreshed is buffer, "only the first dirty eviction allocates"
+        assert np.array_equal(refreshed, np.arange(4, dtype=np.float32) + 1.0)
 
     def test_round_trip_keeps_dtypes_shapes_and_non_float_arrays(self):
         weights = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -474,16 +474,137 @@ class TestHostCopy:
 
     def test_failed_demand_restore_keeps_the_copy_and_frees_the_arena(self):
         a = np.arange(4, dtype=np.float32)
+        view = [[a]]
         manager = self._manager(scrub_evicted=True)
-        self._evicted(manager, ("m", 0), [a])
-        manager.register(("m", 0), "dev0", 16, lambda: [a, a])
+        manager.register(("m", 0), "dev0", 16, lambda: view[0])
+        with manager.lease(("m", 0)):
+            pass
+        manager.evict(("m", 0))
+        view[0] = [a, a]  # the restore fails: arrays_fn changed length
         with pytest.raises(ConfigurationError):
             manager.acquire(("m", 0))
         assert manager.residency(("m", 0)) is ResidencyState.EVICTED
         assert manager.arenas["dev0"].used_bytes == 0
-        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        view[0] = [a]
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
+
+
+    def test_reregistering_an_evicted_shard_with_new_arrays_uses_the_new_bytes(self):
+        old = np.arange(4, dtype=np.float32)
+        new = np.full(4, 7.0, dtype=np.float32)
+        manager = self._manager(scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [old])
+        manager.register(("m", 0), "dev0", 16, lambda: [new])
+        assert manager._records[("m", 0)].host is None
+        with manager.lease(("m", 0)):
+            assert np.array_equal(new, np.full(4, 7.0, dtype=np.float32))
+        assert np.array_equal(old, np.arange(4, dtype=np.float32)), (
+            "the old arrays get their canonical bytes back, as on forget"
+        )
+
+    def test_reregistering_an_evicted_shard_with_its_own_arrays_keeps_its_bytes(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager(scrub_evicted=True)
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        with manager.lease(("m", 0)):
+            a += 1.0
+        manager.evict(("m", 0))
+        assert np.isnan(a).all()
+        manager.register(("m", 0), "dev0", 16, lambda: [a])  # the host copy is canonical
+        with manager.lease(("m", 0)):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32) + 1.0)
+
+    def test_no_clean_eviction_after_a_write_lease_on_a_read_restored_shard(self):
+        a = np.arange(4, dtype=np.float32)
+        manager = self._manager(scrub_evicted=True)
+        self._evicted(manager, ("m", 0), [a])
+        with manager.lease(("m", 0), write=False):  # restores; clean again
+            pass
+        with manager.lease(("m", 0)):  # already resident: this lease dirties it
+            a += 1.0
+        manager.evict(("m", 0))
+        assert manager.stats.clean_evictions == 0
+        with manager.lease(("m", 0)):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32) + 1.0)
+
+    def test_failed_evicting_write_back_keeps_the_live_arrays_canonical(self):
+        a = np.arange(4, dtype=np.float32)
+        b = np.ones(4, dtype=np.float32)
+        broken = []
+
+        def arrays():
+            if broken:
+                raise RuntimeError("arrays unavailable")
+            return [a]
+
+        manager = self._manager(
+            capacity=16, prefetch=True, scrub_evicted=True, acquire_timeout_seconds=5.0,
+        )
+        manager.register(("m", 0), "dev0", 16, arrays)
+        manager.register(("m", 1), "dev0", 16, lambda: [b])
+        self._evicted(manager, ("m", 1), [b])
+        with manager.lease(("m", 0)):
+            a += 1.0
+        broken.append(True)
+        assert manager.prefetch(("m", 1))  # claims shard 0 for the transfer job
+        manager.close()
+        record = manager._records[("m", 0)]
+        assert manager.residency(("m", 0)) is ResidencyState.EVICTED
+        assert record.host is None and record.dirty
+        with pytest.raises(RuntimeError):
+            manager.acquire(("m", 0))  # surfaces the write-back failure
+        broken.clear()
+        with manager.lease(("m", 0)):
+            assert np.array_equal(a, np.arange(4, dtype=np.float32) + 1.0)
+
+
+class TestTransferPlacement:
+    """The transfer worker takes the last allowed CPU, and spilled training
+    runs on the others.  Every expectation comes from this process's own
+    mask, so the verdict is the same on one CPU or many."""
+
+    pytestmark = pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
+    )
+
+    @staticmethod
+    def _epoch_masks(memory):
+        """The CPU masks the trainer's thread runs its tasks under for one epoch."""
+        trainer = ShardParallelTrainer(num_devices=2, memory_manager=memory)
+        model = small_mlp()
+        trainer.add_model(model, Adam(model.parameters(), lr=1e-3), mlp_loader(), BOUNDARIES)
+        executor, seen = trainer._slots[0].executor, []
+        run_task = executor.run_task
+
+        def recording(*args, **kwargs):
+            seen.append(os.sched_getaffinity(0))
+            return run_task(*args, **kwargs)
+
+        executor.run_task = recording
+        trainer.train_epoch(0)
+        assert seen
+        return seen
+
+    def test_placement_of_the_worker_and_the_trainer(self):
+        allowed = os.sched_getaffinity(0)
+        spare = {max(allowed)} if len(allowed) >= 2 else set()
+        manager = SpillManager({"dev0": 1 << 20, "dev1": 1 << 20}, prefetch=True)
+        try:
+            worker = manager._pool.submit(os.sched_getaffinity, 0).result()
+            assert worker == (spare or allowed)
+            assert all(mask == allowed - spare for mask in self._epoch_masks(manager))
+            assert os.sched_getaffinity(0) == allowed, "the caller's mask is back"
+        finally:
+            manager.close()
+        assert manager.transfer_cpu is None, "a closed manager has no worker to avoid"
+
+    def test_placement_leaves_unspilled_and_unprefetched_training_alone(self):
+        allowed = os.sched_getaffinity(0)
+        manager = SpillManager({"dev0": 1 << 20, "dev1": 1 << 20})
+        assert manager.transfer_cpu is None
+        for memory in (None, manager):
+            assert all(mask == allowed for mask in self._epoch_masks(memory))
 
 
 # --------------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ fault-tolerance path through the TrialRunner, teardown discipline on failure
 paths, and callback/early-stop semantics under concurrency.
 """
 
+import os
 import threading
 import time
 
@@ -33,6 +34,7 @@ from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
+from repro.runtime.placement import avoiding_cpu, spare_cpu
 from repro.selection import FailedTrial, SearchSpace, SelectionResult, TrialConfig
 
 DATASET = make_classification(
@@ -139,6 +141,28 @@ def _dispatch(train_fn, trial_ids, workers=2, retry=None):
             for trial_id in trial_ids
         ]
         return backend.train_many(handles, 1), handles
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+class TestPlacement:
+    """Expectations come from this process's own mask (1 CPU or many)."""
+
+    def test_spare_cpu_is_the_last_allowed_one_when_there_are_two(self):
+        allowed = os.sched_getaffinity(0)
+        assert spare_cpu() == (max(allowed) if len(allowed) >= 2 else None)
+
+    def test_avoiding_cpu_restores_the_mask_when_the_block_raises(self):
+        allowed = os.sched_getaffinity(0)
+        cpu = spare_cpu()
+        with pytest.raises(RuntimeError):
+            with avoiding_cpu(cpu):
+                assert os.sched_getaffinity(0) == allowed - {cpu}
+                with avoiding_cpu(cpu):  # nested: nothing left to remove
+                    assert os.sched_getaffinity(0) == allowed - {cpu}
+                raise RuntimeError("boom")
+        assert os.sched_getaffinity(0) == allowed
+        with avoiding_cpu(None):
+            assert os.sched_getaffinity(0) == allowed
 
 
 class TestAsyncTrialRunner:

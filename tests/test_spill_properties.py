@@ -8,17 +8,22 @@ evict / forget (after which the shard's owner writes it, as a model used
 outside the manager would) / re-register on the other arena / re-register
 with new arrays (a rebuilt model, read onto its device first and evicted
 after) / close, plus an acquire from a second thread that must wake when
-the machine's pins go.  After every step it checks what spilled training
-relies on:
+the machine's pins go.  A prefetch that evicts a dirty shard leaves it
+``EVICTING`` until the transfer worker has written it back; the machine
+counts that state as off-device throughout.  After every step it checks
+what spilled training relies on:
 
 * each arena's ``used_bytes`` is within its capacity and equals the bytes of
-  its non-``EVICTED`` shards;
+  its ``RESIDENT`` and ``PREFETCHING`` shards (an ``EVICTING`` shard's
+  charge went back when it was claimed);
 * a pinned shard is ``RESIDENT`` (so it was never evicted), and every
   resident shard — every leased one in particular — holds exactly the
   expected values: scrub NaNs are never visible through a lease;
-* the residency states partition the registered keys;
-* every evicted shard that has been on a device since it was registered
-  is all NaN (the scrub runs on clean evictions too);
+* the residency states partition the registered keys into on-device
+  (``resident_keys``) and off-device (``EVICTED`` or ``EVICTING``);
+* every ``EVICTED`` shard that has been on a device since it was
+  registered is all NaN (the scrub runs on clean evictions too, and after
+  a deferred write-back's copy);
 * the ``SpillStats`` counters are monotone;
 * ``bytes_fetched - bytes_evicted`` equals the resident bytes plus the bytes
   the machine forgot while resident;
@@ -28,12 +33,14 @@ relies on:
   this itself from the residency it observes: any eviction leaves a current
   host copy, and a restore from it makes the live arrays current again.
 
-The manager's own lock is held while an invariant reads, so a restore
-landing on the transfer thread cannot tear the snapshot.  Two threaded
-tests follow: a ``close()`` that arrives between a prefetch claiming the
-restore slot and submitting its job lets that restore land, and several
-threads, each holding at most one pin, lease and write shards on shared
-arenas — every acquire returns, and the values are exact afterwards.
+The manager's own lock is held while an invariant reads, so a transfer
+finishing on the worker thread cannot tear the snapshot.  Threaded tests
+follow: a ``close()`` that arrives between a prefetch claiming the
+transfer slot and submitting its job lets that restore land; with the
+transfer job held back, an ``EVICTING`` shard is never chosen as a victim
+again and an acquire of it waits for its write-back; and several threads,
+each holding at most one pin, lease and write shards on shared arenas —
+every acquire returns, and the values are exact afterwards.
 """
 
 from __future__ import annotations
@@ -61,16 +68,19 @@ DEVICES = ("dev0", "dev1")
 #: long enough that a correct manager never times out on a loaded machine;
 #: a waiter that is never woken fails after this long
 WAIT_SECONDS = 5.0
+#: states whose arena charge is held (the rest are off-device)
+CHARGED = (ResidencyState.RESIDENT, ResidencyState.PREFETCHING)
+OFF_DEVICE = (ResidencyState.EVICTED, ResidencyState.EVICTING)
 
 
 def _settle(manager: SpillManager) -> None:
-    """Wait until no restore is in flight (the machine issues no new ones)."""
+    """Wait until no transfer is in flight (the machine issues no new ones)."""
     deadline = time.monotonic() + WAIT_SECONDS
     while any(
-        manager.residency(key) is ResidencyState.PREFETCHING
+        manager.residency(key) in (ResidencyState.PREFETCHING, ResidencyState.EVICTING)
         for key in manager.registered()
     ):
-        assert time.monotonic() < deadline, "a prefetch never landed"
+        assert time.monotonic() < deadline, "a transfer never finished"
         time.sleep(1e-4)
 
 
@@ -116,18 +126,19 @@ class SpillMachine(RuleBasedStateMachine):
 
     def _register(self, key, device):
         live = self.live[key]
-        fresh = key not in self.device
         self.manager.register(key, device, live.nbytes, lambda: [live])
         self.device[key] = device
         self.written[key] = True
-        if fresh:
-            self.on_device[key] = self.has_copy[key] = False
+        # (Re-)registration drops any host copy, after restoring an evicted
+        # shard's old arrays from it: the live arrays are canonical.
+        self.has_copy[key] = False
+        self.on_device[key] = self.manager.residency(key) is not ResidencyState.EVICTED
 
     def _observe(self):
         """Fold residency changes since the last look into the model."""
         for key in self.device:
             state = self.manager.residency(key)
-            if state is ResidencyState.EVICTED:
+            if state in OFF_DEVICE:
                 if self.on_device[key]:  # an eviction leaves a current host copy
                     self.on_device[key] = False
                     self.has_copy[key] = True
@@ -153,11 +164,12 @@ class SpillMachine(RuleBasedStateMachine):
     def _blocked(self, key):
         """Whether acquiring ``key`` must wait for the machine's own pins.
 
-        Resident and landing shards pin at once; an evicted one fits when
-        its arena minus the *pinned* bytes there can hold it (unpinned
-        occupants are evicted, a landing restore becomes evictable).
+        Resident and landing shards pin at once; an evicted (or evicting)
+        one fits when its arena minus the *pinned* bytes there can hold it
+        (unpinned occupants are evicted, a landing restore becomes
+        evictable).
         """
-        if self.manager.residency(key) is not ResidencyState.EVICTED:
+        if self.manager.residency(key) in CHARGED:
             return False
         device = self.device[key]
         pinned = sum(
@@ -361,15 +373,16 @@ class SpillMachine(RuleBasedStateMachine):
             for name, arena in self.manager.arenas.items():
                 charged = sum(
                     self._nbytes(key) for key in self.device
-                    if self.device[key] == name and state[key] is not ResidencyState.EVICTED
+                    if self.device[key] == name and state[key] in CHARGED
                 )
                 assert arena.used_bytes == charged, name
                 assert arena.used_bytes <= arena.capacity_bytes
-            # resident + evicted + prefetching partition the registered set
+            # on-device (resident, prefetching) and off-device (evicted,
+            # evicting) partition the registered set
             on_device = set(self.manager.resident_keys())
-            evicted = {key for key, s in state.items() if s is ResidencyState.EVICTED}
-            assert on_device.isdisjoint(evicted)
-            assert on_device | evicted == set(self.device)
+            off_device = {key for key, s in state.items() if s in OFF_DEVICE}
+            assert on_device.isdisjoint(off_device)
+            assert on_device | off_device == set(self.device)
 
     @invariant()
     def pinned_and_resident_shards_hold_the_expected_values(self):
@@ -453,6 +466,70 @@ def test_close_in_the_submit_gap_lets_the_restore_land():
     assert started == [True]
     assert manager.residency(("m", 0)) is ResidencyState.RESIDENT
     assert np.array_equal(a, np.arange(4, dtype=np.float32))
+
+
+def test_an_evicting_shard_is_waited_for_and_never_chosen_again():
+    """A prefetch that evicts a dirty shard only claims it: the shard turns
+    ``EVICTING`` with its arena charge handed back, and the transfer job
+    copies it to host (then scrubs it) before the restore.  Held back here,
+    that job leaves a window in which a demand eviction must pick another
+    victim and an acquire of the shard must wait, then see its exact bytes."""
+    floats = 4
+    nbytes = floats * FLOAT
+    manager = SpillManager(
+        {"dev0": 2 * nbytes}, policy="lru", prefetch=True, scrub_evicted=True,
+        acquire_timeout_seconds=WAIT_SECONDS,
+    )
+    live = {("m", i): np.full(floats, 10.0 * i, dtype=np.float32) for i in range(4)}
+    for key, array in live.items():
+        manager.register(key, "dev0", nbytes, lambda a=array: [a])
+    a, b, c, d = sorted(live)
+    with manager.lease(a):  # written, so a prefetch must copy it to host
+        live[a] += 1.0
+    with manager.lease(b, write=False):
+        pass
+    expected = {key: array.copy() for key, array in live.items()}
+
+    gate = threading.Event()
+    submit = manager._pool.submit
+    manager._pool.submit = lambda fn, *args: submit(
+        lambda: (gate.wait(WAIT_SECONDS), fn(*args))
+    )
+    try:
+        assert manager.prefetch(c)  # LRU victim: a, claimed for the job
+        assert manager.residency(a) is ResidencyState.EVICTING
+        assert manager.arenas["dev0"].used_bytes == 2 * nbytes  # b + c
+        assert np.array_equal(live[a], expected[a]), "the scrub waits for the copy"
+        with manager.lease(d, write=False):  # must evict b, not a again
+            assert manager.residency(b) is ResidencyState.EVICTED
+            assert manager.residency(a) is ResidencyState.EVICTING
+        seen = []
+        waiter = threading.Thread(
+            target=lambda: (manager.acquire(a), seen.append(live[a].copy()))
+        )
+        waiter.start()
+        deadline = time.monotonic() + WAIT_SECONDS
+        while manager.stats.prefetch_late == 0 and waiter.is_alive():
+            assert time.monotonic() < deadline, "the acquire neither waited nor returned"
+            time.sleep(1e-4)
+        assert seen == [], "an acquire of an EVICTING shard must wait for its write-back"
+    finally:
+        gate.set()
+    waiter.join(timeout=3 * WAIT_SECONDS)
+    manager.close()
+    assert not waiter.is_alive()
+    assert len(seen) == 1 and np.array_equal(seen[0], expected[a])
+    assert manager.residency(a) is ResidencyState.RESIDENT
+    assert np.array_equal(live[a], expected[a])
+    charged = sum(
+        nbytes for key in live
+        if manager.residency(key) in CHARGED
+    )
+    assert manager.arenas["dev0"].used_bytes == charged
+    manager.release(a)
+    manager.forget_model("m")
+    for key, array in live.items():
+        assert np.array_equal(array, expected[key]), key
 
 
 def test_threads_holding_one_pin_each_always_progress():

@@ -319,12 +319,14 @@ class TestInstrumentation:
                 pass
             with manager.lease(("m", 1)):  # evicts shard 0
                 pass
-            assert manager.prefetch(("m", 0))  # evicts shard 1, restores 0 async
+            # Shard 1 was written, so the transfer worker copies it to host
+            # and then restores shard 0.
+            assert manager.prefetch(("m", 0))
             with manager.lease(("m", 0)):  # joins the prefetch
                 pass
         manager.close()
         # Every event, in commit order: name, cat, attrs, and its parent —
-        # the caller's span on the leasing thread, none on the prefetch
+        # the caller's span on the leasing thread, none on the transfer
         # worker; a lease is a flat begin/end token, so the fetch and evict
         # it triggers are its siblings, not its children.
         parents = {caller.span_id: "caller", None: None}
@@ -339,7 +341,7 @@ class TestInstrumentation:
             ("spill.evict", "memory", {"key": m0, "bytes": 16}, "caller"),
             ("spill.fetch", "memory", {"key": m1, "bytes": 16}, "caller"),
             ("spill.lease", "memory", {"key": m1}, "caller"),
-            ("spill.evict", "memory", {"key": m1, "bytes": 16}, "caller"),
+            ("spill.evict", "memory", {"key": m1, "bytes": 16}, None),
             ("spill.prefetch", "memory", {"key": m0, "bytes": 16}, None),
             ("spill.lease", "memory", {"key": m0}, "caller"),
             ("caller", "repro", {}, None),
@@ -367,13 +369,14 @@ class TestInstrumentation:
     def test_failed_restore_span_records_the_error_type(self):
         tel = Telemetry()
         a = np.arange(4, dtype=np.float32)
+        view = [[a]]
         manager = SpillManager({"dev0": 64}, prefetch=True, telemetry=tel)
-        manager.register(("m", 0), "dev0", 16, lambda: [a])
+        manager.register(("m", 0), "dev0", 16, lambda: view[0])
         with manager.lease(("m", 0)):
             pass
         manager.evict(("m", 0))
         # Two live arrays against a one-array stash: the restore raises.
-        manager.register(("m", 0), "dev0", 16, lambda: [a, a])
+        view[0] = [a, a]
         assert manager.prefetch(("m", 0))
         with pytest.raises(ConfigurationError):
             manager.acquire(("m", 0))
