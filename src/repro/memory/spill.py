@@ -19,7 +19,8 @@ arrays again.  Evicting a dirty shard writes its live arrays back into the host 
 clean one (say, after forward-only leases) is a ledger change, counted in
 :attr:`SpillStats.clean_evictions`.  The copy lives and dies with its
 record: :meth:`SpillManager.forget` restores from it and drops both, and a
-re-registration restores from it and drops it.
+re-registration restores from it and drops it (or, when the old arrays
+cannot take it, keeps it for the new ones — the repair of a broken shard).
 
 Eviction is pluggable: :class:`LRUEvictionPolicy` evicts the
 least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
@@ -39,11 +40,13 @@ registrations and forgets of a shard in transfer (``EVICTING`` or
 ``PREFETCHING``) wait for it; an acquire that waits counts as
 :attr:`SpillStats.prefetch_late`.
 
-The worker only overlaps its caller if the two run on different CPUs.
-When the process may run on two or more, the worker confines itself to the
-last of them (:attr:`SpillManager.transfer_cpu`) and the thread that drives
-spilled training leaves that CPU for the duration of the call
-(:mod:`repro.runtime.placement`).
+The worker only overlaps its caller if the two run on different CPUs.  A
+thread that drives spilled training runs its call inside
+:meth:`SpillManager.driving`: when the split pays — one such thread, two
+or more CPUs, single-threaded BLAS, not a pool worker; the rule lives in
+:func:`repro.runtime.placement.split_cpus` — the worker is pinned to the
+last CPU and the driver runs on the others.  Other callers (serving, a
+lone executor) leave every mask alone.
 
 The manager is thread-safe: under the concurrent runtime several trials
 share the same arenas, and an acquire that cannot make room (everything
@@ -64,13 +67,13 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, MemoryBudgetError
 from repro.memory.arena import DeviceArena
-from repro.runtime.placement import spare_cpu
+from repro.runtime.placement import split_cpus
 from repro.runtime.pool import ThreadWorkerPool
 from repro.telemetry import NULL_TELEMETRY
 
@@ -256,9 +259,9 @@ class SpillManager:
     The manager builds everything it runs on: one :class:`DeviceArena` per
     ``{name: bytes}`` entry of ``budgets``, the eviction policy named by
     ``policy`` and, with ``prefetch=True``, the transfer worker that
-    :meth:`close` shuts down (confined to :attr:`transfer_cpu` when there
-    is one).  Evicted shards' host copies live on their
-    :class:`ShardResidency` records.
+    :meth:`close` shuts down (placed beside the thread in :meth:`driving`).
+    Evicted shards' host copies live on their :class:`ShardResidency`
+    records.
 
     ``scrub_evicted=True`` fills evicted float arrays with NaN after
     stashing them — any use that skips re-acquisition then fails loudly
@@ -302,20 +305,29 @@ class SpillManager:
         #: whether its one transfer slot is taken — both under ``_lock``
         self._pool: Optional[ThreadWorkerPool] = ThreadWorkerPool(1) if prefetch else None
         self._inflight = False
-        self._transfer_cpu = spare_cpu() if prefetch else None
-        if self._transfer_cpu is not None:
-            # The pool's one thread runs this first, so every transfer runs
-            # off the trainer's CPU (see repro.runtime.placement).
-            self._pool.submit(os.sched_setaffinity, 0, {self._transfer_cpu})
 
-    @property
-    def transfer_cpu(self) -> Optional[int]:
-        """The CPU the transfer worker runs on, for callers to stay off.
+    @contextmanager
+    def driving(self) -> Iterator[None]:
+        """Run the block as the thread whose compute the transfers overlap.
 
-        ``None`` without a worker (built without prefetch, or closed) or
-        when the process may run on only one CPU.
+        With a transfer worker, the block runs under
+        :func:`~repro.runtime.placement.split_cpus`: the worker on a CPU
+        of its own, the calling thread on the rest, when the split applies;
+        every mask is back on exit.  Without a worker it just runs.
         """
-        return self._transfer_cpu if self._pool is not None else None
+        if self._pool is None:
+            yield
+            return
+        with split_cpus(self._pin_transfers):
+            yield
+
+    def _pin_transfers(self, mask: Set[int]) -> None:
+        # Queued on the one transfer thread, so every transfer submitted
+        # after it runs under ``mask``.  Under the lock, so close() cannot
+        # shut the pool down between the check and the submit.
+        with self._lock:
+            if self._pool is not None:
+                self._pool.submit(os.sched_setaffinity, 0, mask)
 
     def bind_telemetry(self, telemetry, name: str = "spill") -> None:
         """Attach a recorder after construction and publish residency metrics.
@@ -354,9 +366,12 @@ class SpillManager:
         shard is marked dirty — the new arrays may hold new bytes.  An
         evicted shard's host copy is first restored into the arrays it was
         registered with (as :meth:`forget` does), then dropped, so it can
-        never be copied over the new ones.  A shard starts ``EVICTED`` —
-        conceptually host-resident — and is charged to its arena on first
-        acquire.
+        never be copied over the new ones.  If that restore raises (the old
+        ``arrays_fn`` broke), the copy is kept and the next acquire restores
+        it through the new ``arrays_fn``: re-registering a broken shard with
+        a working accessor is how it is repaired.  A shard starts
+        ``EVICTED`` — conceptually host-resident — and is charged to its
+        arena on first acquire.
         """
         if device not in self.arenas:
             raise ConfigurationError(
@@ -382,9 +397,12 @@ class SpillManager:
                     self._evict_locked(record)
                 record.device = device
                 record.nbytes = int(nbytes)
-            if record.state is ResidencyState.EVICTED:
-                self._copy_into_live_arrays(record, record.host)
-            record.host = None
+            try:
+                if record.state is ResidencyState.EVICTED:
+                    self._copy_into_live_arrays(record, record.host)
+                record.host = None
+            except Exception:  # noqa: BLE001 - the copy stays for the new arrays
+                pass
             record.arrays_fn = arrays_fn
             record.dirty = True
 
@@ -394,7 +412,9 @@ class SpillManager:
         An evicted shard's canonical values live in its host copy; they are
         copied back into the live arrays so the model object remains valid
         after the manager lets go (e.g. at trial teardown).  The host copy
-        goes with the record.
+        goes with the record.  If that restore raises (a broken
+        ``arrays_fn``), the shard stays registered with its copy: repair it
+        by re-registering (see :meth:`register`) and forget it again.
         """
         with self._lock:
             record = self._records.get(key)
@@ -413,7 +433,11 @@ class SpillManager:
             self._cond.notify_all()
 
     def forget_model(self, model_id: str) -> None:
-        """Forget every shard of ``model_id`` and drop its schedule."""
+        """Forget every shard of ``model_id`` and drop its schedule.
+
+        Raises what :meth:`forget` raises, with the shards before the
+        failing one already forgotten; call it again after the repair.
+        """
         with self._lock:
             for key in [k for k in self._records if k[0] == model_id]:
                 self.forget(key)

@@ -50,6 +50,7 @@ from typing import Any, Callable, Optional
 
 from repro.exceptions import ConfigurationError, WorkerCrashedError
 from repro.runtime.child import SupervisedChild
+from repro.runtime.placement import share_cpus
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,11 @@ def _pool_worker_main() -> Callable[[tuple], Any]:
     Runs in a supervised child (see :mod:`~repro.runtime.child` for the
     loop around it and how it starts): each message is ``(fn, args,
     kwargs)``, the value is ``fn``'s result, and whatever it raises is
-    mirrored to the parent.
+    mirrored to the parent.  The child shares the machine's CPUs with its
+    sibling slots, so it never takes one for a helper thread
+    (:func:`~repro.runtime.placement.share_cpus`).
     """
+    share_cpus()
 
     def run(message: tuple) -> Any:
         fn, args, kwargs = message

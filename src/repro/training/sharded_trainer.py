@@ -31,10 +31,10 @@ While a task computes, the shard that is needed next is prefetched.  A
 lone executor names its own next shard.  The trainer knows better: its
 sweep runs one task per model in turn, so the next lease belongs to the
 *next model's* task, and each task prefetches that shard instead (passed
-down as ``prefetch=``).  A spilled trainer's epoch runs off the manager's
-transfer CPU (:attr:`~repro.memory.spill.SpillManager.transfer_cpu`), so
-the transfers it starts run beside it, not in turns with it on one core.
-A lone executor's ``train_step`` is too short to move for: changing the
+down as ``prefetch=``).  A spilled trainer's epoch runs inside the
+manager's :meth:`~repro.memory.spill.SpillManager.driving`, so the
+transfers it starts run beside it, not in turns with it on one core.  A
+lone executor's ``train_step`` is too short to move for: changing the
 calling thread's CPU mask around every 1–2 ms step measured slower than
 leaving it alone.
 """
@@ -53,7 +53,6 @@ from repro.data.dataloader import Batch, DataLoader
 from repro.exceptions import ConfigurationError, SchedulingError
 from repro.models.base import ShardableModel
 from repro.optim.optimizer import Optimizer
-from repro.runtime.placement import avoiding_cpu
 from repro.sharding.order import FORWARD, LOSS, batch_order, staggered_device
 from repro.telemetry import NULL_TELEMETRY
 from repro.training.metrics import MetricTracker
@@ -514,13 +513,12 @@ class ShardParallelTrainer:
     def train_epoch(self, epoch: int = 0) -> Dict[str, Dict[str, float]]:
         """Run one epoch for every registered model, interleaving shard tasks.
 
-        A spilled cohort runs off the manager's transfer CPU (see the
+        A spilled cohort runs inside the manager's ``driving()`` (see the
         module docstring); the caller's CPU mask is back on return.
         """
         if not self._slots:
             raise SchedulingError("no models registered")
-        memory = self.memory
-        with avoiding_cpu(memory.transfer_cpu if memory is not None else None):
+        with self.memory.driving() if self.memory is not None else nullcontext():
             sweeps = []
             for slot in self._slots:
                 slot.loader.set_epoch(epoch)

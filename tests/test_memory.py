@@ -232,8 +232,9 @@ class TestSpillManager:
         assert manager.prefetch(("m", 0)) is True
         with pytest.raises(ConfigurationError):
             manager.acquire(("m", 0))  # surfaces the prefetch failure
-        # The canonical payload survived the failure: repair and restore.
-        view[0] = [a]
+        # The canonical payload survived the failure: re-registering with a
+        # working accessor repairs the shard.
+        manager.register(("m", 0), "dev0", 16, lambda: [a])
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
         manager.close()
@@ -485,9 +486,28 @@ class TestHostCopy:
             manager.acquire(("m", 0))
         assert manager.residency(("m", 0)) is ResidencyState.EVICTED
         assert manager.arenas["dev0"].used_bytes == 0
-        view[0] = [a]
+        manager.register(("m", 0), "dev0", 16, lambda: [a])  # the repair
         with manager.lease(("m", 0)):
             assert np.array_equal(a, np.arange(4, dtype=np.float32))
+
+    def test_a_broken_shard_is_forgotten_after_a_repairing_reregistration(self):
+        a = np.arange(4, dtype=np.float32)
+        view = [[a]]
+        manager = self._manager(scrub_evicted=True)
+        manager.register(("m", 0), "dev0", 16, lambda: view[0])
+        with manager.lease(("m", 0)):
+            a += 1.0
+        manager.evict(("m", 0))
+        view[0] = [a, a]  # the accessor breaks while the shard is evicted
+        with pytest.raises(ConfigurationError):
+            manager.forget(("m", 0))
+        assert manager.registered() == [("m", 0)], "a failed forget keeps the shard"
+        repaired = np.zeros(4, dtype=np.float32)
+        manager.register(("m", 0), "dev0", 16, lambda: [repaired])
+        assert manager._records[("m", 0)].host is not None, "the copy is kept for the repair"
+        manager.forget(("m", 0))
+        assert manager.registered() == []
+        assert np.array_equal(repaired, np.arange(4, dtype=np.float32) + 1.0)
 
 
     def test_reregistering_an_evicted_shard_with_new_arrays_uses_the_new_bytes(self):
@@ -560,17 +580,26 @@ class TestHostCopy:
 
 
 class TestTransferPlacement:
-    """The transfer worker takes the last allowed CPU, and spilled training
-    runs on the others.  Every expectation comes from this process's own
-    mask, so the verdict is the same on one CPU or many."""
+    """While a spilled trainer's epoch runs, the transfer worker has the last
+    allowed CPU and the trainer the others; every other caller leaves masks
+    alone.  Every expectation comes from this process's own mask, so the
+    verdict is the same on one CPU or many."""
 
     pytestmark = pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
     )
 
+    @pytest.fixture(autouse=True)
+    def _single_threaded_blas(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
     @staticmethod
-    def _epoch_masks(memory):
-        """The CPU masks the trainer's thread runs its tasks under for one epoch."""
+    def _worker_mask(manager):
+        return manager._pool.submit(os.sched_getaffinity, 0).result()
+
+    @classmethod
+    def _epoch_masks(cls, memory):
+        """The trainer's and the worker's masks at each task of one epoch."""
         trainer = ShardParallelTrainer(num_devices=2, memory_manager=memory)
         model = small_mlp()
         trainer.add_model(model, Adam(model.parameters(), lr=1e-3), mlp_loader(), BOUNDARIES)
@@ -578,7 +607,8 @@ class TestTransferPlacement:
         run_task = executor.run_task
 
         def recording(*args, **kwargs):
-            seen.append(os.sched_getaffinity(0))
+            worker = cls._worker_mask(memory) if memory is not None and memory._pool else None
+            seen.append((os.sched_getaffinity(0), worker))
             return run_task(*args, **kwargs)
 
         executor.run_task = recording
@@ -586,25 +616,57 @@ class TestTransferPlacement:
         assert seen
         return seen
 
-    def test_placement_of_the_worker_and_the_trainer(self):
+    def test_the_worker_is_pinned_only_while_a_trainer_avoids_its_cpu(self):
         allowed = os.sched_getaffinity(0)
         spare = {max(allowed)} if len(allowed) >= 2 else set()
         manager = SpillManager({"dev0": 1 << 20, "dev1": 1 << 20}, prefetch=True)
         try:
-            worker = manager._pool.submit(os.sched_getaffinity, 0).result()
-            assert worker == (spare or allowed)
-            assert all(mask == allowed - spare for mask in self._epoch_masks(manager))
+            assert self._worker_mask(manager) == allowed, "serving callers keep the default"
+            for trainer, worker in self._epoch_masks(manager):
+                assert trainer == allowed - spare
+                assert worker == (spare or allowed)
             assert os.sched_getaffinity(0) == allowed, "the caller's mask is back"
+            assert self._worker_mask(manager) == allowed, "so is the worker's"
         finally:
             manager.close()
-        assert manager.transfer_cpu is None, "a closed manager has no worker to avoid"
+        with manager.driving():  # closed: no worker to place
+            assert os.sched_getaffinity(0) == allowed
 
     def test_placement_leaves_unspilled_and_unprefetched_training_alone(self):
         allowed = os.sched_getaffinity(0)
         manager = SpillManager({"dev0": 1 << 20, "dev1": 1 << 20})
-        assert manager.transfer_cpu is None
         for memory in (None, manager):
-            assert all(mask == allowed for mask in self._epoch_masks(memory))
+            assert all(trainer == allowed for trainer, _ in self._epoch_masks(memory))
+
+    def test_a_second_concurrent_driver_dissolves_the_split(self):
+        allowed = os.sched_getaffinity(0)
+        spare = {max(allowed)} if len(allowed) >= 2 else set()
+        manager = SpillManager({"dev0": 1 << 20}, prefetch=True)
+        entered, joined, left = threading.Event(), threading.Event(), threading.Event()
+        first = []
+
+        def drive():
+            with manager.driving():
+                first.append(os.sched_getaffinity(0))
+                entered.set()
+                joined.wait(10)
+                first.append(os.sched_getaffinity(0))
+            left.set()
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            with manager.driving():
+                assert os.sched_getaffinity(0) == allowed
+                assert self._worker_mask(manager) == allowed
+                joined.set()
+                assert left.wait(10)
+        finally:
+            joined.set()
+            thread.join(10)
+            manager.close()
+        assert first == [allowed - spare, allowed]
 
 
 # --------------------------------------------------------------------------- #

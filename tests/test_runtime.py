@@ -21,6 +21,7 @@ from repro.api import (
     Experiment,
     FunctionBackend,
     GridSearcher,
+    ProcessWorkerPool,
     ResumableFunctionBackend,
     RetryPolicy,
     SerialWorkerPool,
@@ -34,7 +35,7 @@ from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
-from repro.runtime.placement import avoiding_cpu, spare_cpu
+from repro.runtime.placement import spare_cpu, split_cpus
 from repro.selection import FailedTrial, SearchSpace, SelectionResult, TrialConfig
 
 DATASET = make_classification(
@@ -143,26 +144,58 @@ def _dispatch(train_fn, trial_ids, workers=2, retry=None):
         return backend.train_many(handles, 1), handles
 
 
+def _split_in_a_pool_child():
+    """(mask before, mask inside a split, helper pins) as a pool child sees them."""
+    pins = []
+    before = os.sched_getaffinity(0)
+    with split_cpus(pins.append):
+        inside = os.sched_getaffinity(0)
+    return before, inside, pins
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 class TestPlacement:
     """Expectations come from this process's own mask (1 CPU or many)."""
+
+    @pytest.fixture(autouse=True)
+    def _single_threaded_blas(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def test_a_multi_threaded_blas_never_splits(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        allowed, pins = os.sched_getaffinity(0), []
+        with split_cpus(pins.append):
+            assert os.sched_getaffinity(0) == allowed
+        assert pins == []
 
     def test_spare_cpu_is_the_last_allowed_one_when_there_are_two(self):
         allowed = os.sched_getaffinity(0)
         assert spare_cpu() == (max(allowed) if len(allowed) >= 2 else None)
 
-    def test_avoiding_cpu_restores_the_mask_when_the_block_raises(self):
+    def test_a_split_restores_both_masks_when_the_block_raises(self):
         allowed = os.sched_getaffinity(0)
-        cpu = spare_cpu()
+        cpu, pins = spare_cpu(), []
         with pytest.raises(RuntimeError):
-            with avoiding_cpu(cpu):
+            with split_cpus(pins.append):
                 assert os.sched_getaffinity(0) == allowed - {cpu}
-                with avoiding_cpu(cpu):  # nested: nothing left to remove
-                    assert os.sched_getaffinity(0) == allowed - {cpu}
                 raise RuntimeError("boom")
         assert os.sched_getaffinity(0) == allowed
-        with avoiding_cpu(None):
-            assert os.sched_getaffinity(0) == allowed
+        assert pins == ([{cpu}, allowed] if cpu is not None else [])
+
+    def test_a_second_driver_dissolves_the_split(self):
+        allowed = os.sched_getaffinity(0)
+        cpu, pins = spare_cpu(), []
+        with split_cpus(pins.append):
+            with split_cpus(pins.append):  # a second driver: nobody is split
+                assert os.sched_getaffinity(0) == allowed
+            assert os.sched_getaffinity(0) == allowed, "dissolved for good"
+        assert pins == ([{cpu}, allowed] if cpu is not None else [])
+
+    def test_a_process_pool_child_never_splits(self):
+        with ProcessWorkerPool(2) as pool:
+            before, inside, pins = pool.submit(_split_in_a_pool_child).result(timeout=60)
+        assert inside == before and pins == []
 
 
 class TestAsyncTrialRunner:
