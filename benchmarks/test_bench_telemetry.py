@@ -11,9 +11,10 @@ the disabled-path cost is measurable directly: ``baseline`` times the body,
 ``off`` times the dispatcher with :data:`NULL_TELEMETRY`, and ``on`` times
 it with a live recorder.  The off/baseline ratio is the claim.
 
-The serving loop is reported next to it — closed-loop throughput with
-telemetry off and on — but not gated: ``python3 -m bench`` ``serve_single``
-owns serving throughput.
+The serving loop is reported next to it — the server's own
+``metrics()`` throughput with telemetry off and on, under rounds of
+concurrent requests sent from this one thread — but not gated:
+``python3 -m bench`` ``serve_single`` owns serving throughput.
 
 Every comparison here is between wall-clock measurements, so all of them
 are held by the shared gate (``benchmarks/_harness.py``,
@@ -35,7 +36,7 @@ from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
-from repro.serving import LoadGenerator, ModelServer, Replica, warm_up
+from repro.serving import ModelServer, Replica
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.training import ShardedModelExecutor
 
@@ -54,7 +55,8 @@ MLP_BATCH = 64
 SERVE_WIDTH = 256
 SERVE_CLASSES = 64
 COMPUTE_BATCH = 32
-CLIENTS = 16
+#: requests in flight per round of the serving loop
+IN_FLIGHT = 16
 
 #: the contract: disabled telemetry costs < 3% of the hot path
 MAX_OFF_OVERHEAD = 0.03
@@ -133,26 +135,24 @@ def _serve_model() -> FeedForwardNetwork:
 def _serve_throughput(telemetry) -> dict:
     rng = np.random.default_rng(23)
     inputs = rng.normal(size=(64, SERVE_WIDTH)).astype(np.float32)
-    requests = 30 if PERF_CHECK else 10
+    rounds = 30 if PERF_CHECK else 10
     server = ModelServer(
         [Replica.resident(_serve_model())],
         max_batch_size=COMPUTE_BATCH,
         max_wait_ms=2.0,
-        max_queue=4 * CLIENTS,
+        max_queue=4 * IN_FLIGHT,
         telemetry=telemetry,
     )
     with server:
-        warm_up(server, inputs[:1], requests=4)
-        report = LoadGenerator(
-            server,
-            lambda client, index: inputs[(client + index) % len(inputs)][None, :],
-            clients=CLIENTS,
-            requests_per_client=requests,
-        ).run()
-        metrics = server.metrics()
-    record = report.as_dict()
-    record["mean_batch_rows"] = metrics["mean_batch_rows"]
-    return record
+        for round_index in range(rounds):
+            pending = [
+                server.submit(inputs[(round_index + i) % len(inputs)][None, :])
+                for i in range(IN_FLIGHT)
+            ]
+            for response in pending:
+                response.result(timeout=30.0)
+    # Read after stop(): every completion is recorded by then.
+    return server.metrics()
 
 
 def _run_serving_benchmark() -> dict:
@@ -223,9 +223,10 @@ def test_telemetry_off_is_near_free(results):
                 "instrumentation: train_step times the dispatcher "
                 "against its uninstrumented body "
                 "(_train_step_impl) on the paper's 1.2M-parameter "
-                "MLP (2 shards); serving reports closed-loop "
-                f"throughput ({CLIENTS} clients) with telemetry "
-                "off/on (not gated: bench serve_single owns serving "
+                "MLP (2 shards); serving reports the server's own "
+                "metrics() throughput with telemetry off/on under "
+                f"rounds of {IN_FLIGHT} concurrent requests sent from "
+                "one thread (not gated: bench serve_single owns serving "
                 "throughput).  Regenerate with REPRO_PERF_LONG=1."
             ),
         },

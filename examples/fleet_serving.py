@@ -12,8 +12,11 @@ instead of one dedicated server per model (see docs/router.md):
    than the fleet's total parameter bytes;
 2. check a routed answer is bit-identical to a dedicated server's, even for
    a model that was evicted cold;
-3. drive a skewed traffic mix through the router and read the per-model,
-   residency, and scheduler metrics back out.
+3. send a skewed traffic mix through the router from one thread and read
+   the per-model, residency, and scheduler metrics back out.
+
+Fleet serving speed is measured by ``python3 -m bench`` (``serve_fleet``);
+the numbers printed here are the router's own ``metrics()``.
 """
 
 import tempfile
@@ -22,12 +25,15 @@ import numpy as np
 
 from repro.api import serve, serve_fleet
 from repro.models import FeedForwardConfig, FeedForwardNetwork
-from repro.serving import LoadGenerator, ModelRegistry, warm_up
+from repro.serving import ModelRegistry
+from repro.serving.loadgen import mix_schedule
 from repro.utils import format_table, seed_everything
 
 WIDTHS = {"mlp-w24": 24, "mlp-w32": 32, "mlp-w40": 40, "mlp-w48": 48}
 NUM_FEATURES = 16
 NUM_CLASSES = 4
+REQUESTS = 384
+IN_FLIGHT = 16
 
 
 def build(name: str) -> FeedForwardNetwork:
@@ -78,31 +84,35 @@ def main() -> None:
     print(f"{victim}: routed response matches its dedicated server bit-for-bit")
 
     print("\n=== 3. Skewed mix through one pool, fair-share scheduled ===")
-    for name in WIDTHS:
-        warm_up(router.handle(name), inputs[:1], requests=2)
     mix = {"mlp-w24": 5.0, "mlp-w32": 1.0, "mlp-w40": 1.0, "mlp-w48": 1.0}
-    report = LoadGenerator(
-        router,
-        lambda client, index: inputs[(client + index) % len(inputs)][None, :],
-        clients=16, requests_per_client=24, mix=mix,
-    ).run()
-    metrics = router.metrics()
+    schedule = mix_schedule(mix, REQUESTS)
+    # Rounds of IN_FLIGHT requests, each round collected before the next.
+    for start in range(0, REQUESTS, IN_FLIGHT):
+        pending = [
+            router.submit(name, {"features": inputs[index % len(inputs)][None, :]})
+            for index, name in enumerate(schedule[start:start + IN_FLIGHT], start)
+        ]
+        for response in pending:
+            response.result(timeout=30.0)
+    residency = router.metrics()["residency"]  # stop() releases the device
     router.stop()
+    # Read after stop(): every completion is recorded by then.
+    metrics = router.metrics()
+    fleet = metrics["fleet"]
 
     print(format_table(
         ["metric", "value"],
-        [["completed", report.completed],
-         ["throughput", f"{report.throughput_rps:.0f} req/s"],
-         ["p99 latency", f"{report.latency['latency_p99_ms']:.2f} ms"],
-         ["rows/batch", f"{metrics['fleet']['mean_batch_rows']:.1f}"]],
+        [["completed", int(fleet["completed"])],
+         ["throughput", f"{fleet['throughput_rps']:.0f} req/s"],
+         ["p99 latency", f"{fleet['latency_p99_ms']:.2f} ms"],
+         ["rows/batch", f"{fleet['mean_batch_rows']:.1f}"]],
     ))
     print(format_table(
         ["model", "requests served", "p99 ms"],
-        [[name, report.per_model[name],
+        [[name, int(metrics["models"][name]["completed"]),
           f"{metrics['models'][name]['latency_p99_ms']:.2f}"]
          for name in sorted(WIDTHS)],
     ))
-    residency = metrics["residency"]
     scheduler = metrics["scheduler"]
     print(f"residency: {len(residency['resident_models'])} of {len(WIDTHS)} models "
           f"on device ({residency['resident_bytes']} / {budget} bytes); "

@@ -20,8 +20,6 @@ serving traffic against it (see ``docs/serving.md``):
   :class:`~repro.runtime.pool.WorkerPool`, with per-request deadlines
   and p50/p95/p99 latency + throughput metrics (a view over the batcher's
   bounded metrics registry);
-* :class:`LoadGenerator` — closed-loop and open-loop (fixed arrival rate)
-  clients for load tests;
 * :class:`FleetRouter` — the same serve path with one queue per model
   (fill window 0, i.e. continuous batching): every published model served
   through **one** replica pool and **one** memory budget, with
@@ -33,6 +31,12 @@ Exactness is the core contract, inherited from the training side: replicas
 run every forward at one fixed compute geometry, so batched responses are
 ``array_equal`` to unbatched single-request forwards, and spilled replicas
 answer bit-identically to resident ones.
+
+The package ships no load generator: serving speed is measured from
+outside by ``python3 -m bench`` (``serve_single``/``serve_fleet``), and a
+running front-end's view of its own traffic is its ``metrics()``.
+:func:`~repro.serving.loadgen.mix_schedule` is the one traffic helper
+kept here, the deterministic fleet mix both use.
 
 The declarative entry points are :mod:`repro.serving.deploy`'s, re-exported
 by the front door: :func:`repro.api.serve` builds a server from a model,
@@ -48,24 +52,19 @@ from repro.serving.batcher import (
     ModelEntry,
     PendingResponse,
 )
-from repro.serving.loadgen import LoadGenerator, LoadReport, warm_up
 from repro.serving.registry import ModelRegistry, ModelVersion
 from repro.serving.replica import Replica
-from repro.serving.router import FleetRouter, RouterHandle
+from repro.serving.router import FleetRouter
 from repro.serving.server import ModelServer
 
 __all__ = [
     "DynamicBatcher",
     "FleetRouter",
     "InferenceRequest",
-    "LoadGenerator",
-    "LoadReport",
     "ModelEntry",
     "ModelRegistry",
     "ModelServer",
     "ModelVersion",
     "PendingResponse",
     "Replica",
-    "RouterHandle",
-    "warm_up",
 ]

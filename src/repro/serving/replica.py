@@ -165,7 +165,9 @@ class Replica:
         private spill manager: no optimizer state is charged, forwards lease
         one shard at a time, and the next shard's restore overlaps the
         current shard's compute.  Responses are bit-identical to a resident
-        replica's — restores put the exact parameter bytes back.
+        replica's — restores put the exact parameter bytes back.  With a
+        live ``telemetry`` recorder the manager's counters are its
+        ``spill.<name>`` collector.
 
         Raises:
             ConfigurationError: if the budget is not positive or smaller
@@ -192,8 +194,8 @@ class Replica:
             policy=_EVICTION_POLICY,
             prefetch=True,
             scrub_evicted=scrub_evicted,
-            telemetry=telemetry,
         )
+        manager.bind_telemetry(telemetry, name=f"spill.{name}")
         if telemetry is not None and telemetry.enabled:
             executor.telemetry = telemetry
         executor.bind_memory(manager, model_id=name, device_of=lambda shard: _SERVE_ARENA)
@@ -225,12 +227,6 @@ class Replica:
             else:
                 output = self.model.forward(batch)
         return slice_rows(output, 0, rows)
-
-    def spill_stats(self) -> Dict[str, int]:
-        """The spill manager's counters (all zeros for a resident replica)."""
-        if self.manager is None:
-            return {}
-        return self.manager.stats.as_dict()
 
     def close(self) -> None:
         """Release spill-manager state, restoring evicted shards into the model.

@@ -66,38 +66,6 @@ _UNBOUNDED = 1 << 62
 _EVICTION_POLICY = "lru"
 
 
-class RouterHandle:
-    """A single-model view of a router, API-compatible with a server.
-
-    ``handle = router.handle("mlp-a")`` gives load generators and client
-    code the familiar ``submit``/``request`` surface without threading the
-    model name through every call.
-    """
-
-    def __init__(self, router: "FleetRouter", model: str):
-        self.router = router
-        self.model = model
-
-    def submit(
-        self, arrays: RequestArrays, timeout_ms: Optional[float] = None
-    ) -> PendingResponse:
-        """Enqueue one request for this handle's model."""
-        return self.router.submit(self.model, arrays, timeout_ms=timeout_ms)
-
-    def request(
-        self, arrays: RequestArrays, timeout_ms: Optional[float] = None
-    ) -> Any:
-        """Synchronous convenience: submit then wait for the rows."""
-        return self.router.request(self.model, arrays, timeout_ms=timeout_ms)
-
-    def metrics(self) -> Dict[str, float]:
-        """This model's latency/throughput snapshot."""
-        return self.router._batcher.outcomes(self.model)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RouterHandle({self.model!r} on {self.router.name!r})"
-
-
 class FleetRouter(ServingCore):
     """Serves every registered model through one pool and one budget.
 
@@ -225,11 +193,6 @@ class FleetRouter(ServingCore):
     def models(self) -> List[str]:
         """Registered model names, sorted."""
         return [entry.name for entry in self._batcher.entries()]
-
-    def handle(self, model: str) -> RouterHandle:
-        """A server-shaped view of one model (for load generators, clients)."""
-        self._entry(model)
-        return RouterHandle(self, model)
 
     def resident_models(self) -> List[str]:
         """Models whose parameters are currently on the serving device."""

@@ -503,9 +503,8 @@ PUBLIC_SURFACE = {
         "FailedTrial", "SelectionResult",
     ],
     "repro.serving": [
-        "DynamicBatcher", "FleetRouter", "InferenceRequest", "LoadGenerator", "LoadReport",
-        "ModelEntry", "ModelRegistry", "ModelServer", "ModelVersion", "PendingResponse",
-        "Replica", "RouterHandle", "warm_up",
+        "DynamicBatcher", "FleetRouter", "InferenceRequest", "ModelEntry",
+        "ModelRegistry", "ModelServer", "ModelVersion", "PendingResponse", "Replica",
     ],
     "repro.telemetry": [
         "Histogram", "MetricsRegistry", "NULL_TELEMETRY", "NullTelemetry", "Telemetry",

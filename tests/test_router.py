@@ -38,7 +38,6 @@ from repro.memory import SpillManager
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.serving import (
     FleetRouter,
-    LoadGenerator,
     ModelRegistry,
     ModelServer,
     Replica,
@@ -489,8 +488,11 @@ def _slow_router():
         replicas=1, max_batch_size=1, max_queue=16, watchdog_interval_s=None
     )
     router.add_model("slow", _SleepyModel(0.2))
-    handle = router.handle("slow")
-    return router, handle.submit, handle.metrics
+    return (
+        router,
+        lambda arrays: router.submit("slow", arrays),
+        lambda: router.metrics()["models"]["slow"],
+    )
 
 
 class TestStopWithoutDrain:
@@ -542,19 +544,17 @@ class TestRouterMetrics:
         for key in ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms"):
             assert fleet[key] >= 0.0
 
-    def test_handle_is_server_shaped(self):
+    def test_submit_and_request_count_in_their_model_row(self):
         router = FleetRouter(replicas=1, watchdog_interval_s=None)
-        router.add_model("m", make_model(seed=20))
-        handle = router.handle("m")
+        make_fleet(["m", "idle"], router)
         x = np.zeros((1, 16), dtype=np.float32)
         with router:
-            response = handle.submit({"features": x})
-            got = response.result(timeout=10)
-            also = handle.request({"features": x})
-            assert np.array_equal(got, also)
-            assert handle.metrics()["completed"] == 2
-        with pytest.raises(ConfigurationError):
-            router.handle("nope")
+            got = router.submit("m", {"features": x}).result(timeout=10)
+            also = router.request("m", {"features": x})
+        assert np.array_equal(got, also)
+        rows = router.metrics()["models"]
+        assert rows["m"]["completed"] == 2
+        assert rows["idle"]["completed"] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -641,7 +641,7 @@ class TestFleetAPI:
 
 
 # --------------------------------------------------------------------------- #
-# Load generation against a fleet
+# Mixed traffic against a fleet
 # --------------------------------------------------------------------------- #
 class TestFleetLoadGeneration:
     def test_mix_schedule_is_exact_and_deterministic(self):
@@ -656,32 +656,29 @@ class TestFleetLoadGeneration:
         with pytest.raises(ConfigurationError):
             mix_schedule({"a": 0.0}, 4)
 
+    def test_mix_schedule_sequence_is_pinned(self):
+        # bench's serve workloads route by this exact sequence.
+        assert mix_schedule({"a": 3.0, "b": 1.0}, 8) == [
+            "a", "b", "a", "a", "a", "b", "a", "a",
+        ]
+        assert mix_schedule({"x": 2.0, "y": 1.0, "z": 1.0}, 8) == [
+            "x", "z", "y", "x", "x", "z", "y", "x",
+        ]
+
     def test_open_loop_mix_over_router(self):
         router = FleetRouter(replicas=2, max_batch_size=GEOMETRY, watchdog_interval_s=None)
         make_fleet(["m0", "m1"], router)
         x = np.zeros((1, 16), dtype=np.float32)
         with router:
-            generator = LoadGenerator(
-                router,
-                lambda client, index: {"features": x},
-                clients=4,
-                requests_per_client=8,
-                arrival_rate_rps=500.0,
-                mix={"m0": 3.0, "m1": 1.0},
-            )
-            report = generator.run()
-        assert report.mode == "open"
-        assert report.offered_rps == 500.0
-        assert report.completed == 32
-        assert report.per_model == {"m0": 24, "m1": 8}
-        flattened = report.as_dict()
-        assert flattened["per_model"] == {"m0": 24.0, "m1": 8.0}
-
-    def test_router_target_requires_mix(self):
-        router = FleetRouter(watchdog_interval_s=None)
-        router.add_model("m", make_model())
-        with pytest.raises(ConfigurationError, match="needs a mix"):
-            LoadGenerator(router, lambda c, i: {})
-        server = ModelServer([Replica.resident(make_model())])
-        with pytest.raises(ConfigurationError, match="FleetRouter target"):
-            LoadGenerator(server, lambda c, i: {}, mix={"m": 1.0})
+            # Inject the whole mix from this thread, then collect.
+            pending = [
+                router.submit(model, {"features": x})
+                for model in mix_schedule({"m0": 3.0, "m1": 1.0}, 32)
+            ]
+            for response in pending:
+                response.result(timeout=30)
+        # Read after stop(): every completion is recorded by then.
+        rows = router.metrics()["models"]
+        assert {name: row["completed"] for name, row in rows.items()} == {
+            "m0": 24, "m1": 8,
+        }

@@ -41,13 +41,11 @@ from repro.optim import Adam
 from repro.serving import (
     DynamicBatcher,
     InferenceRequest,
-    LoadGenerator,
     ModelEntry,
     ModelRegistry,
     ModelServer,
     PendingResponse,
     Replica,
-    warm_up,
 )
 
 CONFIG = FeedForwardConfig(input_dim=16, hidden_dims=(24, 16), num_classes=4)
@@ -136,9 +134,9 @@ class TestExactness:
                 for x in requests_48[:16]
             ]
         finally:
-            stats = replica.spill_stats()
+            evictions = replica.manager.stats.evictions
             replica.close()
-        assert stats["evictions"] > 0  # the budget actually forced spilling
+        assert evictions > 0  # the budget actually forced spilling
         for response, expected in zip(responses, reference_outputs):
             assert np.array_equal(response, expected)
 
@@ -792,12 +790,11 @@ class TestServeAndDeploy:
 
 
 # --------------------------------------------------------------------------- #
-# Load generation
+# Traffic from one thread, read back through metrics()
 # --------------------------------------------------------------------------- #
-class TestLoadGenerator:
-    def test_closed_loop_accounting(self):
-        rng = np.random.default_rng(0)
-        inputs = rng.normal(size=(8, 16)).astype(np.float32)
+class TestOneThreadTraffic:
+    def test_rounds_in_flight_are_all_counted(self):
+        inputs = np.random.default_rng(0).normal(size=(8, 16)).astype(np.float32)
         server = ModelServer(
             [Replica.resident(make_model())],
             max_batch_size=4,
@@ -805,73 +802,37 @@ class TestLoadGenerator:
             max_queue=32,
         )
         with server:
-            warm_up(server, inputs[:1])
-            report = LoadGenerator(
-                server,
-                lambda client, index: inputs[index % 8 : index % 8 + 1],
-                clients=4,
-                requests_per_client=10,
-            ).run()
-        assert report.completed == 40
-        assert report.rejected == 0 and report.timed_out == 0 and report.failed == 0
-        assert report.throughput_rps > 0
-        assert report.latency["latency_p99_ms"] >= report.latency["latency_p50_ms"]
+            for round_index in range(10):
+                pending = [
+                    server.submit(inputs[(round_index + i) % 8][None, :])
+                    for i in range(4)
+                ]
+                for response in pending:
+                    response.result(timeout=10.0)
+        # Read after stop(): every completion is recorded by then.
+        report = server.metrics()
+        assert report["completed"] == 40
+        assert report["rejected"] == report["timed_out"] == report["failed"] == 0
+        assert report["throughput_rps"] > 0
+        assert report["latency_p99_ms"] >= report["latency_p50_ms"] > 0
 
-    def test_rejections_are_counted_not_raised(self):
+    def test_rejections_are_counted_once_each(self):
         server = ModelServer(
             [Replica.resident(_SleepyModel(0.05))],
             max_batch_size=1,
             max_wait_ms=0.0,
             max_queue=1,
         )
+        accepted, rejected = [], 0
         with server:
-            report = LoadGenerator(
-                server,
-                lambda client, index: np.zeros((1, 16), np.float32),
-                clients=4,
-                requests_per_client=3,
-            ).run()
-        assert report.completed + report.rejected == 12
-        assert report.rejected > 0
-
-    def test_open_loop_injects_on_schedule(self):
-        rng = np.random.default_rng(1)
-        inputs = rng.normal(size=(8, 16)).astype(np.float32)
-        server = ModelServer(
-            [Replica.resident(make_model())],
-            max_batch_size=4,
-            max_wait_ms=1.0,
-            max_queue=128,
-        )
-        with server:
-            warm_up(server, inputs[:1])
-            report = LoadGenerator(
-                server,
-                lambda client, index: inputs[index % 8 : index % 8 + 1],
-                clients=4,
-                requests_per_client=10,
-                arrival_rate_rps=200.0,
-            ).run()
-        assert report.mode == "open"
-        assert report.offered_rps == 200.0
-        assert report.completed == 40
-        # 40 arrivals at 200/s occupy ~0.2s of schedule: open loop paces the
-        # run by the arrival process, not by response latency.
-        assert report.duration_seconds >= 0.15
-        assert report.latency["latency_p99_ms"] >= report.latency["latency_p50_ms"]
-
-    def test_open_loop_latency_uses_completion_stamps(self):
-        # A response that completed long before collection must be charged
-        # its completion-time latency, not the collection-time one.
-        server = ModelServer(
-            [Replica.resident(make_model())],
-            max_batch_size=4,
-            max_wait_ms=0.0,
-            max_queue=32,
-        )
-        with server:
-            response = server.submit(np.zeros((1, 16), np.float32))
-            response.result(timeout=5.0)
-            assert response.completed_at is not None
-            time.sleep(0.2)  # collection happens much later
-            assert response.completed_at < time.monotonic() - 0.15
+            for _ in range(12):
+                try:
+                    accepted.append(server.submit(np.zeros((1, 16), np.float32)))
+                except ServerOverloadedError:
+                    rejected += 1
+            for response in accepted:
+                response.result(timeout=10.0)
+        report = server.metrics()
+        assert rejected > 0
+        assert report["rejected"] == rejected
+        assert report["completed"] == len(accepted) == 12 - rejected

@@ -322,9 +322,9 @@ class TestCountersAddUp:
         for key in COUNTERS:
             assert report["fleet"][key] == sum(row[key] for row in models.values()), key
         assert report["fleet"]["batches"] == report["scheduler"]["batches_dispatched"]
-        handle_row = router.handle("a").metrics()  # the same row, read again
+        again = router.metrics()["models"]["a"]  # the same row, read again
         for key in COUNTERS:
-            assert handle_row[key] == models["a"][key]
+            assert again[key] == models["a"][key]
 
 
 # --------------------------------------------------------------------------- #
@@ -344,11 +344,11 @@ class TestThroughputClock:
             clock[0] += 2.0
         # Read after stop(): every completion is recorded by then.
         report = router.metrics()
-        handle = router.handle("a").metrics()
+        again = router.metrics()["models"]["a"]
         assert report["fleet"]["throughput_rps"] == 4 / 2.0
         assert report["models"]["a"]["throughput_rps"] == 3 / 2.0
         assert report["models"]["b"]["throughput_rps"] == 1 / 2.0
-        assert handle["throughput_rps"] == 3 / 2.0
+        assert again["throughput_rps"] == 3 / 2.0
 
     def test_server_counts_from_start(self, monkeypatch):
         clock = [1000.0]

@@ -436,6 +436,49 @@ class TestInstrumentation:
         snap = tel.metrics_snapshot()
         validate_latency_snapshot(snap["collectors"]["server.traced"])
 
+    def test_spilled_server_registers_its_spill_collector(self):
+        tel = Telemetry()
+        model = _build_plain()
+        budget = max(
+            sum(p.data.nbytes for p in model.block_parameters(block))
+            for block in range(model.num_blocks())
+        )
+        server = serve(
+            model, replicas=1, max_batch_size=4, memory_budget=budget, name="sp",
+            telemetry=tel,
+        )
+        try:
+            for _ in range(5):
+                server.request(_arrays())
+            manager = server.replicas[0].manager
+            row = tel.metrics_snapshot()["collectors"]["spill.sp/replica0"]
+            counters = manager.stats.as_dict()
+        finally:
+            server.stop()
+        assert {key: row[key] for key in counters} == counters
+        assert counters["evictions"] > 0 and counters["demand_fetches"] > 0
+        assert 0 < row["resident_bytes"] <= budget
+        assert row["registered_bytes"] == sum(p.data.nbytes for p in model.parameters())
+
+    def test_each_spilled_replica_is_its_own_collector(self):
+        tel = Telemetry()
+        model = _build_plain()
+        budget = sum(p.data.nbytes for p in model.parameters())
+        server = serve(
+            _build_plain, replicas=2, max_batch_size=4, memory_budget=budget,
+            name="pair", telemetry=tel,
+        )
+        try:
+            server.request(_arrays())
+            collectors = tel.metrics_snapshot()["collectors"]
+        finally:
+            server.stop()
+        spill_rows = {name for name in collectors if name.startswith("spill.")}
+        assert spill_rows == {"spill.pair/replica0", "spill.pair/replica1"}
+        # One request ran on one replica: the rows are the replicas' own.
+        fetched = sorted(collectors[name]["bytes_fetched"] for name in spill_rows)
+        assert fetched[0] == 0 and fetched[1] > 0
+
     def test_disabled_telemetry_records_nothing(self):
         server = serve(_build_plain(), replicas=1, max_batch_size=4)
         try:
