@@ -117,7 +117,6 @@ def _run_config(fraction, steps: int, measure_seconds: float):
         budget = int(need * fraction)
         manager = SpillManager(
             {f"dev{i}": budget for i in range(NUM_DEVICES)},
-            policy="schedule-aware",
             prefetch=True,
         )
         executor.bind_memory(

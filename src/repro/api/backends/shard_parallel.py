@@ -68,9 +68,11 @@ class ShardParallelBackend(ExecutionBackend):
     ``memory_budget`` (bytes per device, or a ``{"dev0": bytes}`` map over
     arenas ``dev0 .. dev{num_devices-1}``) enables spilled execution:
     trials lease shards through a shared :class:`~repro.memory.SpillManager`
-    and idle shards are evicted to host memory under pressure.
-    ``eviction_policy`` is ``"lru"`` or ``"schedule-aware"``; ``prefetch``
-    overlaps the next shard's restore with the current shard's compute.
+    and idle shards are evicted to host memory under pressure, the shard
+    whose next announced use is furthest away first.  ``prefetch`` overlaps
+    the next shard's restore with the current shard's compute;
+    ``eviction_policy`` accepts only ``"schedule-aware"``, the manager's one
+    eviction rule.
 
     A cohort trains together in one :meth:`make_driver` trainer; epoch
     numbers continue from what the cohort has already trained, so shuffling
@@ -84,7 +86,8 @@ class ShardParallelBackend(ExecutionBackend):
 
     Raises:
         ConfigurationError: if ``num_devices`` is not positive, or the
-            memory-budget options are invalid.
+            memory-budget options are invalid (``eviction_policy`` other
+            than ``"schedule-aware"`` included).
     """
 
     name = "shard-parallel"
@@ -102,14 +105,18 @@ class ShardParallelBackend(ExecutionBackend):
     ):
         if num_devices <= 0:
             raise ConfigurationError(f"num_devices must be positive, got {num_devices}")
+        if eviction_policy != "schedule-aware":
+            raise ConfigurationError(
+                f"unknown eviction policy {eviction_policy!r}; the spill manager "
+                "evicts by its one rule, 'schedule-aware'"
+            )
         self.builder = builder
         self.num_devices = int(num_devices)
         self.num_shards = num_shards
         self.registry = registry
         self._memory_budget = memory_budget
-        #: the ``SpillManager`` keyword arguments, kept so an unpickled
-        #: copy rebuilds the same manager
-        self._spill_options = {"policy": eviction_policy, "prefetch": prefetch}
+        #: kept so an unpickled copy rebuilds the same manager
+        self._prefetch = bool(prefetch)
         self.memory = self._make_spill_manager()
 
     def _make_spill_manager(self) -> Optional[SpillManager]:
@@ -133,7 +140,7 @@ class ShardParallelBackend(ExecutionBackend):
                 )
         else:
             budgets = {name: int(memory_budget) for name in names}
-        return SpillManager(budgets, **self._spill_options)
+        return SpillManager(budgets, prefetch=self._prefetch)
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a recorder and wire it into the owned spill manager."""

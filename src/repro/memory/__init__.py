@@ -8,13 +8,13 @@ subsystem:
 
 * :class:`DeviceArena` — a per-device byte ledger;
 * :class:`SpillManager` — the residency state machine (resident → evicted →
-  prefetching) with pluggable eviction (:class:`LRUEvictionPolicy`,
-  :class:`ScheduleAwareEvictionPolicy`).  Each shard's
+  prefetching).  It evicts by one rule: the shard whose next announced use
+  is furthest away goes, least recently used among equals.  Each shard's
   :class:`ShardResidency` record also holds its host copy, the bytes an
   evicted shard is restored from.  One constructor,
-  ``SpillManager(budgets, policy=..., prefetch=...)``, builds the arenas
-  and, with ``prefetch=True``, the transfer worker that overlaps the next
-  shard's fetch with the current shard's compute.
+  ``SpillManager(budgets, prefetch=...)``, builds the arenas and, with
+  ``prefetch=True``, the transfer worker that overlaps the next shard's
+  fetch with the current shard's compute.
 
 The real engines opt in through
 ``ShardedModelExecutor.bind_memory`` / ``ShardParallelTrainer(memory_manager=...)``
@@ -27,24 +27,16 @@ See ``docs/memory.md``.
 
 from repro.memory.arena import DeviceArena
 from repro.memory.spill import (
-    EvictionPolicy,
-    LRUEvictionPolicy,
     ResidencyState,
-    ScheduleAwareEvictionPolicy,
     ShardResidency,
     SpillManager,
     SpillStats,
-    make_eviction_policy,
 )
 
 __all__ = [
     "DeviceArena",
-    "EvictionPolicy",
-    "LRUEvictionPolicy",
     "ResidencyState",
-    "ScheduleAwareEvictionPolicy",
     "ShardResidency",
     "SpillManager",
     "SpillStats",
-    "make_eviction_policy",
 ]

@@ -22,10 +22,12 @@ record: :meth:`SpillManager.forget` restores from it and drops both, and a
 re-registration restores from it and drops it (or, when the old arrays
 cannot take it, keeps it for the new ones — the repair of a broken shard).
 
-Eviction is pluggable: :class:`LRUEvictionPolicy` evicts the
-least-recently-used shard; :class:`ScheduleAwareEvictionPolicy` consumes the
-access sequences executors announce per batch and evicts the shard whose
-next hop is furthest away (Belady's rule on the declared schedule).
+Eviction follows the announced schedule.  Executors
+:meth:`SpillManager.announce` each batch's access sequence and every acquire
+consumes its hop; the victim is the shard whose next announced use is
+furthest away (Belady's rule on the declared schedule).  A shard with no announced use — its model is between
+batches, or its caller announces nothing — is the ideal victim, and among
+those the least recently used goes first.
 
 With ``prefetch=True`` the manager owns a 1-thread transfer worker and keeps
 one transfer in flight, so the copy of the shard a caller names overlaps the
@@ -146,103 +148,6 @@ class SpillStats:
 
 
 # --------------------------------------------------------------------------- #
-# Eviction policies
-# --------------------------------------------------------------------------- #
-class EvictionPolicy:
-    """Chooses which evictable shard to push to host when room is needed."""
-
-    name = "policy"
-
-    def note_access(self, record: ShardResidency) -> None:
-        """Called on every acquire of ``record`` (in schedule order)."""
-
-    def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
-        """Called when an executor declares its upcoming access sequence."""
-
-    def retire(self, model_id: str) -> None:
-        """Forget any bookkeeping for a model that is being torn down."""
-
-    def choose(self, candidates: List[ShardResidency]) -> ShardResidency:
-        """Pick the victim among ``candidates`` (non-empty)."""
-        raise NotImplementedError
-
-
-class LRUEvictionPolicy(EvictionPolicy):
-    """Evict the least-recently-acquired shard (classic LRU)."""
-
-    name = "lru"
-
-    def choose(self, candidates: List[ShardResidency]) -> ShardResidency:
-        """The candidate with the oldest ``last_use`` (key as tiebreak)."""
-        return min(candidates, key=lambda r: (r.last_use, r.key))
-
-
-class ScheduleAwareEvictionPolicy(EvictionPolicy):
-    """Evict the shard whose next scheduled hop is furthest away.
-
-    Executors :meth:`announce` each batch's access sequence (the forward
-    chain then the backward chain); accesses consume the sequence as they
-    happen.  A shard with no upcoming access (its model is between batches)
-    is the ideal victim; otherwise the one that will be needed last goes —
-    Belady's MIN rule applied to the declared schedule, which is exactly the
-    information a shard-parallel trainer has.
-    """
-
-    name = "schedule-aware"
-
-    def __init__(self) -> None:
-        self._upcoming: Dict[str, Deque[ShardKey]] = {}
-
-    def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
-        """Replace ``model_id``'s upcoming access sequence."""
-        self._upcoming[model_id] = deque(sequence)
-
-    def note_access(self, record: ShardResidency) -> None:
-        """Consume the first scheduled occurrence of the accessed shard."""
-        queue = self._upcoming.get(record.key[0])
-        if queue:
-            try:
-                queue.remove(record.key)
-            except ValueError:
-                pass
-
-    def retire(self, model_id: str) -> None:
-        """Drop the model's schedule."""
-        self._upcoming.pop(model_id, None)
-
-    def _next_use(self, key: ShardKey) -> float:
-        queue = self._upcoming.get(key[0])
-        if not queue:
-            return float("inf")
-        for position, upcoming in enumerate(queue):
-            if upcoming == key:
-                return float(position)
-        return float("inf")
-
-    def choose(self, candidates: List[ShardResidency]) -> ShardResidency:
-        """The candidate needed furthest in the future (LRU as tiebreak)."""
-        return max(
-            candidates,
-            key=lambda r: (self._next_use(r.key), -r.last_use, r.key),
-        )
-
-
-_POLICIES: Dict[str, Callable[[], EvictionPolicy]] = {
-    "lru": LRUEvictionPolicy,
-    "schedule-aware": ScheduleAwareEvictionPolicy,
-}
-
-
-def make_eviction_policy(name: str) -> EvictionPolicy:
-    """Build an eviction policy by name (``"lru"`` or ``"schedule-aware"``)."""
-    if name not in _POLICIES:
-        raise ConfigurationError(
-            f"unknown eviction policy {name!r}; available: {sorted(_POLICIES)}"
-        )
-    return _POLICIES[name]()
-
-
-# --------------------------------------------------------------------------- #
 # The manager
 # --------------------------------------------------------------------------- #
 class SpillManager:
@@ -250,15 +155,15 @@ class SpillManager:
 
     Example::
 
-        manager = SpillManager({"dev0": 64 << 20}, policy="lru")
+        manager = SpillManager({"dev0": 64 << 20})
         manager.register(("mlp", 0), "dev0", nbytes, arrays_fn)
         with manager.lease(("mlp", 0)):
             ...  # shard is resident and pinned
         manager.close()
 
     The manager builds everything it runs on: one :class:`DeviceArena` per
-    ``{name: bytes}`` entry of ``budgets``, the eviction policy named by
-    ``policy`` and, with ``prefetch=True``, the transfer worker that
+    ``{name: bytes}`` entry of ``budgets`` and, with ``prefetch=True``, the
+    transfer worker that
     :meth:`close` shuts down (placed beside the thread in :meth:`driving`).
     Evicted shards' host copies live on their :class:`ShardResidency`
     records.
@@ -269,8 +174,8 @@ class SpillManager:
     with this on).
 
     Raises:
-        ConfigurationError: on empty budgets, an unknown policy, unknown
-            arenas/keys or invalid registration.
+        ConfigurationError: on empty budgets, unknown arenas/keys or
+            invalid registration.
         MemoryBudgetError: when a shard cannot fit its arena, or an acquire
             times out waiting for pinned occupants to clear.
     """
@@ -279,7 +184,6 @@ class SpillManager:
         self,
         budgets: Dict[str, int],
         *,
-        policy: str = "lru",
         prefetch: bool = False,
         scrub_evicted: bool = False,
         acquire_timeout_seconds: float = 60.0,
@@ -290,7 +194,6 @@ class SpillManager:
         self.arenas: Dict[str, DeviceArena] = {
             name: DeviceArena(name, nbytes) for name, nbytes in budgets.items()
         }
-        self.policy = make_eviction_policy(policy)
         self.scrub_evicted = bool(scrub_evicted)
         self.acquire_timeout_seconds = float(acquire_timeout_seconds)
         self.stats = SpillStats()
@@ -301,6 +204,8 @@ class SpillManager:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._clock = 0
+        #: each model's announced access sequence, consumed by its acquires
+        self._upcoming: Dict[str, Deque[ShardKey]] = {}
         #: the transfer worker (``None`` without prefetch or once closed) and
         #: whether its one transfer slot is taken — both under ``_lock``
         self._pool: Optional[ThreadWorkerPool] = ThreadWorkerPool(1) if prefetch else None
@@ -441,7 +346,7 @@ class SpillManager:
         with self._lock:
             for key in [k for k in self._records if k[0] == model_id]:
                 self.forget(key)
-            self.policy.retire(model_id)
+            self._upcoming.pop(model_id, None)
 
     def registered(self) -> List[ShardKey]:
         """Keys currently under management."""
@@ -594,9 +499,13 @@ class SpillManager:
             tel.end(token)
 
     def announce(self, model_id: str, sequence: Sequence[ShardKey]) -> None:
-        """Declare a model's upcoming access sequence (for schedule-aware eviction)."""
+        """Replace ``model_id``'s upcoming access sequence (see module docstring).
+
+        Each acquire of one of the model's shards consumes that shard's
+        first announced occurrence.
+        """
         with self._lock:
-            self.policy.announce(model_id, sequence)
+            self._upcoming[model_id] = deque(sequence)
 
     # ------------------------------------------------------------------ #
     # Prefetch
@@ -730,7 +639,20 @@ class SpillManager:
     def _note_use(self, record: ShardResidency) -> None:
         self._clock += 1
         record.last_use = self._clock
-        self.policy.note_access(record)
+        queue = self._upcoming.get(record.key[0])
+        if queue:
+            try:
+                queue.remove(record.key)
+            except ValueError:
+                pass
+
+    def _next_use(self, key: ShardKey) -> float:
+        queue = self._upcoming.get(key[0])
+        if queue:
+            for position, upcoming in enumerate(queue):
+                if upcoming == key:
+                    return float(position)
+        return float("inf")
 
     def _wait_locked(self, deadline: float, key: ShardKey) -> None:
         remaining = deadline - time.monotonic()
@@ -773,7 +695,10 @@ class SpillManager:
         if record.nbytes > arena.free_bytes + sum(r.nbytes for r in candidates):
             return False
         while record.nbytes > arena.free_bytes:
-            victim = self.policy.choose(candidates)
+            # Needed furthest in the future, then least recently used.
+            victim = max(
+                candidates, key=lambda r: (self._next_use(r.key), -r.last_use, r.key)
+            )
             candidates.remove(victim)
             if deferred is not None and victim.dirty:
                 self._release_locked(victim, ResidencyState.EVICTING)
@@ -858,5 +783,5 @@ class SpillManager:
             )
             return (
                 f"SpillManager({len(self._records)} shards, {resident} resident, "
-                f"arenas={self.arena_names}, policy={self.policy.name})"
+                f"arenas={self.arena_names})"
             )

@@ -298,8 +298,10 @@ class DynamicBatcher:
         self._closed = False
         #: every request outcome of this front-end (see the module docstring)
         self.registry = MetricsRegistry()
-        #: the throughput clock: ``ServingCore.start`` resets it
+        #: the throughput clock: ``ServingCore.start`` resets it, and
+        #: ``ServingCore.stop`` stops it once its serve loops have ended
         self.started = time.monotonic()
+        self.stopped: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     def add_entry(self, entry: ModelEntry) -> None:
@@ -449,8 +451,9 @@ class DynamicBatcher:
         ``model`` names one entry; ``None`` reads the whole front-end — the
         sum of every entry's counters and the merge of their latency
         histograms — which alone carries the queue depth (a model's row
-        reports 0).  ``throughput_rps`` counts completions since
-        :attr:`started`; latencies are in milliseconds.
+        reports 0).  ``throughput_rps`` counts completions over
+        [:attr:`started`, :attr:`stopped`] (up to now while serving), so a
+        stopped front-end's rate stays put; latencies are in milliseconds.
         """
         names = [model] if model is not None else [e.name for e in self.entries()]
         counters = self.registry.counters()
@@ -460,7 +463,8 @@ class DynamicBatcher:
         }
         latency = self.registry.merged(_key(name, "latency_s") for name in names).snapshot()
         depth = self.registry.merged([_QUEUE_DEPTH] if model is None else []).snapshot()
-        elapsed = max(time.monotonic() - self.started, 1e-9)
+        end = self.stopped if self.stopped is not None else time.monotonic()
+        elapsed = max(end - self.started, 1e-9)
         batches = total["batches"]
         return {
             "completed": total["completed"],

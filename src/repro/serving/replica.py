@@ -41,8 +41,6 @@ from repro.training.sharded_trainer import ShardedModelExecutor
 
 #: arena name of a spilled replica's single serving device
 _SERVE_ARENA = "serve0"
-#: eviction policy of a spilled replica's private spill manager
-_EVICTION_POLICY = "schedule-aware"
 
 
 def concat_rows(
@@ -191,7 +189,6 @@ class Replica:
             )
         manager = SpillManager(
             {_SERVE_ARENA: int(memory_budget)},
-            policy=_EVICTION_POLICY,
             prefetch=True,
             scrub_evicted=scrub_evicted,
         )

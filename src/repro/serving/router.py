@@ -16,8 +16,10 @@ the same :class:`~repro.serving.server.ServingCore`; one router owns, for
   that arena, so it moves *whole* (Hydra-style: models move as units, not
   layer fragments) and only inside its executor's lease, the path a spilled
   replica takes too: hot models stay device-resident, cold models are
-  evicted to host memory under pressure and restored on demand, so the
-  fleet's total parameter bytes may exceed the budget;
+  evicted to host memory under pressure (by the manager's one rule: a
+  member whose forward has announced its chain is kept, and among the rest
+  the least recently served goes) and restored on demand, so the fleet's
+  total parameter bytes may exceed the budget;
 * **one scheduler** — the :class:`~repro.serving.batcher.DynamicBatcher` a
   server uses, with one queue per model (per-model admission control),
   a fill window of zero (**continuous batching**: unlike a server, which
@@ -62,8 +64,6 @@ logger = logging.getLogger(__name__)
 _FLEET_ARENA = "fleet0"
 #: arena capacity standing in for "no budget" (effectively unbounded)
 _UNBOUNDED = 1 << 62
-#: eviction policy of the fleet's shared spill manager
-_EVICTION_POLICY = "lru"
 
 
 class FleetRouter(ServingCore):
@@ -124,11 +124,10 @@ class FleetRouter(ServingCore):
         self._budget = None if memory_budget is None else int(memory_budget)
         self._manager = SpillManager(
             {_FLEET_ARENA: self._budget or _UNBOUNDED},
-            policy=_EVICTION_POLICY,
             prefetch=True,
             scrub_evicted=scrub_evicted,
-            telemetry=self.telemetry,
         )
+        self._manager.bind_telemetry(self.telemetry, name=f"spill.{name}")
         self._stalls = 0
         self._watchdog: Optional[threading.Thread] = None
         self._watchdog_stop = threading.Event()
@@ -276,9 +275,11 @@ class FleetRouter(ServingCore):
         The ``"models"`` rows carry p50/p95/p99, throughput, batch fill, and
         the failure counters; the ``"fleet"`` row is their sum (latency
         histograms merged) plus the scheduler-wide queue depth.
-        ``"residency"`` reports the shared budget's evictions/restores and
-        which models are hot; ``"scheduler"`` reports queue depths and
-        watchdog stalls.
+        ``"residency"`` reports every :class:`~repro.memory.SpillStats`
+        counter of the shared budget, ``restores`` (demand fetches plus
+        completed prefetches), the budget and occupancy bytes, and which
+        models are hot; ``"scheduler"`` reports queue depths and watchdog
+        stalls.
         """
         report: Dict[str, Any] = {
             "fleet": self._batcher.outcomes(),
@@ -286,14 +287,12 @@ class FleetRouter(ServingCore):
         }
         spill = self._manager.stats.as_dict()
         report["residency"] = {
+            **spill,
+            "restores": spill["demand_fetches"] + spill["prefetches_completed"],
             "budget_bytes": self._budget,
             "registered_bytes": self._manager.registered_bytes(),
             "resident_bytes": self._manager.resident_bytes(),
             "resident_models": self.resident_models(),
-            "evictions": spill["evictions"],
-            "restores": spill["demand_fetches"] + spill["prefetches_completed"],
-            "bytes_evicted": spill["bytes_evicted"],
-            "bytes_fetched": spill["bytes_fetched"],
         }
         report["scheduler"] = {
             "queue_depths": self.queue_depths,

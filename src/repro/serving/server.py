@@ -139,6 +139,7 @@ class ServingCore:
         finally:
             # Even if a serve loop died on an unexpected error, the pool and
             # the replicas' spill state must still be released.
+            self._batcher.stopped = time.monotonic()
             self._running = False
             self._stopped = True
             self._loops = []

@@ -212,7 +212,7 @@ class ShardedModelExecutor:
         """Declare this batch's access order — one slot per task of
         :attr:`order`, the loss's lease of the final shard included: every
         acquire consumes one announced slot, so without it the
-        schedule-aware policy would see the final shard as hop-less right
+        spill manager would see the final shard as hop-less right
         before its backward and evict exactly the shard needed next."""
         self._memory.announce(
             self._memory_model_id, [self.shard_key(shard) for _, shard in self.order]

@@ -48,14 +48,21 @@ LATENCY_SNAPSHOT_KEYS = (
 #: latency-snapshot keys that must never decrease across snapshots
 MONOTONIC_COUNTERS = ("completed", "rejected", "timed_out", "failed", "batches")
 
-#: keys of the router report's ``"residency"`` section
+#: keys of the router report's ``"residency"`` section: every ``SpillStats``
+#: counter of the shared budget, plus the derived ones
 RESIDENCY_KEYS = (
     "budget_bytes",
     "registered_bytes",
     "resident_bytes",
     "resident_models",
     "evictions",
+    "clean_evictions",
     "restores",
+    "demand_fetches",
+    "prefetches_issued",
+    "prefetches_completed",
+    "prefetch_late",
+    "acquire_waits",
     "bytes_evicted",
     "bytes_fetched",
 )

@@ -490,9 +490,8 @@ PUBLIC_SURFACE = {
         "make_pool", "make_searcher", "serve", "serve_fleet",
     ],
     "repro.memory": [
-        "DeviceArena", "EvictionPolicy", "LRUEvictionPolicy",
-        "ResidencyState", "ScheduleAwareEvictionPolicy", "ShardResidency",
-        "SpillManager", "SpillStats", "make_eviction_policy",
+        "DeviceArena", "ResidencyState", "ShardResidency", "SpillManager",
+        "SpillStats",
     ],
     "repro.api.runtime": [
         "ConcurrentBackend", "ProcessWorkerPool", "RetryPolicy", "SerialWorkerPool",

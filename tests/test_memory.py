@@ -22,11 +22,8 @@ from repro.exceptions import (
 )
 from repro.memory import (
     DeviceArena,
-    LRUEvictionPolicy,
     ResidencyState,
-    ScheduleAwareEvictionPolicy,
     SpillManager,
-    make_eviction_policy,
 )
 from repro.models import FeedForwardConfig, FeedForwardNetwork, available_models, create_model
 from repro.optim import SGD, Adam
@@ -109,42 +106,73 @@ class TestDeviceArena:
 
 
 # --------------------------------------------------------------------------- #
-# Eviction policies
+# The eviction rule: furthest next announced use, then least recently used
 # --------------------------------------------------------------------------- #
-class TestEvictionPolicies:
-    def _records(self, manager_keys):
-        from repro.memory import ShardResidency
+class TestEvictionRule:
+    """One-unit shards (4 bytes each) in an arena that holds ``capacity`` of
+    them; every shard is registered up front and starts evicted."""
 
-        return [
-            ShardResidency(key=key, device="dev0", nbytes=1, arrays_fn=list, last_use=use)
-            for key, use in manager_keys
-        ]
+    @staticmethod
+    def _manager(capacity, keys):
+        manager = SpillManager({"dev0": 4 * capacity})
+        for key in keys:
+            manager.register(key, "dev0", 4, list)
+        return manager
 
-    def test_lru_evicts_oldest(self):
-        records = self._records([(("m", 0), 5), (("m", 1), 2), (("m", 2), 9)])
-        assert LRUEvictionPolicy().choose(records).key == ("m", 1)
+    @staticmethod
+    def _use(manager, *keys):
+        for key in keys:
+            with manager.lease(key, write=False):
+                pass
 
-    def test_schedule_aware_evicts_furthest_next_hop(self):
-        policy = ScheduleAwareEvictionPolicy()
-        policy.announce("m", [("m", 0), ("m", 1), ("m", 2)])
-        records = self._records([(("m", 0), 1), (("m", 1), 2), (("m", 2), 3)])
-        assert policy.choose(records).key == ("m", 2)
-        # Accessing shard 2 consumes its hop; with nothing upcoming it
-        # becomes the ideal victim.
-        policy.announce("m", [("m", 0), ("m", 1)])
-        assert policy.choose(records).key == ("m", 2)
+    @staticmethod
+    def _evicted(manager, keys):
+        return [key for key in keys if manager.residency(key) is ResidencyState.EVICTED]
 
-    def test_schedule_aware_prefers_between_batch_models(self):
-        policy = ScheduleAwareEvictionPolicy()
-        policy.announce("busy", [("busy", 0)])
-        records = self._records([(("busy", 0), 1), (("idle", 0), 9)])
-        assert policy.choose(records).key == ("idle", 0)
+    def test_with_nothing_announced_the_least_recently_acquired_goes(self):
+        keys = [("m", shard) for shard in range(4)]
+        manager = self._manager(3, keys)
+        self._use(manager, ("m", 0), ("m", 1), ("m", 2), ("m", 0))
+        self._use(manager, ("m", 3))
+        assert self._evicted(manager, keys) == [("m", 1)]
 
-    def test_make_policy_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            make_eviction_policy("belady-prime")
-        assert make_eviction_policy("lru").name == "lru"
-        assert make_eviction_policy("schedule-aware").name == "schedule-aware"
+    def test_the_furthest_next_hop_goes(self):
+        keys = [("m", shard) for shard in range(4)]
+        manager = self._manager(3, keys)
+        self._use(manager, ("m", 0), ("m", 1), ("m", 2))
+        # Shard 3's own hop is consumed by its acquire; of the rest, shard 2
+        # (the most recently used) is needed last.
+        manager.announce("m", [("m", 3), ("m", 1), ("m", 0), ("m", 2)])
+        self._use(manager, ("m", 3))
+        assert self._evicted(manager, keys) == [("m", 2)]
+
+    def test_a_model_between_batches_goes_first(self):
+        busy = [("busy", 0), ("busy", 1)]
+        keys = busy + [("idle", 0), ("new", 0)]
+        manager = self._manager(3, keys)
+        # "busy" is mid-batch: its forward ran, its backward is announced.
+        manager.announce("busy", [("busy", 0), ("busy", 1), ("busy", 1), ("busy", 0)])
+        self._use(manager, *busy)
+        # "idle" finished its batch last, so it is the most recently used.
+        manager.announce("idle", [("idle", 0)])
+        self._use(manager, ("idle", 0))
+        self._use(manager, ("new", 0))
+        assert self._evicted(manager, keys) == [("idle", 0)]
+
+    def test_an_announced_model_is_kept_until_it_acquires(self):
+        """A fleet member whose forward announced its chain but has not
+        leased yet is not the victim, though it was used least recently."""
+        keys = [("a", 0), ("b", 0), ("c", 0)]
+        manager = self._manager(2, keys)
+        self._use(manager, ("a", 0), ("b", 0))
+        manager.announce("a", [("a", 0)])
+        self._use(manager, ("c", 0))
+        assert self._evicted(manager, keys) == [("b", 0)]
+        assert manager.residency(("a", 0)) is ResidencyState.RESIDENT
+
+    def test_the_backend_names_no_other_rule(self):
+        with pytest.raises(ConfigurationError, match="eviction policy"):
+            ShardParallelBackend(builder=None, memory_budget=1 << 20, eviction_policy="lru")
 
 
 # --------------------------------------------------------------------------- #
@@ -673,8 +701,7 @@ class TestTransferPlacement:
 # Spilled execution is bit-identical to resident execution
 # --------------------------------------------------------------------------- #
 class TestSpilledExecutorExactness:
-    @pytest.mark.parametrize("policy", ["lru", "schedule-aware"])
-    def test_losses_and_params_match_resident_run(self, policy):
+    def test_losses_and_params_match_resident_run(self):
         resident_model = small_mlp()
         resident_opt = Adam(resident_model.parameters(), lr=1e-2)
         resident_exec = ShardedModelExecutor(resident_model, BOUNDARIES)
@@ -685,7 +712,7 @@ class TestSpilledExecutorExactness:
         spilled_exec = ShardedModelExecutor(spilled_model, BOUNDARIES)
         budget = int(shard_nbytes(spilled_exec, 0, spilled_opt) * 1.5)
         manager = SpillManager(
-            {"dev0": budget}, policy=policy, prefetch=True, scrub_evicted=True
+            {"dev0": budget}, prefetch=True, scrub_evicted=True
         )
         spilled_exec.bind_memory(manager, spilled_opt)
         spilled_losses = train_epochs(spilled_exec, mlp_loader(), spilled_opt)
@@ -779,7 +806,6 @@ class TestOverMemoryTraining:
             assert share > budget
         manager = SpillManager(
             {"dev0": budget, "dev1": budget},
-            policy="schedule-aware",
             prefetch=True,
             scrub_evicted=True,
         )
@@ -817,7 +843,6 @@ class TestOverMemoryTraining:
         budget = int(max(shard_nbytes(probe, s, probe_opt) for s in range(4)) * 1.6)
         manager = SpillManager(
             {"dev0": budget, "dev1": budget},
-            policy="schedule-aware",
             scrub_evicted=True,
         )
         spilled = run(manager)
@@ -857,7 +882,7 @@ class TestSweepPrefetch:
         probe = ShardedModelExecutor(probe_model, BOUNDARIES)
         budget = int(max(shard_nbytes(probe, s, probe_opt) for s in range(4)) * 1.3)
         manager = SpillManager(
-            {"dev0": budget, "dev1": budget}, policy="schedule-aware",
+            {"dev0": budget, "dev1": budget},
             prefetch=prefetch, scrub_evicted=True,
         )
         try:

@@ -196,7 +196,7 @@ class TestEngineReadsTheSharedSchedule:
         budget = int(per_shard * 1.6)
         manager = SpillManager(
             {"dev0": budget, "dev1": budget},
-            policy="schedule-aware", prefetch=False, scrub_evicted=True,
+            prefetch=False, scrub_evicted=True,
         )
         trainer = ShardParallelTrainer(num_devices=2, memory_manager=manager)
         for index in range(3):

@@ -13,7 +13,7 @@ Every serving front-end counts its request outcomes in the
   model rows, and each model's four outcomes (completed, rejected, timed
   out, failed) account for every request submitted;
 * **one throughput clock** — ``throughput_rps`` counts from ``start()``
-  for the fleet row and every model row alike.
+  to ``stop()`` for the fleet row and every model row alike.
 """
 
 from __future__ import annotations
@@ -360,3 +360,19 @@ class TestThroughputClock:
                 server.request(ROW)
             clock[0] += 4.0
         assert server.metrics()["throughput_rps"] == 3 / 4.0
+
+    def test_throughput_is_frozen_once_stopped(self):
+        """The clock stops with the serve loops: a stopped front-end's
+        ``throughput_rps`` reads the same however long after ``stop()``."""
+        server = serve(make_model(), max_wait_ms=0.0)
+        router = FleetRouter(replicas=1, watchdog_interval_s=None)
+        router.add_model("a", make_model(1))
+        with server, router:
+            for _ in range(5):
+                server.request(ROW)
+                router.request("a", ROW)
+        first = server.metrics()["throughput_rps"], router.metrics()["fleet"]["throughput_rps"]
+        time.sleep(0.05)
+        second = server.metrics()["throughput_rps"], router.metrics()["fleet"]["throughput_rps"]
+        assert first == second
+        assert min(first) > 0.0

@@ -477,7 +477,7 @@ def test_an_evicting_shard_is_waited_for_and_never_chosen_again():
     floats = 4
     nbytes = floats * FLOAT
     manager = SpillManager(
-        {"dev0": 2 * nbytes}, policy="lru", prefetch=True, scrub_evicted=True,
+        {"dev0": 2 * nbytes}, prefetch=True, scrub_evicted=True,
         acquire_timeout_seconds=WAIT_SECONDS,
     )
     live = {("m", i): np.full(floats, 10.0 * i, dtype=np.float32) for i in range(4)}
@@ -540,7 +540,7 @@ def test_threads_holding_one_pin_each_always_progress():
     floats, threads, rounds = 64, 4, 60
     nbytes = floats * FLOAT
     manager = SpillManager(
-        {"dev0": 2 * nbytes, "dev1": 2 * nbytes}, policy="lru", prefetch=True,
+        {"dev0": 2 * nbytes, "dev1": 2 * nbytes}, prefetch=True,
         scrub_evicted=True, acquire_timeout_seconds=WAIT_SECONDS,
     )
     live = {}

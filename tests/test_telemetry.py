@@ -39,7 +39,7 @@ from repro.api import (
 )
 from repro.data import DataLoader, make_classification
 from repro.exceptions import ConfigurationError, MemoryBudgetError
-from repro.memory import ResidencyState, SpillManager
+from repro.memory import ResidencyState, SpillManager, SpillStats
 from repro.models import FeedForwardConfig, FeedForwardNetwork
 from repro.optim import Adam
 from repro.selection import SearchSpace
@@ -478,6 +478,34 @@ class TestInstrumentation:
         # One request ran on one replica: the rows are the replicas' own.
         fetched = sorted(collectors[name]["bytes_fetched"] for name in spill_rows)
         assert fetched[0] == 0 and fetched[1] > 0
+
+    def test_router_registers_its_spill_collector(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "registry")
+        for name in ("mlp-a", "mlp-b"):
+            registry.publish(name, _build_plain())
+        one = sum(p.data.nbytes for p in _build_plain().parameters())
+        tel = Telemetry()
+        router = serve_fleet(
+            registry, _fleet_builder, replicas=1, max_batch_size=4,
+            memory_budget=one, name="fl", telemetry=tel,
+        )
+        try:
+            for name in ("mlp-a", "mlp-b", "mlp-a"):
+                router.request(name, _arrays())
+            collectors = tel.metrics_snapshot()["collectors"]
+            residency = router.metrics()["residency"]
+        finally:
+            router.stop()
+        assert {"router.fl", "spill.fl"} <= set(collectors)
+        row = collectors["spill.fl"]
+        # The collector and the residency row carry every counter, alike.
+        counters = {key: row[key] for key in SpillStats().as_dict()}
+        assert {key: residency[key] for key in counters} == counters
+        assert counters["evictions"] >= 2
+        assert residency["restores"] == (
+            counters["demand_fetches"] + counters["prefetches_completed"]
+        )
+        assert row["registered_bytes"] == residency["registered_bytes"] == 2 * one
 
     def test_disabled_telemetry_records_nothing(self):
         server = serve(_build_plain(), replicas=1, max_batch_size=4)
